@@ -30,7 +30,7 @@ from .identity import (
 )
 from .ledger import Block, CommitReceipt, LedgerSim, RegistryState, Transaction, replay_chain
 from .csp import Constraint, CspInstance, check_assignment, solve_csp
-from .market import Bid, MarketResult
+from .market import Bid, MarketResult, clear_market
 from .aggregator import (
     ActionType,
     DfAggregator,
@@ -43,7 +43,6 @@ from .aggregator import (
     SetpointAction,
     Window,
     build_csp,
-    clear_market,
     delivered_kw,
 )
 from .workflow import (
@@ -77,7 +76,6 @@ from .simnet import (
     LoadScenario,
     Metrics,
     NodeSpec,
-    PipelineParams,
     Topology,
     default_topology,
     memory_footprint,

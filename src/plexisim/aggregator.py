@@ -194,11 +194,6 @@ class Schedule:
 # Pure operations
 # ---------------------------------------------------------------------------
 
-def clear_market(bids: Sequence[Bid], req: FlexRequest) -> Optional[MarketResult]:
-    """Minimum-cost whole-bid cover of the request quantity; None if unsat."""
-    return _clear(bids, req.quantity_kw)
-
-
 def islanding_domain(resource: FlexResource) -> list:
     """Hard-wired domain table for the grid-islanding service.
 
@@ -340,7 +335,7 @@ class DfAggregator:
     def clear(self, request_id: str) -> Optional[MarketResult]:
         """Clear the market; success closes bidding, insufficiency leaves it open."""
         ctx = self._ctx(request_id)
-        result = clear_market(ctx.bids, ctx.request)
+        result = _clear(ctx.bids, ctx.request.quantity_kw)
         if result is None:
             logger.info("request %s: aggregate flexibility insufficient", request_id)
             return None

@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import identity, simnet, telemetry
@@ -32,8 +31,7 @@ from .aggregator import (
     Window,
 )
 from .clock import SimClock
-from .csp import solve_csp
-from .errors import EnrollmentRejected, SimError
+from .errors import EnrollmentRejected, SimError, ValidationError
 from .ledger import LedgerSim
 from .market import Bid
 from .workflow import Actor, ActorRole, Topic, WorkflowEngine
@@ -131,58 +129,50 @@ def demo_scenario() -> dict:
     }
 
 
-@dataclass
-class ScenarioConfig:
-    """A fully parsed, path-resolved trading scenario."""
-
-    resources: list
-    requests: list
-    bids: list          # (Bid, request_id) pairs
-    seed: int = 0
-    out_dir: Path = Path("out")
-
-
-def parse_scenario(raw: dict, seed: int = 0, out_dir: str = "out") -> ScenarioConfig:
-    resources = [
-        FlexResource(
-            resource_id=r["resource_id"],
-            kind=ResourceKind(r["kind"]),
-            controllable=bool(r["controllable"]),
-            capacity_kw=float(r["capacity_kw"]),
-            baseline_setpoint=SetpointAction(
-                ActionType(r["baseline"]["action"]), float(r["baseline"]["level_kw"])
-            ),
-            owner=r["owner"],
-        )
-        for r in raw["resources"]
-    ]
-    requests = [
-        FlexRequest(
-            request_id=q["request_id"],
-            window=Window(int(q["window"]["start"]), int(q["window"]["duration"])),
-            shape=RequestShape(q["shape"]),
-            quantity_kw=float(q["quantity_kw"]),
-            direction=Direction(q["direction"]),
-            incentive_per_kw=float(q["incentive_per_kw"]),
-            issuer=q["issuer"],
-        )
-        for q in raw["requests"]
-    ]
-    bids = [
-        (
-            Bid(
-                bid_id=b["bid_id"],
-                prosumer_id=b["prosumer"],
-                offered_kw=float(b["offered_kw"]),
-                price_per_kw=float(b["price_per_kw"]),
-                resource_ids=tuple(b["resource_ids"]),
-            ),
-            b.get("request_id", raw["requests"][0]["request_id"]),
-        )
-        for b in raw["bids"]
-    ]
-    return ScenarioConfig(resources=resources, requests=requests, bids=bids,
-                          seed=seed, out_dir=Path(out_dir).resolve())
+def parse_scenario(raw: dict) -> tuple:
+    """(resources, requests, bids); bids are (Bid, request_id) pairs. Raises ValidationError."""
+    try:
+        resources = [
+            FlexResource(
+                resource_id=r["resource_id"],
+                kind=ResourceKind(r["kind"]),
+                controllable=bool(r["controllable"]),
+                capacity_kw=float(r["capacity_kw"]),
+                baseline_setpoint=SetpointAction(
+                    ActionType(r["baseline"]["action"]), float(r["baseline"]["level_kw"])
+                ),
+                owner=r["owner"],
+            )
+            for r in raw["resources"]
+        ]
+        requests = [
+            FlexRequest(
+                request_id=q["request_id"],
+                window=Window(int(q["window"]["start"]), int(q["window"]["duration"])),
+                shape=RequestShape(q["shape"]),
+                quantity_kw=float(q["quantity_kw"]),
+                direction=Direction(q["direction"]),
+                incentive_per_kw=float(q["incentive_per_kw"]),
+                issuer=q["issuer"],
+            )
+            for q in raw["requests"]
+        ]
+        bids = [
+            (
+                Bid(
+                    bid_id=b["bid_id"],
+                    prosumer_id=b["prosumer"],
+                    offered_kw=float(b["offered_kw"]),
+                    price_per_kw=float(b["price_per_kw"]),
+                    resource_ids=tuple(b["resource_ids"]),
+                ),
+                b.get("request_id", raw["requests"][0]["request_id"]),
+            )
+            for b in raw["bids"]
+        ]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed scenario: {exc!r}") from exc
+    return resources, requests, bids
 
 
 def build_stack(seed: int) -> tuple:
@@ -208,10 +198,9 @@ def cmd_trade(args) -> int:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     else:
         raw = demo_scenario()
-    scenario = parse_scenario(raw, seed=args.seed, out_dir=args.out)
-    resources, requests, bids = scenario.resources, scenario.requests, scenario.bids
+    resources, requests, bids = parse_scenario(raw)
 
-    clock, anchor, ledger, engine, agg = build_stack(scenario.seed)
+    clock, anchor, ledger, engine, agg = build_stack(args.seed)
 
     # Every human or device actor gets an enrolled identity token.
     def ensure_actor(actor_id: str, role: ActorRole, topics: set) -> None:
@@ -234,19 +223,10 @@ def cmd_trade(args) -> int:
     schedules = []
     unsat = []
     for req in requests:
-        agg.create_flex_request(req)
-        for bid, rid in bids:
-            if rid == req.request_id:
-                agg.submit_bid(bid, req.request_id)
-        if agg.clear(req.request_id) is None:
+        schedule = agg.run_request(req, [bid for bid, rid in bids if rid == req.request_id])
+        if schedule is None:
             unsat.append(req.request_id)
             continue
-        inst = agg.build_instance(req.request_id)
-        assignment = solve_csp(inst)
-        if assignment is None:
-            unsat.append(req.request_id)
-            continue
-        schedule = agg.schedule_dr(assignment, req.window, req.request_id)
         clock.advance_to(max(clock.now(), req.window.end_ms))
         agg.tick()
         agg.activation_and_settlement(req.request_id)

@@ -13,7 +13,6 @@ import hashlib
 import hmac
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Optional, Union
 
 from .clock import SimClock
@@ -47,6 +46,15 @@ OP_RECORD_EVENT = "record_event"
 
 FLAGS = ("revoked", "delegated", "transferred")
 
+# Pipeline policy. simnet imports the batching constants to model the same
+# block cuts.
+QUORUM = 2
+BLOCK_MAX_TXS = 10
+BLOCK_INTERVAL_MS = 500
+# Transactions from any other cluster commit as notarized.
+HOME_CLUSTER = 0
+PEER_SEED = b"plexisim-peers"
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -56,22 +64,11 @@ def canonical_json(obj) -> str:
 # Peers, transactions, blocks
 # ---------------------------------------------------------------------------
 
-class PeerRole(Enum):
-    ENDORSER = "endorser"
-    ORDERER = "orderer"
-    NOTARY = "notary"
-    COMMITTER = "committer"
-
-
-@dataclass(frozen=True)
-class Peer:
-    role: PeerRole
-    node_id: str
-    cluster_id: int
-    secret: bytes
-
-    def endorse_signature(self, tx_id: str) -> str:
-        return hmac.new(self.secret, tx_id.encode("ascii"), hashlib.sha256).hexdigest()
+# (node_id, HMAC secret) of each endorsing peer.
+ENDORSERS = tuple(
+    (f"endorser-{i}", hashlib.sha256(PEER_SEED + f":endorser:{i}".encode()).digest())
+    for i in range(QUORUM)
+)
 
 
 @dataclass
@@ -158,6 +155,16 @@ class CommitReceipt:
     @property
     def latency_ms(self) -> int:
         return self.committed_at - self.submitted_at
+
+
+def _receipt(tx: Transaction, block: Block) -> CommitReceipt:
+    return CommitReceipt(
+        tx_id=tx.tx_id,
+        block_height=block.height,
+        submitted_at=tx.sim_time_submitted,
+        committed_at=block.sim_time_committed,
+        notarized=tx.cluster_id != HOME_CLUSTER,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,47 +293,21 @@ class RegistryState:
 class LedgerSim:
     """Single-orderer ledger with endorsement quorum and batched block cuts.
 
-    Blocks are cut when ``block_max_txs`` transactions are pending or when
-    ``block_interval_ms`` of simulated time has elapsed since the first
+    Blocks are cut when ``BLOCK_MAX_TXS`` transactions are pending or when
+    ``BLOCK_INTERVAL_MS`` of simulated time has elapsed since the first
     pending transaction, whichever comes first. ``submit`` is synchronous:
     if the count cut does not fire it advances the shared clock to the
     batching deadline so the receipt can be returned.
     """
 
-    def __init__(
-        self,
-        clock: SimClock,
-        anchor_pk: bytes,
-        quorum: int = 2,
-        block_max_txs: int = 10,
-        block_interval_ms: int = 500,
-        home_cluster: int = 0,
-        peer_seed: bytes = b"plexisim-peers",
-    ):
-        if quorum < 1:
-            raise ValidationError("endorsement quorum must be at least 1")
+    def __init__(self, clock: SimClock, anchor_pk: bytes):
         self.clock = clock
         self.anchor_pk = anchor_pk
-        self.quorum = quorum
-        self.block_max_txs = block_max_txs
-        self.block_interval_ms = block_interval_ms
-        self.home_cluster = home_cluster
-
-        def mk(role: PeerRole, i: int, cluster: int = home_cluster) -> Peer:
-            secret = hashlib.sha256(peer_seed + f":{role.value}:{i}".encode()).digest()
-            return Peer(role=role, node_id=f"{role.value}-{i}", cluster_id=cluster, secret=secret)
-
-        self.endorsers = [mk(PeerRole.ENDORSER, i) for i in range(quorum)]
-        self.orderer = mk(PeerRole.ORDERER, 0)
-        self.notary = mk(PeerRole.NOTARY, 0)
-        self.committer = mk(PeerRole.COMMITTER, 0)
-
         self.chain: list[Block] = []
         self.state = RegistryState()
         self._committed: dict[str, CommitReceipt] = {}
         self._pending: list[Transaction] = []
         self._pending_since: Optional[int] = None
-        self._verified_envelopes: set[bytes] = set()
 
     # -- queries ----------------------------------------------------------
 
@@ -346,19 +327,12 @@ class LedgerSim:
     # -- endorsement ------------------------------------------------------
 
     def _envelope_ok(self, env: SignedEnvelope) -> bool:
-        cached = env.canonical_bytes()
-        if cached in self._verified_envelopes:
-            return True
         if env.token_id == ANCHOR_TOKEN_ID:
-            ok = signature_valid(self.anchor_pk, env.message, env.signature)
-        else:
-            token = self.state.tokens.get(env.token_id)
-            if token is None or token.constraints.revoked:
-                return False
-            ok = signature_valid(token.public_key, env.message, env.signature)
-        if ok:
-            self._verified_envelopes.add(cached)
-        return ok
+            return signature_valid(self.anchor_pk, env.message, env.signature)
+        token = self.state.tokens.get(env.token_id)
+        if token is None or token.constraints.revoked:
+            return False
+        return signature_valid(token.public_key, env.message, env.signature)
 
     def _check_payload(self, tx: Transaction) -> None:
         payload = tx.payload
@@ -390,22 +364,11 @@ class LedgerSim:
         if not self._envelope_ok(tx.envelope):
             raise RejectedTransactionError(f"envelope rejected for tx {tx.tx_id[:12]}")
         self._check_payload(tx)
+        msg = tx.tx_id.encode("ascii")
         tx.endorsements = [
-            {"peer": p.node_id, "sig": p.endorse_signature(tx.tx_id)} for p in self.endorsers
+            {"peer": node_id, "sig": hmac.new(secret, msg, hashlib.sha256).hexdigest()}
+            for node_id, secret in ENDORSERS
         ]
-        if len(tx.endorsements) < self.quorum:
-            raise RejectedTransactionError("endorsement quorum not met")
-
-    def _notarize(self, tx: Transaction) -> bool:
-        """Cross-cluster transactions get their endorsements re-verified."""
-        if tx.cluster_id == self.home_cluster:
-            return False
-        by_peer = {p.node_id: p for p in self.endorsers}
-        for e in tx.endorsements:
-            peer = by_peer.get(e["peer"])
-            if peer is None or peer.endorse_signature(tx.tx_id) != e["sig"]:
-                raise RejectedTransactionError("notary rejected endorsement set")
-        return True
 
     # -- ordering and commit ----------------------------------------------
 
@@ -421,7 +384,7 @@ class LedgerSim:
         if self._pending_since is None:
             self._pending_since = self.clock.now()
         self._pending.append(tx)
-        if len(self._pending) >= self.block_max_txs:
+        if len(self._pending) >= BLOCK_MAX_TXS:
             self._cut(self.clock.now())
             return self._committed[tx.tx_id]
         return None
@@ -429,7 +392,7 @@ class LedgerSim:
     def cut_deadline(self) -> Optional[int]:
         if self._pending_since is None:
             return None
-        return self._pending_since + self.block_interval_ms
+        return self._pending_since + BLOCK_INTERVAL_MS
 
     def flush_due(self, now: Optional[int] = None) -> None:
         """Cut a pending block whose batching interval has elapsed."""
@@ -468,15 +431,8 @@ class LedgerSim:
             sim_time_committed=now,
         )
         for tx in txs:
-            notarized = self._notarize(tx)
             self.state.apply(tx)
-            self._committed[tx.tx_id] = CommitReceipt(
-                tx_id=tx.tx_id,
-                block_height=height,
-                submitted_at=tx.sim_time_submitted,
-                committed_at=now,
-                notarized=notarized,
-            )
+            self._committed[tx.tx_id] = _receipt(tx, block)
         self.chain.append(block)
         return block
 
@@ -565,15 +521,9 @@ class LedgerSim:
     def load_chain(self, path) -> None:
         self.chain = read_chain(path)
         self.state = replay_chain(self.chain)
-        self._committed = {}
-        for block in self.chain:
-            for tx in block.tx_list:
-                self._committed[tx.tx_id] = CommitReceipt(
-                    tx_id=tx.tx_id,
-                    block_height=block.height,
-                    submitted_at=tx.sim_time_submitted,
-                    committed_at=block.sim_time_committed,
-                )
+        self._committed = {
+            tx.tx_id: _receipt(tx, block) for block in self.chain for tx in block.tx_list
+        }
 
 
 def replay_chain(chain: Iterable[Block]) -> RegistryState:
@@ -597,19 +547,24 @@ def replay_chain(chain: Iterable[Block]) -> RegistryState:
 def read_chain(path) -> list[Block]:
     blocks: list[Block] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            txs = tuple(Transaction.from_record(t) for t in rec["txs"])
-            blocks.append(
-                Block(
-                    height=int(rec["height"]),
-                    prev_hash=rec["prev_hash"],
-                    tx_list=txs,
-                    block_hash=rec["block_hash"],
-                    sim_time_committed=int(rec.get("sim_time_committed", 0)),
+            try:
+                rec = json.loads(line)
+                txs = tuple(Transaction.from_record(t) for t in rec["txs"])
+                blocks.append(
+                    Block(
+                        height=int(rec["height"]),
+                        prev_hash=rec["prev_hash"],
+                        tx_list=txs,
+                        block_hash=rec["block_hash"],
+                        sim_time_committed=int(rec.get("sim_time_committed", 0)),
+                    )
                 )
-            )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise IntegrityViolationError(
+                    f"{path}: malformed block record on line {lineno}: {exc!r}"
+                ) from exc
     return blocks

@@ -25,12 +25,26 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, SimError, ValidationError
+from .ledger import BLOCK_INTERVAL_MS, BLOCK_MAX_TXS
 
 # Calibrated defaults: fog endorsement capacity 175 tps in token mode and
 # 175/(35/24) = 120 tps in certificate mode.
 DEFAULT_FOG_RATE_TPS = 175.0
 DEFAULT_EDGE_RATE_TPS = 50.0
 CERT_VERIFY_FACTOR = 35.0 / 24.0
+
+# Fixed stage costs and buffering of the fog pipeline (simulated ms). Block
+# batching follows the ledger's BLOCK_MAX_TXS / BLOCK_INTERVAL_MS policy.
+ENDORSE_ROUND_MS = 250.0
+COMMIT_DELAY_MS = 425.0
+BUFFER_DEPTH = 900
+# Transaction bytes (base payload plus the credential model's per-tx
+# overhead) are charged as transmission time on the edge-to-fog link.
+BASE_TX_BYTES = 256
+LINK_BYTES_PER_MS = 1024.0
+# run_benchmark leaves this much simulated time at each end of a run out of
+# its steady-state measurement window.
+TRIM_S = 5.0
 
 
 class Tier(Enum):
@@ -131,23 +145,6 @@ def memory_footprint(n_devices: int, model: CredentialModel) -> int:
     return n_devices * model.per_device_storage()
 
 
-@dataclass(frozen=True)
-class PipelineParams:
-    """Fixed stage costs and buffering of the fog pipeline (simulated ms).
-
-    Transaction bytes (base payload plus the credential model's per-tx
-    overhead) are charged as transmission time on the edge-to-fog link.
-    """
-
-    endorse_round_ms: float = 250.0
-    commit_delay_ms: float = 425.0
-    buffer_depth: int = 900
-    block_max_txs: int = 10
-    block_interval_ms: float = 500.0
-    base_tx_bytes: int = 256
-    link_bytes_per_ms: float = 1024.0
-
-
 @dataclass
 class Metrics:
     send_rate_tps: float
@@ -227,7 +224,6 @@ def run_sim(
     topology: Topology,
     scenario: LoadScenario,
     seed: int = 0,
-    params: Optional[PipelineParams] = None,
     n_devices: int = 100,
     measure_window: Optional[tuple] = None,
 ) -> tuple:
@@ -237,15 +233,12 @@ def run_sim(
     fixed seed and inputs reproduce the trace byte for byte.
     """
     topology.validate()
-    params = params or PipelineParams()
     rng = random.Random(seed)
     links = {n.node_id: n.link_delay_ms for n in topology.nodes}
     # Endorsement runs in lock-step across the quorum; the slowest fog bounds it.
     bottleneck = min(n.service_rate_tps for n in topology.fogs())
     service_ms = 1000.0 * scenario.credential.verify_cost_factor / bottleneck
-    wire_ms = (
-        params.base_tx_bytes + scenario.credential.tx_overhead_bytes
-    ) / params.link_bytes_per_ms
+    wire_ms = (BASE_TX_BYTES + scenario.credential.tx_overhead_bytes) / LINK_BYTES_PER_MS
 
     queue = _EventQueue()
     trace: list = []
@@ -277,7 +270,7 @@ def run_sim(
         txs = batch
         batch = []
         batch_gen += 1
-        commit_at = t + params.commit_delay_ms
+        commit_at = t + COMMIT_DELAY_MS
         emit("block", t, txs=len(txs))
         for tx in txs:
             commit_time[tx] = commit_at
@@ -294,7 +287,7 @@ def run_sim(
             tx = data["tx"]
             if not server_busy:
                 start_service(t, tx)
-            elif len(backlog) < params.buffer_depth:
+            elif len(backlog) < BUFFER_DEPTH:
                 backlog.append(tx)
             else:
                 # No queueing past the buffer: the transaction fails now.
@@ -302,7 +295,7 @@ def run_sim(
                 emit("fail", t, tx=tx)
         elif kind == "endorsed":
             tx = data["tx"]
-            queue.push(t + params.endorse_round_ms, "ordered", {"tx": tx})
+            queue.push(t + ENDORSE_ROUND_MS, "ordered", {"tx": tx})
             if backlog:
                 start_service(t, backlog.popleft())
             else:
@@ -310,9 +303,9 @@ def run_sim(
         elif kind == "ordered":
             tx = data["tx"]
             if not batch:
-                queue.push(t + params.block_interval_ms, "batch_timeout", {"gen": batch_gen})
+                queue.push(t + BLOCK_INTERVAL_MS, "batch_timeout", {"gen": batch_gen})
             batch.append(tx)
-            if len(batch) >= params.block_max_txs:
+            if len(batch) >= BLOCK_MAX_TXS:
                 cut_batch(t)
         elif kind == "batch_timeout":
             if data["gen"] == batch_gen and batch:
@@ -377,7 +370,6 @@ def run_benchmark(
     topology: Optional[Topology] = None,
     seed: int = 0,
     n_devices: int = 100,
-    trim_s: float = 5.0,
 ) -> list:
     """One simulation per send rate; metrics over the steady-state window."""
     if not send_rates:
@@ -388,7 +380,7 @@ def run_benchmark(
     results = []
     for rate in send_rates:
         scenario = uniform_load(rate, duration_s, topology, model)
-        window = (trim_s * 1000.0, (duration_s - trim_s) * 1000.0)
+        window = (TRIM_S * 1000.0, (duration_s - TRIM_S) * 1000.0)
         _, metrics = run_sim(
             topology, scenario, seed=seed, n_devices=n_devices, measure_window=window
         )

@@ -10,13 +10,12 @@ from plexisim.aggregator import (
     SetpointAction,
     Window,
     build_csp,
-    clear_market,
     delivered_kw,
     islanding_domain,
 )
 from plexisim.csp import solve_csp
 from plexisim.errors import StateError, TimingError, ValidationError
-from plexisim.market import Bid
+from plexisim.market import Bid, clear_market
 from plexisim.workflow import Actor, ActorRole, Topic, WorkflowState
 
 
@@ -183,7 +182,7 @@ class TestWorkflowSteps:
 
     def test_clear_market_derived_example(self):
         bids = [Bid("A", "pa", 6, 3), Bid("B", "pb", 5, 2), Bid("C", "pc", 10, 6)]
-        result = clear_market(bids, request(q=10.0))
+        result = clear_market(bids, 10.0)
         assert result.bid_ids == ("A", "B") and result.total_cost == 28
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -149,3 +150,68 @@ class TestBench:
         # Capacity shrinks to the configured fog rate; storage to the new size.
         assert summary["modes"]["nft"]["saturation_tps"] <= 91
         assert summary["modes"]["nft"]["storage_bytes_100_devices"] == 51200
+
+
+# sha256 of every file each command writes at --seed 1. A change that alters
+# any seeded artifact must say so and update these on purpose.
+GOLDEN = {
+    "enroll": (["enroll", "--n", 200], {
+        "enrollments.jsonl": "f52c956713238fc4f159e73618a2e960d4cb13e94f0b60216b2525344d3f3a9d",
+        "ledger.jsonl": "c1ac0931dc4ba1a2977c9a312c3cb2a8e4c26ec1f743d7d0498c6d4b8f6eeb35",
+    }),
+    "trade": (["trade"], {
+        "ledger.jsonl": "62f185aa148eb2f0fd7ff12b184f32d30ab94d27ca8261d90f6a9232c3c2ccb1",
+        "schedules.json": "7a63b9e2953ebb21afb15782fd08ad74ff7f615af22abc09756668d2009982ed",
+        "trace.json": "9e2f77b3be35895ef8aba714641bbfadc3bd0124af019f46977cec5063c5b932",
+    }),
+    "attack-fdi": (["attack", "--attack", "fdi", "--synthetic", 7], {
+        "attack_report.csv": "8c048ab017504e3808e62a33b86131bc602ecd957f3d457823ac3315b165a573",
+        "dataset.csv": "ea12024f17b9ffea9f8c4a2eaba321690611c6b732d257f2fbcce0e71fc6da8d",
+    }),
+    "attack-madiot": (["attack", "--attack", "madiot", "--synthetic", 7], {
+        "attack_report.csv": "023bfca197f18a5237815669320f4b95307c5e093b83dfcdf10deca697045782",
+        "dataset.csv": "ea12024f17b9ffea9f8c4a2eaba321690611c6b732d257f2fbcce0e71fc6da8d",
+    }),
+    "bench": (["bench", "--rates", "40,120,200", "--duration", 20], {
+        "metrics_certificate.csv":
+            "ac402c09a5d166b52e155b9bfc775b6b23f081cc1dafba5bf0036a2fe424d6de",
+        "metrics_certificate.json":
+            "a84546eda1e92488de79a7512827afd0613f7322d0b66a12f331774d3709b3dc",
+        "metrics_nft.csv": "c5b740fb6e67b9b2f9042a7a27f03d3323cace25c4495e84761fed825bac1975",
+        "metrics_nft.json": "bcc87caf325f3411b33259143dbae0eb7619a7c0a12a0e6e54d8b4587a1ac9b9",
+        "summary.json": "e0abd337b9ec58668ff381a402f9068c5edc387d8806f18e5fab18789f6d2c00",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_seeded_artifacts_are_byte_identical(tmp_path, name):
+    argv, expected = GOLDEN[name]
+    out = tmp_path / name
+    assert run(argv + ["--seed", 1, "--out", out]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert got == expected
+
+
+def _truncated_registry(tmp_path):
+    out = tmp_path / "o"
+    run(["enroll", "--n", 3, "--seed", 1, "--out", out])
+    registry = out / "ledger.jsonl"
+    registry.write_bytes(registry.read_bytes()[:-20])
+    return ["enroll", "--n", 1, "--out", out, "--registry", registry]
+
+
+def _scenario_without_bids(tmp_path):
+    scenario = demo_scenario()
+    del scenario["bids"]
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(scenario))
+    return ["trade", "--config", cfg, "--out", tmp_path / "t"]
+
+
+@pytest.mark.parametrize("make_argv", [_truncated_registry, _scenario_without_bids])
+def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -11,8 +11,11 @@ from plexisim.errors import (
     RejectedTransactionError,
 )
 from plexisim.ledger import (
+    BLOCK_INTERVAL_MS,
+    BLOCK_MAX_TXS,
     GENESIS_PREV_HASH,
     Block,
+    LedgerSim,
     RegistryState,
     canonical_json,
     make_transaction,
@@ -21,12 +24,12 @@ from plexisim.ledger import (
 )
 
 
-def record_tx(ledger, key, tag="x"):
+def record_tx(ledger, key, tag="x", cluster_id=0):
     now = ledger.clock.now()
     payload = {"op": "record_event", "workflow_id": "wf", "kind": tag,
                "payload": {}, "sim_time": now}
     env = identity.sign(canonical_json(payload).encode(), key, now)
-    return make_transaction(payload, env, now)
+    return make_transaction(payload, env, now, cluster_id=cluster_id)
 
 
 class TestSubmit:
@@ -49,6 +52,18 @@ class TestSubmit:
         ledger.set_flag(token_id, "revoked", owner_key)
         with pytest.raises(RejectedTransactionError):
             ledger.submit(record_tx(ledger, key))
+
+    def test_revoked_signer_cannot_reuse_an_earlier_envelope(self, anchor, ledger, enrolled):
+        _, key, token_id = enrolled
+        used = record_tx(ledger, key)
+        ledger.submit(used)
+        owner = identity.make_device("alice-ctl", seed=2)
+        owner_key, _ = identity.enroll(owner, "alice", anchor, ledger)
+        ledger.set_flag(token_id, "revoked", owner_key)
+        # A new payload gives a new tx_id, so only revocation can stop it.
+        payload = dict(used.payload, kind="replayed")
+        with pytest.raises(RejectedTransactionError):
+            ledger.submit(make_transaction(payload, used.envelope, ledger.clock.now()))
 
     def test_duplicate_tx_id_rejected(self, ledger, enrolled):
         _, key, _ = enrolled
@@ -215,20 +230,20 @@ class TestBatching:
         _, key, _ = enrolled
         start_height = ledger.height
         receipts = []
-        for i in range(ledger.block_max_txs):
+        for i in range(BLOCK_MAX_TXS):
             clock.advance(1)
             receipts.append(ledger.ingest(record_tx(ledger, key, tag=f"b{i}")))
         assert receipts[-1] is not None  # the 10th ingest cut the block
         assert all(r is None for r in receipts[:-1])
         assert ledger.height == start_height + 1
-        assert len(ledger.chain[-1].tx_list) == ledger.block_max_txs
+        assert len(ledger.chain[-1].tx_list) == BLOCK_MAX_TXS
 
     def test_time_cut_after_interval(self, clock, ledger, enrolled):
         _, key, _ = enrolled
         start_height = ledger.height
         ledger.ingest(record_tx(ledger, key, tag="solo"))
         assert ledger.height == start_height
-        clock.advance(ledger.block_interval_ms)
+        clock.advance(BLOCK_INTERVAL_MS)
         ledger.flush_due()
         assert ledger.height == start_height + 1
 
@@ -268,16 +283,22 @@ class TestPersistence:
             assert set(rec) == {"height", "prev_hash", "block_hash",
                                 "sim_time_committed", "txs"}
 
+    def test_load_chain_restores_live_receipts(self, tmp_path, clock, anchor, ledger, enrolled):
+        _, key, _ = enrolled
+        tx = record_tx(ledger, key, cluster_id=1)
+        live = ledger.submit(tx)
+        path = tmp_path / "chain.jsonl"
+        ledger.save_chain(path)
+        reloaded = LedgerSim(clock, anchor_pk=identity.anchor_public_key(anchor))
+        reloaded.load_chain(path)
+        assert live.notarized
+        assert reloaded.receipt_for(tx.tx_id) == live
+
 
 class TestNotary:
     def test_cross_cluster_tx_notarized(self, ledger, enrolled):
         _, key, _ = enrolled
-        now = ledger.clock.now()
-        payload = {"op": "record_event", "workflow_id": "wf", "kind": "x",
-                   "payload": {}, "sim_time": now}
-        env = identity.sign(canonical_json(payload).encode(), key, now)
-        tx = make_transaction(payload, env, now, cluster_id=1)
-        receipt = ledger.submit(tx)
+        receipt = ledger.submit(record_tx(ledger, key, cluster_id=1))
         assert receipt.notarized
 
     def test_intra_cluster_skips_notarization(self, ledger, enrolled):
