@@ -4,7 +4,8 @@ Modules:
     identity    certificate-less device identity (tokens, signing, verify)
     ledger      endorse/order/commit pipeline with deterministic replay
     csp         constraint model and backtracking solver
-    market      whole-bid market clearing
+    market      whole-bid market clearing (one bounded branch-and-bound;
+                MarketResult.exact is False if its node budget ran out)
     aggregator  flexibility engine: requests, bids, scheduling, restoration
     workflow    event-driven workflow state machine with pub/sub
     telemetry   dataset ingestion, attack injection, tamper detection

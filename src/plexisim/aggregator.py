@@ -339,6 +339,9 @@ class DfAggregator:
         if result is None:
             logger.info("request %s: aggregate flexibility insufficient", request_id)
             return None
+        if not result.exact:
+            logger.info("request %s: clearing hit the node budget; cover may not be "
+                        "the cheapest", request_id)
         ctx.clearing = result
         ctx.bidding_closed = True
         return result

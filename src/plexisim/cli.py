@@ -31,7 +31,7 @@ from .aggregator import (
     Window,
 )
 from .clock import SimClock
-from .errors import EnrollmentRejected, SimError, ValidationError
+from .errors import ConfigurationError, EnrollmentRejected, SimError, ValidationError
 from .ledger import LedgerSim
 from .market import Bid
 from .workflow import Actor, ActorRole, Topic, WorkflowEngine
@@ -46,6 +46,17 @@ EXIT_UNSAT = 2
 def _setup_logging() -> None:
     level = os.environ.get("PLEXISIM_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+
+
+def _read_config(path: str) -> dict:
+    """The JSON object in the file at ``path``; ConfigurationError otherwise."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config {path} must hold a JSON object")
+    return raw
 
 
 def _out_dir(path: str) -> Path:
@@ -194,10 +205,7 @@ def build_stack(seed: int) -> tuple:
 
 def cmd_trade(args) -> int:
     out = _out_dir(args.out)
-    if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        raw = demo_scenario()
+    raw = _read_config(args.config) if args.config else demo_scenario()
     resources, requests, bids = parse_scenario(raw)
 
     clock, anchor, ledger, engine, agg = build_stack(args.seed)
@@ -258,7 +266,9 @@ def cmd_trade(args) -> int:
 def cmd_attack(args) -> int:
     out = _out_dir(args.out)
     if args.config:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        cfg = _read_config(args.config)
+        if "dataset" not in cfg:
+            raise ConfigurationError(f"config {args.config} has no 'dataset' path")
         series = telemetry.load_dataset(cfg["dataset"])
     else:
         series = telemetry.generate_synthetic(args.synthetic, seed=args.seed)
@@ -306,7 +316,10 @@ def cmd_attack(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_rates(text: str) -> list:
-    return [float(x) for x in text.split(",") if x.strip()]
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"--rates must be comma-separated numbers: {exc}") from exc
 
 
 def cmd_bench(args) -> int:
@@ -319,12 +332,14 @@ def cmd_bench(args) -> int:
     }
     topology = None
     if args.config:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        cfg = _read_config(args.config)
         if "topology" in cfg:
             topology = simnet.topology_from_dict(cfg["topology"])
-        for mode, raw in cfg.get("credential_models", {}).items():
-            raw = dict(raw, mode=mode)
-            models[mode] = simnet.CredentialModel.from_dict(raw)
+        try:
+            for mode, raw in cfg.get("credential_models", {}).items():
+                models[mode] = simnet.CredentialModel.from_dict(dict(raw, mode=mode))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed credential_models: {exc!r}") from exc
     summary = {"seed": args.seed, "modes": {}}
     for mode in modes:
         model = models[mode]

@@ -352,9 +352,6 @@ class LedgerSim:
                 raise AuthorizationError(
                     f"actor {actor!r} may not mutate token owned via {allowed!r}"
                 )
-            # Bind the authorization to this exact mutation.
-            if tx.envelope.message != canonical_json(payload).encode("utf-8"):
-                raise AuthorizationError("envelope does not sign the set_flag payload")
         elif op == OP_RECORD_EVENT:
             pass
         else:
@@ -363,6 +360,10 @@ class LedgerSim:
     def _endorse(self, tx: Transaction) -> None:
         if not self._envelope_ok(tx.envelope):
             raise RejectedTransactionError(f"envelope rejected for tx {tx.tx_id[:12]}")
+        # Bind the signature to this exact payload, whatever the op.
+        if tx.envelope.message != canonical_json(tx.payload).encode("utf-8"):
+            raise RejectedTransactionError(f"envelope does not sign the payload of tx "
+                                           f"{tx.tx_id[:12]}")
         self._check_payload(tx)
         msg = tx.tx_id.encode("ascii")
         tx.endorsements = [

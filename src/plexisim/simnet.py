@@ -92,15 +92,18 @@ def default_topology(n_edge: int = 4, n_fog: int = 2) -> Topology:
 
 def topology_from_dict(raw: dict) -> Topology:
     """JSON config form: {"nodes": [{node_id, tier, service_rate_tps, link_delay_ms}]}."""
-    nodes = tuple(
-        NodeSpec(
-            node_id=n["node_id"],
-            tier=Tier(n["tier"]),
-            service_rate_tps=float(n["service_rate_tps"]),
-            link_delay_ms=float(n["link_delay_ms"]),
+    try:
+        nodes = tuple(
+            NodeSpec(
+                node_id=n["node_id"],
+                tier=Tier(n["tier"]),
+                service_rate_tps=float(n["service_rate_tps"]),
+                link_delay_ms=float(n["link_delay_ms"]),
+            )
+            for n in raw["nodes"]
         )
-        for n in raw["nodes"]
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed topology: {exc!r}") from exc
     topo = Topology(nodes=nodes)
     topo.validate()
     return topo

@@ -57,7 +57,11 @@ class AttackProfile:
 
 def load_dataset(path) -> list:
     """Parse and validate a telemetry CSV; errors carry the row number."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IngestionError(f"cannot open {path}: {exc.strerror}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -209,7 +209,48 @@ def _scenario_without_bids(tmp_path):
     return ["trade", "--config", cfg, "--out", tmp_path / "t"]
 
 
-@pytest.mark.parametrize("make_argv", [_truncated_registry, _scenario_without_bids])
+def _scenario_not_json(tmp_path):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('{"resources": [')
+    return ["trade", "--config", cfg, "--out", tmp_path / "t"]
+
+
+def _topology_node_without_id(tmp_path):
+    node = {"tier": "edge", "service_rate_tps": 100.0, "link_delay_ms": 1.0}
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"topology": {"nodes": [node]}}))
+    return ["bench", "--rates", "40", "--duration", 10, "--config", cfg,
+            "--out", tmp_path / "b"]
+
+
+def _attack_config_without_dataset(tmp_path):
+    cfg = tmp_path / "attack.json"
+    cfg.write_text("{}")
+    return ["attack", "--config", cfg, "--out", tmp_path / "a"]
+
+
+def _attack_dataset_missing(tmp_path):
+    cfg = tmp_path / "attack.json"
+    cfg.write_text(json.dumps({"dataset": str(tmp_path / "absent.csv")}))
+    return ["attack", "--config", cfg, "--out", tmp_path / "a"]
+
+
+def _credential_model_not_an_object(tmp_path):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"credential_models": {"nft": 5}}))
+    return ["bench", "--rates", "40", "--duration", 10, "--config", cfg,
+            "--out", tmp_path / "b"]
+
+
+def _non_numeric_rate(tmp_path):
+    return ["bench", "--rates", "40,x", "--duration", 10, "--out", tmp_path / "b"]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _truncated_registry, _scenario_without_bids, _scenario_not_json,
+    _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_missing,
+    _credential_model_not_an_object, _non_numeric_rate,
+])
 def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

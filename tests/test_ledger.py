@@ -65,6 +65,16 @@ class TestSubmit:
         with pytest.raises(RejectedTransactionError):
             ledger.submit(make_transaction(payload, used.envelope, ledger.clock.now()))
 
+    def test_live_signer_envelope_cannot_carry_another_payload(self, ledger, enrolled):
+        _, key, _ = enrolled
+        used = record_tx(ledger, key)
+        ledger.submit(used)
+        payload = dict(used.payload, kind="forged", payload={"kw": 999})
+        height_before = ledger.height
+        with pytest.raises(RejectedTransactionError):
+            ledger.submit(make_transaction(payload, used.envelope, ledger.clock.now()))
+        assert ledger.height == height_before
+
     def test_duplicate_tx_id_rejected(self, ledger, enrolled):
         _, key, _ = enrolled
         tx = record_tx(ledger, key)
