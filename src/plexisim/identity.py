@@ -86,18 +86,11 @@ class SigningKey:
     token_id: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class TokenConstraints:
     revoked: bool = False
     delegated: bool = False
     transferred: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "revoked": self.revoked,
-            "delegated": self.delegated,
-            "transferred": self.transferred,
-        }
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,7 @@ class NftToken:
             "device_id": self.device_id.hex(),
             "public_key": self.public_key.hex(),
             "owner_id": self.owner_id,
-            "constraints": self.constraints.as_dict(),
+            "constraints": dict(vars(self.constraints)),
             "issue_time": self.issue_time,
         }
 
@@ -311,6 +304,8 @@ def verify(
        with BOTTOM. Without an oracle this stage is skipped and the result
        is only a partial (signature-only) verification.
     3. Check the signature under the token's public key: ACCEPT or REJECT.
+
+    Ledger endorsement and telemetry tamper detection both apply this rule.
     """
     token = registry.query(env.token_id)
     if token is None:

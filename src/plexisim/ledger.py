@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
 
 from .clock import SimClock
@@ -31,10 +31,12 @@ from .identity import (
     SignedEnvelope,
     SigningKey,
     TokenConstraints,
+    VerifyStatus,
     compute_token_id,
     sign,
     sign_as_anchor,
     signature_valid,
+    verify,
 )
 
 GENESIS_PREV_HASH = "0" * 64
@@ -182,14 +184,10 @@ class RegistryState:
     event_log: list = field(default_factory=list)
 
     def query(self, key: Union[str, bytes]) -> Optional[NftToken]:
+        """A ``str`` key is a token id, a ``bytes`` key a device id."""
         if isinstance(key, bytes):
-            key = key.hex()
-        if key in self.tokens:
-            return self.tokens[key]
-        token_id = self.device_index.get(key)
-        if token_id is not None:
-            return self.tokens.get(token_id)
-        return None
+            key = self.device_index.get(key.hex())
+        return self.tokens.get(key)
 
     def challenge_index_for(self, device_id: Union[str, bytes]) -> int:
         if isinstance(device_id, bytes):
@@ -240,25 +238,16 @@ class RegistryState:
 
     def _apply_set_flag(self, payload: dict) -> None:
         token = self.tokens.get(payload["token_id"])
-        if token is None:
-            raise IntegrityViolationError("set_flag for unknown token in chain")
         flag = payload["flag"]
-        cons = TokenConstraints(**token.constraints.as_dict())
-        setattr(cons, flag, bool(payload.get("value", True)))
-        owner = token.owner_id
+        if token is None or flag not in FLAGS:
+            raise IntegrityViolationError("set_flag for unknown token or flag in chain")
+        cons = replace(token.constraints, **{flag: bool(payload.get("value", True))})
+        changes = {"constraints": cons}
         if flag == "delegated" and payload.get("delegate_id"):
             self.delegates[token.token_id] = payload["delegate_id"]
         if flag == "transferred" and payload.get("new_owner"):
-            owner = payload["new_owner"]
-        self.tokens[token.token_id] = NftToken(
-            token_id=token.token_id,
-            token_name=token.token_name,
-            device_id=token.device_id,
-            public_key=token.public_key,
-            owner_id=owner,
-            constraints=cons,
-            issue_time=token.issue_time,
-        )
+            changes["owner_id"] = payload["new_owner"]
+        self.tokens[token.token_id] = replace(token, **changes)
 
     def authorized_actor(self, token_id: str) -> Optional[str]:
         """Who may mutate this token's flags: the delegate if set, else owner."""
@@ -329,10 +318,7 @@ class LedgerSim:
     def _envelope_ok(self, env: SignedEnvelope) -> bool:
         if env.token_id == ANCHOR_TOKEN_ID:
             return signature_valid(self.anchor_pk, env.message, env.signature)
-        token = self.state.tokens.get(env.token_id)
-        if token is None or token.constraints.revoked:
-            return False
-        return signature_valid(token.public_key, env.message, env.signature)
+        return verify(env, self.state) is VerifyStatus.ACCEPT
 
     def _check_payload(self, tx: Transaction) -> None:
         payload = tx.payload
@@ -352,6 +338,9 @@ class LedgerSim:
                 raise AuthorizationError(
                     f"actor {actor!r} may not mutate token owned via {allowed!r}"
                 )
+            # Revocation is final: a revoked token takes no further flag change.
+            if self.state.tokens[token_id].constraints.revoked:
+                raise ValidationError(f"token {token_id[:12]} is revoked")
         elif op == OP_RECORD_EVENT:
             pass
         else:
@@ -449,8 +438,6 @@ class LedgerSim:
         token_name: str = "",
     ) -> NftToken:
         """Mint an identity token; the enrollment tx is anchor-signed."""
-        if self.state.query(response) is not None:
-            raise EnrollmentRejected("device id already bound to a live token")
         now = self.clock.now()
         payload = {
             "op": OP_CREATE_NFT,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import random
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -138,6 +137,9 @@ class CredentialModel:
         fields = {k: raw[k] for k in
                   ("cert_bytes", "keypair_bytes", "partial_key_bytes",
                    "tx_overhead_bytes", "verify_cost_factor") if k in raw}
+        for k, v in fields.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigurationError(f"credential model field {k!r} must be a number")
         return replace(base, **fields)
 
 
@@ -174,7 +176,6 @@ class LoadScenario:
 
     credential: CredentialModel
     submissions: tuple
-    jitter_ms: float = 0.0
 
     @property
     def duration_ms(self) -> float:
@@ -232,11 +233,12 @@ def run_sim(
 ) -> tuple:
     """Process the load to quiescence; returns (trace, Metrics).
 
-    The event queue is drained strictly in (time, sequence) order, so a
-    fixed seed and inputs reproduce the trace byte for byte.
+    The model draws nothing at random: ``seed`` is accepted for call
+    compatibility and has no effect. The event queue is drained strictly in
+    (time, sequence) order, so the same inputs reproduce the trace byte for
+    byte.
     """
     topology.validate()
-    rng = random.Random(seed)
     links = {n.node_id: n.link_delay_ms for n in topology.nodes}
     # Endorsement runs in lock-step across the quorum; the slowest fog bounds it.
     bottleneck = min(n.service_rate_tps for n in topology.fogs())
@@ -260,8 +262,7 @@ def run_sim(
         trace.append(entry)
 
     for i, (t, node_id) in enumerate(scenario.submissions):
-        jitter = rng.uniform(0.0, scenario.jitter_ms) if scenario.jitter_ms else 0.0
-        queue.push(t + jitter, "send", {"tx": i, "node": node_id})
+        queue.push(t, "send", {"tx": i, "node": node_id})
 
     def start_service(t: float, tx: int) -> None:
         nonlocal server_busy
@@ -374,7 +375,11 @@ def run_benchmark(
     seed: int = 0,
     n_devices: int = 100,
 ) -> list:
-    """One simulation per send rate; metrics over the steady-state window."""
+    """One simulation per send rate; metrics over the steady-state window.
+
+    Deterministic: ``seed`` is passed on to ``run_sim``, which draws nothing
+    at random.
+    """
     if not send_rates:
         raise ValidationError("need at least one send rate")
     if duration_s < 10:

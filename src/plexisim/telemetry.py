@@ -304,22 +304,19 @@ def detect_tamper(
     envelopes: Sequence[identity.SignedEnvelope],
     registry,
 ) -> list:
-    """Indices whose current bytes no longer verify under their envelope.
+    """Indices whose envelope, carrying the sample's current bytes, fails
+    ``identity.verify``.
 
     Signatures are checked against the sample as stored now, so any
-    post-signing mutation of a signed field flips its index to flagged.
-    Mutations made before signing are invisible by construction.
+    post-signing mutation of a signed field flips its index to flagged, as
+    does an unknown or revoked token. Mutations made before signing are
+    invisible by construction.
     """
     if len(series) != len(envelopes):
         raise ValidationError("series and envelope counts differ")
     flagged = []
     for i, (sample, env) in enumerate(zip(series, envelopes)):
-        token = registry.query(env.token_id)
-        if token is None or token.constraints.revoked:
-            flagged.append(i)
-            continue
-        if not identity.signature_valid(
-            token.public_key, canonical_sample_bytes(sample), env.signature
-        ):
+        current = replace(env, message=canonical_sample_bytes(sample))
+        if identity.verify(current, registry) is not identity.VerifyStatus.ACCEPT:
             flagged.append(i)
     return flagged

@@ -242,6 +242,21 @@ def _credential_model_not_an_object(tmp_path):
             "--out", tmp_path / "b"]
 
 
+def _bench_with_partial_key_bytes(tmp_path, value):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"credential_models": {"nft": {"partial_key_bytes": value}}}))
+    return ["bench", "--rates", "40", "--duration", 10, "--config", cfg,
+            "--out", tmp_path / "b"]
+
+
+def _credential_model_field_not_a_number(tmp_path):
+    return _bench_with_partial_key_bytes(tmp_path, "x")
+
+
+def _credential_model_field_bool(tmp_path):
+    return _bench_with_partial_key_bytes(tmp_path, True)
+
+
 def _non_numeric_rate(tmp_path):
     return ["bench", "--rates", "40,x", "--duration", 10, "--out", tmp_path / "b"]
 
@@ -249,7 +264,8 @@ def _non_numeric_rate(tmp_path):
 @pytest.mark.parametrize("make_argv", [
     _truncated_registry, _scenario_without_bids, _scenario_not_json,
     _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_missing,
-    _credential_model_not_an_object, _non_numeric_rate,
+    _credential_model_not_an_object, _credential_model_field_not_a_number,
+    _credential_model_field_bool, _non_numeric_rate,
 ])
 def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
-from plexisim import identity
-from plexisim.errors import ConfigurationError, EnrollmentRejected
+from plexisim import identity, telemetry
+from plexisim.errors import ConfigurationError, EnrollmentRejected, RejectedTransactionError
 from plexisim.identity import (
     CHALLENGE_BYTES,
     RESPONSE_BYTES,
@@ -16,6 +18,7 @@ from plexisim.identity import (
     sign,
     verify,
 )
+from plexisim.ledger import OP_RECORD_EVENT, canonical_json, make_transaction
 
 
 class TestSetup:
@@ -161,3 +164,58 @@ class TestSignVerify:
         ledger.set_flag(token_id, "revoked", alice_key)
         env = sign(b"m", key)
         assert verify(env, ledger, anchor, device.responder()) is VerifyStatus.BOTTOM
+
+
+# Expected verify status of an envelope in each case.
+PARITY_CASES = {
+    "live": VerifyStatus.ACCEPT,
+    "revoked": VerifyStatus.BOTTOM,
+    "unknown-token": VerifyStatus.BOTTOM,
+    "device-id-alias": VerifyStatus.BOTTOM,
+    "bad-signature": VerifyStatus.REJECT,
+}
+
+
+def _as_case(case, env, device_id):
+    if case == "unknown-token":
+        return dataclasses.replace(env, token_id="f" * 64)
+    if case == "device-id-alias":
+        return dataclasses.replace(env, token_id=device_id.hex())
+    if case == "bad-signature":
+        return dataclasses.replace(env, signature=bytes([env.signature[0] ^ 1]) + env.signature[1:])
+    return env
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_verify_ledger_and_tamper_detection_agree(anchor, ledger, enrolled, case):
+    _, key, token_id = enrolled
+    if case == "revoked":
+        owner_key, _ = enroll(make_device("alice-controller", seed=42), "alice", anchor, ledger)
+        ledger.set_flag(token_id, "revoked", owner_key)
+    device_id = ledger.query(token_id).device_id
+    now = ledger.clock.now()
+    body = {"op": OP_RECORD_EVENT, "workflow_id": "wf", "kind": case,
+            "payload": {}, "sim_time": now}
+    env = _as_case(case, sign(canonical_json(body).encode("utf-8"), key, now), device_id)
+    status = verify(env, ledger)
+    assert status is PARITY_CASES[case]
+
+    try:
+        ledger.submit(make_transaction(body, env, now))
+        endorsed = True
+    except RejectedTransactionError:
+        endorsed = False
+    assert endorsed is (status is VerifyStatus.ACCEPT)
+
+    sample = telemetry.generate_synthetic(1, seed=6)[0]
+    sample_env = _as_case(case, sign(telemetry.canonical_sample_bytes(sample), key), device_id)
+    assert verify(sample_env, ledger) is status
+    unflagged = telemetry.detect_tamper([sample], [sample_env], ledger) == []
+    assert unflagged is (status is VerifyStatus.ACCEPT)
+
+def test_token_state_cannot_change_off_chain(ledger, enrolled):
+    _, _, token_id = enrolled
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ledger.state.tokens[token_id].constraints.revoked = True
+    assert not ledger.query(token_id).constraints.revoked
+    assert ledger.replay() == ledger.state

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from plexisim.errors import (
     EnrollmentRejected,
     IntegrityViolationError,
     RejectedTransactionError,
+    ValidationError,
 )
 from plexisim.ledger import (
     BLOCK_INTERVAL_MS,
@@ -172,6 +174,23 @@ class TestSetFlag:
         with pytest.raises(AuthorizationError):
             ledger.set_flag(token_id, "revoked", alice_key, value=False)
 
+    def test_revocation_is_final(self, anchor, ledger, enrolled):
+        # The owner revokes through a second live token; that token then
+        # cannot lift the revocation or change any other flag.
+        _, key, token_id = enrolled
+        owner_key, _ = identity.enroll(
+            identity.make_device("alice-ctl", seed=12), "alice", anchor, ledger
+        )
+        ledger.set_flag(token_id, "revoked", owner_key)
+        height = ledger.height
+        for flag, value in (("revoked", False), ("delegated", True), ("transferred", True)):
+            with pytest.raises(ValidationError):
+                ledger.set_flag(token_id, flag, owner_key, value=value)
+        assert ledger.height == height
+        assert ledger.query(token_id).constraints.revoked
+        env = identity.sign(b"m", key)
+        assert identity.verify(env, ledger) is identity.VerifyStatus.BOTTOM
+
     def test_unknown_flag_rejected(self, anchor, ledger, enrolled):
         _, _, token_id = enrolled
         alice_key, _ = identity.enroll(
@@ -209,6 +228,20 @@ class TestReplay:
             sim_time_committed=block.sim_time_committed,
         )
         ledger.chain[-1] = tampered
+        with pytest.raises(IntegrityViolationError):
+            ledger.replay()
+
+    def test_edited_flag_name_detected(self, anchor, ledger, enrolled):
+        _, _, token_id = enrolled
+        owner_key, _ = identity.enroll(
+            identity.make_device("alice-ctl", seed=13), "alice", anchor, ledger
+        )
+        ledger.set_flag(token_id, "delegated", owner_key, delegate_id="bob")
+        block = ledger.chain[-1]
+        (tx,) = block.tx_list
+        edited = dataclasses.replace(tx, payload=dict(tx.payload, flag="frozen"))
+        # tx_id is kept, so the block hash still matches.
+        ledger.chain[-1] = dataclasses.replace(block, tx_list=(edited,))
         with pytest.raises(IntegrityViolationError):
             ledger.replay()
 
