@@ -4,8 +4,8 @@ Dataset rows carry site net power, ambient temperature, HVAC draw, and the
 theoretical demand-response headroom, sampled every 30 minutes. Injection
 attacks are additive at the core (attacked = original + delta); the
 percent-based variants derive their deltas from the original readings.
-Samples signed at ingestion can be re-verified later to flag any
-post-signing mutation.
+Samples signed at ingestion, one signature per day of samples, can be
+re-verified later to flag exactly the samples mutated after signing.
 """
 
 from __future__ import annotations
@@ -89,6 +89,9 @@ def load_dataset(path) -> list:
                 )
             except ValueError as exc:
                 raise IngestionError(f"unparsable row: {exc}", row=row_no) from None
+            if not all(map(math.isfinite, (sample.net_kw, sample.tamb_c, sample.hvac_kw,
+                                           sample.hvac_demand_res_kw))):
+                raise IngestionError("non-finite reading", row=row_no)
             if sample.hvac_kw < 0:
                 raise IngestionError("hvac consumption cannot be negative", row=row_no)
             if series:
@@ -295,8 +298,19 @@ def sign_stream(
     key: identity.SigningKey,
     sim_time: int = 0,
 ) -> list:
-    """Sign every sample individually at ingestion."""
-    return [identity.sign(canonical_sample_bytes(s), key, sim_time) for s in series]
+    """Sign one signature per day of samples; return one envelope per sample.
+
+    Chunk k holds samples ``[48k, 48k + 48)``. Its message is their
+    ``canonical_sample_bytes`` joined by ``b"\\n"`` (canonical JSON holds no
+    raw newline), and every sample of the chunk carries the chunk's envelope,
+    so a one-sample chunk signs exactly that sample's bytes.
+    """
+    envelopes = []
+    for lo in range(0, len(series), SAMPLES_PER_DAY):
+        day = series[lo:lo + SAMPLES_PER_DAY]
+        env = identity.sign(b"\n".join(map(canonical_sample_bytes, day)), key, sim_time)
+        envelopes.extend([env] * len(day))
+    return envelopes
 
 
 def detect_tamper(
@@ -304,19 +318,28 @@ def detect_tamper(
     envelopes: Sequence[identity.SignedEnvelope],
     registry,
 ) -> list:
-    """Indices whose envelope, carrying the sample's current bytes, fails
-    ``identity.verify``.
+    """Sorted indices of samples that no accepted signature covers as stored.
 
-    Signatures are checked against the sample as stored now, so any
-    post-signing mutation of a signed field flips its index to flagged, as
-    does an unknown or revoked token. Mutations made before signing are
-    invisible by construction.
+    ``identity.verify`` runs once per distinct envelope in the call, and index
+    i is flagged when that verify is not ACCEPT (bad signature, unknown or
+    revoked token), when offset ``i % SAMPLES_PER_DAY`` is past the signed
+    message's line count, or when the signed line at that offset differs from
+    the sample's current canonical bytes. So any post-signing mutation of a
+    signed field is flagged, and so is a sample moved to another offset,
+    whose timestamp differs from the one signed there. Nothing is cached
+    across calls, so a revocation flags every index at the next call.
+    Mutations made before signing are invisible by construction.
     """
     if len(series) != len(envelopes):
         raise ValidationError("series and envelope counts differ")
+    signed_lines = {}
     flagged = []
     for i, (sample, env) in enumerate(zip(series, envelopes)):
-        current = replace(env, message=canonical_sample_bytes(sample))
-        if identity.verify(current, registry) is not identity.VerifyStatus.ACCEPT:
+        lines = signed_lines.get(env)
+        if lines is None:
+            accepted = identity.verify(env, registry) is identity.VerifyStatus.ACCEPT
+            lines = signed_lines[env] = env.message.split(b"\n") if accepted else []
+        offset = i % SAMPLES_PER_DAY
+        if offset >= len(lines) or lines[offset] != canonical_sample_bytes(sample):
             flagged.append(i)
     return flagged

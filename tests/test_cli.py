@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +239,19 @@ def _attack_dataset_missing(tmp_path):
     return ["attack", "--config", cfg, "--out", tmp_path / "a"]
 
 
+def _attack_dataset_non_finite(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text(
+        "time,net,tamb,hvac,hvac_demand_res\n"
+        "2021-06-01T00:00:00,1.0,20.0,1.0,0.5\n"
+        "2021-06-01T00:30:00,nan,20.0,1.0,0.5\n"
+        "2021-06-01T01:00:00,1.0,20.0,1.0,0.5\n"
+    )
+    cfg = tmp_path / "attack.json"
+    cfg.write_text(json.dumps({"dataset": str(data)}))
+    return ["attack", "--config", cfg, "--out", tmp_path / "a"]
+
+
 def _credential_model_not_an_object(tmp_path):
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"credential_models": {"nft": 5}}))
@@ -264,6 +281,7 @@ def _non_numeric_rate(tmp_path):
 @pytest.mark.parametrize("make_argv", [
     _truncated_registry, _scenario_without_bids, _scenario_not_json,
     _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_missing,
+    _attack_dataset_non_finite,
     _credential_model_not_an_object, _credential_model_field_not_a_number,
     _credential_model_field_bool, _non_numeric_rate,
 ])
@@ -272,3 +290,15 @@ def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
     capsys.readouterr()
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plexisim", "attack", "--synthetic", "1", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "attack_report.csv").exists()

@@ -1,10 +1,15 @@
+import dataclasses
 import random
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plexisim import telemetry
+from plexisim import identity, telemetry
+from plexisim.clock import SimClock
 from plexisim.errors import ConfigurationError, IngestionError, ValidationError
+from plexisim.ledger import LedgerSim
 from plexisim.telemetry import (
     EstimatorConfig,
     TelemetrySample,
@@ -79,6 +84,20 @@ class TestLoadDataset:
             "2021-06-01T00:00:00,1.0,20.0,-1.0,0.5\n"
         )
         with pytest.raises(IngestionError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("row", [
+        "nan,20.0,1.0,0.5", "inf,20.0,1.0,0.5", "1.0,-inf,1.0,0.5",
+        "1.0,20.0,nan,0.5", "1.0,20.0,1.0,nan",
+    ])
+    def test_non_finite_reading_rejected(self, tmp_path, row):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "time,net,tamb,hvac,hvac_demand_res\n"
+            "2021-06-01T00:00:00,1.0,20.0,1.0,0.5\n"
+            f"2021-06-01T00:30:00,{row}\n"
+        )
+        with pytest.raises(IngestionError, match="row 3: non-finite reading"):
             load_dataset(path)
 
 
@@ -287,3 +306,104 @@ class TestTamperDetection:
     def test_canonical_bytes_stable(self):
         s = samples([1.23456789])[0]
         assert canonical_sample_bytes(s) == canonical_sample_bytes(s)
+
+
+SIGNED_FIELDS = ("time", "net_kw", "tamb_c", "hvac_kw", "hvac_demand_res_kw")
+
+
+@pytest.fixture(scope="module")
+def site():
+    """A registry with one enrolled meter, and a 150-sample stream.
+
+    Module-scoped, because hypothesis runs many examples per test call and
+    the tests only read the registry."""
+    anchor = identity.setup(128, seed=1234)
+    ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(anchor))
+    key, _ = identity.enroll(identity.make_device("meter-0", seed=7), "alice", anchor, ledger)
+    return ledger, key, generate_synthetic(4, seed=9)[:150]
+
+
+def _mutate(sample, field, delta):
+    if field == "time":
+        return dataclasses.replace(sample, time=sample.time + timedelta(minutes=delta))
+    return dataclasses.replace(sample, **{field: getattr(sample, field) + delta})
+
+
+class TestDaySignatures:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 150),
+        mutations=st.lists(st.tuples(
+            st.integers(0, 149), st.sampled_from(SIGNED_FIELDS),
+            st.sampled_from([-7, -1, 1, 30]) | st.floats(-50, 50, allow_nan=False),
+        ), max_size=12),
+    )
+    def test_flags_exactly_the_changed_samples(self, site, n, mutations):
+        ledger, key, stream = site
+        series = stream[:n]
+        envs = sign_stream(series, key)
+        stored = list(series)
+        for i, field, delta in mutations:
+            stored[i % n] = _mutate(stored[i % n], field, delta)
+        changed = [i for i in range(n)
+                   if canonical_sample_bytes(stored[i]) != canonical_sample_bytes(series[i])]
+        assert detect_tamper(stored, envs, ledger) == changed
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 150), swap=st.booleans())
+    def test_moved_samples_flagged(self, site, data, n, swap):
+        ledger, key, stream = site
+        series = stream[:n]
+        envs = sign_stream(series, key)
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        stored = list(series)
+        if swap:
+            stored[i], stored[j] = stored[j], stored[i]
+        else:
+            stored.insert(j, stored.pop(i))
+        moved = [k for k in range(n) if stored[k] is not series[k]]
+        assert moved == (sorted((i, j)) if swap else list(range(min(i, j), max(i, j) + 1)))
+        assert detect_tamper(stored, envs, ledger) == moved
+
+    def test_one_sign_per_day(self, enrolled, monkeypatch):
+        _, key, _ = enrolled
+        calls = []
+        real_sign = identity.sign
+
+        def counting_sign(message, sk, sim_time=0):
+            calls.append(message)
+            return real_sign(message, sk, sim_time)
+
+        monkeypatch.setattr(identity, "sign", counting_sign)
+        series = generate_synthetic(7, seed=2)
+        envs = sign_stream(series, key, sim_time=5)
+        assert len(calls) == 7 and len(envs) == len(series)
+        per_day = telemetry.SAMPLES_PER_DAY
+        for d in range(7):
+            day = series[d * per_day:(d + 1) * per_day]
+            assert len(set(envs[d * per_day:(d + 1) * per_day])) == 1
+            assert envs[d * per_day].message == b"\n".join(map(canonical_sample_bytes, day))
+            assert envs[d * per_day].sim_time == 5
+
+    def test_one_sample_envelope_is_the_per_sample_signature(self, enrolled):
+        _, key, _ = enrolled
+        s = generate_synthetic(1, seed=3)[0]
+        assert sign_stream([s], key, 3) == [identity.sign(canonical_sample_bytes(s), key, 3)]
+
+    def test_count_mismatch_rejected(self, ledger, enrolled):
+        _, key, _ = enrolled
+        series = generate_synthetic(2, seed=3)[:50]
+        envs = sign_stream(series, key)
+        with pytest.raises(ValidationError):
+            detect_tamper(series[:49], envs, ledger)
+
+    def test_revocation_flags_every_index_at_next_call(self, anchor, ledger, enrolled):
+        _, key, token_id = enrolled
+        series = generate_synthetic(2, seed=3)[:60]
+        envs = sign_stream(series, key)
+        assert detect_tamper(series, envs, ledger) == []
+        owner_key, _ = identity.enroll(identity.make_device("alice-controller", seed=42),
+                                       "alice", anchor, ledger)
+        ledger.set_flag(token_id, "revoked", owner_key)
+        assert detect_tamper(series, envs, ledger) == list(range(60))
