@@ -70,6 +70,8 @@ def _out_dir(path: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_enroll(args) -> int:
+    if args.n < 0:
+        raise ValidationError(f"--n must be non-negative, got {args.n}")
     out = _out_dir(args.out)
     clock = SimClock()
     anchor = identity.setup(128, seed=args.seed)

@@ -73,12 +73,6 @@ class PufDevice:
 
 
 @dataclass(frozen=True)
-class KeyPair:
-    sk: bytes  # Ed25519 private seed
-    pk: bytes  # Ed25519 raw public bytes
-
-
-@dataclass(frozen=True)
 class SigningKey:
     """Device-held signing key, bound to the token minted at enrollment."""
 
@@ -199,8 +193,9 @@ def puf_respond(device: PufDevice, challenge: bytes) -> bytes:
     return _prf(device.device_seed, b"respond:", challenge)[:RESPONSE_BYTES]
 
 
-def derive_keypair(anchor: AnchorKeys, response: bytes) -> KeyPair:
-    """Device key pair seeded by the master secret mixed with the response.
+def derive_keypair(anchor: AnchorKeys, response: bytes) -> tuple[bytes, bytes]:
+    """Device key pair seeded by the master secret mixed with the response:
+    (Ed25519 private seed, raw public key bytes).
 
     Mixing in the response keeps per-device keys distinct even though the
     generator takes only master-key material as its secret input.
@@ -208,7 +203,7 @@ def derive_keypair(anchor: AnchorKeys, response: bytes) -> KeyPair:
     seed = _prf(anchor.msk, b"keygen:", response)[:32]
     priv = Ed25519PrivateKey.from_private_bytes(seed)
     pk = priv.public_key().public_bytes_raw()
-    return KeyPair(sk=seed, pk=pk)
+    return seed, pk
 
 
 def compute_token_id(device_id: bytes, public_key: bytes, owner_id: str) -> str:
@@ -277,16 +272,16 @@ def enroll(
     response = puf_respond(device, challenge)
     if registry.query(response) is not None:
         raise EnrollmentRejected(f"device {device.hardware_label!r} already enrolled")
-    pair = derive_keypair(anchor, response)
+    seed, pk = derive_keypair(anchor, response)
     token = registry.create_nft(
         response,
         owner_id,
-        pair.pk,
+        pk,
         anchor=anchor,
         challenge_index=challenge_index,
         token_name=token_name or f"device:{device.hardware_label}",
     )
-    return SigningKey(seed=pair.sk, token_id=token.token_id), token.token_id
+    return SigningKey(seed=seed, token_id=token.token_id), token.token_id
 
 
 def verify(

@@ -1,10 +1,12 @@
-"""Deterministic discrete-event model of the edge/fog transaction pipeline.
+"""Deterministic queueing model of the edge/fog transaction pipeline.
 
 Edge nodes source signed transactions toward the fog tier, where endorsing
 peers verify them, the orderer batches them into blocks, and commits land
-after a fixed propagation cost. The endorsement stage has a bounded buffer
-and no overflow queueing: arrivals beyond it fail immediately, which is
-what makes latency blow up once the send rate passes the service capacity.
+after a fixed propagation cost. Endorsement is one FIFO server with a
+bounded buffer and no overflow queueing: arrivals beyond it fail
+immediately, which is what makes latency blow up once the send rate passes
+the service capacity. The model runs in one pass over the arrivals, with
+no event queue.
 
 Two credential models are compared: identity tokens (the registry keeps
 only per-device partial key material, transactions stay small) versus a
@@ -15,15 +17,13 @@ sizes and cost factors are calibration constants, not measurements.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import json
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
-from .errors import ConfigurationError, SimError, ValidationError
+from .errors import ConfigurationError, ValidationError
 from .ledger import BLOCK_INTERVAL_MS, BLOCK_MAX_TXS
 
 # Calibrated defaults: fog endorsement capacity 175 tps in token mode and
@@ -197,46 +197,31 @@ def uniform_load(
 
 
 # ---------------------------------------------------------------------------
-# Event engine
+# Pipeline model
 # ---------------------------------------------------------------------------
-
-class _EventQueue:
-    def __init__(self):
-        self._heap: list = []
-        self._seq = itertools.count()
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def push(self, time_ms: float, kind: str, data: dict) -> None:
-        if time_ms < self._now - 1e-9:
-            raise SimError(f"event {kind!r} scheduled in the past ({time_ms} < {self._now})")
-        heapq.heappush(self._heap, (time_ms, next(self._seq), kind, data))
-
-    def pop(self):
-        time_ms, _, kind, data = heapq.heappop(self._heap)
-        self._now = time_ms
-        return time_ms, kind, data
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
 
 def run_sim(
     topology: Topology,
     scenario: LoadScenario,
-    seed: int = 0,
     n_devices: int = 100,
     measure_window: Optional[tuple] = None,
 ) -> tuple:
-    """Process the load to quiescence; returns (trace, Metrics).
+    """Run the load through the pipeline; returns (commit_ms, Metrics).
 
-    The model draws nothing at random: ``seed`` is accepted for call
-    compatibility and has no effect. The event queue is drained strictly in
-    (time, sequence) order, so the same inputs reproduce the trace byte for
-    byte.
+    ``commit_ms`` maps each committed transaction's index in
+    ``scenario.submissions`` to its commit time. Failed transactions are
+    absent from it.
+
+    One pass, no event queue. Arrivals are taken in (arrival time, send
+    time, index) order. Each is admitted or failed against the buffer of
+    transactions still waiting for the single FIFO endorsement server
+    (Lindley's recursion with a ``BUFFER_DEPTH``-deep buffer). When a
+    release and an arrival fall on the same instant, the release by a
+    transaction whose service began at b comes first iff b is earlier than
+    the arriving transaction's send time. Endorsed transactions enter
+    ordering ``ENDORSE_ROUND_MS`` later, in service order, and are batched
+    by the ledger's count-or-deadline cut; a transaction ordered exactly at
+    the deadline goes to the next block.
     """
     topology.validate()
     links = {n.node_id: n.link_delay_ms for n in topology.nodes}
@@ -244,89 +229,65 @@ def run_sim(
     bottleneck = min(n.service_rate_tps for n in topology.fogs())
     service_ms = 1000.0 * scenario.credential.verify_cost_factor / bottleneck
     wire_ms = (BASE_TX_BYTES + scenario.credential.tx_overhead_bytes) / LINK_BYTES_PER_MS
+    stage_ms = (service_ms, *(d + wire_ms for d in links.values()))
+    if not all(0.0 <= ms < math.inf for ms in stage_ms):
+        raise ValidationError("link, wire and service times must be finite and non-negative")
 
-    queue = _EventQueue()
-    trace: list = []
-    send_time: dict = {}
-    commit_time: dict = {}
-    failed: list = []
-
-    server_busy = False
-    backlog: deque = deque()
-    batch: list = []
-    batch_gen = 0
-
-    def emit(kind: str, t: float, **data) -> None:
-        entry = {"t": round(t, 6), "ev": kind}
-        entry.update(data)
-        trace.append(entry)
-
-    for i, (t, node_id) in enumerate(scenario.submissions):
-        queue.push(t, "send", {"tx": i, "node": node_id})
-
-    def start_service(t: float, tx: int) -> None:
-        nonlocal server_busy
-        server_busy = True
-        queue.push(t + service_ms, "endorsed", {"tx": tx})
-
-    def cut_batch(t: float) -> None:
-        nonlocal batch, batch_gen
-        txs = batch
-        batch = []
-        batch_gen += 1
-        commit_at = t + COMMIT_DELAY_MS
-        emit("block", t, txs=len(txs))
-        for tx in txs:
-            commit_time[tx] = commit_at
-        queue.push(commit_at, "commit", {"txs": txs})
-
-    while queue:
-        t, kind, data = queue.pop()
-        if kind == "send":
-            tx = data["tx"]
-            send_time[tx] = t
-            emit("send", t, tx=tx, node=data["node"])
-            queue.push(t + links[data["node"]] + wire_ms, "arrive", {"tx": tx})
-        elif kind == "arrive":
-            tx = data["tx"]
-            if not server_busy:
-                start_service(t, tx)
-            elif len(backlog) < BUFFER_DEPTH:
-                backlog.append(tx)
-            else:
-                # No queueing past the buffer: the transaction fails now.
-                failed.append(tx)
-                emit("fail", t, tx=tx)
-        elif kind == "endorsed":
-            tx = data["tx"]
-            queue.push(t + ENDORSE_ROUND_MS, "ordered", {"tx": tx})
-            if backlog:
-                start_service(t, backlog.popleft())
-            else:
-                server_busy = False
-        elif kind == "ordered":
-            tx = data["tx"]
-            if not batch:
-                queue.push(t + BLOCK_INTERVAL_MS, "batch_timeout", {"gen": batch_gen})
-            batch.append(tx)
-            if len(batch) >= BLOCK_MAX_TXS:
-                cut_batch(t)
-        elif kind == "batch_timeout":
-            if data["gen"] == batch_gen and batch:
-                cut_batch(t)
-        elif kind == "commit":
-            for tx in data["txs"]:
-                emit("commit", t, tx=tx)
-
-    metrics = _measure(
-        scenario, send_time, commit_time, failed, n_devices, measure_window
+    send_time = [t for t, _ in scenario.submissions]
+    arrivals = sorted(
+        (t + links[node_id] + wire_ms, t, tx)
+        for tx, (t, node_id) in enumerate(scenario.submissions)
     )
-    return trace, metrics
+
+    # A release is (time, service start of the releasing tx); it is handled
+    # before an arrival (a, s) iff release < (a, s).
+    free = (-math.inf, -math.inf)   # release of the last admitted tx
+    waiting: deque = deque()        # for each buffered tx, the release that starts it
+    ordered: list = []              # (time entering ordering, tx) in service order
+    failed: list = []
+    for arrive, send, tx in arrivals:
+        now = (arrive, send)
+        while waiting and waiting[0] < now:
+            waiting.popleft()
+        if free < now:
+            start = arrive
+        elif len(waiting) < BUFFER_DEPTH:
+            start = free[0]
+            waiting.append(free)
+        else:
+            # No queueing past the buffer: the transaction fails now.
+            failed.append(tx)
+            continue
+        free = (start + service_ms, start)
+        ordered.append((free[0] + ENDORSE_ROUND_MS, tx))
+
+    commit_ms: dict = {}
+    batch: list = []
+    deadline = 0.0
+
+    def cut(t: float) -> None:
+        for tx in batch:
+            commit_ms[tx] = t + COMMIT_DELAY_MS
+        batch.clear()
+
+    for t, tx in ordered:
+        if batch and t >= deadline:
+            cut(deadline)
+        if not batch:
+            deadline = t + BLOCK_INTERVAL_MS
+        batch.append(tx)
+        if len(batch) >= BLOCK_MAX_TXS:
+            cut(t)
+    if batch:
+        cut(deadline)
+
+    metrics = _measure(scenario, send_time, commit_ms, failed, n_devices, measure_window)
+    return commit_ms, metrics
 
 
 def _measure(
     scenario: LoadScenario,
-    send_time: dict,
+    send_time: Sequence[float],
     commit_time: dict,
     failed: list,
     n_devices: int,
@@ -377,21 +338,21 @@ def run_benchmark(
 ) -> list:
     """One simulation per send rate; metrics over the steady-state window.
 
-    Deterministic: ``seed`` is passed on to ``run_sim``, which draws nothing
-    at random.
+    Deterministic: the model draws nothing at random, so ``seed`` has no
+    effect and is accepted for call compatibility.
     """
     if not send_rates:
         raise ValidationError("need at least one send rate")
-    if duration_s < 10:
-        raise ValidationError("benchmark duration must be at least 10 simulated seconds")
+    if not all(0 < rate < math.inf for rate in send_rates):
+        raise ValidationError("send rates must be finite and positive")
+    if not 10 <= duration_s < math.inf:
+        raise ValidationError("benchmark duration must be finite and at least 10 simulated seconds")
     topology = topology or default_topology()
     results = []
     for rate in send_rates:
         scenario = uniform_load(rate, duration_s, topology, model)
         window = (TRIM_S * 1000.0, (duration_s - TRIM_S) * 1000.0)
-        _, metrics = run_sim(
-            topology, scenario, seed=seed, n_devices=n_devices, measure_window=window
-        )
+        _, metrics = run_sim(topology, scenario, n_devices=n_devices, measure_window=window)
         metrics.send_rate_tps = rate
         results.append(metrics)
     return results
@@ -400,9 +361,3 @@ def run_benchmark(
 def saturation_point(metrics: Sequence[Metrics]) -> float:
     """The plateau: highest commit rate achieved across tested send rates."""
     return max(m.achieved_throughput_tps for m in metrics)
-
-
-def write_trace(path, trace: Sequence[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in trace:
-            fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")

@@ -278,12 +278,57 @@ def _non_numeric_rate(tmp_path):
     return ["bench", "--rates", "40,x", "--duration", 10, "--out", tmp_path / "b"]
 
 
+def _bench(tmp_path, rates, duration=10):
+    return ["bench", "--rates", rates, "--duration", duration, "--out", tmp_path / "b"]
+
+
+def _rate_nan(tmp_path):
+    return _bench(tmp_path, "nan")
+
+
+def _rate_inf(tmp_path):
+    return _bench(tmp_path, "inf")
+
+
+def _rate_zero(tmp_path):
+    return _bench(tmp_path, "0")
+
+
+def _rate_negative(tmp_path):
+    return _bench(tmp_path, "40,-5")
+
+
+def _duration_nan(tmp_path):
+    return _bench(tmp_path, "40", "nan")
+
+
+def _duration_inf(tmp_path):
+    return _bench(tmp_path, "40", "inf")
+
+
+def _topology_negative_link(tmp_path):
+    nodes = [
+        {"node_id": "e0", "tier": "edge", "service_rate_tps": 50.0, "link_delay_ms": -30.0},
+        {"node_id": "f0", "tier": "fog", "service_rate_tps": 175.0, "link_delay_ms": 10.0},
+    ]
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"topology": {"nodes": nodes}}))
+    return ["bench", "--rates", "40", "--duration", 10, "--config", cfg,
+            "--out", tmp_path / "b"]
+
+
+def _enroll_negative_count(tmp_path):
+    return ["enroll", "--n", -1, "--out", tmp_path / "o"]
+
+
 @pytest.mark.parametrize("make_argv", [
     _truncated_registry, _scenario_without_bids, _scenario_not_json,
     _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_missing,
     _attack_dataset_non_finite,
     _credential_model_not_an_object, _credential_model_field_not_a_number,
     _credential_model_field_bool, _non_numeric_rate,
+    _rate_nan, _rate_inf, _rate_zero, _rate_negative, _duration_nan, _duration_inf,
+    _topology_negative_link, _enroll_negative_count,
 ])
 def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)

@@ -104,7 +104,7 @@ class TestCreateNft:
     def test_second_create_for_same_response_bottom(self, anchor, ledger):
         device = identity.make_device("d", seed=3)
         resp = identity.puf_respond(device, identity.derive_challenge(anchor, 0))
-        pk = identity.derive_keypair(anchor, resp).pk
+        _, pk = identity.derive_keypair(anchor, resp)
         ledger.create_nft(resp, "alice", pk, anchor)
         with pytest.raises(EnrollmentRejected):
             ledger.create_nft(resp, "alice", pk, anchor)

@@ -1,15 +1,27 @@
-import json
+import heapq
+import itertools
+import math
+from collections import Counter, deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plexisim import simnet
 from plexisim.errors import ConfigurationError, SimError, ValidationError
+from plexisim.ledger import BLOCK_INTERVAL_MS, BLOCK_MAX_TXS
 from plexisim.simnet import (
+    BASE_TX_BYTES,
+    COMMIT_DELAY_MS,
+    ENDORSE_ROUND_MS,
+    LINK_BYTES_PER_MS,
+    TRIM_S,
     CredentialModel,
     LoadScenario,
     NodeSpec,
     Tier,
     Topology,
+    _measure,
     default_topology,
     memory_footprint,
     run_benchmark,
@@ -21,6 +33,114 @@ from plexisim.simnet import (
 
 NFT = CredentialModel.nft_default()
 CERT = CredentialModel.certificate_default()
+
+
+# ---------------------------------------------------------------------------
+# The former discrete-event engine, kept as the reference for run_sim: a heap
+# of (time, push order) events with string-keyed dispatch. It reads
+# simnet.BUFFER_DEPTH at run time so tests can shrink the buffer.
+# ---------------------------------------------------------------------------
+
+class _EventQueue:
+    def __init__(self):
+        self._heap: list = []
+        self._seq = itertools.count()
+        self._now = 0.0
+
+    @property
+    def now(self) -> float:
+        return self._now
+
+    def push(self, time_ms: float, kind: str, data: dict) -> None:
+        if time_ms < self._now - 1e-9:
+            raise SimError(f"event {kind!r} scheduled in the past ({time_ms} < {self._now})")
+        heapq.heappush(self._heap, (time_ms, next(self._seq), kind, data))
+
+    def pop(self):
+        time_ms, _, kind, data = heapq.heappop(self._heap)
+        self._now = time_ms
+        return time_ms, kind, data
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+
+def reference_run_sim(topology, scenario, n_devices=100, measure_window=None):
+    """Process the load to quiescence; returns (commit_time, Metrics)."""
+    topology.validate()
+    links = {n.node_id: n.link_delay_ms for n in topology.nodes}
+    # Endorsement runs in lock-step across the quorum; the slowest fog bounds it.
+    bottleneck = min(n.service_rate_tps for n in topology.fogs())
+    service_ms = 1000.0 * scenario.credential.verify_cost_factor / bottleneck
+    wire_ms = (BASE_TX_BYTES + scenario.credential.tx_overhead_bytes) / LINK_BYTES_PER_MS
+
+    queue = _EventQueue()
+    send_time: dict = {}
+    commit_time: dict = {}
+    failed: list = []
+
+    server_busy = False
+    backlog: deque = deque()
+    batch: list = []
+    batch_gen = 0
+
+    for i, (t, node_id) in enumerate(scenario.submissions):
+        queue.push(t, "send", {"tx": i, "node": node_id})
+
+    def start_service(t: float, tx: int) -> None:
+        nonlocal server_busy
+        server_busy = True
+        queue.push(t + service_ms, "endorsed", {"tx": tx})
+
+    def cut_batch(t: float) -> None:
+        nonlocal batch, batch_gen
+        txs = batch
+        batch = []
+        batch_gen += 1
+        commit_at = t + COMMIT_DELAY_MS
+        for tx in txs:
+            commit_time[tx] = commit_at
+        queue.push(commit_at, "commit", {"txs": txs})
+
+    while queue:
+        t, kind, data = queue.pop()
+        if kind == "send":
+            tx = data["tx"]
+            send_time[tx] = t
+            queue.push(t + links[data["node"]] + wire_ms, "arrive", {"tx": tx})
+        elif kind == "arrive":
+            tx = data["tx"]
+            if not server_busy:
+                start_service(t, tx)
+            elif len(backlog) < simnet.BUFFER_DEPTH:
+                backlog.append(tx)
+            else:
+                # No queueing past the buffer: the transaction fails now.
+                failed.append(tx)
+        elif kind == "endorsed":
+            tx = data["tx"]
+            queue.push(t + ENDORSE_ROUND_MS, "ordered", {"tx": tx})
+            if backlog:
+                start_service(t, backlog.popleft())
+            else:
+                server_busy = False
+        elif kind == "ordered":
+            tx = data["tx"]
+            if not batch:
+                queue.push(t + BLOCK_INTERVAL_MS, "batch_timeout", {"gen": batch_gen})
+            batch.append(tx)
+            if len(batch) >= BLOCK_MAX_TXS:
+                cut_batch(t)
+        elif kind == "batch_timeout":
+            if data["gen"] == batch_gen and batch:
+                cut_batch(t)
+        elif kind == "commit":
+            pass
+
+    metrics = _measure(
+        scenario, send_time, commit_time, failed, n_devices, measure_window
+    )
+    return commit_time, metrics
 
 
 class TestFootprint:
@@ -79,20 +199,25 @@ class TestTopology:
         assert model.verify_cost_factor == CERT.verify_cost_factor
 
 
+def edge_topology(links, fog_rates=(simnet.DEFAULT_FOG_RATE_TPS,) * 2):
+    return Topology(nodes=tuple(
+        [NodeSpec(f"edge-{i}", Tier.EDGE, simnet.DEFAULT_EDGE_RATE_TPS, float(d))
+         for i, d in enumerate(links)]
+        + [NodeSpec(f"fog-{i}", Tier.FOG, float(r), 10.0) for i, r in enumerate(fog_rates)]
+    ))
+
+
 class TestRunSim:
-    def test_same_seed_identical_trace(self):
+    def test_repeat_run_identical(self):
         topo = default_topology()
         scenario = uniform_load(40, 5, topo, NFT)
-        t1, _ = run_sim(topo, scenario, seed=3)
-        t2, _ = run_sim(topo, scenario, seed=3)
-        dump = lambda t: "\n".join(json.dumps(e, sort_keys=True) for e in t)
-        assert dump(t1) == dump(t2)
+        assert run_sim(topo, scenario) == run_sim(topo, scenario)
 
     def test_zero_transaction_scenario(self):
         topo = default_topology()
         scenario = LoadScenario(credential=NFT, submissions=())
-        trace, metrics = run_sim(topo, scenario)
-        assert trace == []
+        commit_ms, metrics = run_sim(topo, scenario)
+        assert commit_ms == {}
         assert metrics.failed_tx_count == 0
         assert metrics.achieved_throughput_tps == 0.0
 
@@ -105,33 +230,111 @@ class TestRunSim:
         topo = default_topology()
         subs = tuple((90.0 * i, f"edge-{i % 4}") for i in range(10))
         scenario = LoadScenario(credential=NFT, submissions=subs)
-        trace, metrics = run_sim(topo, scenario, seed=0)
-        commits = {e["tx"]: e["t"] for e in trace if e["ev"] == "commit"}
-        blocks = [e["txs"] for e in trace if e["ev"] == "block"]
-        assert len(commits) == 10
+        commit_ms, metrics = run_sim(topo, scenario)
+        blocks = [n for _, n in sorted(Counter(commit_ms.values()).items())]
+        assert len(commit_ms) == 10
         assert blocks == [6, 4]
-        assert commits[0] == pytest.approx(1205.964286, abs=1e-3)
-        assert commits[9] == pytest.approx(1745.964286, abs=1e-3)
+        assert commit_ms[0] == pytest.approx(1205.964286, abs=1e-3)
+        assert commit_ms[9] == pytest.approx(1745.964286, abs=1e-3)
         assert metrics.failed_tx_count == 0
+
+    def test_tx_ordered_at_deadline_goes_to_next_block(self):
+        # Link 6 ms + 2 ms wire, service 8 ms, round 250 ms: tx0 enters
+        # ordering at 266 ms and its block's deadline is 766 ms, the instant
+        # tx1 (sent at 500 ms) enters ordering. tx1 opens the next block.
+        topo = edge_topology([6], [125])
+        model = CredentialModel(mode="nft", tx_overhead_bytes=1792)
+        scenario = LoadScenario(credential=model,
+                                submissions=((0.0, "edge-0"), (500.0, "edge-0")))
+        commit_ms, _ = run_sim(topo, scenario)
+        assert commit_ms == {0: 766.0 + COMMIT_DELAY_MS, 1: 1266.0 + COMMIT_DELAY_MS}
 
     def test_causality_link_delay(self):
         topo = default_topology()
         scenario = uniform_load(30, 3, topo, NFT)
-        trace, _ = run_sim(topo, scenario, seed=0)
-        sends = {e["tx"]: e["t"] for e in trace if e["ev"] == "send"}
-        commits = {e["tx"]: e["t"] for e in trace if e["ev"] == "commit"}
+        commit_ms, _ = run_sim(topo, scenario)
         min_link = min(n.link_delay_ms for n in topo.edges())
-        for tx, t_commit in commits.items():
-            assert t_commit >= sends[tx] + min_link
+        for tx, t_commit in commit_ms.items():
+            assert t_commit >= scenario.submissions[tx][0] + min_link
 
-    def test_event_in_past_is_bug_trap(self):
-        from plexisim.simnet import _EventQueue
+    @pytest.mark.parametrize("topo, model", [
+        (edge_topology([25.0, -30.0]), NFT),
+        (edge_topology([25.0, math.nan]), NFT),
+        (edge_topology([25.0, math.inf]), NFT),
+        (default_topology(), CredentialModel(mode="nft", verify_cost_factor=-1.0)),
+        (default_topology(), CredentialModel(mode="nft", tx_overhead_bytes=-30_000)),
+    ])
+    def test_negative_or_non_finite_stage_time_rejected(self, topo, model):
+        scenario = LoadScenario(credential=model, submissions=((0.0, "edge-0"),))
+        with pytest.raises(ValidationError):
+            run_sim(topo, scenario)
 
-        q = _EventQueue()
-        q.push(10.0, "send", {})
-        q.pop()
-        with pytest.raises(SimError):
-            q.push(5.0, "send", {})
+
+# Topologies for the realistic differential check: the default, mixed edge
+# links, and an edge with a 0 ms link.
+REALISTIC_TOPOLOGIES = {
+    "default": default_topology(),
+    "mixed": edge_topology([3.0, 17.5, 25.0, 40.0]),
+    "zero-link": edge_topology([0.0, 25.0]),
+}
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """Integer links, sends and service times so arrivals and releases tie."""
+    links = draw(st.lists(st.integers(0, 8), min_size=1, max_size=4))
+    fog_rates = draw(st.lists(st.sampled_from([40, 100, 125, 200, 250, 500, 1000]),
+                              min_size=1, max_size=2))
+    overhead = draw(st.sampled_from([0, 512, 1792]))
+    factor = draw(st.sampled_from([1.0, simnet.CERT_VERIFY_FACTOR]))
+    # A 20 ms span overloads the server; a 600 ms one spreads blocks out.
+    span = draw(st.sampled_from([20, 600]))
+    sends = draw(st.lists(st.tuples(st.integers(0, span), st.integers(0, len(links) - 1)),
+                          max_size=40))
+    if draw(st.booleans()):
+        sends.sort()
+    depth = draw(st.integers(1, 5))
+    window = draw(st.none() | st.tuples(st.integers(0, 40), st.integers(41, 2000)))
+    return links, fog_rates, overhead, factor, sends, depth, window
+
+
+class TestMatchesEventEngine:
+    """run_sim reproduces the former event engine exactly: commit times and
+    metrics, including at full buffers where an arrival and a release tie."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=tie_heavy_cases())
+    # The release at 23 ms began at 15 ms, tx2's send time, so tx2 arrives
+    # first, finds the 1-deep buffer full and fails.
+    @example(case=([6], [125], 1792, 1.0, [(7, 0), (9, 0), (15, 0)], 1, None))
+    def test_tie_heavy(self, case):
+        links, fog_rates, overhead, factor, sends, depth, window = case
+        topo = edge_topology(links, fog_rates)
+        model = CredentialModel(mode="nft", tx_overhead_bytes=overhead,
+                                verify_cost_factor=factor)
+        subs = tuple((float(t), f"edge-{e}") for t, e in sends)
+        scenario = LoadScenario(credential=model, submissions=subs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simnet, "BUFFER_DEPTH", depth)
+            got_commits, got = run_sim(topo, scenario, measure_window=window)
+            want_commits, want = reference_run_sim(topo, scenario, measure_window=window)
+        assert got_commits == want_commits
+        assert got.to_row() == want.to_row()
+        assert got == want
+
+    @pytest.mark.parametrize("name", sorted(REALISTIC_TOPOLOGIES))
+    @pytest.mark.parametrize("model", [NFT, CERT], ids=["nft", "certificate"])
+    def test_realistic_sweep(self, name, model):
+        topo = REALISTIC_TOPOLOGIES[name]
+        duration_s = 20.0
+        window = (TRIM_S * 1000.0, (duration_s - TRIM_S) * 1000.0)
+        for rate in (60, 120, 175, 240):
+            scenario = uniform_load(rate, duration_s, topo, model)
+            for w in (window, None):
+                got = run_sim(topo, scenario, measure_window=w)
+                want = reference_run_sim(topo, scenario, measure_window=w)
+                assert got[0] == want[0]
+                assert got[1].to_row() == want[1].to_row()
 
 
 class TestBenchmark:
@@ -160,8 +363,14 @@ class TestBenchmark:
         assert sat_nft >= sat_cert
 
     def test_duration_precondition(self):
+        for duration_s in (5.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                run_benchmark([20], NFT, duration_s=duration_s)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -5.0])
+    def test_non_finite_or_nonpositive_rate_rejected(self, rate):
         with pytest.raises(ValidationError):
-            run_benchmark([20], NFT, duration_s=5.0)
+            run_benchmark([20, rate], NFT, duration_s=10.0)
 
     def test_empty_rates_rejected(self):
         with pytest.raises(ValidationError):
@@ -171,13 +380,3 @@ class TestBenchmark:
         (m,) = run_benchmark([20], CERT, duration_s=10.0, n_devices=10)
         assert m.storage_bytes == memory_footprint(10, CERT)
 
-
-class TestTraceFile:
-    def test_write_trace_deterministic(self, tmp_path):
-        topo = default_topology()
-        scenario = uniform_load(50, 4, topo, NFT)
-        trace, _ = run_sim(topo, scenario, seed=1)
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        simnet.write_trace(p1, trace)
-        simnet.write_trace(p2, trace)
-        assert p1.read_bytes() == p2.read_bytes()
