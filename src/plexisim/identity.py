@@ -15,7 +15,7 @@ import hashlib
 import hmac
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -42,16 +42,27 @@ ANCHOR_TOKEN_ID = "anchor"
 
 @dataclass(frozen=True)
 class AnchorKeys:
-    """Master secret/public key pair of the enrollment anchor."""
+    """Master secret/public key pair of the enrollment anchor.
+
+    The anchor's Ed25519 signing key is built once, from
+    ``anchor_signing_seed``, and takes no part in equality, hashing or repr.
+    """
 
     msk: bytes
     mpk: bytes
     lam: int
+    signing_key: Ed25519PrivateKey = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         expected = _derive_mpk(self.msk)
         if self.mpk != expected:
             raise ConfigurationError("mpk is not derived from msk")
+        key = Ed25519PrivateKey.from_private_bytes(anchor_signing_seed(self))
+        object.__setattr__(self, "signing_key", key)
+
+    def __reduce__(self):
+        # Key objects do not pickle; the key is rebuilt from the secret.
+        return type(self), (self.msk, self.mpk, self.lam)
 
 
 @dataclass(frozen=True)
@@ -74,10 +85,28 @@ class PufDevice:
 
 @dataclass(frozen=True)
 class SigningKey:
-    """Device-held signing key, bound to the token minted at enrollment."""
+    """Device-held signing key, bound to the token minted at enrollment.
+
+    The Ed25519 key object is built once: from ``seed``, unless ``key``
+    hands over one already built from it. It takes no part in equality,
+    hashing or repr.
+    """
 
     seed: bytes
     token_id: str
+    key: InitVar[Optional[Ed25519PrivateKey]] = None
+    private_key: Ed25519PrivateKey = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self, key: Optional[Ed25519PrivateKey]):
+        if key is None:
+            key = Ed25519PrivateKey.from_private_bytes(self.seed)
+        elif key.private_bytes_raw() != self.seed:
+            raise ValueError("key object was not built from this seed")
+        object.__setattr__(self, "private_key", key)
+
+    def __reduce__(self):
+        # Key objects do not pickle; the key is rebuilt from the seed.
+        return type(self), (self.seed, self.token_id)
 
 
 @dataclass(frozen=True)
@@ -193,17 +222,15 @@ def puf_respond(device: PufDevice, challenge: bytes) -> bytes:
     return _prf(device.device_seed, b"respond:", challenge)[:RESPONSE_BYTES]
 
 
-def derive_keypair(anchor: AnchorKeys, response: bytes) -> tuple[bytes, bytes]:
+def derive_keypair(anchor: AnchorKeys, response: bytes) -> tuple[Ed25519PrivateKey, bytes]:
     """Device key pair seeded by the master secret mixed with the response:
-    (Ed25519 private seed, raw public key bytes).
+    (Ed25519 private key, raw public key bytes).
 
     Mixing in the response keeps per-device keys distinct even though the
     generator takes only master-key material as its secret input.
     """
-    seed = _prf(anchor.msk, b"keygen:", response)[:32]
-    priv = Ed25519PrivateKey.from_private_bytes(seed)
-    pk = priv.public_key().public_bytes_raw()
-    return seed, pk
+    priv = Ed25519PrivateKey.from_private_bytes(_prf(anchor.msk, b"keygen:", response)[:32])
+    return priv, priv.public_key().public_bytes_raw()
 
 
 def compute_token_id(device_id: bytes, public_key: bytes, owner_id: str) -> str:
@@ -215,17 +242,12 @@ def anchor_signing_seed(anchor: AnchorKeys) -> bytes:
 
 
 def anchor_public_key(anchor: AnchorKeys) -> bytes:
-    priv = Ed25519PrivateKey.from_private_bytes(anchor_signing_seed(anchor))
-    return priv.public_key().public_bytes_raw()
+    return anchor.signing_key.public_key().public_bytes_raw()
 
 
 # ---------------------------------------------------------------------------
 # Signing and verification
 # ---------------------------------------------------------------------------
-
-def _sign_raw(seed: bytes, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(seed).sign(message)
-
 
 def signature_valid(public_key: bytes, message: bytes, signature: bytes) -> bool:
     try:
@@ -239,7 +261,7 @@ def sign(message: bytes, sk: SigningKey, sim_time: int = 0) -> SignedEnvelope:
     """Sign a message under the device key; the envelope cites its token."""
     return SignedEnvelope(
         message=message,
-        signature=_sign_raw(sk.seed, message),
+        signature=sk.private_key.sign(message),
         token_id=sk.token_id,
         sim_time=sim_time,
     )
@@ -248,7 +270,7 @@ def sign(message: bytes, sk: SigningKey, sim_time: int = 0) -> SignedEnvelope:
 def sign_as_anchor(message: bytes, anchor: AnchorKeys, sim_time: int = 0) -> SignedEnvelope:
     return SignedEnvelope(
         message=message,
-        signature=_sign_raw(anchor_signing_seed(anchor), message),
+        signature=anchor.signing_key.sign(message),
         token_id=ANCHOR_TOKEN_ID,
         sim_time=sim_time,
     )
@@ -272,7 +294,7 @@ def enroll(
     response = puf_respond(device, challenge)
     if registry.query(response) is not None:
         raise EnrollmentRejected(f"device {device.hardware_label!r} already enrolled")
-    seed, pk = derive_keypair(anchor, response)
+    priv, pk = derive_keypair(anchor, response)
     token = registry.create_nft(
         response,
         owner_id,
@@ -281,7 +303,8 @@ def enroll(
         challenge_index=challenge_index,
         token_name=token_name or f"device:{device.hardware_label}",
     )
-    return SigningKey(seed=seed, token_id=token.token_id), token.token_id
+    sk = SigningKey(seed=priv.private_bytes_raw(), token_id=token.token_id, key=priv)
+    return sk, token.token_id
 
 
 def verify(

@@ -324,8 +324,13 @@ class LedgerSim:
         payload = tx.payload
         op = payload.get("op")
         if op == OP_CREATE_NFT:
-            if payload["device_id"] in self.state.device_index:
+            device_hex = payload["device_id"]
+            if device_hex in self.state.device_index:
                 raise EnrollmentRejected("device id already bound to a live token")
+            # A second binding in the same batch would fail only at the cut.
+            if any(p.payload.get("op") == OP_CREATE_NFT and p.payload["device_id"] == device_hex
+                   for p in self._pending):
+                raise EnrollmentRejected("device id already bound by a pending enrollment")
         elif op == OP_SET_FLAG:
             if payload.get("flag") not in FLAGS:
                 raise ValidationError(f"unknown flag {payload.get('flag')!r}")

@@ -140,7 +140,16 @@ class CredentialModel:
         for k, v in fields.items():
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigurationError(f"credential model field {k!r} must be a number")
-        return replace(base, **fields)
+            if not math.isfinite(v):
+                raise ConfigurationError(f"credential model field {k!r} must be finite")
+            if k == "verify_cost_factor" and v <= 0:
+                raise ConfigurationError("verify_cost_factor must be positive")
+            if v < 0:
+                raise ConfigurationError(f"credential model field {k!r} must not be negative")
+        model = replace(base, **fields)
+        if model.per_device_storage() <= 0:
+            raise ConfigurationError(f"{model.mode} model stores no bytes per device")
+        return model
 
 
 def memory_footprint(n_devices: int, model: CredentialModel) -> int:

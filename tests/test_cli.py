@@ -274,6 +274,18 @@ def _credential_model_field_bool(tmp_path):
     return _bench_with_partial_key_bytes(tmp_path, True)
 
 
+def _certificate_footprint_zero(tmp_path):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(
+        {"credential_models": {"certificate": {"cert_bytes": 0, "keypair_bytes": 0}}}))
+    return ["bench", "--rates", "40", "--duration", 10, "--config", cfg,
+            "--out", tmp_path / "b"]
+
+
+def _credential_model_field_negative(tmp_path):
+    return _bench_with_partial_key_bytes(tmp_path, -5)
+
+
 def _non_numeric_rate(tmp_path):
     return ["bench", "--rates", "40,x", "--duration", 10, "--out", tmp_path / "b"]
 
@@ -326,7 +338,8 @@ def _enroll_negative_count(tmp_path):
     _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_missing,
     _attack_dataset_non_finite,
     _credential_model_not_an_object, _credential_model_field_not_a_number,
-    _credential_model_field_bool, _non_numeric_rate,
+    _credential_model_field_bool, _certificate_footprint_zero,
+    _credential_model_field_negative, _non_numeric_rate,
     _rate_nan, _rate_inf, _rate_zero, _rate_negative, _duration_nan, _duration_inf,
     _topology_negative_link, _enroll_negative_count,
 ])

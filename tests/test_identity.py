@@ -1,6 +1,10 @@
 import dataclasses
+import pickle
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from hypothesis import given
+from hypothesis import strategies as st
 
 from plexisim import identity, telemetry
 from plexisim.errors import ConfigurationError, EnrollmentRejected, RejectedTransactionError
@@ -18,7 +22,8 @@ from plexisim.identity import (
     sign,
     verify,
 )
-from plexisim.ledger import OP_RECORD_EVENT, canonical_json, make_transaction
+from plexisim.clock import SimClock
+from plexisim.ledger import OP_RECORD_EVENT, LedgerSim, canonical_json, make_transaction
 
 
 class TestSetup:
@@ -164,6 +169,100 @@ class TestSignVerify:
         ledger.set_flag(token_id, "revoked", alice_key)
         env = sign(b"m", key)
         assert verify(env, ledger, anchor, device.responder()) is VerifyStatus.BOTTOM
+
+
+class _CountingKeyClass:
+    """Stands in for ``Ed25519PrivateKey`` and counts the keys built from bytes."""
+
+    def __init__(self):
+        self.built = 0
+
+    def from_private_bytes(self, data):
+        self.built += 1
+        return Ed25519PrivateKey.from_private_bytes(data)
+
+
+@pytest.fixture
+def key_builds(monkeypatch):
+    counter = _CountingKeyClass()
+    monkeypatch.setattr(identity, "Ed25519PrivateKey", counter)
+    return counter
+
+
+class TestKeyObjectReuse:
+    def test_enroll_builds_one_key_and_signing_builds_none(self, anchor, ledger, key_builds):
+        key, _ = enroll(make_device("reuse", seed=21), "alice", anchor, ledger)
+        assert key_builds.built == 1
+        for i in range(50):
+            sign(b"m%d" % i, key)
+        assert key_builds.built == 1
+
+    def test_anchor_builds_at_most_one_key(self, key_builds):
+        anchor = setup(128, seed=3)
+        for i in range(50):
+            identity.sign_as_anchor(b"m%d" % i, anchor)
+        assert key_builds.built <= 1
+
+
+SEEDS = st.binary(min_size=32, max_size=32)
+
+
+@given(seed=SEEDS, message=st.binary(max_size=256))
+def test_held_key_signs_as_a_key_built_from_the_seed(seed, message):
+    key = identity.SigningKey(seed=seed, token_id="t")
+    assert sign(message, key).signature == Ed25519PrivateKey.from_private_bytes(seed).sign(message)
+
+
+@given(anchor_seed=st.integers(0, 2**32), device_seed=st.integers(0, 2**32),
+       message=st.binary(max_size=256))
+def test_enrolled_and_anchor_keys_sign_as_keys_built_from_their_seeds(
+        anchor_seed, device_seed, message):
+    anchor = setup(128, seed=anchor_seed)
+    ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(anchor))
+    key, _ = enroll(make_device("d", seed=device_seed), "alice", anchor, ledger)
+    fresh = Ed25519PrivateKey.from_private_bytes(key.seed)
+    assert sign(message, key).signature == fresh.sign(message)
+    anchor_fresh = Ed25519PrivateKey.from_private_bytes(identity.anchor_signing_seed(anchor))
+    assert identity.sign_as_anchor(message, anchor).signature == anchor_fresh.sign(message)
+    assert identity.anchor_public_key(anchor) == anchor_fresh.public_key().public_bytes_raw()
+
+
+@given(seed=SEEDS, token_id=st.text(max_size=16), signs=st.sampled_from(["", "a", "b", "ab"]))
+def test_key_object_takes_no_part_in_equality_hash_or_repr(seed, token_id, signs):
+    a = identity.SigningKey(seed=seed, token_id=token_id)
+    b = identity.SigningKey(seed=seed, token_id=token_id,
+                            key=Ed25519PrivateKey.from_private_bytes(seed))
+    for name in signs:
+        sign(b"m", {"a": a, "b": b}[name])
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == f"SigningKey(seed={seed!r}, token_id={token_id!r})"
+
+
+def test_anchor_key_object_takes_no_part_in_equality_or_repr():
+    a, b = setup(128, seed=8), setup(128, seed=8)
+    identity.sign_as_anchor(b"m", a)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == f"AnchorKeys(msk={a.msk!r}, mpk={a.mpk!r}, lam=128)"
+
+
+def test_key_object_must_come_from_the_seed():
+    other = Ed25519PrivateKey.from_private_bytes(bytes(range(32)))
+    with pytest.raises(ValueError):
+        identity.SigningKey(seed=bytes(32), token_id="t", key=other)
+
+
+def test_replaced_seed_gets_its_own_key_object():
+    key = identity.SigningKey(seed=bytes(32), token_id="t")
+    moved = dataclasses.replace(key, seed=bytes(range(32)))
+    expected = Ed25519PrivateKey.from_private_bytes(bytes(range(32))).sign(b"m")
+    assert sign(b"m", moved).signature == expected
+
+
+def test_keys_pickle_without_their_key_objects(anchor):
+    key = identity.SigningKey(seed=bytes(range(32)), token_id="t")
+    for value in (key, anchor):
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert sign(b"m", pickle.loads(pickle.dumps(key))).signature == sign(b"m", key).signature
 
 
 # Expected verify status of an envelope in each case.

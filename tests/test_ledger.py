@@ -109,6 +109,28 @@ class TestCreateNft:
         with pytest.raises(EnrollmentRejected):
             ledger.create_nft(resp, "alice", pk, anchor)
 
+    def test_pending_duplicate_rejected_at_ingest(self, anchor, ledger):
+        device = identity.make_device("d", seed=5)
+        resp = identity.puf_respond(device, identity.derive_challenge(anchor, 0))
+        _, pk = identity.derive_keypair(anchor, resp)
+
+        def create_tx(owner):
+            now = ledger.clock.now()
+            payload = {"op": "create_nft", "token_id": identity.compute_token_id(resp, pk, owner),
+                       "token_name": "d", "device_id": resp.hex(), "public_key": pk.hex(),
+                       "owner_id": owner, "challenge_index": 0, "issue_time": now}
+            env = identity.sign_as_anchor(canonical_json(payload).encode(), anchor, now)
+            return make_transaction(payload, env, now)
+
+        first = create_tx("alice")
+        assert ledger.ingest(first) is None
+        with pytest.raises(EnrollmentRejected):
+            ledger.ingest(create_tx("mallory"))
+        ledger.force_cut()
+        assert [t.tx_id for t in ledger.chain[-1].tx_list] == [first.tx_id]
+        assert ledger.query(resp).owner_id == "alice"
+        assert ledger.replay() == ledger.state
+
     def test_issue_time_at_or_before_commit(self, anchor, ledger):
         device = identity.make_device("d", seed=4)
         _, token_id = identity.enroll(device, "alice", anchor, ledger)

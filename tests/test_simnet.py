@@ -198,6 +198,20 @@ class TestTopology:
         assert model.cert_bytes == 700
         assert model.verify_cost_factor == CERT.verify_cost_factor
 
+    @pytest.mark.parametrize("raw", [
+        {"mode": "nft", "partial_key_bytes": -5},
+        {"mode": "nft", "partial_key_bytes": 0},
+        {"mode": "nft", "tx_overhead_bytes": math.inf},
+        {"mode": "certificate", "cert_bytes": 0, "keypair_bytes": 0},
+        {"mode": "certificate", "keypair_bytes": math.nan},
+        {"mode": "certificate", "verify_cost_factor": 0},
+        {"mode": "nft", "verify_cost_factor": -1.0},
+        {"mode": "nft", "verify_cost_factor": math.inf},
+    ])
+    def test_credential_from_dict_rejects_unusable_values(self, raw):
+        with pytest.raises(ConfigurationError):
+            CredentialModel.from_dict(raw)
+
 
 def edge_topology(links, fog_rates=(simnet.DEFAULT_FOG_RATE_TPS,) * 2):
     return Topology(nodes=tuple(
