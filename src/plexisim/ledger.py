@@ -47,6 +47,11 @@ OP_SET_FLAG = "set_flag"
 OP_RECORD_EVENT = "record_event"
 
 FLAGS = ("revoked", "delegated", "transferred")
+# Every token starts with no flag set; the constraints type is frozen, so
+# tokens share one instance.
+_NO_FLAGS = TokenConstraints()
+# Fields a record_event payload must carry.
+_EVENT_FIELDS = frozenset({"workflow_id", "kind", "sim_time"})
 
 # Pipeline policy. simnet imports the batching constants to model the same
 # block cuts.
@@ -60,6 +65,43 @@ PEER_SEED = b"plexisim-peers"
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# Same bytes as json.dumps(obj, separators=(",", ":")), without building an
+# encoder per call.
+_CHAIN_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_SEQUENCES = (list, tuple)
+
+
+def _same_json(a, b) -> bool:
+    """``canonical_json(a) == canonical_json(b)`` for JSON values, without
+    serialising: ``1``, ``1.0`` and ``True`` differ, ``bytes`` and ``str``
+    differ, floats compare by ``repr`` (``0.0`` vs ``-0.0`` differ, ``nan``
+    equals ``nan``) and a tuple equals the list it serialises as."""
+    t = type(a)
+    if t is not type(b):
+        return t in _SEQUENCES and type(b) in _SEQUENCES and _same_items(a, b)
+    if t is dict:
+        if a.keys() != b.keys():
+            return False
+        for k, v in a.items():
+            if not _same_json(v, b[k]):
+                return False
+        return True
+    if t in _SEQUENCES:
+        return _same_items(a, b)
+    if t is float:
+        return repr(a) == repr(b)
+    return a == b
+
+
+def _same_items(a, b) -> bool:
+    if len(a) != len(b):
+        return False
+    for x, y in zip(a, b):
+        if not _same_json(x, y):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +136,8 @@ class Transaction:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
+        if type(rec["tx_id"]) is not str:
+            raise TypeError(f"tx_id must be a string, got {rec['tx_id']!r}")
         return cls(
             tx_id=rec["tx_id"],
             payload=rec["payload"],
@@ -173,6 +217,12 @@ def _receipt(tx: Transaction, block: Block) -> CommitReceipt:
 # World state
 # ---------------------------------------------------------------------------
 
+def _actor_fields_are_str(payload: dict) -> bool:
+    """A set_flag's delegate_id and new_owner, where given, are strings."""
+    return all(type(v) is str for v in (payload.get("delegate_id"), payload.get("new_owner"))
+               if v)
+
+
 @dataclass
 class RegistryState:
     """World state: tokens, the device index, and workflow event records."""
@@ -202,22 +252,32 @@ class RegistryState:
         return token.owner_id
 
     def apply(self, tx: Transaction) -> None:
-        op = tx.payload.get("op")
-        if op == OP_CREATE_NFT:
-            self._apply_create(tx.payload)
-        elif op == OP_SET_FLAG:
-            self._apply_set_flag(tx.payload)
-        elif op == OP_RECORD_EVENT:
-            self.event_log.append(
-                {
-                    "workflow_id": tx.payload["workflow_id"],
-                    "kind": tx.payload["kind"],
-                    "payload": tx.payload.get("payload", {}),
-                    "sim_time": tx.payload["sim_time"],
-                }
-            )
-        else:
-            raise IntegrityViolationError(f"unknown contract op {op!r}")
+        """Fold one transaction in; a malformed payload raises
+        ``IntegrityViolationError`` before any field of the state changes."""
+        payload = tx.payload
+        if type(payload) is not dict:
+            raise IntegrityViolationError(f"payload of tx {tx.tx_id[:12]} is not an object")
+        op = payload.get("op")
+        try:
+            if op == OP_CREATE_NFT:
+                self._apply_create(payload)
+            elif op == OP_SET_FLAG:
+                self._apply_set_flag(payload)
+            elif op == OP_RECORD_EVENT:
+                self.event_log.append(
+                    {
+                        "workflow_id": payload["workflow_id"],
+                        "kind": payload["kind"],
+                        "payload": payload.get("payload", {}),
+                        "sim_time": payload["sim_time"],
+                    }
+                )
+            else:
+                raise IntegrityViolationError(f"unknown contract op {op!r}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise IntegrityViolationError(
+                f"malformed {op!r} payload in tx {tx.tx_id[:12]}: {exc!r}"
+            ) from exc
 
     def _apply_create(self, payload: dict) -> None:
         device_hex = payload["device_id"]
@@ -229,18 +289,25 @@ class RegistryState:
             device_id=bytes.fromhex(device_hex),
             public_key=bytes.fromhex(payload["public_key"]),
             owner_id=payload["owner_id"],
-            constraints=TokenConstraints(),
+            constraints=_NO_FLAGS,
             issue_time=int(payload["issue_time"]),
         )
+        # Typed fields keep token equality exact (see __eq__).
+        if any(type(v) is not str for v in (token.token_id, token.token_name, token.owner_id)):
+            raise IntegrityViolationError("create_nft token_id, token_name and owner_id "
+                                          "must be strings")
+        challenge_index = int(payload.get("challenge_index", 0))
         self.tokens[token.token_id] = token
         self.device_index[device_hex] = token.token_id
-        self.challenge_index[device_hex] = int(payload.get("challenge_index", 0))
+        self.challenge_index[device_hex] = challenge_index
 
     def _apply_set_flag(self, payload: dict) -> None:
         token = self.tokens.get(payload["token_id"])
         flag = payload["flag"]
         if token is None or flag not in FLAGS:
             raise IntegrityViolationError("set_flag for unknown token or flag in chain")
+        if not _actor_fields_are_str(payload):
+            raise IntegrityViolationError("set_flag delegate_id and new_owner must be strings")
         cons = replace(token.constraints, **{flag: bool(payload.get("value", True))})
         changes = {"constraints": cons}
         if flag == "delegated" and payload.get("delegate_id"):
@@ -270,9 +337,19 @@ class RegistryState:
         )
 
     def __eq__(self, other) -> bool:
+        """Same verdict as comparing ``canonical()`` strings. Token, device
+        index and delegate values have the types ``apply`` fixes, so plain
+        ``==`` is exact for them; the free-form JSON values go through
+        ``_same_json``."""
         if not isinstance(other, RegistryState):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return (
+            self.tokens == other.tokens
+            and self.device_index == other.device_index
+            and self.delegates == other.delegates
+            and _same_json(self.challenge_index, other.challenge_index)
+            and _same_items(self.event_log, other.event_log)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +397,29 @@ class LedgerSim:
             return signature_valid(self.anchor_pk, env.message, env.signature)
         return verify(env, self.state) is VerifyStatus.ACCEPT
 
+    def _check_pending_conflicts(self, tx: Transaction) -> None:
+        """Fabric-style conflict rejection within a batch: a pending flag
+        change on a token locks that token, so neither a second flag change
+        on it nor any tx it signs is endorsed until the cut. ``_cut`` orders
+        by (sim_time, tx_id), so a rule that allowed both could commit them
+        in either order."""
+        flagged = {p.payload["token_id"] for p in self._pending
+                   if p.payload.get("op") == OP_SET_FLAG}
+        if tx.envelope.token_id in flagged:
+            raise RejectedTransactionError(
+                f"signer token {tx.envelope.token_id[:12]} has a pending flag change")
+        if tx.payload.get("op") == OP_SET_FLAG and tx.payload.get("token_id") in flagged:
+            raise RejectedTransactionError("token already has a pending flag change")
+
     def _check_payload(self, tx: Transaction) -> None:
         payload = tx.payload
+        if self._pending:
+            self._check_pending_conflicts(tx)
         op = payload.get("op")
         if op == OP_CREATE_NFT:
+            # Only the anchor mints: a device key would pick its own token's key.
+            if tx.envelope.token_id != ANCHOR_TOKEN_ID:
+                raise AuthorizationError("create_nft must be signed by the anchor")
             device_hex = payload["device_id"]
             if device_hex in self.state.device_index:
                 raise EnrollmentRejected("device id already bound to a live token")
@@ -334,6 +430,8 @@ class LedgerSim:
         elif op == OP_SET_FLAG:
             if payload.get("flag") not in FLAGS:
                 raise ValidationError(f"unknown flag {payload.get('flag')!r}")
+            if not _actor_fields_are_str(payload):
+                raise ValidationError("set_flag delegate_id and new_owner must be strings")
             token_id = payload["token_id"]
             allowed = self.state.authorized_actor(token_id)
             if allowed is None:
@@ -347,7 +445,9 @@ class LedgerSim:
             if self.state.tokens[token_id].constraints.revoked:
                 raise ValidationError(f"token {token_id[:12]} is revoked")
         elif op == OP_RECORD_EVENT:
-            pass
+            missing = _EVENT_FIELDS - payload.keys()
+            if missing:
+                raise ValidationError(f"record_event lacks {sorted(missing)}")
         else:
             raise ValidationError(f"unknown contract op {op!r}")
 
@@ -508,8 +608,7 @@ class LedgerSim:
 
     def save_chain(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for block in self.chain:
-                fh.write(json.dumps(block.to_record(), separators=(",", ":")) + "\n")
+            fh.writelines(_CHAIN_ENCODER.encode(block.to_record()) + "\n" for block in self.chain)
 
     def load_chain(self, path) -> None:
         self.chain = read_chain(path)
@@ -520,9 +619,11 @@ class LedgerSim:
 
 
 def replay_chain(chain: Iterable[Block]) -> RegistryState:
-    """Verify hash links and fold the chain into a fresh state."""
+    """Verify hash links, reject a tx_id seen twice, and fold the chain into
+    a fresh state."""
     state = RegistryState()
     prev = GENESIS_PREV_HASH
+    seen: set[str] = set()
     for i, block in enumerate(chain):
         if block.height != i:
             raise IntegrityViolationError(f"block height gap at {i}")
@@ -532,6 +633,11 @@ def replay_chain(chain: Iterable[Block]) -> RegistryState:
         if block.block_hash != expected:
             raise IntegrityViolationError(f"block hash mismatch at height {i}")
         for tx in block.tx_list:
+            # Block hashes are unkeyed, so a re-hashed copy of a committed
+            # block would otherwise replay its transactions twice.
+            if tx.tx_id in seen:
+                raise IntegrityViolationError(f"tx {tx.tx_id[:12]} appears twice in the chain")
+            seen.add(tx.tx_id)
             state.apply(tx)
         prev = block.block_hash
     return state

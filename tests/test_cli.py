@@ -205,6 +205,31 @@ def _truncated_registry(tmp_path):
     return ["enroll", "--n", 1, "--out", out, "--registry", registry]
 
 
+def _registry_with_edited_tx(tmp_path, edit):
+    """Edit the first tx of a saved chain without re-hashing it."""
+    out = tmp_path / "o"
+    run(["enroll", "--n", 3, "--seed", 1, "--out", out])
+    registry = out / "ledger.jsonl"
+    lines = registry.read_text().splitlines()
+    block = json.loads(lines[0])
+    edit(block["txs"][0])
+    lines[0] = json.dumps(block, separators=(",", ":"))
+    registry.write_text("\n".join(lines) + "\n")
+    return ["enroll", "--n", 1, "--out", out, "--registry", registry]
+
+
+def _registry_payload_not_an_object(tmp_path):
+    return _registry_with_edited_tx(tmp_path, lambda tx: tx.update(payload=5))
+
+
+def _registry_payload_without_device_id(tmp_path):
+    return _registry_with_edited_tx(tmp_path, lambda tx: tx["payload"].pop("device_id"))
+
+
+def _registry_device_id_not_hex(tmp_path):
+    return _registry_with_edited_tx(tmp_path, lambda tx: tx["payload"].update(device_id="zz"))
+
+
 def _scenario_without_bids(tmp_path):
     scenario = demo_scenario()
     del scenario["bids"]
@@ -334,7 +359,8 @@ def _enroll_negative_count(tmp_path):
 
 
 @pytest.mark.parametrize("make_argv", [
-    _truncated_registry, _scenario_without_bids, _scenario_not_json,
+    _truncated_registry, _registry_payload_not_an_object, _registry_payload_without_device_id,
+    _registry_device_id_not_hex, _scenario_without_bids, _scenario_not_json,
     _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_missing,
     _attack_dataset_non_finite,
     _credential_model_not_an_object, _credential_model_field_not_a_number,

@@ -1,15 +1,22 @@
 import dataclasses
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plexisim import identity
+from plexisim.clock import SimClock
 from plexisim.errors import (
     AuthorizationError,
     DuplicateTransactionError,
     EnrollmentRejected,
     IntegrityViolationError,
     RejectedTransactionError,
+    SimError,
     ValidationError,
 )
 from plexisim.ledger import (
@@ -20,18 +27,42 @@ from plexisim.ledger import (
     LedgerSim,
     RegistryState,
     canonical_json,
+    compute_block_hash,
     make_transaction,
     read_chain,
     replay_chain,
 )
 
 
-def record_tx(ledger, key, tag="x", cluster_id=0):
+def record_tx(ledger, key, tag="x", cluster_id=0, payload=None):
     now = ledger.clock.now()
-    payload = {"op": "record_event", "workflow_id": "wf", "kind": tag,
-               "payload": {}, "sim_time": now}
+    body = {"op": "record_event", "workflow_id": "wf", "kind": tag,
+            "payload": {} if payload is None else payload, "sim_time": now}
+    env = identity.sign(canonical_json(body).encode(), key, now)
+    return make_transaction(body, env, now, cluster_id=cluster_id)
+
+
+def flag_tx(ledger, token_id, flag, key, value=True, **extra):
+    now = ledger.clock.now()
+    payload = {"op": "set_flag", "token_id": token_id, "flag": flag, "value": value,
+               "sim_time": now, **extra}
     env = identity.sign(canonical_json(payload).encode(), key, now)
-    return make_transaction(payload, env, now, cluster_id=cluster_id)
+    return make_transaction(payload, env, now)
+
+
+def create_tx(ledger, anchor, device, owner):
+    """An anchor-signed enrollment tx and the key the device would hold."""
+    resp = identity.puf_respond(device, identity.derive_challenge(anchor, 0))
+    priv, pk = identity.derive_keypair(anchor, resp)
+    now = ledger.clock.now()
+    payload = {"op": "create_nft", "token_id": identity.compute_token_id(resp, pk, owner),
+               "token_name": device.hardware_label, "device_id": resp.hex(),
+               "public_key": pk.hex(), "owner_id": owner, "challenge_index": 0,
+               "issue_time": now}
+    env = identity.sign_as_anchor(canonical_json(payload).encode(), anchor, now)
+    key = identity.SigningKey(seed=priv.private_bytes_raw(), token_id=payload["token_id"],
+                              key=priv)
+    return make_transaction(payload, env, now), key
 
 
 class TestSubmit:
@@ -112,24 +143,24 @@ class TestCreateNft:
     def test_pending_duplicate_rejected_at_ingest(self, anchor, ledger):
         device = identity.make_device("d", seed=5)
         resp = identity.puf_respond(device, identity.derive_challenge(anchor, 0))
-        _, pk = identity.derive_keypair(anchor, resp)
-
-        def create_tx(owner):
-            now = ledger.clock.now()
-            payload = {"op": "create_nft", "token_id": identity.compute_token_id(resp, pk, owner),
-                       "token_name": "d", "device_id": resp.hex(), "public_key": pk.hex(),
-                       "owner_id": owner, "challenge_index": 0, "issue_time": now}
-            env = identity.sign_as_anchor(canonical_json(payload).encode(), anchor, now)
-            return make_transaction(payload, env, now)
-
-        first = create_tx("alice")
+        first, _ = create_tx(ledger, anchor, device, "alice")
         assert ledger.ingest(first) is None
         with pytest.raises(EnrollmentRejected):
-            ledger.ingest(create_tx("mallory"))
+            ledger.ingest(create_tx(ledger, anchor, device, "mallory")[0])
         ledger.force_cut()
         assert [t.tx_id for t in ledger.chain[-1].tx_list] == [first.tx_id]
         assert ledger.query(resp).owner_id == "alice"
         assert ledger.replay() == ledger.state
+
+    def test_device_signed_create_rejected(self, anchor, ledger, enrolled):
+        device = identity.make_device("d", seed=6)
+        tx, key = create_tx(ledger, anchor, device, "mallory")
+        now = ledger.clock.now()
+        env = identity.sign(canonical_json(tx.payload).encode(), enrolled[1], now)
+        height = ledger.height
+        with pytest.raises(AuthorizationError):
+            ledger.submit(make_transaction(tx.payload, env, now))
+        assert ledger.height == height and ledger.query(key.token_id) is None
 
     def test_issue_time_at_or_before_commit(self, anchor, ledger):
         device = identity.make_device("d", seed=4)
@@ -222,6 +253,108 @@ class TestSetFlag:
             ledger.set_flag(token_id, "frozen", alice_key)
 
 
+class TestPendingConflicts:
+    """A pending flag change locks its token until the cut, so a batch
+    commits the same state whatever order ``_cut`` puts it in."""
+
+    def test_pending_revocation_cannot_be_undone_or_outrun(self, clock, anchor, ledger,
+                                                          enrolled):
+        _, key, token_id = enrolled
+        owner_key, _ = identity.enroll(
+            identity.make_device("alice-ctl", seed=14), "alice", anchor, ledger
+        )
+        revoke = flag_tx(ledger, token_id, "revoked", owner_key)
+        assert ledger.ingest(revoke) is None
+        clock.advance(1)
+        with pytest.raises(RejectedTransactionError):
+            ledger.ingest(flag_tx(ledger, token_id, "revoked", owner_key, value=False))
+        with pytest.raises(RejectedTransactionError):
+            ledger.ingest(record_tx(ledger, key))
+        ledger.force_cut()
+        assert [t.tx_id for t in ledger.chain[-1].tx_list] == [revoke.tx_id]
+        assert ledger.query(token_id).constraints.revoked
+        assert ledger.state.event_log == []
+        assert ledger.replay() == ledger.state
+
+    def test_signer_with_pending_transfer_rejected(self, anchor, ledger, enrolled):
+        _, _, token_id = enrolled
+        owner_key, owner_token = identity.enroll(
+            identity.make_device("alice-ctl", seed=15), "alice", anchor, ledger
+        )
+        spare_key, _ = identity.enroll(
+            identity.make_device("alice-spare", seed=16), "alice", anchor, ledger
+        )
+        ledger.ingest(flag_tx(ledger, owner_token, "transferred", spare_key, new_owner="bob"))
+        with pytest.raises(RejectedTransactionError):
+            ledger.ingest(flag_tx(ledger, token_id, "delegated", owner_key, delegate_id="eve"))
+        ledger.force_cut()
+        assert ledger.query(owner_token).owner_id == "bob"
+        assert ledger.query(token_id).constraints == identity.TokenConstraints()
+
+    def test_unrelated_txs_share_a_batch(self, clock, anchor, ledger, enrolled):
+        _, key, token_id = enrolled
+        owner_key, _ = identity.enroll(
+            identity.make_device("alice-ctl", seed=17), "alice", anchor, ledger
+        )
+        ledger.ingest(record_tx(ledger, key, tag="before"))
+        ledger.ingest(flag_tx(ledger, token_id, "delegated", owner_key, delegate_id="bob"))
+        clock.advance(1)
+        ledger.ingest(record_tx(ledger, owner_key, tag="other signer"))
+        ledger.force_cut()
+        assert len(ledger.chain[-1].tx_list) == 3
+        assert ledger.replay() == ledger.state
+
+
+class TestMalformedPayload:
+    def test_endorsement_rejects_untyped_actor_fields(self, anchor, ledger, enrolled):
+        _, _, token_id = enrolled
+        owner_key, _ = identity.enroll(
+            identity.make_device("alice-ctl", seed=18), "alice", anchor, ledger
+        )
+        height = ledger.height
+        for extra in ({"delegate_id": 7}, {"new_owner": ["bob"]}):
+            with pytest.raises(ValidationError):
+                ledger.submit(flag_tx(ledger, token_id, "delegated", owner_key, **extra))
+        assert ledger.height == height
+
+    def test_endorsement_rejects_event_without_fields(self, ledger, enrolled):
+        _, key, _ = enrolled
+        now = ledger.clock.now()
+        payload = {"op": "record_event", "kind": "k", "sim_time": now}
+        env = identity.sign(canonical_json(payload).encode(), key, now)
+        with pytest.raises(ValidationError):
+            ledger.submit(make_transaction(payload, env, now))
+        assert ledger.state.event_log == []
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: 5,
+        lambda p: {k: v for k, v in p.items() if k != "device_id"},
+        lambda p: dict(p, device_id="zz"),
+        lambda p: dict(p, public_key=None),
+        lambda p: dict(p, owner_id=5),
+        lambda p: dict(p, token_name=["d"]),
+        lambda p: dict(p, issue_time=math.inf),
+    ], ids=["not an object", "no device_id", "device_id not hex", "public_key not hex",
+            "owner_id not str", "token_name not str", "issue_time inf"])
+    def test_replay_rejects_malformed_create(self, anchor, ledger, enrolled, edit):
+        block = ledger.chain[0]
+        (tx,) = block.tx_list
+        edited = dataclasses.replace(tx, payload=edit(dict(tx.payload)))
+        ledger.chain[0] = dataclasses.replace(block, tx_list=(edited,))
+        with pytest.raises(IntegrityViolationError):
+            ledger.replay()
+
+    def test_failed_apply_leaves_state_unchanged(self, ledger, enrolled):
+        state = ledger.replay()
+        (tx,) = ledger.chain[0].tx_list
+        before = state.canonical()
+        for payload in (dict(tx.payload, device_id="aa", public_key="zz"),
+                        {"op": "record_event", "kind": "k", "sim_time": 0}):
+            with pytest.raises(IntegrityViolationError):
+                state.apply(dataclasses.replace(tx, payload=payload))
+        assert state.canonical() == before
+
+
 class TestReplay:
     def test_replay_matches_live_state(self, anchor, ledger, enrolled):
         _, key, token_id = enrolled
@@ -265,6 +398,21 @@ class TestReplay:
         # tx_id is kept, so the block hash still matches.
         ledger.chain[-1] = dataclasses.replace(block, tx_list=(edited,))
         with pytest.raises(IntegrityViolationError):
+            ledger.replay()
+
+    def test_rehashed_copy_of_a_committed_block_rejected(self, ledger, enrolled):
+        _, key, _ = enrolled
+        ledger.submit(record_tx(ledger, key))
+        last = ledger.chain[-1]
+        height = len(ledger.chain)
+        ledger.chain.append(Block(
+            height=height,
+            prev_hash=last.block_hash,
+            tx_list=last.tx_list,
+            block_hash=compute_block_hash(height, last.block_hash, last.tx_list),
+            sim_time_committed=last.sim_time_committed,
+        ))
+        with pytest.raises(IntegrityViolationError, match="twice"):
             ledger.replay()
 
     def test_empty_chain_empty_state(self):
@@ -370,3 +518,139 @@ class TestNotary:
         _, key, _ = enrolled
         receipt = ledger.submit(record_tx(ledger, key))
         assert not receipt.notarized
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+def reference_eq(a: RegistryState, b: RegistryState) -> bool:
+    """State equality as it was first written: compare canonical JSON."""
+    return a.canonical() == b.canonical()
+
+
+# Small domains, so independently drawn values often collide or nearly do.
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-2, 2) | st.text("ab", max_size=2)
+    | st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf])
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text("ab", max_size=2), kids, max_size=3)),
+    max_leaves=8,
+)
+
+
+def respell(draw, value):
+    """``value`` with some numbers recast between int, float and bool and
+    some sequences between list and tuple: near twins of ``value``."""
+    t = type(value)
+    if t is dict:
+        return {k: respell(draw, v) for k, v in value.items()}
+    if t in (list, tuple):
+        kind = draw(st.sampled_from((list, tuple)))
+        return kind(respell(draw, v) for v in value)
+    if t in (bool, int, float) and draw(st.booleans()):
+        try:
+            return draw(st.sampled_from((bool, int, float)))(value)
+        except (ValueError, OverflowError):
+            return value
+    return value
+
+
+@st.composite
+def json_pairs(draw):
+    """Two JSON values: independent, the second a JSON round trip of the
+    first (tuples become lists, nan a new object), or a respelling of it."""
+    a = draw(JSON_VALUES)
+    how = draw(st.sampled_from(("independent", "round trip", "respelled")))
+    if how == "independent":
+        return a, draw(JSON_VALUES)
+    if how == "round trip":
+        return a, json.loads(json.dumps(a))
+    return a, respell(draw, a)
+
+
+def state_with(payload, challenge) -> RegistryState:
+    return RegistryState(
+        challenge_index={"aa": challenge},
+        event_log=[{"workflow_id": "wf", "kind": "k", "payload": payload, "sim_time": 0}],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(payloads=json_pairs(), challenges=json_pairs())
+@example(payloads=({"kw": 1}, {"kw": 1.0}), challenges=(0, 0))
+@example(payloads=({"kw": 1}, {"kw": True}), challenges=(0, 0))
+@example(payloads=({"kw": 1.0}, {"kw": True}), challenges=(0, 0))
+@example(payloads=({"kw": [0.0]}, {"kw": (-0.0,)}), challenges=(0, 0))
+@example(payloads=({}, {}), challenges=((math.nan, "a"), [float("nan"), "a"]))
+def test_state_equality_matches_canonical_compare(payloads, challenges):
+    a = state_with(payloads[0], challenges[0])
+    b = state_with(payloads[1], challenges[1])
+    assert (a == b) is reference_eq(a, b)
+    assert (b == a) is reference_eq(b, a)
+
+
+def test_state_equality_tells_bytes_from_str():
+    a, b = state_with({}, "00"), state_with({}, b"00")
+    assert a != b and b != a
+
+
+ANCHOR = identity.setup(128, seed=4321)
+OWNERS = ("alice", "bob")
+OPS = st.one_of(
+    st.tuples(st.just("create"), st.integers(0, 7), st.sampled_from(OWNERS)),
+    st.tuples(st.just("event"), st.integers(0, 9), JSON_VALUES),
+    st.tuples(st.just("flag"), st.integers(0, 9), st.integers(0, 9),
+              st.sampled_from(("revoked", "delegated", "transferred")), st.booleans(),
+              st.sampled_from(OWNERS)),
+    st.tuples(st.just("advance"), st.sampled_from((1, BLOCK_INTERVAL_MS))),
+)
+
+
+def contract_tx(ledger, keys, op, args):
+    """The tx for one drawn call, and the key it mints (None if no key)."""
+    if op == "create":
+        device = identity.make_device(f"dev-{args[0]}", seed=args[0])
+        return create_tx(ledger, ANCHOR, device, args[1])
+    if op == "event":
+        return record_tx(ledger, keys[args[0] % len(keys)], payload=args[1]), None
+    signer, target, flag, value, other = args
+    extra = {"delegate_id": other} if flag == "delegated" else {"new_owner": other}
+    return flag_tx(ledger, keys[target % len(keys)].token_id, flag,
+                   keys[signer % len(keys)], value=value, **extra), None
+
+
+@settings(max_examples=100, deadline=None)
+@given(batched=st.booleans(), devices=st.integers(1, 4), ops=st.lists(OPS, max_size=25))
+def test_replay_of_saved_chain_equals_live_state(batched, devices, ops):
+    """Any sequence of contract calls, committed one tx per block through
+    ``submit`` or in batches through ``ingest`` + ``force_cut``, replays
+    from its saved file to the live state. Rejected calls are skipped."""
+    ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(ANCHOR))
+    keys = [identity.enroll(identity.make_device(f"ctl-{i}", seed=100 + i), OWNERS[i % 2],
+                            ANCHOR, ledger)[0]
+            for i in range(devices)]
+    for op, *args in ops:
+        if op == "advance":
+            ledger.clock.advance(args[0])
+            if batched:
+                ledger.flush_due()
+            continue
+        tx, key = contract_tx(ledger, keys, op, args)
+        try:
+            ledger.ingest(tx) if batched else ledger.submit(tx)
+        except SimError:
+            continue
+        if key is not None:
+            keys.append(key)
+    ledger.force_cut()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ledger.jsonl")
+        ledger.save_chain(path)
+        replayed = replay_chain(read_chain(path))
+    assert replayed == ledger.state
+    assert replayed.canonical() == ledger.state.canonical()
