@@ -217,6 +217,26 @@ def _receipt(tx: Transaction, block: Block) -> CommitReceipt:
 # World state
 # ---------------------------------------------------------------------------
 
+def _token_from_create(payload: dict) -> tuple:
+    """The token and challenge index a create_nft payload mints. A malformed
+    payload raises ``KeyError``, ``TypeError``, ``ValueError`` or
+    ``OverflowError``: a missing field, a non-hex hex field, a non-string id
+    or name, or a non-integer issue time or challenge index."""
+    token = NftToken(
+        token_id=payload["token_id"],
+        token_name=payload["token_name"],
+        device_id=bytes.fromhex(payload["device_id"]),
+        public_key=bytes.fromhex(payload["public_key"]),
+        owner_id=payload["owner_id"],
+        constraints=_NO_FLAGS,
+        issue_time=int(payload["issue_time"]),
+    )
+    # Typed fields keep token equality exact (see __eq__).
+    if any(type(v) is not str for v in (token.token_id, token.token_name, token.owner_id)):
+        raise TypeError("create_nft token_id, token_name and owner_id must be strings")
+    return token, int(payload.get("challenge_index", 0))
+
+
 def _actor_fields_are_str(payload: dict) -> bool:
     """A set_flag's delegate_id and new_owner, where given, are strings."""
     return all(type(v) is str for v in (payload.get("delegate_id"), payload.get("new_owner"))
@@ -280,23 +300,10 @@ class RegistryState:
             ) from exc
 
     def _apply_create(self, payload: dict) -> None:
+        token, challenge_index = _token_from_create(payload)
         device_hex = payload["device_id"]
         if device_hex in self.device_index:
             raise IntegrityViolationError("duplicate device binding in chain")
-        token = NftToken(
-            token_id=payload["token_id"],
-            token_name=payload["token_name"],
-            device_id=bytes.fromhex(device_hex),
-            public_key=bytes.fromhex(payload["public_key"]),
-            owner_id=payload["owner_id"],
-            constraints=_NO_FLAGS,
-            issue_time=int(payload["issue_time"]),
-        )
-        # Typed fields keep token equality exact (see __eq__).
-        if any(type(v) is not str for v in (token.token_id, token.token_name, token.owner_id)):
-            raise IntegrityViolationError("create_nft token_id, token_name and owner_id "
-                                          "must be strings")
-        challenge_index = int(payload.get("challenge_index", 0))
         self.tokens[token.token_id] = token
         self.device_index[device_hex] = token.token_id
         self.challenge_index[device_hex] = challenge_index
@@ -372,6 +379,9 @@ class LedgerSim:
         self.chain: list[Block] = []
         self.state = RegistryState()
         self._committed: dict[str, CommitReceipt] = {}
+        # Ed25519 signing is deterministic, so a signature names one signed
+        # message under one key, whatever the envelope's unsigned fields say.
+        self._committed_signatures: set[bytes] = set()
         self._pending: list[Transaction] = []
         self._pending_since: Optional[int] = None
 
@@ -412,14 +422,20 @@ class LedgerSim:
             raise RejectedTransactionError("token already has a pending flag change")
 
     def _check_payload(self, tx: Transaction) -> None:
+        """Contract preconditions. Every payload that passes applies without
+        error at the cut, so a cut never fails part-way."""
         payload = tx.payload
-        if self._pending:
-            self._check_pending_conflicts(tx)
+        if type(payload) is not dict:
+            raise ValidationError(f"payload of tx {tx.tx_id[:12]} is not an object")
         op = payload.get("op")
         if op == OP_CREATE_NFT:
             # Only the anchor mints: a device key would pick its own token's key.
             if tx.envelope.token_id != ANCHOR_TOKEN_ID:
                 raise AuthorizationError("create_nft must be signed by the anchor")
+            try:
+                _token_from_create(payload)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"malformed create_nft payload: {exc!r}") from exc
             device_hex = payload["device_id"]
             if device_hex in self.state.device_index:
                 raise EnrollmentRejected("device id already bound to a live token")
@@ -432,7 +448,9 @@ class LedgerSim:
                 raise ValidationError(f"unknown flag {payload.get('flag')!r}")
             if not _actor_fields_are_str(payload):
                 raise ValidationError("set_flag delegate_id and new_owner must be strings")
-            token_id = payload["token_id"]
+            token_id = payload.get("token_id")
+            if type(token_id) is not str:
+                raise ValidationError(f"set_flag token_id must be a string, got {token_id!r}")
             allowed = self.state.authorized_actor(token_id)
             if allowed is None:
                 raise ValidationError(f"no token {token_id}")
@@ -450,6 +468,8 @@ class LedgerSim:
                 raise ValidationError(f"record_event lacks {sorted(missing)}")
         else:
             raise ValidationError(f"unknown contract op {op!r}")
+        if self._pending:
+            self._check_pending_conflicts(tx)
 
     def _endorse(self, tx: Transaction) -> None:
         if not self._envelope_ok(tx.envelope):
@@ -458,6 +478,12 @@ class LedgerSim:
         if tx.envelope.message != canonical_json(tx.payload).encode("utf-8"):
             raise RejectedTransactionError(f"envelope does not sign the payload of tx "
                                            f"{tx.tx_id[:12]}")
+        # Checked once the payload binding holds, so an envelope moved onto
+        # another payload stays a forgery, not a duplicate.
+        sig = tx.envelope.signature
+        if sig in self._committed_signatures or any(p.envelope.signature == sig
+                                                    for p in self._pending):
+            raise DuplicateTransactionError(f"tx {tx.tx_id[:12]} repeats a signed envelope")
         self._check_payload(tx)
         msg = tx.tx_id.encode("ascii")
         tx.endorsements = [
@@ -528,6 +554,7 @@ class LedgerSim:
         for tx in txs:
             self.state.apply(tx)
             self._committed[tx.tx_id] = _receipt(tx, block)
+            self._committed_signatures.add(tx.envelope.signature)
         self.chain.append(block)
         return block
 
@@ -616,14 +643,18 @@ class LedgerSim:
         self._committed = {
             tx.tx_id: _receipt(tx, block) for block in self.chain for tx in block.tx_list
         }
+        self._committed_signatures = {
+            tx.envelope.signature for block in self.chain for tx in block.tx_list
+        }
 
 
 def replay_chain(chain: Iterable[Block]) -> RegistryState:
-    """Verify hash links, reject a tx_id seen twice, and fold the chain into
-    a fresh state."""
+    """Verify hash links, reject a tx_id or an envelope signature seen twice,
+    and fold the chain into a fresh state."""
     state = RegistryState()
     prev = GENESIS_PREV_HASH
     seen: set[str] = set()
+    signatures: set[bytes] = set()
     for i, block in enumerate(chain):
         if block.height != i:
             raise IntegrityViolationError(f"block height gap at {i}")
@@ -637,7 +668,11 @@ def replay_chain(chain: Iterable[Block]) -> RegistryState:
             # block would otherwise replay its transactions twice.
             if tx.tx_id in seen:
                 raise IntegrityViolationError(f"tx {tx.tx_id[:12]} appears twice in the chain")
+            if tx.envelope.signature in signatures:
+                raise IntegrityViolationError(f"the signature of tx {tx.tx_id[:12]} appears "
+                                              f"twice in the chain")
             seen.add(tx.tx_id)
+            signatures.add(tx.envelope.signature)
             state.apply(tx)
         prev = block.block_hash
     return state

@@ -279,18 +279,29 @@ def estimate_flexibility(
 # Stream signing and tamper detection
 # ---------------------------------------------------------------------------
 
+# One sample line: keys in sorted order, compact separators. isoformat()
+# yields only digits and "-T:.+", which json never escapes.
+_SAMPLE_LINE = '{"hvac":%s,"hvac_demand_res":%s,"net":%s,"tamb":%s,"time":"%s"}'
+_json_value = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _json_reading(v) -> str:
+    # float.__repr__ is json's spelling of a finite float (v - v is nan for
+    # nan and +-inf); anything else, float subclasses included, goes through
+    # json itself, which also raises for what json.dumps rejects.
+    return float.__repr__(v) if type(v) is float and v - v == 0.0 else _json_value(v)
+
+
 def canonical_sample_bytes(sample: TelemetrySample) -> bytes:
-    return json.dumps(
-        {
-            "time": sample.time.isoformat(),
-            "net": sample.net_kw,
-            "tamb": sample.tamb_c,
-            "hvac": sample.hvac_kw,
-            "hvac_demand_res": sample.hvac_demand_res_kw,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+    """Sorted-key compact JSON of one sample, byte-identical to
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))``."""
+    return (_SAMPLE_LINE % (
+        _json_reading(sample.hvac_kw),
+        _json_reading(sample.hvac_demand_res_kw),
+        _json_reading(sample.net_kw),
+        _json_reading(sample.tamb_c),
+        sample.time.isoformat(),
+    )).encode("utf-8")
 
 
 def sign_stream(
@@ -320,8 +331,9 @@ def detect_tamper(
 ) -> list:
     """Sorted indices of samples that no accepted signature covers as stored.
 
-    ``identity.verify`` runs once per distinct envelope in the call, and index
-    i is flagged when that verify is not ACCEPT (bad signature, unknown or
+    ``identity.verify`` runs once per envelope object in the call (equal but
+    distinct objects each verify, with the same verdict), and index i is
+    flagged when that verify is not ACCEPT (bad signature, unknown or
     revoked token), when offset ``i % SAMPLES_PER_DAY`` is past the signed
     message's line count, or when the signed line at that offset differs from
     the sample's current canonical bytes. So any post-signing mutation of a
@@ -332,13 +344,15 @@ def detect_tamper(
     """
     if len(series) != len(envelopes):
         raise ValidationError("series and envelope counts differ")
+    # Keyed by id(), not by the envelope, whose frozen-dataclass hash is
+    # recomputed at every lookup. ``envelopes`` keeps each id's object alive.
     signed_lines = {}
     flagged = []
     for i, (sample, env) in enumerate(zip(series, envelopes)):
-        lines = signed_lines.get(env)
+        lines = signed_lines.get(id(env))
         if lines is None:
             accepted = identity.verify(env, registry) is identity.VerifyStatus.ACCEPT
-            lines = signed_lines[env] = env.message.split(b"\n") if accepted else []
+            lines = signed_lines[id(env)] = env.message.split(b"\n") if accepted else []
         offset = i % SAMPLES_PER_DAY
         if offset >= len(lines) or lines[offset] != canonical_sample_bytes(sample):
             flagged.append(i)

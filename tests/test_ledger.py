@@ -50,6 +50,17 @@ def flag_tx(ledger, token_id, flag, key, value=True, **extra):
     return make_transaction(payload, env, now)
 
 
+def retimed(tx, now):
+    """``tx`` re-submitted with its envelope's unsigned sim_time moved on."""
+    env = dataclasses.replace(tx.envelope, sim_time=tx.envelope.sim_time + 1)
+    return make_transaction(tx.payload, env, now)
+
+
+def anchor_signed(payload, anchor, now):
+    env = identity.sign_as_anchor(canonical_json(payload).encode(), anchor, now)
+    return make_transaction(payload, env, now)
+
+
 def create_tx(ledger, anchor, device, owner):
     """An anchor-signed enrollment tx and the key the device would hold."""
     resp = identity.puf_respond(device, identity.derive_challenge(anchor, 0))
@@ -114,6 +125,26 @@ class TestSubmit:
         ledger.submit(tx)
         with pytest.raises(DuplicateTransactionError):
             ledger.submit(tx)
+
+    def test_signed_envelope_with_new_sim_time_rejected(self, ledger, enrolled):
+        # sim_time is not signed, so the copy gets a new tx_id.
+        _, key, _ = enrolled
+        tx = record_tx(ledger, key)
+        ledger.submit(tx)
+        copy = retimed(tx, ledger.clock.now())
+        assert copy.tx_id != tx.tx_id
+        with pytest.raises(DuplicateTransactionError):
+            ledger.submit(copy)
+        assert len(ledger.state.event_log) == 1
+
+    def test_pending_signed_envelope_with_new_sim_time_rejected(self, ledger, enrolled):
+        _, key, _ = enrolled
+        tx = record_tx(ledger, key)
+        ledger.ingest(tx)
+        with pytest.raises(DuplicateTransactionError):
+            ledger.ingest(retimed(tx, ledger.clock.now()))
+        ledger.force_cut()
+        assert [t.tx_id for t in ledger.chain[-1].tx_list] == [tx.tx_id]
 
     def test_bad_envelope_never_commits(self, ledger, enrolled):
         _, key, _ = enrolled
@@ -305,7 +336,60 @@ class TestPendingConflicts:
         assert ledger.replay() == ledger.state
 
 
+MALFORMED_CREATES = {
+    "not an object": lambda p: 5,
+    "no device_id": lambda p: {k: v for k, v in p.items() if k != "device_id"},
+    "device_id not hex": lambda p: dict(p, device_id="zz"),
+    "public_key not hex": lambda p: dict(p, public_key="zz"),
+    "public_key null": lambda p: dict(p, public_key=None),
+    "owner_id not str": lambda p: dict(p, owner_id=5),
+    "token_name not str": lambda p: dict(p, token_name=["d"]),
+    "issue_time inf": lambda p: dict(p, issue_time=math.inf),
+    "challenge_index not int": lambda p: dict(p, challenge_index="one"),
+}
+
+
 class TestMalformedPayload:
+    @pytest.mark.parametrize("edit", MALFORMED_CREATES.values(), ids=MALFORMED_CREATES.keys())
+    def test_malformed_create_rejected_at_ingest(self, anchor, ledger, enrolled, edit):
+        # Were it endorsed, apply would raise inside the cut, after the
+        # event ordered before it had been applied to the live state.
+        _, key, _ = enrolled
+        event = record_tx(ledger, key)
+        ledger.ingest(event)
+        create, _ = create_tx(ledger, anchor, identity.make_device("d", seed=19), "alice")
+        with pytest.raises(ValidationError):
+            ledger.ingest(anchor_signed(edit(dict(create.payload)), anchor, ledger.clock.now()))
+        ledger.force_cut()
+        assert [t.tx_id for t in ledger.chain[-1].tx_list] == [event.tx_id]
+        assert ledger.replay() == ledger.state
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_ill_typed_payload_signed_by_live_key_rejected(self, clock, anchor, ledger,
+                                                           enrolled, pending):
+        _, key, token_id = enrolled
+        owner_key, _ = identity.enroll(
+            identity.make_device("alice-ctl", seed=20), "alice", anchor, ledger
+        )
+        if pending:
+            # A pending flag change makes endorsement check batch conflicts.
+            ledger.ingest(flag_tx(ledger, token_id, "delegated", owner_key, delegate_id="bob"))
+            clock.advance(1)
+        before, deadline = ledger.state.canonical(), ledger.cut_deadline()
+        now = clock.now()
+        ill_typed = [
+            make_transaction(5, identity.sign(b"5", key, now), now),
+            flag_tx(ledger, [token_id], "revoked", owner_key),
+        ]
+        for tx in ill_typed:
+            with pytest.raises(ValidationError):
+                ledger.ingest(tx)
+        assert ledger.cut_deadline() == deadline
+        assert ledger.state.canonical() == before
+        ledger.force_cut()
+        assert all(tx.tx_id not in [t.tx_id for t in ledger.chain[-1].tx_list]
+                   for tx in ill_typed)
+
     def test_endorsement_rejects_untyped_actor_fields(self, anchor, ledger, enrolled):
         _, _, token_id = enrolled
         owner_key, _ = identity.enroll(
@@ -326,16 +410,7 @@ class TestMalformedPayload:
             ledger.submit(make_transaction(payload, env, now))
         assert ledger.state.event_log == []
 
-    @pytest.mark.parametrize("edit", [
-        lambda p: 5,
-        lambda p: {k: v for k, v in p.items() if k != "device_id"},
-        lambda p: dict(p, device_id="zz"),
-        lambda p: dict(p, public_key=None),
-        lambda p: dict(p, owner_id=5),
-        lambda p: dict(p, token_name=["d"]),
-        lambda p: dict(p, issue_time=math.inf),
-    ], ids=["not an object", "no device_id", "device_id not hex", "public_key not hex",
-            "owner_id not str", "token_name not str", "issue_time inf"])
+    @pytest.mark.parametrize("edit", MALFORMED_CREATES.values(), ids=MALFORMED_CREATES.keys())
     def test_replay_rejects_malformed_create(self, anchor, ledger, enrolled, edit):
         block = ledger.chain[0]
         (tx,) = block.tx_list
@@ -413,6 +488,23 @@ class TestReplay:
             sim_time_committed=last.sim_time_committed,
         ))
         with pytest.raises(IntegrityViolationError, match="twice"):
+            ledger.replay()
+
+    def test_retimed_copy_of_a_committed_tx_rejected(self, ledger, enrolled):
+        _, key, _ = enrolled
+        tx = record_tx(ledger, key)
+        ledger.submit(tx)
+        last = ledger.chain[-1]
+        height = len(ledger.chain)
+        copy = (retimed(tx, ledger.clock.now()),)
+        ledger.chain.append(Block(
+            height=height,
+            prev_hash=last.block_hash,
+            tx_list=copy,
+            block_hash=compute_block_hash(height, last.block_hash, copy),
+            sim_time_committed=last.sim_time_committed,
+        ))
+        with pytest.raises(IntegrityViolationError, match="signature"):
             ledger.replay()
 
     def test_empty_chain_empty_state(self):
@@ -608,14 +700,25 @@ OPS = st.one_of(
               st.sampled_from(("revoked", "delegated", "transferred")), st.booleans(),
               st.sampled_from(OWNERS)),
     st.tuples(st.just("advance"), st.sampled_from((1, BLOCK_INTERVAL_MS))),
+    st.tuples(st.just("malformed create"), st.integers(0, 7),
+              st.sampled_from(sorted(MALFORMED_CREATES))),
+    st.tuples(st.just("retime"), st.integers(0, 30)),
 )
 
 
-def contract_tx(ledger, keys, op, args):
-    """The tx for one drawn call, and the key it mints (None if no key)."""
+def contract_tx(ledger, keys, sent, op, args):
+    """The tx for one drawn call, and the key it mints (None if no key).
+    ``sent`` holds the txs already ingested."""
     if op == "create":
         device = identity.make_device(f"dev-{args[0]}", seed=args[0])
         return create_tx(ledger, ANCHOR, device, args[1])
+    if op == "malformed create":
+        tx, _ = create_tx(ledger, ANCHOR, identity.make_device(f"dev-{args[0]}", seed=args[0]),
+                          "alice")
+        return anchor_signed(MALFORMED_CREATES[args[1]](dict(tx.payload)), ANCHOR,
+                             ledger.clock.now()), None
+    if op == "retime":
+        return retimed(sent[args[0] % len(sent)], ledger.clock.now()), None
     if op == "event":
         return record_tx(ledger, keys[args[0] % len(keys)], payload=args[1]), None
     signer, target, flag, value, other = args
@@ -629,22 +732,26 @@ def contract_tx(ledger, keys, op, args):
 def test_replay_of_saved_chain_equals_live_state(batched, devices, ops):
     """Any sequence of contract calls, committed one tx per block through
     ``submit`` or in batches through ``ingest`` + ``force_cut``, replays
-    from its saved file to the live state. Rejected calls are skipped."""
+    from its saved file to the live state. Rejected calls are skipped, and
+    malformed enrollments and re-timed copies of earlier txs are rejected."""
     ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(ANCHOR))
     keys = [identity.enroll(identity.make_device(f"ctl-{i}", seed=100 + i), OWNERS[i % 2],
                             ANCHOR, ledger)[0]
             for i in range(devices)]
+    sent = [tx for block in ledger.chain for tx in block.tx_list]
     for op, *args in ops:
         if op == "advance":
             ledger.clock.advance(args[0])
             if batched:
                 ledger.flush_due()
             continue
-        tx, key = contract_tx(ledger, keys, op, args)
+        tx, key = contract_tx(ledger, keys, sent, op, args)
         try:
             ledger.ingest(tx) if batched else ledger.submit(tx)
         except SimError:
             continue
+        assert op not in ("malformed create", "retime")
+        sent.append(tx)
         if key is not None:
             keys.append(key)
     ledger.force_cut()

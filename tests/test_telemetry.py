@@ -1,9 +1,11 @@
 import dataclasses
+import json
+import math
 import random
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plexisim import identity, telemetry
@@ -307,6 +309,63 @@ class TestTamperDetection:
         s = samples([1.23456789])[0]
         assert canonical_sample_bytes(s) == canonical_sample_bytes(s)
 
+    def test_canonical_bytes_golden(self):
+        s = TelemetrySample(datetime(2021, 6, 1, 13, 30), 50.25, -3.5, 1e-07, 6)
+        assert canonical_sample_bytes(s) == (
+            b'{"hvac":1e-07,"hvac_demand_res":6,"net":50.25,"tamb":-3.5,'
+            b'"time":"2021-06-01T13:30:00"}'
+        )
+
+
+def reference_sample_bytes(sample: TelemetrySample) -> bytes:
+    """The sample line as it was first written: one json.dumps per sample."""
+    return json.dumps(
+        {
+            "time": sample.time.isoformat(),
+            "net": sample.net_kw,
+            "tamb": sample.tamb_c,
+            "hvac": sample.hvac_kw,
+            "hvac_demand_res": sample.hvac_demand_res_kw,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8")
+
+
+class Kw(float):
+    """A float subclass whose repr is not json: json.dumps ignores it."""
+
+    def __repr__(self):
+        return "Kw(...)"
+
+
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1.7976931348623157e308,
+     1e16, 1e-7])
+READINGS = (FLOATS | st.integers() | st.booleans() | FLOATS.map(Kw)
+            | st.sampled_from([2 ** 70, -(2 ** 64)]))
+TIMES = st.datetimes(timezones=st.none() | st.builds(timezone, st.timedeltas(
+    min_value=timedelta(hours=-23, minutes=-59), max_value=timedelta(hours=23, minutes=59))))
+TIMES = TIMES | TIMES.map(lambda t: t.replace(microsecond=0))
+
+
+def encoded(encode, sample):
+    """The line, or the type of the exception the encoder raised."""
+    try:
+        return encode(sample)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(time=TIMES, net=READINGS, tamb=READINGS, hvac=READINGS, res=READINGS)
+@example(time=datetime(2021, 6, 1), net=math.nan, tamb=-math.inf, hvac=-0.0, res=Kw(1.5))
+@example(time=datetime(2021, 6, 1), net=object(), tamb=1.0, hvac=1.0, res=1.0)
+@example(time=datetime(2021, 6, 1), net=complex(1, 2), tamb=1.0, hvac=1.0, res=1.0)
+def test_canonical_bytes_match_json_dumps(time, net, tamb, hvac, res):
+    s = TelemetrySample(time, net, tamb, hvac, res)
+    assert encoded(canonical_sample_bytes, s) == encoded(reference_sample_bytes, s)
+
 
 SIGNED_FIELDS = ("time", "net_kw", "tamb_c", "hvac_kw", "hvac_demand_res_kw")
 
@@ -327,6 +386,14 @@ def _mutate(sample, field, delta):
     if field == "time":
         return dataclasses.replace(sample, time=sample.time + timedelta(minutes=delta))
     return dataclasses.replace(sample, **{field: getattr(sample, field) + delta})
+
+
+def reference_flags(series, envelopes, registry):
+    """detect_tamper without its memo: each sample verifies its envelope."""
+    return [i for i, (s, env) in enumerate(zip(series, envelopes))
+            if identity.verify(env, registry) is not identity.VerifyStatus.ACCEPT
+            or env.message.split(b"\n")[i % telemetry.SAMPLES_PER_DAY:][:1]
+            != [canonical_sample_bytes(s)]]
 
 
 class TestDaySignatures:
@@ -397,6 +464,40 @@ class TestDaySignatures:
         envs = sign_stream(series, key)
         with pytest.raises(ValidationError):
             detect_tamper(series[:49], envs, ledger)
+
+    def test_days_out_of_order(self, ledger, enrolled):
+        _, key, _ = enrolled
+        series = generate_synthetic(3, seed=4)
+        envs = sign_stream(series, key)
+        per_day = telemetry.SAMPLES_PER_DAY
+        days = [slice(d * per_day, (d + 1) * per_day) for d in reversed(range(3))]
+        by_day = [s for d in days for s in series[d]], [e for d in days for e in envs[d]]
+        assert detect_tamper(*by_day, ledger) == []
+        by_sample = series[::-1], envs[::-1]
+        flagged = detect_tamper(*by_sample, ledger)
+        assert flagged == reference_flags(*by_sample, ledger)
+        assert len(flagged) == len(series)
+
+    def test_equal_but_distinct_envelopes(self, ledger, enrolled, monkeypatch):
+        _, key, _ = enrolled
+        series = generate_synthetic(2, seed=5)
+        envs = sign_stream(series, key)
+        copies = [dataclasses.replace(e) for e in envs]
+        assert copies == envs and all(c is not e for c, e in zip(copies, envs))
+        stored = list(series)
+        stored[50] = _mutate(stored[50], "net_kw", 1.0)
+        verified = []
+        real_verify = identity.verify
+
+        def counting_verify(env, registry):
+            verified.append(env)
+            return real_verify(env, registry)
+
+        monkeypatch.setattr(identity, "verify", counting_verify)
+        assert detect_tamper(stored, envs, ledger) == [50]
+        assert len(verified) == 2
+        assert detect_tamper(stored, copies, ledger) == [50]
+        assert len(verified) == 2 + len(copies)
 
     def test_revocation_flags_every_index_at_next_call(self, anchor, ledger, enrolled):
         _, key, token_id = enrolled
