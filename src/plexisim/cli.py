@@ -32,7 +32,7 @@ from .aggregator import (
 )
 from .clock import SimClock
 from .errors import ConfigurationError, EnrollmentRejected, SimError, ValidationError
-from .ledger import LedgerSim
+from .ledger import LedgerSim, canonical_json
 from .market import Bid
 from .workflow import Actor, ActorRole, Topic, WorkflowEngine
 
@@ -65,6 +65,17 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _write_pretty_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _new_ledger(seed: int) -> tuple:
+    """A fresh clock, the anchor for ``seed``, and an empty ledger trusting it."""
+    clock = SimClock()
+    anchor = identity.setup(128, seed=seed)
+    return clock, anchor, LedgerSim(clock, anchor_pk=identity.anchor_public_key(anchor))
+
+
 # ---------------------------------------------------------------------------
 # enroll
 # ---------------------------------------------------------------------------
@@ -73,9 +84,7 @@ def cmd_enroll(args) -> int:
     if args.n < 0:
         raise ValidationError(f"--n must be non-negative, got {args.n}")
     out = _out_dir(args.out)
-    clock = SimClock()
-    anchor = identity.setup(128, seed=args.seed)
-    ledger = LedgerSim(clock, anchor_pk=identity.anchor_public_key(anchor))
+    _, anchor, ledger = _new_ledger(args.seed)
     registry_path = Path(args.registry) if args.registry else out / "ledger.jsonl"
     if registry_path.exists():
         ledger.load_chain(registry_path)
@@ -93,7 +102,7 @@ def cmd_enroll(args) -> int:
 
     with open(out / "enrollments.jsonl", "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(canonical_json(rec) + "\n")
     ledger.save_chain(registry_path)
 
     print(f"enrolled {len(records)} devices, {len(duplicates)} duplicates")
@@ -190,9 +199,7 @@ def parse_scenario(raw: dict) -> tuple:
 
 def build_stack(seed: int) -> tuple:
     """Clock, ledger, workflow engine, and aggregator wired together."""
-    clock = SimClock()
-    anchor = identity.setup(128, seed=seed)
-    ledger = LedgerSim(clock, anchor_pk=identity.anchor_public_key(anchor))
+    clock, anchor, ledger = _new_ledger(seed)
     contract_device = identity.make_device("dfasc-contract", seed=seed ^ 0x5F5F)
     contract_key, contract_token = identity.enroll(
         contract_device, owner_id="dfasc", anchor=anchor, registry=ledger
@@ -242,12 +249,8 @@ def cmd_trade(args) -> int:
         agg.activation_and_settlement(req.request_id)
         schedules.append(schedule.to_record())
 
-    (out / "trace.json").write_text(
-        json.dumps(engine.trace, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out / "schedules.json").write_text(
-        json.dumps(schedules, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_pretty_json(out / "trace.json", engine.trace)
+    _write_pretty_json(out / "schedules.json", schedules)
     ledger.save_chain(out / "ledger.jsonl")
 
     if ledger.replay() != ledger.state:
@@ -276,9 +279,7 @@ def cmd_attack(args) -> int:
         series = telemetry.generate_synthetic(args.synthetic, seed=args.seed)
         telemetry.write_dataset(out / "dataset.csv", series)
 
-    clock = SimClock()
-    anchor = identity.setup(128, seed=args.seed)
-    ledger = LedgerSim(clock, anchor_pk=identity.anchor_public_key(anchor))
+    _, anchor, ledger = _new_ledger(args.seed)
     meter = identity.make_device("site-meter", seed=args.seed)
     key, _ = identity.enroll(meter, owner_id="site", anchor=anchor, registry=ledger)
 
@@ -354,9 +355,7 @@ def cmd_bench(args) -> int:
             writer = csv_mod.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-        (out / f"metrics_{mode}.json").write_text(
-            json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_pretty_json(out / f"metrics_{mode}.json", rows)
         summary["modes"][mode] = {
             "saturation_tps": round(simnet.saturation_point(metrics), 3),
             "storage_bytes_100_devices": simnet.memory_footprint(100, model),
@@ -364,9 +363,7 @@ def cmd_bench(args) -> int:
     nft_store = simnet.memory_footprint(100, models["nft"])
     cert_store = simnet.memory_footprint(100, models["certificate"])
     summary["footprint_ratio"] = round(nft_store / cert_store, 6)
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_pretty_json(out / "summary.json", summary)
     print(json.dumps(summary["modes"], sort_keys=True))
     return EXIT_OK
 

@@ -1,10 +1,10 @@
 """Append-only simulated blockchain hosting the token registry contract.
 
-One logical orderer imposes a total (sim_time, tx_id) order; endorsing peers
-gate every transaction on envelope validity and contract preconditions
-before it may be ordered. Committed blocks are hash-chained and the world
-state is a pure fold over the chain, so replay reproduces the live state
-exactly. Blocks persist as JSON lines with stable field order.
+Endorsing peers gate every transaction on envelope validity and contract
+preconditions; one logical orderer then commits each endorsed transaction
+in its own block, in submission order. Committed blocks are hash-chained
+and the world state is a pure fold over the chain, so replay reproduces the
+live state exactly. Blocks persist as JSON lines with stable field order.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ _NO_FLAGS = TokenConstraints()
 # Fields a record_event payload must carry.
 _EVENT_FIELDS = frozenset({"workflow_id", "kind", "sim_time"})
 
-# Pipeline policy. simnet imports the batching constants to model the same
-# block cuts.
+# Pipeline policy. A block commits BLOCK_INTERVAL_MS after its transaction
+# is submitted; simnet imports the interval as its batching deadline.
 QUORUM = 2
-BLOCK_MAX_TXS = 10
 BLOCK_INTERVAL_MS = 500
 # Transactions from any other cluster commit as notarized.
 HOME_CLUSTER = 0
@@ -220,8 +219,9 @@ def _receipt(tx: Transaction, block: Block) -> CommitReceipt:
 def _token_from_create(payload: dict) -> tuple:
     """The token and challenge index a create_nft payload mints. A malformed
     payload raises ``KeyError``, ``TypeError``, ``ValueError`` or
-    ``OverflowError``: a missing field, a non-hex hex field, a non-string id
-    or name, or a non-integer issue time or challenge index."""
+    ``OverflowError``: a missing field, a hex field that is not lower-case
+    hex, a non-string id or name, or a non-integer issue time or challenge
+    index."""
     token = NftToken(
         token_id=payload["token_id"],
         token_name=payload["token_name"],
@@ -231,6 +231,11 @@ def _token_from_create(payload: dict) -> tuple:
         constraints=_NO_FLAGS,
         issue_time=int(payload["issue_time"]),
     )
+    # fromhex also reads upper case and spaces; only the .hex() spelling
+    # gives one device one device-index key.
+    if (token.device_id.hex(), token.public_key.hex()) != (payload["device_id"],
+                                                           payload["public_key"]):
+        raise ValueError("create_nft device_id and public_key must be lower-case hex")
     # Typed fields keep token equality exact (see __eq__).
     if any(type(v) is not str for v in (token.token_id, token.token_name, token.owner_id)):
         raise TypeError("create_nft token_id, token_name and owner_id must be strings")
@@ -364,13 +369,13 @@ class RegistryState:
 # ---------------------------------------------------------------------------
 
 class LedgerSim:
-    """Single-orderer ledger with endorsement quorum and batched block cuts.
+    """Single-orderer ledger with an endorsement quorum.
 
-    Blocks are cut when ``BLOCK_MAX_TXS`` transactions are pending or when
-    ``BLOCK_INTERVAL_MS`` of simulated time has elapsed since the first
-    pending transaction, whichever comes first. ``submit`` is synchronous:
-    if the count cut does not fire it advances the shared clock to the
-    batching deadline so the receipt can be returned.
+    ``submit`` is the one commit path and is synchronous: each endorsed
+    transaction commits alone in a block ``BLOCK_INTERVAL_MS`` of simulated
+    time after it was submitted, and the shared clock advances to that
+    commit time before the receipt is returned. Batching under load is
+    modelled in ``simnet``.
     """
 
     def __init__(self, clock: SimClock, anchor_pk: bytes):
@@ -382,8 +387,6 @@ class LedgerSim:
         # Ed25519 signing is deterministic, so a signature names one signed
         # message under one key, whatever the envelope's unsigned fields say.
         self._committed_signatures: set[bytes] = set()
-        self._pending: list[Transaction] = []
-        self._pending_since: Optional[int] = None
 
     # -- queries ----------------------------------------------------------
 
@@ -407,23 +410,9 @@ class LedgerSim:
             return signature_valid(self.anchor_pk, env.message, env.signature)
         return verify(env, self.state) is VerifyStatus.ACCEPT
 
-    def _check_pending_conflicts(self, tx: Transaction) -> None:
-        """Fabric-style conflict rejection within a batch: a pending flag
-        change on a token locks that token, so neither a second flag change
-        on it nor any tx it signs is endorsed until the cut. ``_cut`` orders
-        by (sim_time, tx_id), so a rule that allowed both could commit them
-        in either order."""
-        flagged = {p.payload["token_id"] for p in self._pending
-                   if p.payload.get("op") == OP_SET_FLAG}
-        if tx.envelope.token_id in flagged:
-            raise RejectedTransactionError(
-                f"signer token {tx.envelope.token_id[:12]} has a pending flag change")
-        if tx.payload.get("op") == OP_SET_FLAG and tx.payload.get("token_id") in flagged:
-            raise RejectedTransactionError("token already has a pending flag change")
-
     def _check_payload(self, tx: Transaction) -> None:
         """Contract preconditions. Every payload that passes applies without
-        error at the cut, so a cut never fails part-way."""
+        error, so a commit never fails part-way."""
         payload = tx.payload
         if type(payload) is not dict:
             raise ValidationError(f"payload of tx {tx.tx_id[:12]} is not an object")
@@ -436,13 +425,8 @@ class LedgerSim:
                 _token_from_create(payload)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"malformed create_nft payload: {exc!r}") from exc
-            device_hex = payload["device_id"]
-            if device_hex in self.state.device_index:
+            if payload["device_id"] in self.state.device_index:
                 raise EnrollmentRejected("device id already bound to a live token")
-            # A second binding in the same batch would fail only at the cut.
-            if any(p.payload.get("op") == OP_CREATE_NFT and p.payload["device_id"] == device_hex
-                   for p in self._pending):
-                raise EnrollmentRejected("device id already bound by a pending enrollment")
         elif op == OP_SET_FLAG:
             if payload.get("flag") not in FLAGS:
                 raise ValidationError(f"unknown flag {payload.get('flag')!r}")
@@ -468,8 +452,6 @@ class LedgerSim:
                 raise ValidationError(f"record_event lacks {sorted(missing)}")
         else:
             raise ValidationError(f"unknown contract op {op!r}")
-        if self._pending:
-            self._check_pending_conflicts(tx)
 
     def _endorse(self, tx: Transaction) -> None:
         if not self._envelope_ok(tx.envelope):
@@ -480,9 +462,7 @@ class LedgerSim:
                                            f"{tx.tx_id[:12]}")
         # Checked once the payload binding holds, so an envelope moved onto
         # another payload stays a forgery, not a duplicate.
-        sig = tx.envelope.signature
-        if sig in self._committed_signatures or any(p.envelope.signature == sig
-                                                    for p in self._pending):
+        if tx.envelope.signature in self._committed_signatures:
             raise DuplicateTransactionError(f"tx {tx.tx_id[:12]} repeats a signed envelope")
         self._check_payload(tx)
         msg = tx.tx_id.encode("ascii")
@@ -491,72 +471,29 @@ class LedgerSim:
             for node_id, secret in ENDORSERS
         ]
 
-    # -- ordering and commit ----------------------------------------------
-
-    def ingest(self, tx: Transaction) -> Optional[CommitReceipt]:
-        """Endorse and enqueue; cut a block if the count threshold is hit.
-
-        Returns this transaction's receipt when the ingest itself triggered
-        the cut, otherwise None (the tx waits for the batching deadline).
-        """
-        if tx.tx_id in self._committed or any(p.tx_id == tx.tx_id for p in self._pending):
-            raise DuplicateTransactionError(f"tx {tx.tx_id[:12]} already seen")
-        self._endorse(tx)
-        if self._pending_since is None:
-            self._pending_since = self.clock.now()
-        self._pending.append(tx)
-        if len(self._pending) >= BLOCK_MAX_TXS:
-            self._cut(self.clock.now())
-            return self._committed[tx.tx_id]
-        return None
-
-    def cut_deadline(self) -> Optional[int]:
-        if self._pending_since is None:
-            return None
-        return self._pending_since + BLOCK_INTERVAL_MS
-
-    def flush_due(self, now: Optional[int] = None) -> None:
-        """Cut a pending block whose batching interval has elapsed."""
-        now = self.clock.now() if now is None else now
-        deadline = self.cut_deadline()
-        if deadline is not None and now >= deadline:
-            self._cut(now)
-
-    def force_cut(self) -> None:
-        if self._pending:
-            self._cut(self.clock.now())
+    # -- commit -----------------------------------------------------------
 
     def submit(self, tx: Transaction) -> CommitReceipt:
-        """Synchronous pipeline: endorse, order, commit, return the receipt."""
-        receipt = self.ingest(tx)
-        if receipt is None:
-            deadline = self.cut_deadline()
-            if deadline > self.clock.now():
-                self.clock.advance_to(deadline)
-            self._cut(self.clock.now())
-            receipt = self._committed[tx.tx_id]
-        return receipt
-
-    def _cut(self, now: int) -> Block:
-        # Deterministic total order inside the block.
-        txs = sorted(self._pending, key=lambda t: (t.sim_time_submitted, t.tx_id))
-        self._pending = []
-        self._pending_since = None
+        """Endorse ``tx``, commit it alone in the next block and return its
+        receipt."""
+        if tx.tx_id in self._committed:
+            raise DuplicateTransactionError(f"tx {tx.tx_id[:12]} already seen")
+        self._endorse(tx)
+        now = self.clock.advance(BLOCK_INTERVAL_MS)
         prev = self.chain[-1].block_hash if self.chain else GENESIS_PREV_HASH
         height = len(self.chain)
         block = Block(
             height=height,
             prev_hash=prev,
-            tx_list=tuple(txs),
-            block_hash=compute_block_hash(height, prev, txs),
+            tx_list=(tx,),
+            block_hash=compute_block_hash(height, prev, (tx,)),
             sim_time_committed=now,
         )
-        for tx in txs:
-            self.state.apply(tx)
-            self._committed[tx.tx_id] = _receipt(tx, block)
-            self._committed_signatures.add(tx.envelope.signature)
+        self.state.apply(tx)
+        receipt = self._committed[tx.tx_id] = _receipt(tx, block)
+        self._committed_signatures.add(tx.envelope.signature)
         self.chain.append(block)
-        return block
+        return receipt
 
     # -- contract conveniences ---------------------------------------------
 

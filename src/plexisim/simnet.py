@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, ValidationError
-from .ledger import BLOCK_INTERVAL_MS, BLOCK_MAX_TXS
+from .ledger import BLOCK_INTERVAL_MS
 
 # Calibrated defaults: fog endorsement capacity 175 tps in token mode and
 # 175/(35/24) = 120 tps in certificate mode.
@@ -32,8 +32,10 @@ DEFAULT_FOG_RATE_TPS = 175.0
 DEFAULT_EDGE_RATE_TPS = 50.0
 CERT_VERIFY_FACTOR = 35.0 / 24.0
 
-# Fixed stage costs and buffering of the fog pipeline (simulated ms). Block
-# batching follows the ledger's BLOCK_MAX_TXS / BLOCK_INTERVAL_MS policy.
+# The orderer cuts a block at BLOCK_MAX_TXS transactions or BLOCK_INTERVAL_MS
+# (the ledger's commit interval) after the first, whichever comes first.
+BLOCK_MAX_TXS = 10
+# Fixed stage costs and buffering of the fog pipeline (simulated ms).
 ENDORSE_ROUND_MS = 250.0
 COMMIT_DELAY_MS = 425.0
 BUFFER_DEPTH = 900

@@ -212,9 +212,9 @@ def madiot_inject(
 
 
 def apply_profile(series: Sequence[TelemetrySample], profile: AttackProfile) -> list:
-    """Run the injection described by an attack profile."""
-    inject = fdi_inject if profile.kind is AttackKind.FDI else madiot_inject
-    return inject(series, profile.magnitude, profile.target_field, profile.window)
+    """Run the injection described by an attack profile. Both kinds scale
+    the profile's target field, so one injection serves FDI and MadIoT."""
+    return fdi_inject(series, profile.magnitude, profile.target_field, profile.window)
 
 
 def madiot_gain(deltas: Sequence[float], t: int) -> float:

@@ -21,7 +21,6 @@ from plexisim.errors import (
 )
 from plexisim.ledger import (
     BLOCK_INTERVAL_MS,
-    BLOCK_MAX_TXS,
     GENESIS_PREV_HASH,
     Block,
     LedgerSim,
@@ -137,15 +136,6 @@ class TestSubmit:
             ledger.submit(copy)
         assert len(ledger.state.event_log) == 1
 
-    def test_pending_signed_envelope_with_new_sim_time_rejected(self, ledger, enrolled):
-        _, key, _ = enrolled
-        tx = record_tx(ledger, key)
-        ledger.ingest(tx)
-        with pytest.raises(DuplicateTransactionError):
-            ledger.ingest(retimed(tx, ledger.clock.now()))
-        ledger.force_cut()
-        assert [t.tx_id for t in ledger.chain[-1].tx_list] == [tx.tx_id]
-
     def test_bad_envelope_never_commits(self, ledger, enrolled):
         _, key, _ = enrolled
         tx = record_tx(ledger, key)
@@ -171,17 +161,16 @@ class TestCreateNft:
         with pytest.raises(EnrollmentRejected):
             ledger.create_nft(resp, "alice", pk, anchor)
 
-    def test_pending_duplicate_rejected_at_ingest(self, anchor, ledger):
-        device = identity.make_device("d", seed=5)
-        resp = identity.puf_respond(device, identity.derive_challenge(anchor, 0))
-        first, _ = create_tx(ledger, anchor, device, "alice")
-        assert ledger.ingest(first) is None
-        with pytest.raises(EnrollmentRejected):
-            ledger.ingest(create_tx(ledger, anchor, device, "mallory")[0])
-        ledger.force_cut()
-        assert [t.tx_id for t in ledger.chain[-1].tx_list] == [first.tx_id]
-        assert ledger.query(resp).owner_id == "alice"
-        assert ledger.replay() == ledger.state
+    def test_upper_case_device_id_of_bound_device_rejected(self, anchor, ledger):
+        # bytes.fromhex reads either case, so an upper-case copy would bind
+        # the same device a second time under another device-index key.
+        first, _ = create_tx(ledger, anchor, identity.make_device("d", seed=5), "alice")
+        ledger.submit(first)
+        upper = dict(first.payload, device_id=first.payload["device_id"].upper())
+        assert upper["device_id"] != first.payload["device_id"]
+        with pytest.raises(ValidationError):
+            ledger.submit(anchor_signed(upper, anchor, ledger.clock.now()))
+        assert len(ledger.state.device_index) == 1
 
     def test_device_signed_create_rejected(self, anchor, ledger, enrolled):
         device = identity.make_device("d", seed=6)
@@ -284,58 +273,6 @@ class TestSetFlag:
             ledger.set_flag(token_id, "frozen", alice_key)
 
 
-class TestPendingConflicts:
-    """A pending flag change locks its token until the cut, so a batch
-    commits the same state whatever order ``_cut`` puts it in."""
-
-    def test_pending_revocation_cannot_be_undone_or_outrun(self, clock, anchor, ledger,
-                                                          enrolled):
-        _, key, token_id = enrolled
-        owner_key, _ = identity.enroll(
-            identity.make_device("alice-ctl", seed=14), "alice", anchor, ledger
-        )
-        revoke = flag_tx(ledger, token_id, "revoked", owner_key)
-        assert ledger.ingest(revoke) is None
-        clock.advance(1)
-        with pytest.raises(RejectedTransactionError):
-            ledger.ingest(flag_tx(ledger, token_id, "revoked", owner_key, value=False))
-        with pytest.raises(RejectedTransactionError):
-            ledger.ingest(record_tx(ledger, key))
-        ledger.force_cut()
-        assert [t.tx_id for t in ledger.chain[-1].tx_list] == [revoke.tx_id]
-        assert ledger.query(token_id).constraints.revoked
-        assert ledger.state.event_log == []
-        assert ledger.replay() == ledger.state
-
-    def test_signer_with_pending_transfer_rejected(self, anchor, ledger, enrolled):
-        _, _, token_id = enrolled
-        owner_key, owner_token = identity.enroll(
-            identity.make_device("alice-ctl", seed=15), "alice", anchor, ledger
-        )
-        spare_key, _ = identity.enroll(
-            identity.make_device("alice-spare", seed=16), "alice", anchor, ledger
-        )
-        ledger.ingest(flag_tx(ledger, owner_token, "transferred", spare_key, new_owner="bob"))
-        with pytest.raises(RejectedTransactionError):
-            ledger.ingest(flag_tx(ledger, token_id, "delegated", owner_key, delegate_id="eve"))
-        ledger.force_cut()
-        assert ledger.query(owner_token).owner_id == "bob"
-        assert ledger.query(token_id).constraints == identity.TokenConstraints()
-
-    def test_unrelated_txs_share_a_batch(self, clock, anchor, ledger, enrolled):
-        _, key, token_id = enrolled
-        owner_key, _ = identity.enroll(
-            identity.make_device("alice-ctl", seed=17), "alice", anchor, ledger
-        )
-        ledger.ingest(record_tx(ledger, key, tag="before"))
-        ledger.ingest(flag_tx(ledger, token_id, "delegated", owner_key, delegate_id="bob"))
-        clock.advance(1)
-        ledger.ingest(record_tx(ledger, owner_key, tag="other signer"))
-        ledger.force_cut()
-        assert len(ledger.chain[-1].tx_list) == 3
-        assert ledger.replay() == ledger.state
-
-
 MALFORMED_CREATES = {
     "not an object": lambda p: 5,
     "no device_id": lambda p: {k: v for k, v in p.items() if k != "device_id"},
@@ -346,49 +283,40 @@ MALFORMED_CREATES = {
     "token_name not str": lambda p: dict(p, token_name=["d"]),
     "issue_time inf": lambda p: dict(p, issue_time=math.inf),
     "challenge_index not int": lambda p: dict(p, challenge_index="one"),
+    "device_id upper case": lambda p: dict(p, device_id=p["device_id"].upper()),
+    "public_key upper case": lambda p: dict(p, public_key=p["public_key"].upper()),
+    "device_id with spaces": lambda p: dict(p, device_id=p["device_id"][:2] + " "
+                                            + p["device_id"][2:]),
 }
 
 
 class TestMalformedPayload:
     @pytest.mark.parametrize("edit", MALFORMED_CREATES.values(), ids=MALFORMED_CREATES.keys())
     def test_malformed_create_rejected_at_ingest(self, anchor, ledger, enrolled, edit):
-        # Were it endorsed, apply would raise inside the cut, after the
-        # event ordered before it had been applied to the live state.
-        _, key, _ = enrolled
-        event = record_tx(ledger, key)
-        ledger.ingest(event)
+        # Rejected at endorsement, before the clock moves or apply runs.
         create, _ = create_tx(ledger, anchor, identity.make_device("d", seed=19), "alice")
+        height, now, before = ledger.height, ledger.clock.now(), ledger.state.canonical()
         with pytest.raises(ValidationError):
-            ledger.ingest(anchor_signed(edit(dict(create.payload)), anchor, ledger.clock.now()))
-        ledger.force_cut()
-        assert [t.tx_id for t in ledger.chain[-1].tx_list] == [event.tx_id]
-        assert ledger.replay() == ledger.state
+            ledger.submit(anchor_signed(edit(dict(create.payload)), anchor, now))
+        assert (ledger.height, ledger.clock.now()) == (height, now)
+        assert ledger.state.canonical() == before
 
-    @pytest.mark.parametrize("pending", [False, True])
     def test_ill_typed_payload_signed_by_live_key_rejected(self, clock, anchor, ledger,
-                                                           enrolled, pending):
+                                                           enrolled):
         _, key, token_id = enrolled
         owner_key, _ = identity.enroll(
             identity.make_device("alice-ctl", seed=20), "alice", anchor, ledger
         )
-        if pending:
-            # A pending flag change makes endorsement check batch conflicts.
-            ledger.ingest(flag_tx(ledger, token_id, "delegated", owner_key, delegate_id="bob"))
-            clock.advance(1)
-        before, deadline = ledger.state.canonical(), ledger.cut_deadline()
-        now = clock.now()
+        height, now, before = ledger.height, clock.now(), ledger.state.canonical()
         ill_typed = [
             make_transaction(5, identity.sign(b"5", key, now), now),
             flag_tx(ledger, [token_id], "revoked", owner_key),
         ]
         for tx in ill_typed:
             with pytest.raises(ValidationError):
-                ledger.ingest(tx)
-        assert ledger.cut_deadline() == deadline
+                ledger.submit(tx)
+        assert (ledger.height, clock.now()) == (height, now)
         assert ledger.state.canonical() == before
-        ledger.force_cut()
-        assert all(tx.tx_id not in [t.tx_id for t in ledger.chain[-1].tx_list]
-                   for tx in ill_typed)
 
     def test_endorsement_rejects_untyped_actor_fields(self, anchor, ledger, enrolled):
         _, _, token_id = enrolled
@@ -531,38 +459,20 @@ class TestReplay:
 
 
 class TestBatching:
-    def test_count_cut_at_block_max(self, clock, anchor, ledger, enrolled):
-        _, key, _ = enrolled
-        start_height = ledger.height
-        receipts = []
-        for i in range(BLOCK_MAX_TXS):
-            clock.advance(1)
-            receipts.append(ledger.ingest(record_tx(ledger, key, tag=f"b{i}")))
-        assert receipts[-1] is not None  # the 10th ingest cut the block
-        assert all(r is None for r in receipts[:-1])
-        assert ledger.height == start_height + 1
-        assert len(ledger.chain[-1].tx_list) == BLOCK_MAX_TXS
+    """The ledger commits one tx per block; batching under load is
+    modelled in simnet."""
 
     def test_time_cut_after_interval(self, clock, ledger, enrolled):
         _, key, _ = enrolled
         start_height = ledger.height
-        ledger.ingest(record_tx(ledger, key, tag="solo"))
-        assert ledger.height == start_height
-        clock.advance(BLOCK_INTERVAL_MS)
-        ledger.flush_due()
+        clock.advance(7)
+        tx = record_tx(ledger, key, tag="solo")
+        receipt = ledger.submit(tx)
+        block = ledger.chain[-1]
         assert ledger.height == start_height + 1
-
-    def test_block_order_by_submit_time_then_id(self, clock, ledger, enrolled):
-        _, key, _ = enrolled
-        txs = []
-        for i in range(3):
-            clock.advance(5)
-            txs.append(record_tx(ledger, key, tag=f"o{i}"))
-        for tx in reversed(txs):
-            ledger.ingest(tx)
-        ledger.force_cut()
-        committed = ledger.chain[-1].tx_list
-        assert [t.tx_id for t in committed] == [t.tx_id for t in txs]
+        assert block.tx_list == (tx,)
+        assert block.sim_time_committed == tx.sim_time_submitted + BLOCK_INTERVAL_MS
+        assert receipt.committed_at == clock.now() == block.sim_time_committed
 
 
 class TestPersistence:
@@ -708,7 +618,7 @@ OPS = st.one_of(
 
 def contract_tx(ledger, keys, sent, op, args):
     """The tx for one drawn call, and the key it mints (None if no key).
-    ``sent`` holds the txs already ingested."""
+    ``sent`` holds the txs already committed."""
     if op == "create":
         device = identity.make_device(f"dev-{args[0]}", seed=args[0])
         return create_tx(ledger, ANCHOR, device, args[1])
@@ -728,12 +638,12 @@ def contract_tx(ledger, keys, sent, op, args):
 
 
 @settings(max_examples=100, deadline=None)
-@given(batched=st.booleans(), devices=st.integers(1, 4), ops=st.lists(OPS, max_size=25))
-def test_replay_of_saved_chain_equals_live_state(batched, devices, ops):
+@given(devices=st.integers(1, 4), ops=st.lists(OPS, max_size=25))
+def test_replay_of_saved_chain_equals_live_state(devices, ops):
     """Any sequence of contract calls, committed one tx per block through
-    ``submit`` or in batches through ``ingest`` + ``force_cut``, replays
-    from its saved file to the live state. Rejected calls are skipped, and
-    malformed enrollments and re-timed copies of earlier txs are rejected."""
+    ``submit``, replays from its saved file to the live state. Rejected
+    calls are skipped, and malformed enrollments and re-timed copies of
+    earlier txs are rejected."""
     ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(ANCHOR))
     keys = [identity.enroll(identity.make_device(f"ctl-{i}", seed=100 + i), OWNERS[i % 2],
                             ANCHOR, ledger)[0]
@@ -742,19 +652,17 @@ def test_replay_of_saved_chain_equals_live_state(batched, devices, ops):
     for op, *args in ops:
         if op == "advance":
             ledger.clock.advance(args[0])
-            if batched:
-                ledger.flush_due()
             continue
         tx, key = contract_tx(ledger, keys, sent, op, args)
         try:
-            ledger.ingest(tx) if batched else ledger.submit(tx)
+            ledger.submit(tx)
         except SimError:
             continue
         assert op not in ("malformed create", "retime")
         sent.append(tx)
         if key is not None:
             keys.append(key)
-    ledger.force_cut()
+    assert all(len(block.tx_list) == 1 for block in ledger.chain)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ledger.jsonl")
         ledger.save_chain(path)

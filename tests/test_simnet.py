@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from plexisim import simnet
 from plexisim.errors import ConfigurationError, SimError, ValidationError
-from plexisim.ledger import BLOCK_INTERVAL_MS, BLOCK_MAX_TXS
+from plexisim.ledger import BLOCK_INTERVAL_MS
 from plexisim.simnet import (
     BASE_TX_BYTES,
+    BLOCK_MAX_TXS,
     COMMIT_DELAY_MS,
     ENDORSE_ROUND_MS,
     LINK_BYTES_PER_MS,
