@@ -30,7 +30,7 @@ class RejectedTransactionError(SimError):
 
 
 class DuplicateTransactionError(SimError):
-    """Transaction id or envelope signature already committed."""
+    """Transaction id already committed."""
 
 
 class IntegrityViolationError(SimError):

@@ -148,33 +148,6 @@ class SignedEnvelope:
     token_id: str
     sim_time: int
 
-    def canonical_bytes(self) -> bytes:
-        return b"|".join(
-            [
-                self.message.hex().encode("ascii"),
-                self.signature.hex().encode("ascii"),
-                self.token_id.encode("utf-8"),
-                str(self.sim_time).encode("ascii"),
-            ]
-        )
-
-    def to_record(self) -> dict:
-        return {
-            "message": self.message.hex(),
-            "signature": self.signature.hex(),
-            "token_id": self.token_id,
-            "sim_time": self.sim_time,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "SignedEnvelope":
-        return cls(
-            message=bytes.fromhex(rec["message"]),
-            signature=bytes.fromhex(rec["signature"]),
-            token_id=rec["token_id"],
-            sim_time=int(rec["sim_time"]),
-        )
-
 
 class VerifyStatus(Enum):
     ACCEPT = "accept"

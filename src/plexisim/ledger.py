@@ -1,16 +1,21 @@
 """Append-only simulated blockchain hosting the token registry contract.
 
-Endorsing peers gate every transaction on envelope validity and contract
-preconditions; one logical orderer then commits each endorsed transaction
-in its own block, in submission order. Committed blocks are hash-chained
-and the world state is a pure fold over the chain, so replay reproduces the
-live state exactly. Blocks persist as JSON lines with stable field order.
+A transaction is a contract call signed by one party: its ``payload``, its
+``signer`` (a token id, or ``ANCHOR_TOKEN_ID`` for the enrollment anchor),
+the Ed25519 ``signature`` and ``sim_time_submitted``. The signed message is
+always ``canonical_json(payload)`` and ``tx_id`` is the SHA-256 of that
+message followed by the signature, so neither is stored. Endorsement gates
+every transaction on the signature (``identity.verify``, or the anchor key)
+and contract preconditions; one logical orderer then commits each endorsed
+transaction in its own block, in submission order. Committed blocks are
+hash-chained over the derived ``tx_id``s and the world state is a pure fold
+over the chain, so replay reproduces the live state exactly. Blocks persist
+as JSON lines with stable field order.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
 import json
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
@@ -53,23 +58,19 @@ _NO_FLAGS = TokenConstraints()
 # Fields a record_event payload must carry.
 _EVENT_FIELDS = frozenset({"workflow_id", "kind", "sim_time"})
 
-# Pipeline policy. A block commits BLOCK_INTERVAL_MS after its transaction
-# is submitted; simnet imports the interval as its batching deadline.
-QUORUM = 2
+# A block commits BLOCK_INTERVAL_MS after its transaction is submitted;
+# simnet imports the interval as its batching deadline.
 BLOCK_INTERVAL_MS = 500
-# Transactions from any other cluster commit as notarized.
-HOME_CLUSTER = 0
-PEER_SEED = b"plexisim-peers"
+
+# Same bytes as json.dumps(obj, sort_keys=True, separators=(",", ":")) and
+# json.dumps(obj, separators=(",", ":")), without building an encoder per call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_CHAIN_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_SEQUENCES = (list, tuple)
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# Same bytes as json.dumps(obj, separators=(",", ":")), without building an
-# encoder per call.
-_CHAIN_ENCODER = json.JSONEncoder(separators=(",", ":"))
-_SEQUENCES = (list, tuple)
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 def _same_json(a, b) -> bool:
@@ -103,66 +104,62 @@ def _same_items(a, b) -> bool:
     return True
 
 
+def _has_non_str_key(value) -> bool:
+    """Whether a dict anywhere in ``value`` has a key that is not a ``str``.
+    JSON writes such a key as a string, so a saved chain would read back a
+    different payload."""
+    t = type(value)
+    if t is dict:
+        for k, v in value.items():
+            if type(k) is not str or _has_non_str_key(v):
+                return True
+    elif t in _SEQUENCES:
+        for v in value:
+            if _has_non_str_key(v):
+                return True
+    return False
+
+
 # ---------------------------------------------------------------------------
-# Peers, transactions, blocks
+# Transactions and blocks
 # ---------------------------------------------------------------------------
 
-# (node_id, HMAC secret) of each endorsing peer.
-ENDORSERS = tuple(
-    (f"endorser-{i}", hashlib.sha256(PEER_SEED + f":endorser:{i}".encode()).digest())
-    for i in range(QUORUM)
-)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Transaction:
-    tx_id: str
+    """A signed contract call. The signed ``message`` and the ``tx_id`` are
+    derived from the stored fields: the same payload and signature give the
+    same ``tx_id`` whatever ``signer`` and ``sim_time_submitted`` say."""
+
     payload: dict
-    envelope: SignedEnvelope
+    signer: str
+    signature: bytes
     sim_time_submitted: int
-    cluster_id: int = 0
-    endorsements: list = field(default_factory=list)
+    message: bytes = field(init=False, compare=False, repr=False)
+    tx_id: str = field(init=False, compare=False)
+
+    def __post_init__(self):
+        message = canonical_json(self.payload).encode("utf-8")
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "tx_id", hashlib.sha256(message + self.signature).hexdigest())
 
     def to_record(self) -> dict:
         return {
-            "tx_id": self.tx_id,
             "payload": self.payload,
-            "envelope": self.envelope.to_record(),
-            "endorsements": list(self.endorsements),
+            "signer": self.signer,
+            "signature": self.signature.hex(),
             "sim_time_submitted": self.sim_time_submitted,
-            "cluster_id": self.cluster_id,
         }
 
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
-        if type(rec["tx_id"]) is not str:
-            raise TypeError(f"tx_id must be a string, got {rec['tx_id']!r}")
+        if type(rec["signer"]) is not str:
+            raise TypeError(f"signer must be a string, got {rec['signer']!r}")
         return cls(
-            tx_id=rec["tx_id"],
             payload=rec["payload"],
-            envelope=SignedEnvelope.from_record(rec["envelope"]),
+            signer=rec["signer"],
+            signature=bytes.fromhex(rec["signature"]),
             sim_time_submitted=int(rec["sim_time_submitted"]),
-            cluster_id=int(rec.get("cluster_id", 0)),
-            endorsements=list(rec.get("endorsements", [])),
         )
-
-
-def make_transaction(
-    payload: dict,
-    envelope: SignedEnvelope,
-    sim_time: int,
-    cluster_id: int = 0,
-) -> Transaction:
-    digest = hashlib.sha256(
-        canonical_json(payload).encode("utf-8") + b"|" + envelope.canonical_bytes()
-    ).hexdigest()
-    return Transaction(
-        tx_id=digest,
-        payload=payload,
-        envelope=envelope,
-        sim_time_submitted=sim_time,
-        cluster_id=cluster_id,
-    )
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,6 @@ class CommitReceipt:
     block_height: int
     submitted_at: int
     committed_at: int
-    notarized: bool = False
 
     @property
     def latency_ms(self) -> int:
@@ -208,7 +204,6 @@ def _receipt(tx: Transaction, block: Block) -> CommitReceipt:
         block_height=block.height,
         submitted_at=tx.sim_time_submitted,
         committed_at=block.sim_time_committed,
-        notarized=tx.cluster_id != HOME_CLUSTER,
     )
 
 
@@ -269,9 +264,9 @@ class RegistryState:
             device_id = device_id.hex()
         return self.challenge_index.get(device_id, 0)
 
-    def actor_for_envelope(self, env: SignedEnvelope) -> Optional[str]:
-        """Resolve the acting party behind an envelope via its token owner."""
-        token = self.tokens.get(env.token_id)
+    def actor_for(self, signer: str) -> Optional[str]:
+        """Resolve the acting party behind a signer via its token owner."""
+        token = self.tokens.get(signer)
         if token is None:
             return None
         return token.owner_id
@@ -369,7 +364,7 @@ class RegistryState:
 # ---------------------------------------------------------------------------
 
 class LedgerSim:
-    """Single-orderer ledger with an endorsement quorum.
+    """Single-orderer ledger.
 
     ``submit`` is the one commit path and is synchronous: each endorsed
     transaction commits alone in a block ``BLOCK_INTERVAL_MS`` of simulated
@@ -384,9 +379,6 @@ class LedgerSim:
         self.chain: list[Block] = []
         self.state = RegistryState()
         self._committed: dict[str, CommitReceipt] = {}
-        # Ed25519 signing is deterministic, so a signature names one signed
-        # message under one key, whatever the envelope's unsigned fields say.
-        self._committed_signatures: set[bytes] = set()
 
     # -- queries ----------------------------------------------------------
 
@@ -405,9 +397,10 @@ class LedgerSim:
 
     # -- endorsement ------------------------------------------------------
 
-    def _envelope_ok(self, env: SignedEnvelope) -> bool:
-        if env.token_id == ANCHOR_TOKEN_ID:
-            return signature_valid(self.anchor_pk, env.message, env.signature)
+    def _signature_ok(self, tx: Transaction) -> bool:
+        if tx.signer == ANCHOR_TOKEN_ID:
+            return signature_valid(self.anchor_pk, tx.message, tx.signature)
+        env = SignedEnvelope(tx.message, tx.signature, tx.signer, tx.sim_time_submitted)
         return verify(env, self.state) is VerifyStatus.ACCEPT
 
     def _check_payload(self, tx: Transaction) -> None:
@@ -416,10 +409,12 @@ class LedgerSim:
         payload = tx.payload
         if type(payload) is not dict:
             raise ValidationError(f"payload of tx {tx.tx_id[:12]} is not an object")
+        if _has_non_str_key(payload):
+            raise ValidationError(f"payload of tx {tx.tx_id[:12]} has a non-string key")
         op = payload.get("op")
         if op == OP_CREATE_NFT:
             # Only the anchor mints: a device key would pick its own token's key.
-            if tx.envelope.token_id != ANCHOR_TOKEN_ID:
+            if tx.signer != ANCHOR_TOKEN_ID:
                 raise AuthorizationError("create_nft must be signed by the anchor")
             try:
                 _token_from_create(payload)
@@ -438,7 +433,7 @@ class LedgerSim:
             allowed = self.state.authorized_actor(token_id)
             if allowed is None:
                 raise ValidationError(f"no token {token_id}")
-            actor = self.state.actor_for_envelope(tx.envelope)
+            actor = self.state.actor_for(tx.signer)
             if actor != allowed:
                 raise AuthorizationError(
                     f"actor {actor!r} may not mutate token owned via {allowed!r}"
@@ -454,28 +449,17 @@ class LedgerSim:
             raise ValidationError(f"unknown contract op {op!r}")
 
     def _endorse(self, tx: Transaction) -> None:
-        if not self._envelope_ok(tx.envelope):
-            raise RejectedTransactionError(f"envelope rejected for tx {tx.tx_id[:12]}")
-        # Bind the signature to this exact payload, whatever the op.
-        if tx.envelope.message != canonical_json(tx.payload).encode("utf-8"):
-            raise RejectedTransactionError(f"envelope does not sign the payload of tx "
-                                           f"{tx.tx_id[:12]}")
-        # Checked once the payload binding holds, so an envelope moved onto
-        # another payload stays a forgery, not a duplicate.
-        if tx.envelope.signature in self._committed_signatures:
-            raise DuplicateTransactionError(f"tx {tx.tx_id[:12]} repeats a signed envelope")
+        if not self._signature_ok(tx):
+            raise RejectedTransactionError(f"signature rejected for tx {tx.tx_id[:12]}")
         self._check_payload(tx)
-        msg = tx.tx_id.encode("ascii")
-        tx.endorsements = [
-            {"peer": node_id, "sig": hmac.new(secret, msg, hashlib.sha256).hexdigest()}
-            for node_id, secret in ENDORSERS
-        ]
 
     # -- commit -----------------------------------------------------------
 
     def submit(self, tx: Transaction) -> CommitReceipt:
         """Endorse ``tx``, commit it alone in the next block and return its
         receipt."""
+        # Ed25519 signing is deterministic, so a signature over a committed
+        # payload is that tx again, whatever its unsigned fields say.
         if tx.tx_id in self._committed:
             raise DuplicateTransactionError(f"tx {tx.tx_id[:12]} already seen")
         self._endorse(tx)
@@ -491,7 +475,6 @@ class LedgerSim:
         )
         self.state.apply(tx)
         receipt = self._committed[tx.tx_id] = _receipt(tx, block)
-        self._committed_signatures.add(tx.envelope.signature)
         self.chain.append(block)
         return receipt
 
@@ -519,7 +502,7 @@ class LedgerSim:
             "issue_time": now,
         }
         env = sign_as_anchor(canonical_json(payload).encode("utf-8"), anchor, sim_time=now)
-        self.submit(make_transaction(payload, env, now))
+        self.submit(Transaction(payload, env.token_id, env.signature, now))
         return self.state.tokens[payload["token_id"]]
 
     def set_flag(
@@ -544,7 +527,7 @@ class LedgerSim:
         if new_owner is not None:
             payload["new_owner"] = new_owner
         env = sign(canonical_json(payload).encode("utf-8"), actor_key, sim_time=now)
-        self.submit(make_transaction(payload, env, now))
+        self.submit(Transaction(payload, env.token_id, env.signature, now))
         return self.state.tokens[token_id]
 
     def record_event(
@@ -563,7 +546,7 @@ class LedgerSim:
             "sim_time": now,
         }
         env = sign(canonical_json(body).encode("utf-8"), signer, sim_time=now)
-        return self.submit(make_transaction(body, env, now))
+        return self.submit(Transaction(body, env.token_id, env.signature, now))
 
     # -- replay and persistence ---------------------------------------------
 
@@ -580,18 +563,14 @@ class LedgerSim:
         self._committed = {
             tx.tx_id: _receipt(tx, block) for block in self.chain for tx in block.tx_list
         }
-        self._committed_signatures = {
-            tx.envelope.signature for block in self.chain for tx in block.tx_list
-        }
 
 
 def replay_chain(chain: Iterable[Block]) -> RegistryState:
-    """Verify hash links, reject a tx_id or an envelope signature seen twice,
-    and fold the chain into a fresh state."""
+    """Verify hash links, reject a tx_id seen twice, and fold the chain into
+    a fresh state."""
     state = RegistryState()
     prev = GENESIS_PREV_HASH
     seen: set[str] = set()
-    signatures: set[bytes] = set()
     for i, block in enumerate(chain):
         if block.height != i:
             raise IntegrityViolationError(f"block height gap at {i}")
@@ -602,14 +581,11 @@ def replay_chain(chain: Iterable[Block]) -> RegistryState:
             raise IntegrityViolationError(f"block hash mismatch at height {i}")
         for tx in block.tx_list:
             # Block hashes are unkeyed, so a re-hashed copy of a committed
-            # block would otherwise replay its transactions twice.
+            # block, re-timed or not, would otherwise replay its transactions
+            # twice.
             if tx.tx_id in seen:
                 raise IntegrityViolationError(f"tx {tx.tx_id[:12]} appears twice in the chain")
-            if tx.envelope.signature in signatures:
-                raise IntegrityViolationError(f"the signature of tx {tx.tx_id[:12]} appears "
-                                              f"twice in the chain")
             seen.add(tx.tx_id)
-            signatures.add(tx.envelope.signature)
             state.apply(tx)
         prev = block.block_hash
     return state
@@ -634,7 +610,7 @@ def read_chain(path) -> list[Block]:
                         sim_time_committed=int(rec.get("sim_time_committed", 0)),
                     )
                 )
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise IntegrityViolationError(
                     f"{path}: malformed block record on line {lineno}: {exc!r}"
                 ) from exc

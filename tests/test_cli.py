@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from plexisim.cli import demo_scenario, main
-from plexisim.ledger import read_chain, replay_chain
+from plexisim.ledger import canonical_json, read_chain, replay_chain
 
 
 def run(argv):
@@ -161,10 +162,10 @@ class TestBench:
 GOLDEN = {
     "enroll": (["enroll", "--n", 200], {
         "enrollments.jsonl": "f52c956713238fc4f159e73618a2e960d4cb13e94f0b60216b2525344d3f3a9d",
-        "ledger.jsonl": "c1ac0931dc4ba1a2977c9a312c3cb2a8e4c26ec1f743d7d0498c6d4b8f6eeb35",
+        "ledger.jsonl": "dc3164bd7c2031f862c5a618f9b112750e6a53c4002941aafc7f4b95a1f28b59",
     }),
     "trade": (["trade"], {
-        "ledger.jsonl": "62f185aa148eb2f0fd7ff12b184f32d30ab94d27ca8261d90f6a9232c3c2ccb1",
+        "ledger.jsonl": "2e10b7e1aae70e0e4de08f6c08c115e515d1634e19d77e52a52f9a2645d85505",
         "schedules.json": "7a63b9e2953ebb21afb15782fd08ad74ff7f615af22abc09756668d2009982ed",
         "trace.json": "9e2f77b3be35895ef8aba714641bbfadc3bd0124af019f46977cec5063c5b932",
     }),
@@ -228,6 +229,26 @@ def _registry_payload_without_device_id(tmp_path):
 
 def _registry_device_id_not_hex(tmp_path):
     return _registry_with_edited_tx(tmp_path, lambda tx: tx["payload"].update(device_id="zz"))
+
+
+def _registry_submit_time_infinite(tmp_path):
+    return _registry_with_edited_tx(tmp_path, lambda tx: tx.update(sim_time_submitted=math.inf))
+
+
+def _registry_owner_id_edited(tmp_path):
+    # A well-formed edit: only the tx_id rebuilt from the payload catches it.
+    return _registry_with_edited_tx(tmp_path, lambda tx: tx["payload"].update(owner_id="mallory"))
+
+
+def _to_old_format(tx):
+    tx["envelope"] = {"message": canonical_json(tx["payload"]).encode().hex(),
+                      "signature": tx.pop("signature"), "token_id": tx.pop("signer"),
+                      "sim_time": tx["sim_time_submitted"]}
+    tx["tx_id"] = "00" * 32
+
+
+def _registry_in_old_format(tmp_path):
+    return _registry_with_edited_tx(tmp_path, _to_old_format)
 
 
 def _scenario_without_bids(tmp_path):
@@ -360,7 +381,9 @@ def _enroll_negative_count(tmp_path):
 
 @pytest.mark.parametrize("make_argv", [
     _truncated_registry, _registry_payload_not_an_object, _registry_payload_without_device_id,
-    _registry_device_id_not_hex, _scenario_without_bids, _scenario_not_json,
+    _registry_device_id_not_hex, _registry_submit_time_infinite, _registry_owner_id_edited,
+    _registry_in_old_format,
+    _scenario_without_bids, _scenario_not_json,
     _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_missing,
     _attack_dataset_non_finite,
     _credential_model_not_an_object, _credential_model_field_not_a_number,

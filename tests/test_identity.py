@@ -23,7 +23,7 @@ from plexisim.identity import (
     verify,
 )
 from plexisim.clock import SimClock
-from plexisim.ledger import OP_RECORD_EVENT, LedgerSim, canonical_json, make_transaction
+from plexisim.ledger import OP_RECORD_EVENT, LedgerSim, Transaction, canonical_json
 
 
 class TestSetup:
@@ -300,7 +300,7 @@ def test_verify_ledger_and_tamper_detection_agree(anchor, ledger, enrolled, case
     assert status is PARITY_CASES[case]
 
     try:
-        ledger.submit(make_transaction(body, env, now))
+        ledger.submit(Transaction(body, env.token_id, env.signature, now))
         endorsed = True
     except RejectedTransactionError:
         endorsed = False

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -25,39 +26,52 @@ from plexisim.ledger import (
     Block,
     LedgerSim,
     RegistryState,
+    Transaction,
     canonical_json,
     compute_block_hash,
-    make_transaction,
     read_chain,
     replay_chain,
 )
 
 
-def record_tx(ledger, key, tag="x", cluster_id=0, payload=None):
+def as_tx(payload, env, now):
+    """A tx carrying ``env``'s signer and signature on ``payload``."""
+    return Transaction(payload, env.token_id, env.signature, now)
+
+
+def record_tx(ledger, key, tag="x", payload=None):
     now = ledger.clock.now()
     body = {"op": "record_event", "workflow_id": "wf", "kind": tag,
             "payload": {} if payload is None else payload, "sim_time": now}
-    env = identity.sign(canonical_json(body).encode(), key, now)
-    return make_transaction(body, env, now, cluster_id=cluster_id)
+    return as_tx(body, identity.sign(canonical_json(body).encode(), key, now), now)
 
 
 def flag_tx(ledger, token_id, flag, key, value=True, **extra):
     now = ledger.clock.now()
     payload = {"op": "set_flag", "token_id": token_id, "flag": flag, "value": value,
                "sim_time": now, **extra}
-    env = identity.sign(canonical_json(payload).encode(), key, now)
-    return make_transaction(payload, env, now)
+    return as_tx(payload, identity.sign(canonical_json(payload).encode(), key, now), now)
 
 
 def retimed(tx, now):
-    """``tx`` re-submitted with its envelope's unsigned sim_time moved on."""
-    env = dataclasses.replace(tx.envelope, sim_time=tx.envelope.sim_time + 1)
-    return make_transaction(tx.payload, env, now)
+    """``tx`` re-submitted with its unsigned sim_time_submitted moved to ``now``."""
+    return dataclasses.replace(tx, sim_time_submitted=now)
+
+
+def borrowed(tx, payload, now):
+    """``tx``'s signer and signature moved onto another payload."""
+    return Transaction(payload, tx.signer, tx.signature, now)
 
 
 def anchor_signed(payload, anchor, now):
-    env = identity.sign_as_anchor(canonical_json(payload).encode(), anchor, now)
-    return make_transaction(payload, env, now)
+    return as_tx(payload, identity.sign_as_anchor(canonical_json(payload).encode(), anchor, now),
+                 now)
+
+
+def rehashed(block, *txs):
+    """``block`` holding ``txs``, its hash recomputed as an editor could."""
+    return dataclasses.replace(block, tx_list=txs,
+                               block_hash=compute_block_hash(block.height, block.prev_hash, txs))
 
 
 def create_tx(ledger, anchor, device, owner):
@@ -72,7 +86,7 @@ def create_tx(ledger, anchor, device, owner):
     env = identity.sign_as_anchor(canonical_json(payload).encode(), anchor, now)
     key = identity.SigningKey(seed=priv.private_bytes_raw(), token_id=payload["token_id"],
                               key=priv)
-    return make_transaction(payload, env, now), key
+    return as_tx(payload, env, now), key
 
 
 class TestSubmit:
@@ -103,10 +117,10 @@ class TestSubmit:
         owner = identity.make_device("alice-ctl", seed=2)
         owner_key, _ = identity.enroll(owner, "alice", anchor, ledger)
         ledger.set_flag(token_id, "revoked", owner_key)
-        # A new payload gives a new tx_id, so only revocation can stop it.
+        # A new payload gives a new tx_id; the signature does not cover it.
         payload = dict(used.payload, kind="replayed")
         with pytest.raises(RejectedTransactionError):
-            ledger.submit(make_transaction(payload, used.envelope, ledger.clock.now()))
+            ledger.submit(borrowed(used, payload, ledger.clock.now()))
 
     def test_live_signer_envelope_cannot_carry_another_payload(self, ledger, enrolled):
         _, key, _ = enrolled
@@ -115,7 +129,7 @@ class TestSubmit:
         payload = dict(used.payload, kind="forged", payload={"kw": 999})
         height_before = ledger.height
         with pytest.raises(RejectedTransactionError):
-            ledger.submit(make_transaction(payload, used.envelope, ledger.clock.now()))
+            ledger.submit(borrowed(used, payload, ledger.clock.now()))
         assert ledger.height == height_before
 
     def test_duplicate_tx_id_rejected(self, ledger, enrolled):
@@ -126,24 +140,39 @@ class TestSubmit:
             ledger.submit(tx)
 
     def test_signed_envelope_with_new_sim_time_rejected(self, ledger, enrolled):
-        # sim_time is not signed, so the copy gets a new tx_id.
+        # sim_time_submitted is not signed and tx_id does not cover it.
         _, key, _ = enrolled
         tx = record_tx(ledger, key)
         ledger.submit(tx)
         copy = retimed(tx, ledger.clock.now())
-        assert copy.tx_id != tx.tx_id
+        assert copy.sim_time_submitted != tx.sim_time_submitted
+        assert copy.tx_id == tx.tx_id
         with pytest.raises(DuplicateTransactionError):
             ledger.submit(copy)
         assert len(ledger.state.event_log) == 1
 
+    def test_tx_id_is_the_hash_of_message_and_signature(self, ledger, enrolled):
+        _, key, _ = enrolled
+        tx = record_tx(ledger, key)
+        assert tx.message == canonical_json(tx.payload).encode()
+        assert tx.tx_id == hashlib.sha256(tx.message + tx.signature).hexdigest()
+        assert Transaction.from_record(json.loads(json.dumps(tx.to_record()))).tx_id == tx.tx_id
+
+    @pytest.mark.parametrize("payload", [{2: "a", 10: "b"}, {"x": [{"y": {1: "a"}}]}],
+                             ids=["top-level", "nested"])
+    def test_non_string_key_rejected(self, ledger, enrolled, payload):
+        # JSON writes 2 as "2", so the saved chain would replay another state.
+        _, key, _ = enrolled
+        height, now = ledger.height, ledger.clock.now()
+        with pytest.raises(ValidationError, match="non-string key"):
+            ledger.record_event("wf", "k", payload, key)
+        assert (ledger.height, ledger.clock.now()) == (height, now)
+        assert ledger.state.event_log == []
+
     def test_bad_envelope_never_commits(self, ledger, enrolled):
         _, key, _ = enrolled
         tx = record_tx(ledger, key)
-        forged = identity.SignedEnvelope(
-            tx.envelope.message + b"!", tx.envelope.signature,
-            tx.envelope.token_id, tx.envelope.sim_time,
-        )
-        bad = make_transaction(tx.payload, forged, ledger.clock.now())
+        bad = borrowed(tx, dict(tx.payload, kind=tx.payload["kind"] + "!"), ledger.clock.now())
         height_before = ledger.height
         with pytest.raises(RejectedTransactionError):
             ledger.submit(bad)
@@ -179,7 +208,7 @@ class TestCreateNft:
         env = identity.sign(canonical_json(tx.payload).encode(), enrolled[1], now)
         height = ledger.height
         with pytest.raises(AuthorizationError):
-            ledger.submit(make_transaction(tx.payload, env, now))
+            ledger.submit(as_tx(tx.payload, env, now))
         assert ledger.height == height and ledger.query(key.token_id) is None
 
     def test_issue_time_at_or_before_commit(self, anchor, ledger):
@@ -309,7 +338,7 @@ class TestMalformedPayload:
         )
         height, now, before = ledger.height, clock.now(), ledger.state.canonical()
         ill_typed = [
-            make_transaction(5, identity.sign(b"5", key, now), now),
+            as_tx(5, identity.sign(b"5", key, now), now),
             flag_tx(ledger, [token_id], "revoked", owner_key),
         ]
         for tx in ill_typed:
@@ -335,15 +364,15 @@ class TestMalformedPayload:
         payload = {"op": "record_event", "kind": "k", "sim_time": now}
         env = identity.sign(canonical_json(payload).encode(), key, now)
         with pytest.raises(ValidationError):
-            ledger.submit(make_transaction(payload, env, now))
+            ledger.submit(as_tx(payload, env, now))
         assert ledger.state.event_log == []
 
     @pytest.mark.parametrize("edit", MALFORMED_CREATES.values(), ids=MALFORMED_CREATES.keys())
     def test_replay_rejects_malformed_create(self, anchor, ledger, enrolled, edit):
+        # Re-hashed, so the block hash passes and apply sees the payload.
         block = ledger.chain[0]
         (tx,) = block.tx_list
-        edited = dataclasses.replace(tx, payload=edit(dict(tx.payload)))
-        ledger.chain[0] = dataclasses.replace(block, tx_list=(edited,))
+        ledger.chain[0] = rehashed(block, dataclasses.replace(tx, payload=edit(dict(tx.payload))))
         with pytest.raises(IntegrityViolationError):
             ledger.replay()
 
@@ -379,9 +408,8 @@ class TestReplay:
             height=block.height,
             prev_hash=block.prev_hash,
             tx_list=block.tx_list[:-1]
-            + (make_transaction({"op": "record_event", "workflow_id": "wf",
-                                 "kind": "evil", "payload": {}, "sim_time": 0},
-                                block.tx_list[-1].envelope, 0),),
+            + (borrowed(block.tx_list[-1], {"op": "record_event", "workflow_id": "wf",
+                                            "kind": "evil", "payload": {}, "sim_time": 0}, 0),),
             block_hash=block.block_hash,
             sim_time_committed=block.sim_time_committed,
         )
@@ -398,8 +426,7 @@ class TestReplay:
         block = ledger.chain[-1]
         (tx,) = block.tx_list
         edited = dataclasses.replace(tx, payload=dict(tx.payload, flag="frozen"))
-        # tx_id is kept, so the block hash still matches.
-        ledger.chain[-1] = dataclasses.replace(block, tx_list=(edited,))
+        ledger.chain[-1] = rehashed(block, edited)
         with pytest.raises(IntegrityViolationError):
             ledger.replay()
 
@@ -432,7 +459,7 @@ class TestReplay:
             block_hash=compute_block_hash(height, last.block_hash, copy),
             sim_time_committed=last.sim_time_committed,
         ))
-        with pytest.raises(IntegrityViolationError, match="signature"):
+        with pytest.raises(IntegrityViolationError, match="twice"):
             ledger.replay()
 
     def test_empty_chain_empty_state(self):
@@ -497,29 +524,46 @@ class TestPersistence:
             rec = json.loads(line)
             assert set(rec) == {"height", "prev_hash", "block_hash",
                                 "sim_time_committed", "txs"}
+            for tx in rec["txs"]:
+                assert set(tx) == {"payload", "signer", "signature", "sim_time_submitted"}
+
+    def test_edited_payload_in_saved_chain_rejected(self, tmp_path, ledger, enrolled):
+        # tx_id is rebuilt from the stored payload, so the stored block hash
+        # no longer matches. A re-hashed edit is not caught here.
+        _, key, _ = enrolled
+        ledger.submit(record_tx(ledger, key, payload={"kw": 5}))
+        path = tmp_path / "chain.jsonl"
+        ledger.save_chain(path)
+        text = path.read_text()
+        assert text.count('"kw":5') == 1
+        path.write_text(text.replace('"kw":5', '"kw":500'))
+        with pytest.raises(IntegrityViolationError, match="block hash mismatch"):
+            replay_chain(read_chain(path))
+
+    def test_old_format_record_rejected(self, tmp_path, ledger, enrolled):
+        # The earlier format stored the signed message in an envelope, and
+        # no signer or signature field.
+        path = tmp_path / "chain.jsonl"
+        ledger.save_chain(path)
+        rec = json.loads(path.read_text())
+        tx = rec["txs"][0]
+        tx["envelope"] = {"message": canonical_json(tx["payload"]).encode().hex(),
+                          "signature": tx.pop("signature"), "token_id": tx.pop("signer"),
+                          "sim_time": tx["sim_time_submitted"]}
+        tx["tx_id"] = "00" * 32
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(IntegrityViolationError, match="'signer'"):
+            read_chain(path)
 
     def test_load_chain_restores_live_receipts(self, tmp_path, clock, anchor, ledger, enrolled):
         _, key, _ = enrolled
-        tx = record_tx(ledger, key, cluster_id=1)
+        tx = record_tx(ledger, key)
         live = ledger.submit(tx)
         path = tmp_path / "chain.jsonl"
         ledger.save_chain(path)
         reloaded = LedgerSim(clock, anchor_pk=identity.anchor_public_key(anchor))
         reloaded.load_chain(path)
-        assert live.notarized
         assert reloaded.receipt_for(tx.tx_id) == live
-
-
-class TestNotary:
-    def test_cross_cluster_tx_notarized(self, ledger, enrolled):
-        _, key, _ = enrolled
-        receipt = ledger.submit(record_tx(ledger, key, cluster_id=1))
-        assert receipt.notarized
-
-    def test_intra_cluster_skips_notarization(self, ledger, enrolled):
-        _, key, _ = enrolled
-        receipt = ledger.submit(record_tx(ledger, key))
-        assert not receipt.notarized
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +657,7 @@ OPS = st.one_of(
     st.tuples(st.just("malformed create"), st.integers(0, 7),
               st.sampled_from(sorted(MALFORMED_CREATES))),
     st.tuples(st.just("retime"), st.integers(0, 30)),
+    st.tuples(st.just("borrow"), st.integers(0, 30), JSON_VALUES),
 )
 
 
@@ -629,6 +674,11 @@ def contract_tx(ledger, keys, sent, op, args):
                              ledger.clock.now()), None
     if op == "retime":
         return retimed(sent[args[0] % len(sent)], ledger.clock.now()), None
+    if op == "borrow":
+        now = ledger.clock.now()
+        payload = {"op": "record_event", "workflow_id": "wf", "kind": "x", "payload": args[1],
+                   "sim_time": now}
+        return borrowed(sent[args[0] % len(sent)], payload, now), None
     if op == "event":
         return record_tx(ledger, keys[args[0] % len(keys)], payload=args[1]), None
     signer, target, flag, value, other = args
@@ -642,8 +692,8 @@ def contract_tx(ledger, keys, sent, op, args):
 def test_replay_of_saved_chain_equals_live_state(devices, ops):
     """Any sequence of contract calls, committed one tx per block through
     ``submit``, replays from its saved file to the live state. Rejected
-    calls are skipped, and malformed enrollments and re-timed copies of
-    earlier txs are rejected."""
+    calls are skipped, and malformed enrollments, re-timed copies of earlier
+    txs and earlier signatures moved onto new payloads are rejected."""
     ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(ANCHOR))
     keys = [identity.enroll(identity.make_device(f"ctl-{i}", seed=100 + i), OWNERS[i % 2],
                             ANCHOR, ledger)[0]
@@ -658,7 +708,7 @@ def test_replay_of_saved_chain_equals_live_state(devices, ops):
             ledger.submit(tx)
         except SimError:
             continue
-        assert op not in ("malformed create", "retime")
+        assert op not in ("malformed create", "retime", "borrow")
         sent.append(tx)
         if key is not None:
             keys.append(key)
