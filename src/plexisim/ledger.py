@@ -73,6 +73,16 @@ def canonical_json(obj) -> str:
     return _CANONICAL_ENCODER.encode(obj)
 
 
+def _message(payload) -> bytes:
+    """The signed bytes of a transaction payload."""
+    try:
+        return canonical_json(payload).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        # A non-JSON value, or a dict mixing str and int keys, which sort_keys
+        # cannot order.
+        raise ValidationError(f"payload is not encodable as canonical JSON: {exc}") from exc
+
+
 def _same_json(a, b) -> bool:
     """``canonical_json(a) == canonical_json(b)`` for JSON values, without
     serialising: ``1``, ``1.0`` and ``True`` differ, ``bytes`` and ``str``
@@ -138,7 +148,7 @@ class Transaction:
     tx_id: str = field(init=False, compare=False)
 
     def __post_init__(self):
-        message = canonical_json(self.payload).encode("utf-8")
+        message = _message(self.payload)
         object.__setattr__(self, "message", message)
         object.__setattr__(self, "tx_id", hashlib.sha256(message + self.signature).hexdigest())
 
@@ -501,7 +511,7 @@ class LedgerSim:
             "challenge_index": challenge_index,
             "issue_time": now,
         }
-        env = sign_as_anchor(canonical_json(payload).encode("utf-8"), anchor, sim_time=now)
+        env = sign_as_anchor(_message(payload), anchor, sim_time=now)
         self.submit(Transaction(payload, env.token_id, env.signature, now))
         return self.state.tokens[payload["token_id"]]
 
@@ -526,7 +536,7 @@ class LedgerSim:
             payload["delegate_id"] = delegate_id
         if new_owner is not None:
             payload["new_owner"] = new_owner
-        env = sign(canonical_json(payload).encode("utf-8"), actor_key, sim_time=now)
+        env = sign(_message(payload), actor_key, sim_time=now)
         self.submit(Transaction(payload, env.token_id, env.signature, now))
         return self.state.tokens[token_id]
 
@@ -545,7 +555,7 @@ class LedgerSim:
             "payload": payload,
             "sim_time": now,
         }
-        env = sign(canonical_json(body).encode("utf-8"), signer, sim_time=now)
+        env = sign(_message(body), signer, sim_time=now)
         return self.submit(Transaction(body, env.token_id, env.signature, now))
 
     # -- replay and persistence ---------------------------------------------

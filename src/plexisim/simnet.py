@@ -18,9 +18,12 @@ sizes and cost factors are calibration constants, not measurements.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import cycle, islice, repeat
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, ValidationError
@@ -55,6 +58,15 @@ class Tier(Enum):
 
 @dataclass(frozen=True)
 class NodeSpec:
+    """One edge or fog node.
+
+    ``run_sim`` reads ``link_delay_ms`` of every node and ``service_rate_tps``
+    of the fogs only: an edge's rate is validated but feeds no model stage.
+    It stays so that edges and fogs share one node schema in ``bench
+    --config`` topologies, and so the default topology keeps its fogs faster
+    than its edges (``test_fog_faster_than_edge_by_default``).
+    """
+
     node_id: str
     tier: Tier
     service_rate_tps: float
@@ -190,7 +202,7 @@ class LoadScenario:
 
     @property
     def duration_ms(self) -> float:
-        return max((t for t, _ in self.submissions), default=0.0)
+        return max(map(itemgetter(0), self.submissions), default=0.0)
 
 
 def uniform_load(
@@ -199,12 +211,12 @@ def uniform_load(
     topology: Topology,
     credential: CredentialModel,
 ) -> LoadScenario:
-    edges = topology.edges()
+    """Evenly spaced sends, ``1000 / rate_tps`` ms apart, dealt to the edges in turn."""
     n = int(rate_tps * duration_s)
-    subs = tuple(
-        (i * 1000.0 / rate_tps, edges[i % len(edges)].node_id) for i in range(n)
-    )
-    return LoadScenario(credential=credential, submissions=subs)
+    sends = [i * 1000.0 / rate_tps for i in range(n)]
+    edge_ids = [e.node_id for e in topology.edges()]
+    return LoadScenario(credential=credential,
+                        submissions=tuple(zip(sends, islice(cycle(edge_ids), n))))
 
 
 # ---------------------------------------------------------------------------
@@ -244,53 +256,59 @@ def run_sim(
     if not all(0.0 <= ms < math.inf for ms in stage_ms):
         raise ValidationError("link, wire and service times must be finite and non-negative")
 
-    send_time = [t for t, _ in scenario.submissions]
-    arrivals = sorted(
-        (t + links[node_id] + wire_ms, t, tx)
-        for tx, (t, node_id) in enumerate(scenario.submissions)
-    )
+    subs = scenario.submissions
+    send_time = list(map(itemgetter(0), subs))
+    link_ms = map(links.__getitem__, map(itemgetter(1), subs))
+    arrive = list(map(add, map(add, send_time, link_ms), repeat(wire_ms)))
+    # Two stable sorts give (arrival, send, index) order without a tuple per tx.
+    by_arrival = sorted(range(len(subs)), key=send_time.__getitem__)
+    by_arrival.sort(key=arrive.__getitem__)
 
-    # A release is (time, service start of the releasing tx); it is handled
-    # before an arrival (a, s) iff release < (a, s).
-    free = (-math.inf, -math.inf)   # release of the last admitted tx
+    # The last admitted tx releases the server at free_t; it began service at
+    # free_s. A release (r, b) is handled before an arrival (a, s) iff
+    # (r, b) < (a, s).
+    free_t = free_s = -math.inf
     waiting: deque = deque()        # for each buffered tx, the release that starts it
-    ordered: list = []              # (time entering ordering, tx) in service order
+    ordered: list = []              # time each admitted tx enters ordering, in service order
+    ordered_tx: list = []
     failed: list = []
-    for arrive, send, tx in arrivals:
-        now = (arrive, send)
-        while waiting and waiting[0] < now:
-            waiting.popleft()
-        if free < now:
-            start = arrive
-        elif len(waiting) < BUFFER_DEPTH:
-            start = free[0]
-            waiting.append(free)
+    for tx, a, s in zip(by_arrival, map(arrive.__getitem__, by_arrival),
+                        map(send_time.__getitem__, by_arrival)):
+        if free_t < a or (free_t == a and free_s < s):
+            # The server is free on arrival. Every buffered tx has started;
+            # the next busy arrival drops their releases from ``waiting``.
+            start = a
         else:
-            # No queueing past the buffer: the transaction fails now.
-            failed.append(tx)
-            continue
-        free = (start + service_ms, start)
-        ordered.append((free[0] + ENDORSE_ROUND_MS, tx))
+            now = (a, s)
+            while waiting and waiting[0] < now:
+                waiting.popleft()
+            if len(waiting) >= BUFFER_DEPTH:
+                # No queueing past the buffer: the transaction fails now.
+                failed.append(tx)
+                continue
+            waiting.append((free_t, free_s))
+            start = free_t
+        end = start + service_ms
+        free_t, free_s = end, start
+        ordered.append(end + ENDORSE_ROUND_MS)
+        ordered_tx.append(tx)
 
-    commit_ms: dict = {}
-    batch: list = []
-    deadline = 0.0
-
-    def cut(t: float) -> None:
-        for tx in batch:
-            commit_ms[tx] = t + COMMIT_DELAY_MS
-        batch.clear()
-
-    for t, tx in ordered:
-        if batch and t >= deadline:
-            cut(deadline)
-        if not batch:
-            deadline = t + BLOCK_INTERVAL_MS
-        batch.append(tx)
-        if len(batch) >= BLOCK_MAX_TXS:
-            cut(t)
-    if batch:
-        cut(deadline)
+    # ``ordered`` never decreases, so a block is its first tx and every later
+    # one ordered before the deadline, up to BLOCK_MAX_TXS; a full block is
+    # cut when its last tx is ordered.
+    commit: list = []               # commit time of each admitted tx, in service order
+    first, m = 0, len(ordered)
+    while first < m:
+        deadline = ordered[first] + BLOCK_INTERVAL_MS
+        last = first + BLOCK_MAX_TXS
+        if last <= m and ordered[last - 1] < deadline:
+            cut = ordered[last - 1]
+        else:
+            last = bisect_left(ordered, deadline, first + 1, min(last, m))
+            cut = deadline
+        commit += [cut + COMMIT_DELAY_MS] * (last - first)
+        first = last
+    commit_ms = dict(zip(ordered_tx, commit))
 
     metrics = _measure(scenario, send_time, commit_ms, failed, n_devices, measure_window)
     return commit_ms, metrics
@@ -306,18 +324,16 @@ def _measure(
 ) -> Metrics:
     n = len(scenario.submissions)
     duration_ms = scenario.duration_ms
+    commits = sorted(commit_time.values())
     if window is None:
         # Full-run measurement: count until the last commit lands.
-        end = max([duration_ms, *commit_time.values()]) if commit_time else duration_ms
+        end = max(duration_ms, commits[-1]) if commits else duration_ms
         window = (0.0, end if end > 0 else 1.0)
     w0, w1 = window
 
-    latencies = [
-        commit_time[tx] - send_time[tx]
-        for tx in commit_time
-        if w0 <= send_time[tx] <= w1
-    ]
-    commits_in_window = sum(1 for t in commit_time.values() if w0 <= t <= w1)
+    latencies = [commit - sent for tx, commit in commit_time.items()
+                 if w0 <= (sent := send_time[tx]) <= w1]
+    commits_in_window = bisect_right(commits, w1) - bisect_left(commits, w0)
     span_s = (w1 - w0) / 1000.0
     achieved = commits_in_window / span_s if span_s > 0 else 0.0
     rate = n / (duration_ms / 1000.0) if duration_ms > 0 else 0.0

@@ -376,6 +376,28 @@ class TestMalformedPayload:
         with pytest.raises(IntegrityViolationError):
             ledger.replay()
 
+    @pytest.mark.parametrize("bad", [{1: "a", "b": 2}, b"x", object()],
+                             ids=["mixed int and str keys", "bytes", "object"])
+    @pytest.mark.parametrize("call", [
+        lambda ledger, anchor, key, token_id, bad: ledger.record_event(
+            "wf", "k", {"v": bad}, key),
+        lambda ledger, anchor, key, token_id, bad: ledger.set_flag(
+            token_id, "delegated", key, delegate_id=bad),
+        lambda ledger, anchor, key, token_id, bad: ledger.create_nft(
+            b"\x01" * 16, "bob", b"\x02" * 32, anchor, token_name=bad),
+        lambda ledger, anchor, key, token_id, bad: Transaction(
+            {"v": bad}, token_id, b"\x00" * 64, 0),
+    ], ids=["record_event", "set_flag", "create_nft", "Transaction"])
+    def test_unencodable_contract_call_rejected(self, clock, anchor, ledger, enrolled,
+                                                call, bad):
+        # canonical_json cannot encode the payload, so nothing is signed or built.
+        _, key, token_id = enrolled
+        height, now, before = ledger.height, clock.now(), ledger.state.canonical()
+        with pytest.raises(ValidationError, match="canonical JSON"):
+            call(ledger, anchor, key, token_id, bad)
+        assert (ledger.height, clock.now()) == (height, now)
+        assert ledger.state.canonical() == before
+
     def test_failed_apply_leaves_state_unchanged(self, ledger, enrolled):
         state = ledger.replay()
         (tx,) = ledger.chain[0].tx_list

@@ -222,6 +222,33 @@ def edge_topology(links, fog_rates=(simnet.DEFAULT_FOG_RATE_TPS,) * 2):
     ))
 
 
+def reference_uniform_load(rate_tps, duration_s, topology, credential):
+    """The former generator-expression form of uniform_load."""
+    edges = topology.edges()
+    n = int(rate_tps * duration_s)
+    subs = tuple(
+        (i * 1000.0 / rate_tps, edges[i % len(edges)].node_id) for i in range(n)
+    )
+    return LoadScenario(credential=credential, submissions=subs)
+
+
+class TestUniformLoad:
+    @pytest.mark.parametrize("rate", [36, 37.5, 119, 274])
+    def test_matches_reference(self, rate):
+        for duration_s in (10.0, 15.0, 20.0):
+            for n_edge in (1, 2, 3, 4):
+                topo = default_topology(n_edge=n_edge)
+                got = uniform_load(rate, duration_s, topo, NFT).submissions
+                assert got == reference_uniform_load(rate, duration_s, topo, NFT).submissions
+                assert len(got) == int(rate * duration_s)
+
+    def test_no_submissions(self):
+        topo = default_topology()
+        got = uniform_load(36, 0.0, topo, NFT)
+        assert got.submissions == reference_uniform_load(36, 0.0, topo, NFT).submissions == ()
+        assert got.duration_ms == 0.0
+
+
 class TestRunSim:
     def test_repeat_run_identical(self):
         topo = default_topology()
@@ -322,6 +349,15 @@ class TestMatchesEventEngine:
     # The release at 23 ms began at 15 ms, tx2's send time, so tx2 arrives
     # first, finds the 1-deep buffer full and fails.
     @example(case=([6], [125], 1792, 1.0, [(7, 0), (9, 0), (15, 0)], 1, None))
+    # tx0 releases at 16 ms, having begun at 8 ms, the instant tx1 and tx2
+    # (sent at 8 ms) arrive: both arrivals come first, so tx1 takes the
+    # 1-deep buffer and tx2 fails.
+    @example(case=([6], [125], 1792, 1.0, [(0, 0), (8, 0), (8, 0)], 1, None))
+    # The tenth tx enters ordering exactly at the first one's deadline
+    # (766 ms), so it opens the next block; the nine before it commit at
+    # 1191 ms, the window's upper edge.
+    @example(case=([6], [125], 1792, 1.0,
+                   [(50 * i, 0) for i in range(9)] + [(500, 0)], 5, (0, 1191)))
     def test_tie_heavy(self, case):
         links, fog_rates, overhead, factor, sends, depth, window = case
         topo = edge_topology(links, fog_rates)
@@ -341,15 +377,66 @@ class TestMatchesEventEngine:
     @pytest.mark.parametrize("model", [NFT, CERT], ids=["nft", "certificate"])
     def test_realistic_sweep(self, name, model):
         topo = REALISTIC_TOPOLOGIES[name]
-        duration_s = 20.0
-        window = (TRIM_S * 1000.0, (duration_s - TRIM_S) * 1000.0)
-        for rate in (60, 120, 175, 240):
+        # 20 s runs across saturation, then perfbench's sweep shape: 15 s at
+        # its lowest and highest rates, where the top rate fills the buffer.
+        for duration_s, rate in ((20.0, 60), (20.0, 120), (20.0, 175), (20.0, 240),
+                                 (15.0, 36), (15.0, 274)):
             scenario = uniform_load(rate, duration_s, topo, model)
+            window = (TRIM_S * 1000.0, (duration_s - TRIM_S) * 1000.0)
             for w in (window, None):
                 got = run_sim(topo, scenario, measure_window=w)
                 want = reference_run_sim(topo, scenario, measure_window=w)
                 assert got[0] == want[0]
                 assert got[1].to_row() == want[1].to_row()
+                if rate == 274:
+                    assert want[1].failed_tx_count > 0
+
+
+def reference_measure(scenario, send_time, commit_time, failed, n_devices, window):
+    """The former two-pass form of _measure."""
+    n = len(scenario.submissions)
+    duration_ms = max((t for t, _ in scenario.submissions), default=0.0)
+    if window is None:
+        end = max([duration_ms, *commit_time.values()]) if commit_time else duration_ms
+        window = (0.0, end if end > 0 else 1.0)
+    w0, w1 = window
+    latencies = [
+        commit_time[tx] - send_time[tx]
+        for tx in commit_time
+        if w0 <= send_time[tx] <= w1
+    ]
+    commits_in_window = sum(1 for t in commit_time.values() if w0 <= t <= w1)
+    span_s = (w1 - w0) / 1000.0
+    achieved = commits_in_window / span_s if span_s > 0 else 0.0
+    rate = n / (duration_ms / 1000.0) if duration_ms > 0 else 0.0
+    latencies.sort()
+    if latencies:
+        mean = sum(latencies) / len(latencies)
+        p95 = latencies[min(len(latencies) - 1, int(0.95 * len(latencies)))]
+    else:
+        mean = p95 = 0.0
+    return simnet.Metrics(rate, achieved, mean, p95, len(failed),
+                          memory_footprint(n_devices, scenario.credential))
+
+
+class TestMeasure:
+    @settings(max_examples=300, deadline=None)
+    @given(sends=st.lists(st.integers(0, 60), max_size=30),
+           waits=st.lists(st.none() | st.integers(0, 60), min_size=30, max_size=30),
+           window=st.none() | st.tuples(st.integers(0, 60), st.integers(0, 120)))
+    # tx0 is sent and commits on the window's lower edge; tx1 is sent and
+    # tx2 commits on its upper one.
+    @example(sends=[10, 20, 15], waits=[0, 10, 5] + [None] * 27, window=(10, 20))
+    def test_matches_reference(self, sends, waits, window):
+        # Small integer times, so sends and commits land on the window's edges.
+        scenario = LoadScenario(credential=NFT, submissions=tuple(
+            (float(t), "edge-0") for t in sends))
+        send_time = [float(t) for t in sends]
+        commit_time = {tx: send_time[tx] + w for tx, w in enumerate(waits[:len(sends)])
+                       if w is not None}
+        failed = [tx for tx in range(len(sends)) if tx not in commit_time]
+        args = (scenario, send_time, commit_time, failed, 10, window)
+        assert _measure(*args) == reference_measure(*args)
 
 
 class TestBenchmark:
