@@ -11,22 +11,22 @@ its baseline operation.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .clock import STEP_MS, SimClock
 from .csp import Constraint, CspInstance, check_assignment, solve_csp
-from .errors import StateError, TimingError, ValidationError
+from .errors import AuthorizationError, StateError, TimingError, ValidationError
 from .market import Bid, MarketResult, clear_market as _clear
 from .workflow import Event, EventKind, WorkflowEngine, WorkflowState
 
 logger = logging.getLogger(__name__)
 
-# Bid deadlines count simulated seconds so they dwarf ledger batching delays
-# yet stay well inside one 30-minute market step.
-DEFAULT_BID_DEADLINE_TICKS = 100
-TICK_MS = 1000
+# Bids are taken for 100 simulated seconds after a request is created: long
+# beside ledger commit delays, yet well inside one 30-minute market step.
+BID_DEADLINE_MS = 100_000
 
 
 class ResourceKind(Enum):
@@ -82,8 +82,11 @@ class FlexResource:
     owner: str
 
     def __post_init__(self):
-        if self.capacity_kw <= 0:
-            raise ValidationError(f"resource {self.resource_id}: capacity must be positive")
+        if not (isinstance(self.resource_id, str) and isinstance(self.owner, str)):
+            raise ValidationError(f"resource {self.resource_id!r}: ids must be strings")
+        if not 0 < self.capacity_kw < math.inf:
+            raise ValidationError(f"resource {self.resource_id}: capacity must be positive "
+                                  "and finite")
         validate_action(self, self.baseline_setpoint)
 
 
@@ -93,9 +96,9 @@ def validate_action(resource: FlexResource, action: SetpointAction) -> None:
             f"{action.action.value} not admissible for {resource.kind.value} "
             f"resource {resource.resource_id}"
         )
-    if abs(action.level_kw) > resource.capacity_kw + 1e-9:
+    if not abs(action.level_kw) <= resource.capacity_kw + 1e-9:
         raise ValidationError(
-            f"resource {resource.resource_id}: |level| exceeds capacity"
+            f"resource {resource.resource_id}: |level| must be finite and within capacity"
         )
 
 
@@ -149,8 +152,13 @@ class FlexRequest:
     issuer: str
 
     def __post_init__(self):
-        if self.quantity_kw <= 0:
-            raise ValidationError(f"request {self.request_id}: quantity must be positive")
+        if not (isinstance(self.request_id, str) and isinstance(self.issuer, str)):
+            raise ValidationError(f"request {self.request_id!r}: ids must be strings")
+        if not 0 < self.quantity_kw < math.inf:
+            raise ValidationError(f"request {self.request_id}: quantity must be positive "
+                                  "and finite")
+        if not math.isfinite(self.incentive_per_kw):
+            raise ValidationError(f"request {self.request_id}: incentive must be finite")
 
     def to_payload(self) -> dict:
         return {
@@ -207,11 +215,7 @@ def islanding_domain(resource: FlexResource) -> list:
     return [SetpointAction(ActionType.DISCHARGE, resource.capacity_kw)]
 
 
-def build_csp(
-    req: FlexRequest,
-    resources: Sequence[FlexResource],
-    domain_table: Optional[Callable[[FlexResource], list]] = None,
-) -> CspInstance:
+def build_csp(req: FlexRequest, resources: Sequence[FlexResource]) -> CspInstance:
     """Assemble the constraint instance for a request over chosen resources.
 
     One unary domain restriction per resource plus a single high-order
@@ -220,15 +224,9 @@ def build_csp(
     for r in resources:
         if not r.controllable:
             raise ValidationError(f"resource {r.resource_id} is not controllable")
-    table = domain_table or islanding_domain
     by_id = {r.resource_id: r for r in resources}
     variables = sorted(by_id)
-    domains = {}
-    for rid in variables:
-        actions = table(by_id[rid])
-        for act in actions:
-            validate_action(by_id[rid], act)
-        domains[rid] = actions
+    domains = {rid: islanding_domain(by_id[rid]) for rid in variables}
 
     def enough(assignment: dict) -> bool:
         total = sum(delivered_kw(by_id[rid], act) for rid, act in assignment.items())
@@ -246,31 +244,29 @@ def build_csp(
 class _RequestCtx:
     request: FlexRequest
     workflow_id: str
+    bid_deadline_ms: int
     bids: list = field(default_factory=list)
-    bid_deadline_ms: int = 0
-    bidding_closed: bool = False
     clearing: Optional[MarketResult] = None
     instance: Optional[CspInstance] = None
     schedule: Optional[Schedule] = None
-    applied: bool = False
-    settled: bool = False
 
 
 class DfAggregator:
-    """Orchestrates the four-step trading workflow over registered resources."""
+    """Orchestrates the four-step trading workflow over registered resources.
 
-    def __init__(
-        self,
-        engine: WorkflowEngine,
-        clock: SimClock,
-        bid_deadline_ticks: int = DEFAULT_BID_DEADLINE_TICKS,
-    ):
+    The workflow engine owns a request's progress. Each step has the engine
+    check its transition and record its event on the ledger first, and only
+    then changes the aggregator's own state, so a step the engine or the
+    ledger rejects leaves the aggregator as it was.
+    """
+
+    def __init__(self, engine: WorkflowEngine, clock: SimClock):
         self.engine = engine
         self.clock = clock
-        self.bid_deadline_ticks = bid_deadline_ticks
         self.resources: dict[str, FlexResource] = {}
         self.setpoints: dict[str, SetpointAction] = {}
         self.requests: dict[str, _RequestCtx] = {}
+        self._due: list[Schedule] = []      # scheduled, window not yet started
 
     # -- resource registry --------------------------------------------------
 
@@ -288,28 +284,32 @@ class DfAggregator:
     def create_flex_request(self, req: FlexRequest) -> Event:
         if req.request_id in self.requests:
             raise ValidationError(f"request {req.request_id!r} already exists")
-        wf = self.engine.create_workflow([req.issuer])
+        wf = self.engine.create_workflow()
         now = self.clock.now()
-        ctx = _RequestCtx(
-            request=req,
-            workflow_id=wf.workflow_id,
-            bid_deadline_ms=now + self.bid_deadline_ticks * TICK_MS,
-        )
-        self.requests[req.request_id] = ctx
         event = Event(EventKind.CREATE_FLEX_REQUEST, req.to_payload(), now)
         self.engine.advance(wf.workflow_id, event, publisher=req.issuer)
+        self.requests[req.request_id] = _RequestCtx(req, wf.workflow_id, now + BID_DEADLINE_MS)
         return event
 
     # -- step 2: bidding --------------------------------------------------------
 
     def submit_bid(self, bid: Bid, request_id: str) -> Event:
+        """Admit one bid while bidding is open: in Bidding, not yet cleared and
+        not past the deadline.
+
+        A bid must have a new id, and cite known controllable resources that
+        its prosumer owns and that no earlier bid for the request cites. Their
+        islanding delivery must back the offer.
+        """
         ctx = self._ctx(request_id)
-        wf = self.engine.workflows[ctx.workflow_id]
-        if wf.state is not WorkflowState.BIDDING or ctx.bidding_closed:
+        state = self.engine.workflows[ctx.workflow_id].state
+        if state is not WorkflowState.BIDDING or ctx.clearing is not None:
             raise StateError(f"bidding closed for request {request_id}")
         if self.clock.now() > ctx.bid_deadline_ms:
-            ctx.bidding_closed = True
             raise StateError(f"bid deadline passed for request {request_id}")
+        if any(b.bid_id == bid.bid_id for b in ctx.bids):
+            raise ValidationError(f"bid {bid.bid_id} already submitted for {request_id}")
+        cited = {rid for b in ctx.bids for rid in b.resource_ids}
         backing = 0.0
         for rid in bid.resource_ids:
             res = self.resources.get(rid)
@@ -317,17 +317,25 @@ class DfAggregator:
                 raise ValidationError(f"bid {bid.bid_id} cites unknown resource {rid!r}")
             if not res.controllable:
                 raise ValidationError(f"bid {bid.bid_id} cites uncontrollable resource {rid!r}")
-            backing += res.capacity_kw
+            if res.owner != bid.prosumer_id:
+                raise AuthorizationError(
+                    f"bid {bid.bid_id}: {bid.prosumer_id} does not own resource {rid!r}"
+                )
+            if rid in cited:
+                raise ValidationError(f"bid {bid.bid_id}: resource {rid!r} is already "
+                                      f"cited for request {request_id}")
+            cited.add(rid)
+            backing += delivered_kw(res, islanding_domain(res)[0])
         if bid.offered_kw > backing + 1e-9:
             raise ValidationError(
                 f"bid {bid.bid_id} offers {bid.offered_kw} kW over {backing} kW backing"
             )
-        ctx.bids.append(bid)
         event = Event(EventKind.BID_OFFER, {"request_id": request_id, "bid_id": bid.bid_id,
                                             "offered_kw": bid.offered_kw,
                                             "price_per_kw": bid.price_per_kw},
                       self.clock.now())
         self.engine.advance(ctx.workflow_id, event, publisher=bid.prosumer_id)
+        ctx.bids.append(bid)
         return event
 
     # -- step 3: clearing and scheduling ---------------------------------------
@@ -343,7 +351,6 @@ class DfAggregator:
             logger.info("request %s: clearing hit the node budget; cover may not be "
                         "the cheapest", request_id)
         ctx.clearing = result
-        ctx.bidding_closed = True
         return result
 
     def build_instance(self, request_id: str) -> CspInstance:
@@ -369,10 +376,11 @@ class DfAggregator:
             selected_bids=ctx.clearing.selected,
             total_cost=ctx.clearing.total_cost,
         )
-        ctx.schedule = schedule
         event = Event(EventKind.CREATE_DF_SCHEDULING, schedule.to_record(), self.clock.now())
         self.engine.advance(ctx.workflow_id, event)
-        self._apply_due()
+        ctx.schedule = schedule
+        self._due.append(schedule)
+        self.tick()
         return schedule
 
     # -- step 4: activation and settlement -----------------------------------------
@@ -386,39 +394,34 @@ class DfAggregator:
         ctx = self._ctx(request_id)
         if ctx.schedule is None:
             raise StateError(f"request {request_id} has no schedule")
-        self._apply_due()
+        self.tick()
         if self.clock.now() < ctx.schedule.window.end_ms:
             raise TimingError(
                 f"window for {request_id} ends at {ctx.schedule.window.end_ms} ms"
             )
-        for rid in ctx.schedule.assignment:
-            self.setpoints[rid] = self.resources[rid].baseline_setpoint
-        ctx.settled = True
         event = Event(
             EventKind.ACTIVATION_SETTLEMENT,
             {"request_id": request_id, "fulfilled": True},
             self.clock.now(),
         )
         self.engine.advance(ctx.workflow_id, event)
+        for rid in ctx.schedule.assignment:
+            self.setpoints[rid] = self.resources[rid].baseline_setpoint
         return event
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _apply_due(self) -> None:
-        """Apply scheduled setpoints whose window has started."""
-        now = self.clock.now()
-        for ctx in self.requests.values():
-            sched = ctx.schedule
-            if sched is None or ctx.applied or ctx.settled:
-                continue
-            if now >= sched.window.start_ms:
-                for rid, act in sched.assignment.items():
-                    self.setpoints[rid] = act
-                ctx.applied = True
-
     def tick(self) -> None:
-        """Call after advancing the shared clock to apply due schedules."""
-        self._apply_due()
+        """Apply, in the order they were scheduled, the schedules whose window
+        has started; call after advancing the shared clock."""
+        now = self.clock.now()
+        waiting = []
+        for sched in self._due:
+            if now >= sched.window.start_ms:
+                self.setpoints.update(sched.assignment)
+            else:
+                waiting.append(sched)
+        self._due = waiting
 
     def run_request(self, req: FlexRequest, bids: Sequence[Bid]) -> Optional[Schedule]:
         """Steps 1-3 in one call: create, bid, clear, solve, schedule.

@@ -192,7 +192,7 @@ def parse_scenario(raw: dict) -> tuple:
             )
             for b in raw["bids"]
         ]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed scenario: {exc!r}") from exc
     return resources, requests, bids
 
@@ -271,10 +271,10 @@ def cmd_trade(args) -> int:
 def cmd_attack(args) -> int:
     out = _out_dir(args.out)
     if args.config:
-        cfg = _read_config(args.config)
-        if "dataset" not in cfg:
-            raise ConfigurationError(f"config {args.config} has no 'dataset' path")
-        series = telemetry.load_dataset(cfg["dataset"])
+        dataset = _read_config(args.config).get("dataset")
+        if not isinstance(dataset, str):
+            raise ConfigurationError(f"config {args.config} has no 'dataset' path string")
+        series = telemetry.load_dataset(dataset)
     else:
         series = telemetry.generate_synthetic(args.synthetic, seed=args.seed)
         telemetry.write_dataset(out / "dataset.csv", series)
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SimError as exc:
+    except (SimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

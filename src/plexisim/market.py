@@ -15,6 +15,7 @@ short by it is the best found so far (``exact=False``).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -39,10 +40,13 @@ class Bid:
     resource_ids: tuple = ()
 
     def __post_init__(self):
-        if self.offered_kw <= 0:
-            raise ValidationError(f"bid {self.bid_id}: offered_kw must be positive")
-        if self.price_per_kw < 0:
-            raise ValidationError(f"bid {self.bid_id}: price must be non-negative")
+        if not all(isinstance(i, str) for i in (self.bid_id, self.prosumer_id,
+                                                 *self.resource_ids)):
+            raise ValidationError(f"bid {self.bid_id!r}: ids must be strings")
+        if not 0 < self.offered_kw < math.inf:
+            raise ValidationError(f"bid {self.bid_id}: offered_kw must be positive and finite")
+        if not 0 <= self.price_per_kw < math.inf:
+            raise ValidationError(f"bid {self.bid_id}: price must be non-negative and finite")
 
     @property
     def cost(self) -> float:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import ConfigurationError, IngestionError, ValidationError
 from . import identity
@@ -114,17 +114,13 @@ def write_dataset(path, series: Sequence[TelemetrySample]) -> None:
             )
 
 
-def generate_synthetic(
-    days: int,
-    seed: int = 0,
-    start: Optional[datetime] = None,
-    base_load_kw: float = 60.0,
-    solar_peak_kw: float = 25.0,
-) -> list:
-    """Schema-identical synthetic series: diurnal HVAC cycle, seasonal tamb.
+# Synthetic site: rooftop solar peaks below the base load, so net stays positive.
+BASE_LOAD_KW = 60.0
+SOLAR_PEAK_KW = 25.0
 
-    Defaults keep net stay positive (rooftop generation below base load).
-    """
+
+def generate_synthetic(days: int, seed: int = 0, start: Optional[datetime] = None) -> list:
+    """Schema-identical synthetic series: diurnal HVAC cycle, seasonal tamb."""
     if days < 1:
         raise ValidationError("need at least one day")
     rng = random.Random(seed)
@@ -140,8 +136,8 @@ def generate_synthetic(
         # HVAC chases the deviation from the comfort band, office hours only.
         occupancy = 1.0 if 8 <= hour < 18 else 0.25
         hvac = occupancy * (8.0 + 2.2 * abs(tamb - 21.0)) + rng.uniform(0.0, 1.5)
-        solar = solar_peak_kw * max(0.0, math.sin(math.pi * (hour - 6) / 12.0))
-        net = base_load_kw + hvac - solar + rng.uniform(-2.0, 2.0)
+        solar = SOLAR_PEAK_KW * max(0.0, math.sin(math.pi * (hour - 6) / 12.0))
+        net = BASE_LOAD_KW + hvac - solar + rng.uniform(-2.0, 2.0)
         dr = 0.6 * hvac
         series.append(
             TelemetrySample(
@@ -255,24 +251,13 @@ class EstimatorConfig:
             raise ConfigurationError("estimator coefficients must be positive")
 
 
-def estimate_flexibility(
-    series: Sequence[TelemetrySample],
-    estimator: Union[EstimatorConfig, Callable[[TelemetrySample], float], None] = None,
-) -> list:
-    """Per-sample demand-flexibility estimate in kW.
+ESTIMATOR = EstimatorConfig()
 
-    Pass an EstimatorConfig for the default linear model or any callable
-    mapping a sample to kW for an alternative methodology.
-    """
-    if estimator is None:
-        estimator = EstimatorConfig()
-    if isinstance(estimator, EstimatorConfig):
-        cfg = estimator
 
-        def estimator(s: TelemetrySample) -> float:
-            return max(0.0, cfg.a * s.net_kw + cfg.b * s.hvac_kw - cfg.c * (s.tamb_c - cfg.t_ref))
-
-    return [float(estimator(s)) for s in series]
+def estimate_flexibility(series: Sequence[TelemetrySample]) -> list:
+    """Per-sample demand-flexibility estimate in kW under ``ESTIMATOR``."""
+    a, b, c, t_ref = ESTIMATOR.a, ESTIMATOR.b, ESTIMATOR.c, ESTIMATOR.t_ref
+    return [max(0.0, a * s.net_kw + b * s.hvac_kw - c * (s.tamb_c - t_ref)) for s in series]
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,6 @@ class Actor:
 @dataclass
 class Workflow:
     workflow_id: str
-    actors: list
     state: WorkflowState = WorkflowState.CREATED
     event_history: list = field(default_factory=list)
 
@@ -151,8 +150,8 @@ class WorkflowEngine:
 
     # -- workflows -------------------------------------------------------------
 
-    def create_workflow(self, actor_ids: list) -> Workflow:
-        wf = Workflow(workflow_id=f"wf-{next(self._ids):04d}", actors=list(actor_ids))
+    def create_workflow(self) -> Workflow:
+        wf = Workflow(workflow_id=f"wf-{next(self._ids):04d}")
         self.workflows[wf.workflow_id] = wf
         return wf
 

@@ -1,6 +1,11 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plexisim.aggregator import (
+    BID_DEADLINE_MS,
     ActionType,
     Direction,
     FlexRequest,
@@ -11,10 +16,16 @@ from plexisim.aggregator import (
     Window,
     build_csp,
     delivered_kw,
-    islanding_domain,
 )
+from plexisim.cli import build_stack
 from plexisim.csp import solve_csp
-from plexisim.errors import StateError, TimingError, ValidationError
+from plexisim.errors import (
+    AuthorizationError,
+    RejectedTransactionError,
+    StateError,
+    TimingError,
+    ValidationError,
+)
 from plexisim.market import Bid, clear_market
 from plexisim.workflow import Actor, ActorRole, Topic, WorkflowState
 
@@ -75,6 +86,30 @@ class TestTypes:
                          SetpointAction(ActionType.OUTPUT_MAX, 9.0), "p")
         assert delivered_kw(dg, SetpointAction(ActionType.OUTPUT_MAX, 5.0)) == 5.0
 
+    @pytest.mark.parametrize("make", [
+        lambda: FlexResource(5, ResourceKind.DG, True, 5.0,
+                             SetpointAction(ActionType.IDLE, 0.0), "p"),
+        lambda: FlexResource("x", ResourceKind.DG, True, 5.0,
+                             SetpointAction(ActionType.IDLE, 0.0), None),
+        lambda: FlexResource("x", ResourceKind.DG, True, math.inf,
+                             SetpointAction(ActionType.IDLE, 0.0), "p"),
+        lambda: FlexResource("x", ResourceKind.ESS, True, 5.0,
+                             SetpointAction(ActionType.CHARGE, math.nan), "p"),
+        lambda: FlexRequest(["r"], Window(1, 1), RequestShape.SHED, 1.0,
+                            Direction.INCREASE_SUPPLY, 4.0, "dso-1"),
+        lambda: FlexRequest("r", Window(1, 1), RequestShape.SHED, math.nan,
+                            Direction.INCREASE_SUPPLY, 4.0, "dso-1"),
+        lambda: FlexRequest("r", Window(1, 1), RequestShape.SHED, 1.0,
+                            Direction.INCREASE_SUPPLY, math.inf, "dso-1"),
+        lambda: Bid(1, "pa", 1.0, 1.0),
+        lambda: Bid("A", "pa", 1.0, 1.0, (2,)),
+        lambda: Bid("A", "pa", math.inf, 1.0),
+        lambda: Bid("A", "pa", 1.0, math.nan),
+    ])
+    def test_non_string_ids_and_non_finite_numbers_rejected(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
     def test_delivered_accounting(self):
         dg, hvac, ess = islanding_resources()
         assert delivered_kw(hvac, SetpointAction(ActionType.OFF, 3.0)) == 3.0
@@ -118,15 +153,6 @@ class TestBuildCsp:
         with pytest.raises(ValidationError):
             build_csp(request(), [bad])
 
-    def test_custom_domain_table(self):
-        def table(res):
-            return [SetpointAction(ActionType.IDLE, 0.0), *islanding_domain(res)]
-
-        inst = build_csp(request(q=5.0), islanding_resources(), domain_table=table)
-        sol = solve_csp(inst)
-        assert sol is not None
-        assert any(a.action is not ActionType.IDLE for a in sol.values())
-
 
 class TestWorkflowSteps:
     def test_create_publishes_to_prosumers(self, stack):
@@ -164,7 +190,7 @@ class TestWorkflowSteps:
         clock = stack[0]
         agg = setup_market(stack)
         agg.create_flex_request(request())
-        clock.advance(agg.bid_deadline_ticks * 1000 + 1)
+        clock.advance(BID_DEADLINE_MS + 1)
         with pytest.raises(StateError):
             agg.submit_bid(Bid("A", "pa", 6, 3, ("dg-1",)), "req-1")
 
@@ -292,3 +318,141 @@ class TestScheduleAndSettle:
         assert delivered <= sum(r.capacity_kw for r in resources.values())
         by_level = sum(abs(a.level_kw) for a in schedule.assignment.values())
         assert delivered == pytest.approx(by_level)
+
+    def test_second_settlement_rejected_inside_a_later_window(self, stack):
+        clock, agg, req, _ = self.run_to_schedule(stack)
+        clock.advance_to(req.window.end_ms)
+        agg.activation_and_settlement("req-1")
+        later = FlexRequest("req-2", Window(3, 1), RequestShape.SHED, 4.0,
+                            Direction.INCREASE_SUPPLY, 4.0, "dso-1")
+        agg.create_flex_request(later)
+        agg.submit_bid(Bid("E", "pb", 4, 2, ("ess-1",)), "req-2")
+        agg.clear("req-2")
+        agg.schedule_dr(solve_csp(agg.build_instance("req-2")), later.window, "req-2")
+        clock.advance_to(later.window.start_ms)
+        agg.tick()
+        live = dict(agg.setpoints)
+        assert live["ess-1"].action is ActionType.DISCHARGE
+        with pytest.raises(StateError):
+            agg.activation_and_settlement("req-1")
+        assert agg.setpoints == live
+
+    def test_rejected_second_schedule_keeps_the_recorded_one(self, stack):
+        clock, agg, req, schedule = self.run_to_schedule(stack)
+        with pytest.raises(StateError):
+            agg.schedule_dr(schedule.assignment, Window(5, 1), "req-1")
+        assert agg.requests["req-1"].schedule is schedule
+        clock.advance_to(req.window.start_ms)
+        agg.tick()
+        assert agg.current_setpoint("dg-1").action is ActionType.OUTPUT_MAX
+        clock.advance_to(req.window.end_ms)
+        agg.activation_and_settlement("req-1")
+        assert agg.workflow_state("req-1") is WorkflowState.FULFILLED
+
+
+def revoke_contract(stack):
+    _, _, ledger, engine, _ = stack
+    ledger.set_flag(engine.actors["dfasc"].token_id, "revoked", engine.contract_key)
+
+
+class TestRecordBeforeMutate:
+    """A step whose event the ledger rejects leaves no trace in the aggregator."""
+
+    def test_unrecorded_request_is_not_registered(self, stack):
+        agg = setup_market(stack)
+        revoke_contract(stack)
+        with pytest.raises(RejectedTransactionError):
+            agg.create_flex_request(request())
+        assert agg.requests == {}
+
+    def test_unrecorded_bid_does_not_count_at_clearing(self, stack):
+        agg = setup_market(stack)
+        agg.create_flex_request(request(q=4.0))
+        revoke_contract(stack)
+        with pytest.raises(RejectedTransactionError):
+            agg.submit_bid(Bid("B", "pb", 4, 2, ("ess-1",)), "req-1")
+        assert agg.requests["req-1"].bids == []
+        assert agg.clear("req-1") is None
+
+
+def assert_rejected(stack, bid, error):
+    """Submitting ``bid`` to req-1 raises ``error`` and records nothing."""
+    ledger, agg = stack[2], stack[4]
+    height, bids = ledger.height, list(agg.requests["req-1"].bids)
+    with pytest.raises(error):
+        agg.submit_bid(bid, "req-1")
+    assert ledger.height == height
+    assert agg.requests["req-1"].bids == bids
+
+
+class TestBidAdmission:
+    def test_repeated_bid_id_rejected(self, stack):
+        agg = setup_market(stack)
+        agg.create_flex_request(request(q=4.0))
+        agg.submit_bid(Bid("A", "pa", 5, 3, ("dg-1",)), "req-1")
+        assert_rejected(stack, Bid("A", "pb", 4, 2, ("ess-1",)), ValidationError)
+        assert agg.clear("req-1").bid_ids == ("A",)
+
+    def test_resource_cited_twice_rejected(self, stack):
+        agg = setup_market(stack)
+        agg.create_flex_request(request(q=10.0))
+        agg.submit_bid(Bid("A", "pa", 5, 3, ("dg-1",)), "req-1")
+        # Counted twice, dg-1 would back a 10 kW cover that delivers 5 kW.
+        assert_rejected(stack, Bid("B", "pa", 5, 2, ("dg-1",)), ValidationError)
+        assert_rejected(stack, Bid("C", "pa", 6, 1, ("hvac-1", "hvac-1")), ValidationError)
+        assert agg.clear("req-1") is None
+        assert agg.workflow_state("req-1") is WorkflowState.BIDDING
+
+    def test_offer_backed_by_islanding_delivery_not_capacity(self, stack):
+        agg = setup_market(stack)
+        agg.create_flex_request(request(q=3.0))
+        # hvac-1 has 4 kW of capacity but switching it off sheds its 3 kW baseline.
+        assert_rejected(stack, Bid("A", "pa", 4, 1, ("hvac-1",)), ValidationError)
+        agg.submit_bid(Bid("B", "pa", 3, 1, ("hvac-1",)), "req-1")
+        assert agg.clear("req-1") is not None
+        assert solve_csp(agg.build_instance("req-1")) is not None
+
+    def test_bid_on_another_prosumers_resource_rejected(self, stack):
+        agg = setup_market(stack)
+        agg.create_flex_request(request(q=4.0))
+        assert_rejected(stack, Bid("A", "pa", 4, 1, ("ess-1",)), AuthorizationError)
+        assert_rejected(stack, Bid("B", "pb", 4, 1, ("ess-1", "dg-1")), AuthorizationError)
+
+
+OWNERS = ("pa", "pb")
+RESOURCES = st.lists(
+    st.tuples(st.sampled_from(list(ResourceKind)), st.floats(0.5, 10), st.floats(0, 1),
+              st.sampled_from(OWNERS)),
+    min_size=2, max_size=8)
+# (bid id, bidder owns its first resource, offer as a share of cited capacity,
+# price, cited resource indices)
+BIDS = st.lists(
+    st.tuples(st.integers(0, 7), st.sampled_from([True, True, True, False]),
+              st.floats(0.05, 1.2), st.floats(0, 10),
+              st.lists(st.integers(0, 7), min_size=1, max_size=2)),
+    max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(resources=RESOURCES, bids=BIDS, quantity_share=st.floats(0.02, 0.5))
+def test_admitted_bids_that_clear_are_schedulable(resources, bids, quantity_share):
+    """Whatever bids are offered, a cover of the admitted ones has a schedule."""
+    agg = build_stack(1)[4]
+    for i, (kind, capacity, load_share, owner) in enumerate(resources):
+        baseline = (SetpointAction(ActionType.ON, capacity * load_share)
+                    if kind in (ResourceKind.HW, ResourceKind.HVAC)
+                    else SetpointAction(ActionType.IDLE, 0.0))
+        agg.register_resource(FlexResource(f"r{i}", kind, True, capacity, baseline, owner))
+    total = sum(r.capacity_kw for r in agg.resources.values())
+    agg.create_flex_request(request(q=total * quantity_share))
+    for bid_no, owns, offer_share, price, picks in bids:
+        cited = [agg.resources[f"r{j % len(resources)}"] for j in picks]
+        prosumer = cited[0].owner if owns else next(o for o in OWNERS if o != cited[0].owner)
+        offered = offer_share * sum(r.capacity_kw for r in cited)
+        bid = Bid(f"b{bid_no}", prosumer, offered, price, tuple(r.resource_id for r in cited))
+        try:
+            agg.submit_bid(bid, "req-1")
+        except (ValidationError, AuthorizationError):
+            continue
+    if agg.clear("req-1") is not None:
+        assert solve_csp(agg.build_instance("req-1")) is not None

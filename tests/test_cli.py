@@ -265,6 +265,43 @@ def _scenario_not_json(tmp_path):
     return ["trade", "--config", cfg, "--out", tmp_path / "t"]
 
 
+def _scenario_with(tmp_path, edit):
+    """The demo scenario after ``edit``, as a trade command."""
+    scenario = demo_scenario()
+    edit(scenario)
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(scenario))
+    return ["trade", "--config", cfg, "--out", tmp_path / "t"]
+
+
+def _scenario_issuer_not_string(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["requests"][0].update(issuer=5))
+
+
+def _scenario_owner_not_string(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["resources"][0].update(owner=["prosumer-a"]))
+
+
+def _scenario_bid_id_not_string(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["bids"][0].update(bid_id=1))
+
+
+def _scenario_capacity_nan(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["resources"][0].update(capacity_kw="nan"))
+
+
+def _scenario_price_nan(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["bids"][0].update(price_per_kw="nan"))
+
+
+def _scenario_quantity_nan(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["requests"][0].update(quantity_kw="nan"))
+
+
+def _scenario_window_start_infinite(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["requests"][0]["window"].update(start=math.inf))
+
+
 def _topology_node_without_id(tmp_path):
     node = {"tier": "edge", "service_rate_tps": 100.0, "link_delay_ms": 1.0}
     cfg = tmp_path / "bench.json"
@@ -277,6 +314,20 @@ def _attack_config_without_dataset(tmp_path):
     cfg = tmp_path / "attack.json"
     cfg.write_text("{}")
     return ["attack", "--config", cfg, "--out", tmp_path / "a"]
+
+
+def _attack_with_dataset(tmp_path, dataset):
+    cfg = tmp_path / "attack.json"
+    cfg.write_text(json.dumps({"dataset": dataset}))
+    return ["attack", "--config", cfg, "--out", tmp_path / "a"]
+
+
+def _attack_dataset_null(tmp_path):
+    return _attack_with_dataset(tmp_path, None)
+
+
+def _attack_dataset_list(tmp_path):
+    return _attack_with_dataset(tmp_path, ["d.csv"])
 
 
 def _attack_dataset_missing(tmp_path):
@@ -379,18 +430,30 @@ def _enroll_negative_count(tmp_path):
     return ["enroll", "--n", -1, "--out", tmp_path / "o"]
 
 
+def _registry_is_a_directory(tmp_path):
+    return ["enroll", "--n", 1, "--out", tmp_path / "o", "--registry", tmp_path]
+
+
+def _out_is_a_file(tmp_path):
+    out = tmp_path / "o"
+    out.write_text("")
+    return ["enroll", "--n", 1, "--out", out]
+
+
 @pytest.mark.parametrize("make_argv", [
     _truncated_registry, _registry_payload_not_an_object, _registry_payload_without_device_id,
     _registry_device_id_not_hex, _registry_submit_time_infinite, _registry_owner_id_edited,
     _registry_in_old_format,
-    _scenario_without_bids, _scenario_not_json,
-    _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_missing,
-    _attack_dataset_non_finite,
+    _scenario_without_bids, _scenario_not_json, _scenario_issuer_not_string,
+    _scenario_owner_not_string, _scenario_bid_id_not_string, _scenario_capacity_nan,
+    _scenario_price_nan, _scenario_quantity_nan, _scenario_window_start_infinite,
+    _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_null,
+    _attack_dataset_list, _attack_dataset_missing, _attack_dataset_non_finite,
     _credential_model_not_an_object, _credential_model_field_not_a_number,
     _credential_model_field_bool, _certificate_footprint_zero,
     _credential_model_field_negative, _non_numeric_rate,
     _rate_nan, _rate_inf, _rate_zero, _rate_negative, _duration_nan, _duration_inf,
-    _topology_negative_link, _enroll_negative_count,
+    _topology_negative_link, _enroll_negative_count, _registry_is_a_directory, _out_is_a_file,
 ])
 def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)

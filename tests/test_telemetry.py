@@ -243,10 +243,6 @@ class TestEstimator:
         assert est(up_hvac) >= est(base)
         assert est(up_tamb) <= est(base)
 
-    def test_pluggable_estimator(self):
-        series = samples([1.0, 2.0])
-        assert estimate_flexibility(series, lambda s: s.hvac_demand_res_kw) == [6.0, 6.0]
-
 
 class TestSynthetic:
     def test_round_trips_through_csv(self, tmp_path):

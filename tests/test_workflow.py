@@ -23,7 +23,7 @@ def ev(kind, t=0, payload=None):
 class TestTransitions:
     def test_created_plus_request_is_bidding(self, stack):
         engine = make_engine(stack)
-        wf = engine.create_workflow(["dso"])
+        wf = engine.create_workflow()
         state = engine.advance(wf.workflow_id, ev(EventKind.CREATE_FLEX_REQUEST))
         assert state is WorkflowState.BIDDING
 
@@ -31,7 +31,7 @@ class TestTransitions:
         # The canonical trace: one event of each kind, in step order,
         # finishing Fulfilled.
         engine = make_engine(stack)
-        wf = engine.create_workflow(["dso"])
+        wf = engine.create_workflow()
         kinds = [
             EventKind.CREATE_FLEX_REQUEST,
             EventKind.BID_OFFER,
@@ -45,7 +45,7 @@ class TestTransitions:
 
     def test_terminal_state_rejects_everything(self, stack):
         engine = make_engine(stack)
-        wf = engine.create_workflow(["dso"])
+        wf = engine.create_workflow()
         for kind in (EventKind.CREATE_FLEX_REQUEST, EventKind.BID_OFFER,
                      EventKind.CREATE_DF_SCHEDULING, EventKind.ACTIVATION_SETTLEMENT):
             engine.advance(wf.workflow_id, ev(kind))
@@ -55,20 +55,20 @@ class TestTransitions:
 
     def test_illegal_first_event(self, stack):
         engine = make_engine(stack)
-        wf = engine.create_workflow(["dso"])
+        wf = engine.create_workflow()
         with pytest.raises(StateError):
             engine.advance(wf.workflow_id, ev(EventKind.BID_OFFER))
 
     def test_bid_offer_loops_in_bidding(self, stack):
         engine = make_engine(stack)
-        wf = engine.create_workflow(["dso"])
+        wf = engine.create_workflow()
         engine.advance(wf.workflow_id, ev(EventKind.CREATE_FLEX_REQUEST))
         for _ in range(3):
             assert engine.advance(wf.workflow_id, ev(EventKind.BID_OFFER)) is WorkflowState.BIDDING
 
     def test_monotone_state_index(self, stack):
         engine = make_engine(stack)
-        wf = engine.create_workflow(["dso"])
+        wf = engine.create_workflow()
         seen = [wf.state.value]
         for kind in (EventKind.CREATE_FLEX_REQUEST, EventKind.BID_OFFER,
                      EventKind.CREATE_DF_SCHEDULING, EventKind.ACTIVATION_SETTLEMENT):
@@ -133,7 +133,7 @@ class TestPubSub:
 class TestLedgerParity:
     def test_event_history_matches_committed_txs(self, stack):
         _, _, ledger, engine, _ = stack
-        wf = engine.create_workflow(["dso"])
+        wf = engine.create_workflow()
         kinds = [EventKind.CREATE_FLEX_REQUEST, EventKind.BID_OFFER,
                  EventKind.BID_OFFER, EventKind.CREATE_DF_SCHEDULING,
                  EventKind.ACTIVATION_SETTLEMENT]
@@ -147,7 +147,7 @@ class TestLedgerParity:
     def test_topic_discipline(self, stack):
         # Each event kind maps to exactly its step's topic.
         _, _, _, engine, _ = stack
-        wf = engine.create_workflow(["dso"])
+        wf = engine.create_workflow()
         engine.advance(wf.workflow_id, ev(EventKind.CREATE_FLEX_REQUEST))
         engine.advance(wf.workflow_id, ev(EventKind.CREATE_DF_SCHEDULING))
         engine.advance(wf.workflow_id, ev(EventKind.ACTIVATION_SETTLEMENT))
