@@ -2,9 +2,12 @@
 
     python3 bench_record.py --pr <n>
 
-Run from the root of a checkout. For each workload in ``BENCHMARK.json`` it
-runs ``perfbench/run.py --workload W --seed S --seconds <run_seconds>
---trace 0`` once per seed in ``SEEDS``, one run after another, and writes
+Run from the root of a checkout. It first byte-compiles ``src/plexisim`` and
+``perfbench`` (``compileall``), so that a checkout with stale or missing
+bytecode does not count compilation in ``setup_s`` and ``peak_rss_mb``; the
+file records which directories it compiled. Then, for each workload in
+``BENCHMARK.json``, it runs ``perfbench/run.py --workload W --seed S
+--seconds <run_seconds> --trace 0`` once per seed in ``SEEDS``, one run after another, and writes
 ``BENCH_<pr>.json`` at the root of the checkout. Per workload the file holds
 the median and quartiles of every end-to-end metric over the seeds (each
 seed's value is already perfbench's median over its workers), the
@@ -18,6 +21,7 @@ two commits, measured on one host, compare a change with its parent.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import statistics
@@ -26,6 +30,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (1, 2, 3, 4, 5)
+COMPILED_DIRS = ("src/plexisim", "perfbench")
 
 
 def run_once(workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
@@ -38,6 +43,14 @@ def run_once(workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
     lines = proc.stdout.strip().splitlines()
     env = next(json.loads(line[len("# env "):]) for line in lines if line.startswith("# env "))
     return env, json.loads(lines[-1])
+
+
+def byte_compile() -> list:
+    """Bring the bytecode of ``COMPILED_DIRS`` up to date; returns them."""
+    for rel in COMPILED_DIRS:
+        if not compileall.compile_dir(os.path.join(ROOT, rel), quiet=1):
+            raise RuntimeError(f"compileall failed in {rel}")
+    return list(COMPILED_DIRS)
 
 
 def summarize(values: list) -> dict:
@@ -60,6 +73,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    compiled = byte_compile()
 
     env, workloads = None, {}
     for workload in (w["name"] for w in spec["workloads"]):
@@ -84,6 +98,7 @@ def main(argv=None) -> int:
         "seeds": list(SEEDS),
         "run_seconds": spec["run_seconds"],
         "trace": 0,
+        "byte_compiled": compiled,
         "env": {k: env[k] for k in ("nproc", "cpu_model", "python", "cryptography",
                                     "git_commit")},
         "tracked_files_modified": tracked_files_modified(),

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .clock import STEP_MS, SimClock
 from .csp import Constraint, CspInstance, check_assignment, solve_csp
-from .errors import AuthorizationError, StateError, TimingError, ValidationError
+from .errors import AuthorizationError, SimError, StateError, TimingError, ValidationError
 from .market import Bid, MarketResult, clear_market as _clear
 from .workflow import Event, EventKind, WorkflowEngine, WorkflowState
 
@@ -287,7 +287,12 @@ class DfAggregator:
         wf = self.engine.create_workflow()
         now = self.clock.now()
         event = Event(EventKind.CREATE_FLEX_REQUEST, req.to_payload(), now)
-        self.engine.advance(wf.workflow_id, event, publisher=req.issuer)
+        try:
+            self.engine.advance(wf.workflow_id, event, publisher=req.issuer)
+        except SimError:
+            # The ledger refused the create: no workflow, and its id is free.
+            del self.engine.workflows[wf.workflow_id]
+            raise
         self.requests[req.request_id] = _RequestCtx(req, wf.workflow_id, now + BID_DEADLINE_MS)
         return event
 

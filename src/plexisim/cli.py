@@ -151,6 +151,14 @@ def demo_scenario() -> dict:
     }
 
 
+def _whole(value) -> int:
+    """A window step: an integer, or a float with no fractional part."""
+    step = int(value)
+    if step != value:
+        raise ValueError(f"window step {value!r} is not a whole number")
+    return step
+
+
 def parse_scenario(raw: dict) -> tuple:
     """(resources, requests, bids); bids are (Bid, request_id) pairs. Raises ValidationError."""
     try:
@@ -170,7 +178,7 @@ def parse_scenario(raw: dict) -> tuple:
         requests = [
             FlexRequest(
                 request_id=q["request_id"],
-                window=Window(int(q["window"]["start"]), int(q["window"]["duration"])),
+                window=Window(_whole(q["window"]["start"]), _whole(q["window"]["duration"])),
                 shape=RequestShape(q["shape"]),
                 quantity_kw=float(q["quantity_kw"]),
                 direction=Direction(q["direction"]),
@@ -194,6 +202,10 @@ def parse_scenario(raw: dict) -> tuple:
         ]
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed scenario: {exc!r}") from exc
+    known = {req.request_id for req in requests}
+    for bid, request_id in bids:
+        if request_id not in known:
+            raise ValidationError(f"bid {bid.bid_id} names unknown request {request_id!r}")
     return resources, requests, bids
 
 

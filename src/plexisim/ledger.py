@@ -6,11 +6,12 @@ the Ed25519 ``signature`` and ``sim_time_submitted``. The signed message is
 always ``canonical_json(payload)`` and ``tx_id`` is the SHA-256 of that
 message followed by the signature, so neither is stored. Endorsement gates
 every transaction on the signature (``identity.verify``, or the anchor key)
-and contract preconditions; one logical orderer then commits each endorsed
-transaction in its own block, in submission order. Committed blocks are
-hash-chained over the derived ``tx_id``s and the world state is a pure fold
-over the chain, so replay reproduces the live state exactly. Blocks persist
-as JSON lines with stable field order.
+and on the registry contract (``RegistryState.admit``); one logical orderer
+then commits each endorsed transaction in its own block, in submission
+order. Committed blocks are hash-chained over the derived ``tx_id``s and
+the world state is the same contract folded over the chain, so replay
+reproduces the live state exactly and refuses any tx the contract refuses.
+Blocks persist as JSON lines with stable field order.
 """
 
 from __future__ import annotations
@@ -225,8 +226,8 @@ def _token_from_create(payload: dict) -> tuple:
     """The token and challenge index a create_nft payload mints. A malformed
     payload raises ``KeyError``, ``TypeError``, ``ValueError`` or
     ``OverflowError``: a missing field, a hex field that is not lower-case
-    hex, a non-string id or name, or a non-integer issue time or challenge
-    index."""
+    hex, a non-string id or name, a non-integer issue time or challenge
+    index, or a token id that is not the hash of its device, key and owner."""
     token = NftToken(
         token_id=payload["token_id"],
         token_name=payload["token_name"],
@@ -244,13 +245,10 @@ def _token_from_create(payload: dict) -> tuple:
     # Typed fields keep token equality exact (see __eq__).
     if any(type(v) is not str for v in (token.token_id, token.token_name, token.owner_id)):
         raise TypeError("create_nft token_id, token_name and owner_id must be strings")
+    if token.token_id != compute_token_id(token.device_id, token.public_key, token.owner_id):
+        raise ValueError("create_nft token_id is not derived from device_id, public_key "
+                         "and owner_id")
     return token, int(payload.get("challenge_index", 0))
-
-
-def _actor_fields_are_str(payload: dict) -> bool:
-    """A set_flag's delegate_id and new_owner, where given, are strings."""
-    return all(type(v) is str for v in (payload.get("delegate_id"), payload.get("new_owner"))
-               if v)
 
 
 @dataclass
@@ -274,73 +272,92 @@ class RegistryState:
             device_id = device_id.hex()
         return self.challenge_index.get(device_id, 0)
 
-    def actor_for(self, signer: str) -> Optional[str]:
-        """Resolve the acting party behind a signer via its token owner."""
-        token = self.tokens.get(signer)
-        if token is None:
-            return None
-        return token.owner_id
+    def admit(self, tx: Transaction) -> None:
+        """Check ``tx`` against the registry contract, then fold it in.
 
-    def apply(self, tx: Transaction) -> None:
-        """Fold one transaction in; a malformed payload raises
-        ``IntegrityViolationError`` before any field of the state changes."""
+        This is the contract's one rule set: ``LedgerSim.submit`` endorses
+        with it and ``apply`` replays with it. A refused tx raises
+        ``ValidationError``, ``AuthorizationError`` or ``EnrollmentRejected``
+        before any field of the state changes. The signature stage
+        (``identity.verify``, or the anchor key, which also checks that a
+        device signer is live) is not part of it: it runs in ``submit``
+        only, because re-verifying every stored signature would cost about
+        115 us per tx on replay.
+        """
         payload = tx.payload
         if type(payload) is not dict:
-            raise IntegrityViolationError(f"payload of tx {tx.tx_id[:12]} is not an object")
+            raise ValidationError(f"payload of tx {tx.tx_id[:12]} is not an object")
         op = payload.get("op")
+        if op == OP_CREATE_NFT:
+            # Only the anchor mints: a device key would pick its own token's key.
+            if tx.signer != ANCHOR_TOKEN_ID:
+                raise AuthorizationError("create_nft must be signed by the anchor")
+            try:
+                token, challenge_index = _token_from_create(payload)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"malformed create_nft payload: {exc!r}") from exc
+            device_hex = payload["device_id"]
+            if device_hex in self.device_index:
+                raise EnrollmentRejected("device id already bound to a live token")
+            self.tokens[token.token_id] = token
+            self.device_index[device_hex] = token.token_id
+            self.challenge_index[device_hex] = challenge_index
+        elif op == OP_SET_FLAG:
+            flag = payload.get("flag")
+            if flag not in FLAGS:
+                raise ValidationError(f"unknown flag {flag!r}")
+            delegate_id, new_owner = payload.get("delegate_id"), payload.get("new_owner")
+            if any(v and type(v) is not str for v in (delegate_id, new_owner)):
+                raise ValidationError("set_flag delegate_id and new_owner must be strings")
+            token_id = payload.get("token_id")
+            if type(token_id) is not str:
+                raise ValidationError(f"set_flag token_id must be a string, got {token_id!r}")
+            token = self.tokens.get(token_id)
+            if token is None:
+                raise ValidationError(f"no token {token_id}")
+            # The delegate, once set, acts instead of the owner.
+            allowed = token.owner_id
+            if token.constraints.delegated:
+                allowed = self.delegates.get(token_id, allowed)
+            actor = getattr(self.tokens.get(tx.signer), "owner_id", None)
+            if actor != allowed:
+                raise AuthorizationError(f"actor {actor!r} may not mutate token owned via "
+                                         f"{allowed!r}")
+            # Revocation is final: a revoked token takes no further flag change.
+            if token.constraints.revoked:
+                raise ValidationError(f"token {token_id[:12]} is revoked")
+            changes = {"constraints": replace(token.constraints,
+                                              **{flag: bool(payload.get("value", True))})}
+            if flag == "delegated" and delegate_id:
+                self.delegates[token_id] = delegate_id
+            if flag == "transferred" and new_owner:
+                changes["owner_id"] = new_owner
+            self.tokens[token_id] = replace(token, **changes)
+        elif op == OP_RECORD_EVENT:
+            missing = _EVENT_FIELDS - payload.keys()
+            if missing:
+                raise ValidationError(f"record_event lacks {sorted(missing)}")
+            self.event_log.append(
+                {
+                    "workflow_id": payload["workflow_id"],
+                    "kind": payload["kind"],
+                    "payload": payload.get("payload", {}),
+                    "sim_time": payload["sim_time"],
+                }
+            )
+        else:
+            raise ValidationError(f"unknown contract op {op!r}")
+
+    def apply(self, tx: Transaction) -> None:
+        """Replay one committed tx through ``admit``; a tx the contract
+        refuses raises ``IntegrityViolationError`` before any field of the
+        state changes."""
         try:
-            if op == OP_CREATE_NFT:
-                self._apply_create(payload)
-            elif op == OP_SET_FLAG:
-                self._apply_set_flag(payload)
-            elif op == OP_RECORD_EVENT:
-                self.event_log.append(
-                    {
-                        "workflow_id": payload["workflow_id"],
-                        "kind": payload["kind"],
-                        "payload": payload.get("payload", {}),
-                        "sim_time": payload["sim_time"],
-                    }
-                )
-            else:
-                raise IntegrityViolationError(f"unknown contract op {op!r}")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            self.admit(tx)
+        except (ValidationError, AuthorizationError, EnrollmentRejected) as exc:
             raise IntegrityViolationError(
-                f"malformed {op!r} payload in tx {tx.tx_id[:12]}: {exc!r}"
+                f"tx {tx.tx_id[:12]} in chain breaks the contract: {exc}"
             ) from exc
-
-    def _apply_create(self, payload: dict) -> None:
-        token, challenge_index = _token_from_create(payload)
-        device_hex = payload["device_id"]
-        if device_hex in self.device_index:
-            raise IntegrityViolationError("duplicate device binding in chain")
-        self.tokens[token.token_id] = token
-        self.device_index[device_hex] = token.token_id
-        self.challenge_index[device_hex] = challenge_index
-
-    def _apply_set_flag(self, payload: dict) -> None:
-        token = self.tokens.get(payload["token_id"])
-        flag = payload["flag"]
-        if token is None or flag not in FLAGS:
-            raise IntegrityViolationError("set_flag for unknown token or flag in chain")
-        if not _actor_fields_are_str(payload):
-            raise IntegrityViolationError("set_flag delegate_id and new_owner must be strings")
-        cons = replace(token.constraints, **{flag: bool(payload.get("value", True))})
-        changes = {"constraints": cons}
-        if flag == "delegated" and payload.get("delegate_id"):
-            self.delegates[token.token_id] = payload["delegate_id"]
-        if flag == "transferred" and payload.get("new_owner"):
-            changes["owner_id"] = payload["new_owner"]
-        self.tokens[token.token_id] = replace(token, **changes)
-
-    def authorized_actor(self, token_id: str) -> Optional[str]:
-        """Who may mutate this token's flags: the delegate if set, else owner."""
-        token = self.tokens.get(token_id)
-        if token is None:
-            return None
-        if token.constraints.delegated and token_id in self.delegates:
-            return self.delegates[token_id]
-        return token.owner_id
 
     def canonical(self) -> str:
         return canonical_json(
@@ -355,7 +372,7 @@ class RegistryState:
 
     def __eq__(self, other) -> bool:
         """Same verdict as comparing ``canonical()`` strings. Token, device
-        index and delegate values have the types ``apply`` fixes, so plain
+        index and delegate values have the types ``admit`` fixes, so plain
         ``==`` is exact for them; the free-form JSON values go through
         ``_same_json``."""
         if not isinstance(other, RegistryState):
@@ -405,74 +422,26 @@ class LedgerSim:
     def receipt_for(self, tx_id: str) -> Optional[CommitReceipt]:
         return self._committed.get(tx_id)
 
-    # -- endorsement ------------------------------------------------------
-
-    def _signature_ok(self, tx: Transaction) -> bool:
-        if tx.signer == ANCHOR_TOKEN_ID:
-            return signature_valid(self.anchor_pk, tx.message, tx.signature)
-        env = SignedEnvelope(tx.message, tx.signature, tx.signer, tx.sim_time_submitted)
-        return verify(env, self.state) is VerifyStatus.ACCEPT
-
-    def _check_payload(self, tx: Transaction) -> None:
-        """Contract preconditions. Every payload that passes applies without
-        error, so a commit never fails part-way."""
-        payload = tx.payload
-        if type(payload) is not dict:
-            raise ValidationError(f"payload of tx {tx.tx_id[:12]} is not an object")
-        if _has_non_str_key(payload):
-            raise ValidationError(f"payload of tx {tx.tx_id[:12]} has a non-string key")
-        op = payload.get("op")
-        if op == OP_CREATE_NFT:
-            # Only the anchor mints: a device key would pick its own token's key.
-            if tx.signer != ANCHOR_TOKEN_ID:
-                raise AuthorizationError("create_nft must be signed by the anchor")
-            try:
-                _token_from_create(payload)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"malformed create_nft payload: {exc!r}") from exc
-            if payload["device_id"] in self.state.device_index:
-                raise EnrollmentRejected("device id already bound to a live token")
-        elif op == OP_SET_FLAG:
-            if payload.get("flag") not in FLAGS:
-                raise ValidationError(f"unknown flag {payload.get('flag')!r}")
-            if not _actor_fields_are_str(payload):
-                raise ValidationError("set_flag delegate_id and new_owner must be strings")
-            token_id = payload.get("token_id")
-            if type(token_id) is not str:
-                raise ValidationError(f"set_flag token_id must be a string, got {token_id!r}")
-            allowed = self.state.authorized_actor(token_id)
-            if allowed is None:
-                raise ValidationError(f"no token {token_id}")
-            actor = self.state.actor_for(tx.signer)
-            if actor != allowed:
-                raise AuthorizationError(
-                    f"actor {actor!r} may not mutate token owned via {allowed!r}"
-                )
-            # Revocation is final: a revoked token takes no further flag change.
-            if self.state.tokens[token_id].constraints.revoked:
-                raise ValidationError(f"token {token_id[:12]} is revoked")
-        elif op == OP_RECORD_EVENT:
-            missing = _EVENT_FIELDS - payload.keys()
-            if missing:
-                raise ValidationError(f"record_event lacks {sorted(missing)}")
-        else:
-            raise ValidationError(f"unknown contract op {op!r}")
-
-    def _endorse(self, tx: Transaction) -> None:
-        if not self._signature_ok(tx):
-            raise RejectedTransactionError(f"signature rejected for tx {tx.tx_id[:12]}")
-        self._check_payload(tx)
-
     # -- commit -----------------------------------------------------------
 
     def submit(self, tx: Transaction) -> CommitReceipt:
-        """Endorse ``tx``, commit it alone in the next block and return its
-        receipt."""
+        """Endorse ``tx`` (signature, then ``RegistryState.admit``), commit it
+        alone in the next block and return its receipt."""
         # Ed25519 signing is deterministic, so a signature over a committed
         # payload is that tx again, whatever its unsigned fields say.
         if tx.tx_id in self._committed:
             raise DuplicateTransactionError(f"tx {tx.tx_id[:12]} already seen")
-        self._endorse(tx)
+        if tx.signer == ANCHOR_TOKEN_ID:
+            signed = signature_valid(self.anchor_pk, tx.message, tx.signature)
+        else:
+            env = SignedEnvelope(tx.message, tx.signature, tx.signer, tx.sim_time_submitted)
+            signed = verify(env, self.state) is VerifyStatus.ACCEPT
+        if not signed:
+            raise RejectedTransactionError(f"signature rejected for tx {tx.tx_id[:12]}")
+        # A JSON-read payload has only string keys, so replay skips this walk.
+        if _has_non_str_key(tx.payload):
+            raise ValidationError(f"payload of tx {tx.tx_id[:12]} has a non-string key")
+        self.state.admit(tx)
         now = self.clock.advance(BLOCK_INTERVAL_MS)
         prev = self.chain[-1].block_hash if self.chain else GENESIS_PREV_HASH
         height = len(self.chain)
@@ -483,7 +452,6 @@ class LedgerSim:
             block_hash=compute_block_hash(height, prev, (tx,)),
             sim_time_committed=now,
         )
-        self.state.apply(tx)
         receipt = self._committed[tx.tx_id] = _receipt(tx, block)
         self.chain.append(block)
         return receipt

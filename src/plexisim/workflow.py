@@ -9,7 +9,6 @@ order.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
@@ -112,7 +111,6 @@ class WorkflowEngine:
         self._subs: dict[Topic, list[str]] = {t: [] for t in Topic}
         self.workflows: dict[str, Workflow] = {}
         self.trace: list[dict] = []
-        self._ids = itertools.count(1)
 
     # -- actors and pub/sub --------------------------------------------------
 
@@ -151,7 +149,9 @@ class WorkflowEngine:
     # -- workflows -------------------------------------------------------------
 
     def create_workflow(self) -> Workflow:
-        wf = Workflow(workflow_id=f"wf-{next(self._ids):04d}")
+        # Ids count the workflows held, so one dropped right after creation
+        # frees its id for the next.
+        wf = Workflow(workflow_id=f"wf-{len(self.workflows) + 1:04d}")
         self.workflows[wf.workflow_id] = wf
         return wf
 

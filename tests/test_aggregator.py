@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plexisim import identity
 from plexisim.aggregator import (
     BID_DEADLINE_MS,
     ActionType,
@@ -364,6 +365,21 @@ class TestRecordBeforeMutate:
         with pytest.raises(RejectedTransactionError):
             agg.create_flex_request(request())
         assert agg.requests == {}
+
+    def test_unrecorded_request_leaves_no_workflow(self, stack):
+        _, anchor, ledger, engine, _ = stack
+        agg = setup_market(stack)
+        revoke_contract(stack)
+        with pytest.raises(RejectedTransactionError):
+            agg.create_flex_request(request())
+        assert engine.workflows == {}
+        # Under a live contract key, the next request gets the first id.
+        engine.contract_key, _ = identity.enroll(identity.make_device("dfasc-2", seed=98),
+                                                 owner_id="dfasc", anchor=anchor,
+                                                 registry=ledger)
+        agg.create_flex_request(request())
+        assert list(engine.workflows) == ["wf-0001"]
+        assert agg.requests["req-1"].workflow_id == "wf-0001"
 
     def test_unrecorded_bid_does_not_count_at_clearing(self, stack):
         agg = setup_market(stack)

@@ -66,6 +66,16 @@ class TestTrade:
         state = replay_chain(chain)  # raises on any integrity violation
         assert len(state.event_log) >= 6
 
+    def test_integral_float_window_reads_as_the_demo(self, tmp_path):
+        scenario = demo_scenario()
+        scenario["requests"][0]["window"] = {"start": 1.0, "duration": 1.0}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(scenario))
+        assert run(["trade", "--config", cfg, "--seed", 1, "--out", tmp_path / "f"]) == 0
+        assert run(["trade", "--seed", 1, "--out", tmp_path / "d"]) == 0
+        for name in ("schedules.json", "trace.json", "ledger.jsonl"):
+            assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
+
     def test_unsat_exits_two_with_bidding_trace(self, tmp_path, capsys):
         scenario = demo_scenario()
         scenario["bids"] = [b for b in scenario["bids"] if b["bid_id"] == "B"]
@@ -302,6 +312,19 @@ def _scenario_window_start_infinite(tmp_path):
     return _scenario_with(tmp_path, lambda s: s["requests"][0]["window"].update(start=math.inf))
 
 
+def _scenario_bid_for_unknown_request(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["bids"].append(
+        dict(s["bids"][0], bid_id="D", request_id="req-typo")))
+
+
+def _scenario_window_start_fractional(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["requests"][0]["window"].update(start=1.7))
+
+
+def _scenario_window_duration_fractional(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["requests"][0]["window"].update(duration=1.5))
+
+
 def _topology_node_without_id(tmp_path):
     node = {"tier": "edge", "service_rate_tps": 100.0, "link_delay_ms": 1.0}
     cfg = tmp_path / "bench.json"
@@ -447,6 +470,8 @@ def _out_is_a_file(tmp_path):
     _scenario_without_bids, _scenario_not_json, _scenario_issuer_not_string,
     _scenario_owner_not_string, _scenario_bid_id_not_string, _scenario_capacity_nan,
     _scenario_price_nan, _scenario_quantity_nan, _scenario_window_start_infinite,
+    _scenario_bid_for_unknown_request, _scenario_window_start_fractional,
+    _scenario_window_duration_fractional,
     _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_null,
     _attack_dataset_list, _attack_dataset_missing, _attack_dataset_non_finite,
     _credential_model_not_an_object, _credential_model_field_not_a_number,

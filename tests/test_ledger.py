@@ -316,6 +316,7 @@ MALFORMED_CREATES = {
     "public_key upper case": lambda p: dict(p, public_key=p["public_key"].upper()),
     "device_id with spaces": lambda p: dict(p, device_id=p["device_id"][:2] + " "
                                             + p["device_id"][2:]),
+    "token_id not derived": lambda p: dict(p, token_id="f" * 64),
 }
 
 
@@ -741,3 +742,87 @@ def test_replay_of_saved_chain_equals_live_state(devices, ops):
         replayed = replay_chain(read_chain(path))
     assert replayed == ledger.state
     assert replayed.canonical() == ledger.state.canonical()
+
+
+def appended(chain, tx):
+    """``chain`` with one more block holding ``tx``, hashed as an editor could."""
+    prev = chain[-1].block_hash if chain else GENESIS_PREV_HASH
+    height = len(chain)
+    return [*chain, Block(height, prev, (tx,), compute_block_hash(height, prev, (tx,)), 0)]
+
+
+DIFF_OPS = st.one_of(
+    st.tuples(st.just("create"), st.integers(0, 7), st.sampled_from(OWNERS)),
+    st.tuples(st.just("device create"), st.integers(0, 7), st.integers(0, 9)),
+    st.tuples(st.just("malformed create"), st.integers(0, 7),
+              st.sampled_from(sorted(MALFORMED_CREATES))),
+    st.tuples(st.just("event"), st.integers(0, 9), JSON_VALUES),
+    st.tuples(st.just("event lacking"), st.integers(0, 9),
+              st.sampled_from(("workflow_id", "kind", "sim_time"))),
+    st.tuples(st.just("flag"), st.integers(0, 9), st.integers(0, 9),
+              st.sampled_from(("revoked", "delegated", "transferred", "frozen")),
+              st.booleans(), st.sampled_from((*OWNERS, 7))),
+    st.tuples(st.just("advance"), st.sampled_from((1, BLOCK_INTERVAL_MS))),
+)
+
+
+def signed_call(ledger, keys, op, args):
+    """The tx for one drawn call, signed by a key whose token is live (None
+    when the drawn signer's token is revoked), and the key it mints."""
+    if op in ("create", "malformed create"):
+        return contract_tx(ledger, keys, [], op, args)
+    key = keys[args[0] % len(keys)]
+    if ledger.query(key.token_id).constraints.revoked:
+        return None, None
+    if op == "device create":
+        create, _ = create_tx(ledger, ANCHOR, identity.make_device(f"dev-{args[1]}",
+                                                                   seed=args[1]), "alice")
+        payload = create.payload
+    elif op == "event lacking":
+        tx = record_tx(ledger, key)
+        payload = {k: v for k, v in tx.payload.items() if k != args[1]}
+    elif op == "event":
+        return record_tx(ledger, key, payload=args[1]), None
+    else:
+        target, flag, value, other = args[1:]
+        extra = {"delegate_id": other} if flag == "delegated" else {"new_owner": other}
+        return flag_tx(ledger, keys[target % len(keys)].token_id, flag, key, value=value,
+                       **extra), None
+    now = ledger.clock.now()
+    return as_tx(payload, identity.sign(canonical_json(payload).encode(), key, now), now), None
+
+
+@settings(max_examples=100, deadline=None)
+@given(devices=st.integers(1, 4), ops=st.lists(DIFF_OPS, max_size=25))
+# bob's live token revokes alice's token: submit refuses it as unauthorised.
+@example(devices=2, ops=[("flag", 1, 0, "revoked", True, "alice")])
+# The owner revokes a token, then tries to delegate it.
+@example(devices=3, ops=[("flag", 2, 0, "revoked", True, "alice"),
+                         ("flag", 2, 0, "delegated", True, "bob")])
+def test_replay_refuses_exactly_what_submit_refuses(devices, ops):
+    """``submit`` and replay apply one contract. With valid signatures from
+    live signers, a tx that ``submit`` refuses, appended to the chain as a
+    re-hashed block, makes replay raise ``IntegrityViolationError``, and
+    the accepted txs replay to the live state."""
+    ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(ANCHOR))
+    keys = [identity.enroll(identity.make_device(f"ctl-{i}", seed=100 + i), OWNERS[i % 2],
+                            ANCHOR, ledger)[0]
+            for i in range(devices)]
+    for op, *args in ops:
+        if op == "advance":
+            ledger.clock.advance(args[0])
+            continue
+        tx, key = signed_call(ledger, keys, op, args)
+        if tx is None:
+            continue
+        try:
+            ledger.submit(tx)
+        except SimError as exc:
+            assert not isinstance(exc, RejectedTransactionError)
+            with pytest.raises(IntegrityViolationError):
+                replay_chain(appended(ledger.chain, tx))
+            continue
+        assert op not in ("device create", "malformed create", "event lacking")
+        if key is not None:
+            keys.append(key)
+        assert replay_chain(ledger.chain) == ledger.state
