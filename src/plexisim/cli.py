@@ -153,10 +153,18 @@ def demo_scenario() -> dict:
 
 def _whole(value) -> int:
     """A window step: an integer, or a float with no fractional part."""
+    if type(value) is bool:
+        raise ValueError(f"window step {value!r} is not a number")
     step = int(value)
     if step != value:
         raise ValueError(f"window step {value!r} is not a whole number")
     return step
+
+
+def _boolean(value) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"{value!r} is not a JSON boolean")
+    return value
 
 
 def parse_scenario(raw: dict) -> tuple:
@@ -166,7 +174,7 @@ def parse_scenario(raw: dict) -> tuple:
             FlexResource(
                 resource_id=r["resource_id"],
                 kind=ResourceKind(r["kind"]),
-                controllable=bool(r["controllable"]),
+                controllable=_boolean(r["controllable"]),
                 capacity_kw=float(r["capacity_kw"]),
                 baseline_setpoint=SetpointAction(
                     ActionType(r["baseline"]["action"]), float(r["baseline"]["level_kw"])

@@ -278,12 +278,16 @@ class RegistryState:
         This is the contract's one rule set: ``LedgerSim.submit`` endorses
         with it and ``apply`` replays with it. A refused tx raises
         ``ValidationError``, ``AuthorizationError`` or ``EnrollmentRejected``
-        before any field of the state changes. The signature stage
-        (``identity.verify``, or the anchor key, which also checks that a
-        device signer is live) is not part of it: it runs in ``submit``
-        only, because re-verifying every stored signature would cost about
-        115 us per tx on replay.
+        before any field of the state changes. A signer other than the
+        anchor must be a live token at this point of the chain. The signature
+        check itself (``identity.verify``, or the anchor key) is not part of
+        it: it runs in ``submit`` only, because re-verifying every stored
+        signature would cost about 115 us per tx on replay.
         """
+        if tx.signer != ANCHOR_TOKEN_ID:
+            signer = self.tokens.get(tx.signer)
+            if signer is None or signer.constraints.revoked:
+                raise AuthorizationError(f"signer {tx.signer!r} is not a live token")
         payload = tx.payload
         if type(payload) is not dict:
             raise ValidationError(f"payload of tx {tx.tx_id[:12]} is not an object")
@@ -309,6 +313,9 @@ class RegistryState:
             delegate_id, new_owner = payload.get("delegate_id"), payload.get("new_owner")
             if any(v and type(v) is not str for v in (delegate_id, new_owner)):
                 raise ValidationError("set_flag delegate_id and new_owner must be strings")
+            value = payload.get("value", True)
+            if type(value) is not bool:
+                raise ValidationError(f"set_flag value must be a boolean, got {value!r}")
             token_id = payload.get("token_id")
             if type(token_id) is not str:
                 raise ValidationError(f"set_flag token_id must be a string, got {token_id!r}")
@@ -327,7 +334,7 @@ class RegistryState:
             if token.constraints.revoked:
                 raise ValidationError(f"token {token_id[:12]} is revoked")
             changes = {"constraints": replace(token.constraints,
-                                              **{flag: bool(payload.get("value", True))})}
+                                              **{flag: value})}
             if flag == "delegated" and delegate_id:
                 self.delegates[token_id] = delegate_id
             if flag == "transferred" and new_owner:

@@ -14,8 +14,8 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
+from dataclasses import dataclass, field, replace
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -36,6 +36,10 @@ class TelemetrySample:
     tamb_c: float
     hvac_kw: float
     hvac_demand_res_kw: float
+    # The sample's canonical line, kept by ``canonical_sample_bytes`` once it
+    # has checked that every field is immutable. Unset until then (the class
+    # default), and not copied by ``dataclasses.replace``.
+    _line: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
 
 class AttackKind(Enum):
@@ -267,6 +271,8 @@ def estimate_flexibility(series: Sequence[TelemetrySample]) -> list:
 # One sample line: keys in sorted order, compact separators. isoformat()
 # yields only digits and "-T:.+", which json never escapes.
 _SAMPLE_LINE = '{"hvac":%s,"hvac_demand_res":%s,"net":%s,"tamb":%s,"time":"%s"}'
+# The same line for four finite floats: %r is float.__repr__.
+_FLOAT_LINE = _SAMPLE_LINE.replace("%s", "%r", 4)
 _json_value = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -279,13 +285,34 @@ def _json_reading(v) -> str:
 
 def canonical_sample_bytes(sample: TelemetrySample) -> bytes:
     """Sorted-key compact JSON of one sample, byte-identical to
-    ``json.dumps(..., sort_keys=True, separators=(",", ":"))``."""
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))``.
+
+    A sample whose readings are exact finite floats and whose ``time`` is an
+    exact ``datetime`` with no tzinfo or a ``datetime.timezone`` cannot change
+    (the dataclass is frozen and those values are immutable), so its line is
+    formatted once and kept on the sample. Any other sample is formatted at
+    every call, so a mutable reading changed after signing is still seen.
+    """
+    line = sample._line
+    if line is not None:
+        return line
+    hvac, res, net, tamb = (sample.hvac_kw, sample.hvac_demand_res_kw,
+                            sample.net_kw, sample.tamb_c)
+    time = sample.time
+    if (type(hvac) is float and type(res) is float and type(net) is float
+            and type(tamb) is float
+            and 0.0 == hvac - hvac == res - res == net - net == tamb - tamb
+            and type(time) is datetime
+            and (time.tzinfo is None or type(time.tzinfo) is timezone)):
+        line = (_FLOAT_LINE % (hvac, res, net, tamb, time.isoformat())).encode("utf-8")
+        object.__setattr__(sample, "_line", line)
+        return line
     return (_SAMPLE_LINE % (
-        _json_reading(sample.hvac_kw),
-        _json_reading(sample.hvac_demand_res_kw),
-        _json_reading(sample.net_kw),
-        _json_reading(sample.tamb_c),
-        sample.time.isoformat(),
+        _json_reading(hvac),
+        _json_reading(res),
+        _json_reading(net),
+        _json_reading(tamb),
+        time.isoformat(),
     )).encode("utf-8")
 
 
@@ -323,8 +350,11 @@ def detect_tamper(
     message's line count, or when the signed line at that offset differs from
     the sample's current canonical bytes. So any post-signing mutation of a
     signed field is flagged, and so is a sample moved to another offset,
-    whose timestamp differs from the one signed there. Nothing is cached
-    across calls, so a revocation flags every index at the next call.
+    whose timestamp differs from the one signed there. Verify verdicts are
+    never cached across calls, so a revocation flags every index at the next
+    call. The line of a sample made only of immutable values is formatted
+    once and kept on the sample (see ``canonical_sample_bytes``), so a sample
+    that ``sign_stream`` formatted is not formatted again here.
     Mutations made before signing are invisible by construction.
     """
     if len(series) != len(envelopes):

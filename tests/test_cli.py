@@ -325,6 +325,14 @@ def _scenario_window_duration_fractional(tmp_path):
     return _scenario_with(tmp_path, lambda s: s["requests"][0]["window"].update(duration=1.5))
 
 
+def _scenario_window_start_bool(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["requests"][0]["window"].update(start=True))
+
+
+def _scenario_controllable_string(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["resources"][0].update(controllable="false"))
+
+
 def _topology_node_without_id(tmp_path):
     node = {"tier": "edge", "service_rate_tps": 100.0, "link_delay_ms": 1.0}
     cfg = tmp_path / "bench.json"
@@ -471,7 +479,8 @@ def _out_is_a_file(tmp_path):
     _scenario_owner_not_string, _scenario_bid_id_not_string, _scenario_capacity_nan,
     _scenario_price_nan, _scenario_quantity_nan, _scenario_window_start_infinite,
     _scenario_bid_for_unknown_request, _scenario_window_start_fractional,
-    _scenario_window_duration_fractional,
+    _scenario_window_duration_fractional, _scenario_window_start_bool,
+    _scenario_controllable_string,
     _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_null,
     _attack_dataset_list, _attack_dataset_missing, _attack_dataset_non_finite,
     _credential_model_not_an_object, _credential_model_field_not_a_number,

@@ -293,6 +293,19 @@ class TestSetFlag:
         env = identity.sign(b"m", key)
         assert identity.verify(env, ledger) is identity.VerifyStatus.BOTTOM
 
+    def test_value_must_be_a_boolean(self, anchor, ledger, enrolled):
+        _, _, token_id = enrolled
+        owner_key, _ = identity.enroll(
+            identity.make_device("alice-ctl", seed=14), "alice", anchor, ledger
+        )
+        height, token = ledger.height, ledger.query(token_id)
+        with pytest.raises(ValidationError):
+            ledger.set_flag(token_id, "delegated", owner_key, value="false")
+        assert ledger.height == height and ledger.query(token_id) == token
+        tx = flag_tx(ledger, token_id, "delegated", owner_key, value="false")
+        with pytest.raises(IntegrityViolationError):
+            replay_chain(appended(ledger.chain, tx))
+
     def test_unknown_flag_rejected(self, anchor, ledger, enrolled):
         _, _, token_id = enrolled
         alice_key, _ = identity.enroll(
@@ -452,6 +465,18 @@ class TestReplay:
         ledger.chain[-1] = rehashed(block, edited)
         with pytest.raises(IntegrityViolationError):
             ledger.replay()
+
+    def test_event_signed_by_revoked_token_rejected(self, anchor, ledger, enrolled):
+        _, key, token_id = enrolled
+        owner_key, _ = identity.enroll(
+            identity.make_device("alice-ctl", seed=15), "alice", anchor, ledger
+        )
+        ledger.set_flag(token_id, "revoked", owner_key)
+        tx = record_tx(ledger, key)
+        with pytest.raises(RejectedTransactionError):
+            ledger.submit(tx)
+        with pytest.raises(IntegrityViolationError):
+            replay_chain(appended(ledger.chain, tx))
 
     def test_rehashed_copy_of_a_committed_block_rejected(self, ledger, enrolled):
         _, key, _ = enrolled
@@ -767,13 +792,11 @@ DIFF_OPS = st.one_of(
 
 
 def signed_call(ledger, keys, op, args):
-    """The tx for one drawn call, signed by a key whose token is live (None
-    when the drawn signer's token is revoked), and the key it mints."""
+    """The tx for one drawn call, signed by the drawn key (whose token may
+    be revoked), and the key it mints."""
     if op in ("create", "malformed create"):
         return contract_tx(ledger, keys, [], op, args)
     key = keys[args[0] % len(keys)]
-    if ledger.query(key.token_id).constraints.revoked:
-        return None, None
     if op == "device create":
         create, _ = create_tx(ledger, ANCHOR, identity.make_device(f"dev-{args[1]}",
                                                                    seed=args[1]), "alice")
@@ -799,11 +822,15 @@ def signed_call(ledger, keys, op, args):
 # The owner revokes a token, then tries to delegate it.
 @example(devices=3, ops=[("flag", 2, 0, "revoked", True, "alice"),
                          ("flag", 2, 0, "delegated", True, "bob")])
+# A revoked token signs an event: submit's signature stage refuses it.
+@example(devices=3, ops=[("flag", 2, 0, "revoked", True, "alice"),
+                         ("event", 0, {"kw": 1})])
 def test_replay_refuses_exactly_what_submit_refuses(devices, ops):
-    """``submit`` and replay apply one contract. With valid signatures from
-    live signers, a tx that ``submit`` refuses, appended to the chain as a
-    re-hashed block, makes replay raise ``IntegrityViolationError``, and
-    the accepted txs replay to the live state."""
+    """``submit`` and replay apply one contract. With valid signatures, a
+    tx that ``submit`` refuses, appended to the chain as a re-hashed block,
+    makes replay raise ``IntegrityViolationError``, and the accepted txs
+    replay to the live state. Only a revoked signer fails the signature
+    stage."""
     ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(ANCHOR))
     keys = [identity.enroll(identity.make_device(f"ctl-{i}", seed=100 + i), OWNERS[i % 2],
                             ANCHOR, ledger)[0]
@@ -813,12 +840,12 @@ def test_replay_refuses_exactly_what_submit_refuses(devices, ops):
             ledger.clock.advance(args[0])
             continue
         tx, key = signed_call(ledger, keys, op, args)
-        if tx is None:
-            continue
+        signer = ledger.query(tx.signer)
+        revoked = signer is not None and signer.constraints.revoked
         try:
             ledger.submit(tx)
         except SimError as exc:
-            assert not isinstance(exc, RejectedTransactionError)
+            assert isinstance(exc, RejectedTransactionError) == revoked
             with pytest.raises(IntegrityViolationError):
                 replay_chain(appended(ledger.chain, tx))
             continue

@@ -2,7 +2,7 @@ import dataclasses
 import json
 import math
 import random
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
 
 import pytest
 from hypothesis import example, given, settings
@@ -305,12 +305,51 @@ class TestTamperDetection:
         s = samples([1.23456789])[0]
         assert canonical_sample_bytes(s) == canonical_sample_bytes(s)
 
+    def test_memoised_sample_equals_fresh_copy(self):
+        s = generate_synthetic(1, seed=6)[0]
+        before = repr(s)
+        line = canonical_sample_bytes(s)
+        assert canonical_sample_bytes(s) is line
+        copy = TelemetrySample(s.time, s.net_kw, s.tamb_c, s.hvac_kw, s.hvac_demand_res_kw)
+        assert s == copy and hash(s) == hash(copy)
+        assert repr(s) == before == repr(copy)
+        assert canonical_sample_bytes(dataclasses.replace(s, net_kw=1.5)) != line
+
+    @pytest.mark.parametrize("mutable", ["reading", "tzinfo"])
+    def test_mutable_value_changed_after_signing_flagged(self, ledger, enrolled, mutable):
+        _, key, _ = enrolled
+        series = generate_synthetic(1, seed=6)
+        tz = Offset()
+        if mutable == "reading":
+            series[5] = dataclasses.replace(series[5], net_kw=[1.0])
+        else:
+            series[5] = dataclasses.replace(series[5], time=series[5].time.replace(tzinfo=tz))
+        envs = sign_stream(series, key)
+        assert detect_tamper(series, envs, ledger) == []
+        if mutable == "reading":
+            series[5].net_kw.append(2.0)
+        else:
+            tz.minutes = 60
+        assert detect_tamper(series, envs, ledger) == [5]
+
     def test_canonical_bytes_golden(self):
         s = TelemetrySample(datetime(2021, 6, 1, 13, 30), 50.25, -3.5, 1e-07, 6)
         assert canonical_sample_bytes(s) == (
             b'{"hvac":1e-07,"hvac_demand_res":6,"net":50.25,"tamb":-3.5,'
             b'"time":"2021-06-01T13:30:00"}'
         )
+
+
+class Offset(tzinfo):
+    """A tzinfo whose UTC offset can change after a sample is signed."""
+
+    minutes = 0
+
+    def utcoffset(self, dt):
+        return timedelta(minutes=self.minutes)
+
+    def dst(self, dt):
+        return None
 
 
 def reference_sample_bytes(sample: TelemetrySample) -> bytes:
@@ -360,7 +399,10 @@ def encoded(encode, sample):
 @example(time=datetime(2021, 6, 1), net=complex(1, 2), tamb=1.0, hvac=1.0, res=1.0)
 def test_canonical_bytes_match_json_dumps(time, net, tamb, hvac, res):
     s = TelemetrySample(time, net, tamb, hvac, res)
-    assert encoded(canonical_sample_bytes, s) == encoded(reference_sample_bytes, s)
+    reference = encoded(reference_sample_bytes, s)
+    # The second call reads the line kept on the sample, where one is kept.
+    assert encoded(canonical_sample_bytes, s) == reference
+    assert encoded(canonical_sample_bytes, s) == reference
 
 
 SIGNED_FIELDS = ("time", "net_kw", "tamb_c", "hvac_kw", "hvac_demand_res_kw")
