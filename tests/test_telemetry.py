@@ -319,17 +319,14 @@ class TestTamperDetection:
     def test_mutable_value_changed_after_signing_flagged(self, ledger, enrolled, mutable):
         _, key, _ = enrolled
         series = generate_synthetic(1, seed=6)
-        tz = Offset()
-        if mutable == "reading":
-            series[5] = dataclasses.replace(series[5], net_kw=[1.0])
-        else:
-            series[5] = dataclasses.replace(series[5], time=series[5].time.replace(tzinfo=tz))
+        net, tz = [1.0], Offset()
+        edit = ({"net_kw": net} if mutable == "reading"
+                else {"time": series[5].time.replace(tzinfo=tz)})
+        series[5] = dataclasses.replace(series[5], **edit)
         envs = sign_stream(series, key)
         assert detect_tamper(series, envs, ledger) == []
-        if mutable == "reading":
-            series[5].net_kw.append(2.0)
-        else:
-            tz.minutes = 60
+        net.append(2.0)
+        tz.minutes = 60
         assert detect_tamper(series, envs, ledger) == [5]
 
     def test_canonical_bytes_golden(self):
