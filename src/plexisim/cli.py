@@ -14,6 +14,7 @@ import csv as csv_mod
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -161,6 +162,13 @@ def _whole(value) -> int:
     return step
 
 
+def _number(value) -> float:
+    """A kW, price or incentive figure: a finite JSON number, not a boolean."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
 def _boolean(value) -> bool:
     if type(value) is not bool:
         raise ValueError(f"{value!r} is not a JSON boolean")
@@ -175,9 +183,9 @@ def parse_scenario(raw: dict) -> tuple:
                 resource_id=r["resource_id"],
                 kind=ResourceKind(r["kind"]),
                 controllable=_boolean(r["controllable"]),
-                capacity_kw=float(r["capacity_kw"]),
+                capacity_kw=_number(r["capacity_kw"]),
                 baseline_setpoint=SetpointAction(
-                    ActionType(r["baseline"]["action"]), float(r["baseline"]["level_kw"])
+                    ActionType(r["baseline"]["action"]), _number(r["baseline"]["level_kw"])
                 ),
                 owner=r["owner"],
             )
@@ -188,9 +196,9 @@ def parse_scenario(raw: dict) -> tuple:
                 request_id=q["request_id"],
                 window=Window(_whole(q["window"]["start"]), _whole(q["window"]["duration"])),
                 shape=RequestShape(q["shape"]),
-                quantity_kw=float(q["quantity_kw"]),
+                quantity_kw=_number(q["quantity_kw"]),
                 direction=Direction(q["direction"]),
-                incentive_per_kw=float(q["incentive_per_kw"]),
+                incentive_per_kw=_number(q["incentive_per_kw"]),
                 issuer=q["issuer"],
             )
             for q in raw["requests"]
@@ -200,8 +208,8 @@ def parse_scenario(raw: dict) -> tuple:
                 Bid(
                     bid_id=b["bid_id"],
                     prosumer_id=b["prosumer"],
-                    offered_kw=float(b["offered_kw"]),
-                    price_per_kw=float(b["price_per_kw"]),
+                    offered_kw=_number(b["offered_kw"]),
+                    price_per_kw=_number(b["price_per_kw"]),
                     resource_ids=tuple(b["resource_ids"]),
                 ),
                 b.get("request_id", raw["requests"][0]["request_id"]),

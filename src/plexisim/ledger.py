@@ -8,10 +8,12 @@ message followed by the signature, so neither is stored. Endorsement gates
 every transaction on the signature (``identity.verify``, or the anchor key)
 and on the registry contract (``RegistryState.admit``); one logical orderer
 then commits each endorsed transaction in its own block, in submission
-order. Committed blocks are hash-chained over the derived ``tx_id``s and
+order. Committed blocks are hash-chained over every stored field (the
+derived ``tx_id``s, each signer and submit time, and the commit time), and
 the world state is the same contract folded over the chain, so replay
 reproduces the live state exactly and refuses any tx the contract refuses.
-Blocks persist as JSON lines with stable field order.
+Blocks persist as JSON lines filled from one fixed template, each payload
+written as the bytes that were signed.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Union
 
 from .clock import SimClock
@@ -63,10 +66,9 @@ _EVENT_FIELDS = frozenset({"workflow_id", "kind", "sim_time"})
 # simnet imports the interval as its batching deadline.
 BLOCK_INTERVAL_MS = 500
 
-# Same bytes as json.dumps(obj, sort_keys=True, separators=(",", ":")) and
-# json.dumps(obj, separators=(",", ":")), without building an encoder per call.
+# Same bytes as json.dumps(obj, sort_keys=True, separators=(",", ":")),
+# without building an encoder per call. The output is ASCII.
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_CHAIN_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _SEQUENCES = (list, tuple)
 
 
@@ -131,6 +133,14 @@ def _has_non_str_key(value) -> bool:
     return False
 
 
+def _json_int(rec: dict, name: str) -> int:
+    """``rec[name]``, which must be a JSON integer: not a bool, float or string."""
+    value = rec[name]
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Transactions and blocks
 # ---------------------------------------------------------------------------
@@ -153,24 +163,31 @@ class Transaction:
         object.__setattr__(self, "message", message)
         object.__setattr__(self, "tx_id", hashlib.sha256(message + self.signature).hexdigest())
 
-    def to_record(self) -> dict:
-        return {
-            "payload": self.payload,
-            "signer": self.signer,
-            "signature": self.signature.hex(),
-            "sim_time_submitted": self.sim_time_submitted,
-        }
-
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
+        """The tx a saved record holds. A field of the wrong type, or a
+        signature not spelt in lower-case hex, raises ``TypeError`` or
+        ``ValueError``."""
         if type(rec["signer"]) is not str:
             raise TypeError(f"signer must be a string, got {rec['signer']!r}")
+        signature = bytes.fromhex(rec["signature"])
+        # fromhex also reads upper case and spaces, which no hash would cover.
+        if signature.hex() != rec["signature"]:
+            raise ValueError("signature must be lower-case hex")
         return cls(
             payload=rec["payload"],
             signer=rec["signer"],
-            signature=bytes.fromhex(rec["signature"]),
-            sim_time_submitted=int(rec["sim_time_submitted"]),
+            signature=signature,
+            sim_time_submitted=_json_int(rec, "sim_time_submitted"),
         )
+
+
+# The chain file: one JSON line per block, fields in this order. A tx is
+# saved as its payload (the signed message itself), signer, signature and
+# submit time; its message and tx_id are derived again on read.
+_BLOCK_LINE = (b'{"height":%d,"prev_hash":%s,"block_hash":%s,"sim_time_committed":%d,'
+               b'"txs":[%s]}\n')
+_TX_RECORD = b'{"payload":%s,"signer":%s,"signature":"%s","sim_time_submitted":%d}'
 
 
 @dataclass(frozen=True)
@@ -181,19 +198,14 @@ class Block:
     block_hash: str
     sim_time_committed: int
 
-    def to_record(self) -> dict:
-        # Field order is fixed so block files diff and replay bit-exactly.
-        return {
-            "height": self.height,
-            "prev_hash": self.prev_hash,
-            "block_hash": self.block_hash,
-            "sim_time_committed": self.sim_time_committed,
-            "txs": [tx.to_record() for tx in self.tx_list],
-        }
 
-
-def compute_block_hash(height: int, prev_hash: str, txs: Iterable[Transaction]) -> str:
-    body = f"{height}|{prev_hash}|" + ",".join(tx.tx_id for tx in txs)
+def compute_block_hash(height: int, prev_hash: str, txs: Iterable[Transaction],
+                       sim_time_committed: int) -> str:
+    """SHA-256 over every stored field of a block but its own hash. Each
+    signer is written as a JSON string, so the body reads only one way."""
+    body = f"{height}|{prev_hash}|{sim_time_committed}|" + ",".join(
+        f"{tx.tx_id}|{encode_basestring_ascii(tx.signer)}|{tx.sim_time_submitted}" for tx in txs
+    )
     return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
@@ -456,7 +468,7 @@ class LedgerSim:
             height=height,
             prev_hash=prev,
             tx_list=(tx,),
-            block_hash=compute_block_hash(height, prev, (tx,)),
+            block_hash=compute_block_hash(height, prev, (tx,), now),
             sim_time_committed=now,
         )
         receipt = self._committed[tx.tx_id] = _receipt(tx, block)
@@ -539,8 +551,24 @@ class LedgerSim:
         return replay_chain(self.chain)
 
     def save_chain(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(_CHAIN_ENCODER.encode(block.to_record()) + "\n" for block in self.chain)
+        """Write one ``_BLOCK_LINE`` per block. Each payload is the signed
+        ``message``, so its keys appear sorted; every string field goes
+        through the JSON string encoder, so the file is ASCII JSON."""
+        with open(path, "wb") as fh:
+            fh.writelines(
+                _BLOCK_LINE % (
+                    block.height,
+                    encode_basestring_ascii(block.prev_hash).encode(),
+                    encode_basestring_ascii(block.block_hash).encode(),
+                    block.sim_time_committed,
+                    b",".join(
+                        _TX_RECORD % (tx.message, encode_basestring_ascii(tx.signer).encode(),
+                                      tx.signature.hex().encode(), tx.sim_time_submitted)
+                        for tx in block.tx_list
+                    ),
+                )
+                for block in self.chain
+            )
 
     def load_chain(self, path) -> None:
         self.chain = read_chain(path)
@@ -561,7 +589,8 @@ def replay_chain(chain: Iterable[Block]) -> RegistryState:
             raise IntegrityViolationError(f"block height gap at {i}")
         if block.prev_hash != prev:
             raise IntegrityViolationError(f"broken hash link at height {i}")
-        expected = compute_block_hash(block.height, block.prev_hash, block.tx_list)
+        expected = compute_block_hash(block.height, block.prev_hash, block.tx_list,
+                                      block.sim_time_committed)
         if block.block_hash != expected:
             raise IntegrityViolationError(f"block hash mismatch at height {i}")
         for tx in block.tx_list:
@@ -588,11 +617,11 @@ def read_chain(path) -> list[Block]:
                 txs = tuple(Transaction.from_record(t) for t in rec["txs"])
                 blocks.append(
                     Block(
-                        height=int(rec["height"]),
+                        height=_json_int(rec, "height"),
                         prev_hash=rec["prev_hash"],
                         tx_list=txs,
                         block_hash=rec["block_hash"],
-                        sim_time_committed=int(rec.get("sim_time_committed", 0)),
+                        sim_time_committed=_json_int(rec, "sim_time_committed"),
                     )
                 )
             except (ValueError, KeyError, TypeError, OverflowError) as exc:

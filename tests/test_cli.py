@@ -172,10 +172,10 @@ class TestBench:
 GOLDEN = {
     "enroll": (["enroll", "--n", 200], {
         "enrollments.jsonl": "f52c956713238fc4f159e73618a2e960d4cb13e94f0b60216b2525344d3f3a9d",
-        "ledger.jsonl": "dc3164bd7c2031f862c5a618f9b112750e6a53c4002941aafc7f4b95a1f28b59",
+        "ledger.jsonl": "43d8ef75302a152dea9bfedbf02f7a3298b7a9183bd8fa3b1fe29bb4c4100327",
     }),
     "trade": (["trade"], {
-        "ledger.jsonl": "2e10b7e1aae70e0e4de08f6c08c115e515d1634e19d77e52a52f9a2645d85505",
+        "ledger.jsonl": "eb92f299ecf1835673328af4b9eb6395ea35566b9c9462ed609391db55178193",
         "schedules.json": "7a63b9e2953ebb21afb15782fd08ad74ff7f615af22abc09756668d2009982ed",
         "trace.json": "9e2f77b3be35895ef8aba714641bbfadc3bd0124af019f46977cec5063c5b932",
     }),
@@ -216,17 +216,36 @@ def _truncated_registry(tmp_path):
     return ["enroll", "--n", 1, "--out", out, "--registry", registry]
 
 
-def _registry_with_edited_tx(tmp_path, edit):
-    """Edit the first tx of a saved chain without re-hashing it."""
+def _registry_with_edited_block(tmp_path, edit):
+    """Edit the first block of a saved chain without re-hashing it."""
     out = tmp_path / "o"
     run(["enroll", "--n", 3, "--seed", 1, "--out", out])
     registry = out / "ledger.jsonl"
     lines = registry.read_text().splitlines()
     block = json.loads(lines[0])
-    edit(block["txs"][0])
+    edit(block)
     lines[0] = json.dumps(block, separators=(",", ":"))
     registry.write_text("\n".join(lines) + "\n")
     return ["enroll", "--n", 1, "--out", out, "--registry", registry]
+
+
+def _registry_with_edited_tx(tmp_path, edit):
+    """Edit the first tx of a saved chain without re-hashing it."""
+    return _registry_with_edited_block(tmp_path, lambda block: edit(block["txs"][0]))
+
+
+def _registry_commit_time_string(tmp_path):
+    return _registry_with_edited_block(tmp_path, lambda block: block.update(
+        sim_time_committed=str(block["sim_time_committed"])))
+
+
+def _registry_commit_time_missing(tmp_path):
+    return _registry_with_edited_block(tmp_path, lambda block: block.pop("sim_time_committed"))
+
+
+def _registry_submit_time_edited(tmp_path):
+    # A well-formed edit of an unsigned field: only the block hash catches it.
+    return _registry_with_edited_tx(tmp_path, lambda tx: tx.update(sim_time_submitted=6500))
 
 
 def _registry_payload_not_an_object(tmp_path):
@@ -331,6 +350,14 @@ def _scenario_window_start_bool(tmp_path):
 
 def _scenario_controllable_string(tmp_path):
     return _scenario_with(tmp_path, lambda s: s["resources"][0].update(controllable="false"))
+
+
+def _scenario_capacity_string(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["resources"][0].update(capacity_kw="5"))
+
+
+def _scenario_quantity_bool(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["requests"][0].update(quantity_kw=True))
 
 
 def _topology_node_without_id(tmp_path):
@@ -474,13 +501,14 @@ def _out_is_a_file(tmp_path):
 @pytest.mark.parametrize("make_argv", [
     _truncated_registry, _registry_payload_not_an_object, _registry_payload_without_device_id,
     _registry_device_id_not_hex, _registry_submit_time_infinite, _registry_owner_id_edited,
-    _registry_in_old_format,
+    _registry_in_old_format, _registry_commit_time_string, _registry_commit_time_missing,
+    _registry_submit_time_edited,
     _scenario_without_bids, _scenario_not_json, _scenario_issuer_not_string,
     _scenario_owner_not_string, _scenario_bid_id_not_string, _scenario_capacity_nan,
     _scenario_price_nan, _scenario_quantity_nan, _scenario_window_start_infinite,
     _scenario_bid_for_unknown_request, _scenario_window_start_fractional,
     _scenario_window_duration_fractional, _scenario_window_start_bool,
-    _scenario_controllable_string,
+    _scenario_controllable_string, _scenario_capacity_string, _scenario_quantity_bool,
     _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_null,
     _attack_dataset_list, _attack_dataset_missing, _attack_dataset_non_finite,
     _credential_model_not_an_object, _credential_model_field_not_a_number,

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -6,7 +7,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plexisim import identity
@@ -71,7 +72,8 @@ def anchor_signed(payload, anchor, now):
 def rehashed(block, *txs):
     """``block`` holding ``txs``, its hash recomputed as an editor could."""
     return dataclasses.replace(block, tx_list=txs,
-                               block_hash=compute_block_hash(block.height, block.prev_hash, txs))
+                               block_hash=compute_block_hash(block.height, block.prev_hash, txs,
+                                                             block.sim_time_committed))
 
 
 def create_tx(ledger, anchor, device, owner):
@@ -151,12 +153,15 @@ class TestSubmit:
             ledger.submit(copy)
         assert len(ledger.state.event_log) == 1
 
-    def test_tx_id_is_the_hash_of_message_and_signature(self, ledger, enrolled):
+    def test_tx_id_is_the_hash_of_message_and_signature(self, tmp_path, ledger, enrolled):
         _, key, _ = enrolled
         tx = record_tx(ledger, key)
         assert tx.message == canonical_json(tx.payload).encode()
         assert tx.tx_id == hashlib.sha256(tx.message + tx.signature).hexdigest()
-        assert Transaction.from_record(json.loads(json.dumps(tx.to_record()))).tx_id == tx.tx_id
+        ledger.submit(tx)
+        path = tmp_path / "chain.jsonl"
+        ledger.save_chain(path)
+        assert read_chain(path)[-1].tx_list[0].tx_id == tx.tx_id
 
     @pytest.mark.parametrize("payload", [{2: "a", 10: "b"}, {"x": [{"y": {1: "a"}}]}],
                              ids=["top-level", "nested"])
@@ -487,7 +492,8 @@ class TestReplay:
             height=height,
             prev_hash=last.block_hash,
             tx_list=last.tx_list,
-            block_hash=compute_block_hash(height, last.block_hash, last.tx_list),
+            block_hash=compute_block_hash(height, last.block_hash, last.tx_list,
+                                          last.sim_time_committed),
             sim_time_committed=last.sim_time_committed,
         ))
         with pytest.raises(IntegrityViolationError, match="twice"):
@@ -504,7 +510,8 @@ class TestReplay:
             height=height,
             prev_hash=last.block_hash,
             tx_list=copy,
-            block_hash=compute_block_hash(height, last.block_hash, copy),
+            block_hash=compute_block_hash(height, last.block_hash, copy,
+                                          last.sim_time_committed),
             sim_time_committed=last.sim_time_committed,
         ))
         with pytest.raises(IntegrityViolationError, match="twice"):
@@ -550,6 +557,22 @@ class TestBatching:
         assert receipt.committed_at == clock.now() == block.sim_time_committed
 
 
+# Edits of the enrolled fixture's block (height 0) that int() or
+# bytes.fromhex would read back as the stored value.
+RESPELT_FIELDS = {
+    "height as bool": lambda rec: rec.update(height=False),
+    "commit time as string": lambda rec: rec.update(
+        sim_time_committed=str(rec["sim_time_committed"])),
+    "commit time as float": lambda rec: rec.update(
+        sim_time_committed=float(rec["sim_time_committed"])),
+    "commit time missing": lambda rec: rec.pop("sim_time_committed"),
+    "submit time as float": lambda rec: rec["txs"][0].update(
+        sim_time_submitted=float(rec["txs"][0]["sim_time_submitted"])),
+    "signature in upper case": lambda rec: rec["txs"][0].update(
+        signature=rec["txs"][0]["signature"].upper()),
+}
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path, anchor, ledger, enrolled):
         _, key, _ = enrolled
@@ -587,6 +610,16 @@ class TestPersistence:
         path.write_text(text.replace('"kw":5', '"kw":500'))
         with pytest.raises(IntegrityViolationError, match="block hash mismatch"):
             replay_chain(read_chain(path))
+
+    @pytest.mark.parametrize("edit", RESPELT_FIELDS.values(), ids=RESPELT_FIELDS.keys())
+    def test_field_spelt_another_way_rejected(self, tmp_path, ledger, enrolled, edit):
+        path = tmp_path / "chain.jsonl"
+        ledger.save_chain(path)
+        rec = json.loads(path.read_text())
+        edit(rec)
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(IntegrityViolationError, match="malformed block record"):
+            read_chain(path)
 
     def test_old_format_record_rejected(self, tmp_path, ledger, enrolled):
         # The earlier format stored the signed message in an envelope, and
@@ -769,11 +802,137 @@ def test_replay_of_saved_chain_equals_live_state(devices, ops):
     assert replayed.canonical() == ledger.state.canonical()
 
 
+# Characters a JSON writer must escape, or may write in more than one way.
+AWKWARD_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1e\x7f \xe9\u2603\U0001f600\ud800'),
+                       max_size=6)
+AWKWARD_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | AWKWARD_TEXT,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(AWKWARD_TEXT, kids, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def chains(draw):
+    """Hash-linked blocks of zero to two txs with any payload, signer,
+    signature and sim times. Saving and reading check no signature."""
+    chain, prev = [], GENESIS_PREV_HASH
+    for height in range(draw(st.integers(0, 4))):
+        txs = tuple(
+            Transaction(draw(st.dictionaries(AWKWARD_TEXT, AWKWARD_JSON, max_size=4)),
+                        draw(AWKWARD_TEXT), draw(st.binary(max_size=64)), draw(st.integers()))
+            for _ in range(draw(st.integers(0, 2)))
+        )
+        committed = draw(st.integers())
+        chain.append(Block(height, prev, txs, compute_block_hash(height, prev, txs, committed),
+                           committed))
+        prev = chain[-1].block_hash
+    return chain
+
+
+def saved_bytes(chain) -> bytes:
+    ledger = LedgerSim(SimClock(), anchor_pk=b"")
+    ledger.chain = chain
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ledger.jsonl")
+        ledger.save_chain(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def read_back(data: bytes) -> list:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ledger.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return read_chain(path)
+
+
+def stored_fields(chain) -> list:
+    """Every stored field of ``chain``, each payload as its signed message,
+    and each derived ``tx_id``."""
+    return [(block.height, block.prev_hash, block.block_hash, block.sim_time_committed,
+             [(tx.message, tx.signer, tx.signature, tx.sim_time_submitted, tx.tx_id)
+              for tx in block.tx_list])
+            for block in chain]
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=chains())
+def test_saved_chain_reads_back_equal(chain):
+    assert stored_fields(read_back(saved_bytes(chain))) == stored_fields(chain)
+
+
+def json_record(block) -> dict:
+    """``block`` as a dict in the chain file's field order, payload keys sorted."""
+    return {
+        "height": block.height,
+        "prev_hash": block.prev_hash,
+        "block_hash": block.block_hash,
+        "sim_time_committed": block.sim_time_committed,
+        "txs": [{"payload": json.loads(tx.message), "signer": tx.signer,
+                 "signature": tx.signature.hex(), "sim_time_submitted": tx.sim_time_submitted}
+                for tx in block.tx_list],
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=chains())
+def test_saved_line_is_the_json_record_with_sorted_payload_keys(chain):
+    expected = "".join(json.dumps(json_record(block), separators=(",", ":")) + "\n"
+                       for block in chain)
+    assert saved_bytes(chain) == expected.encode("ascii")
+
+
+@functools.cache
+def live_chain_lines() -> tuple:
+    """The saved lines of a chain the ledger built: three enrollments, an
+    event whose payload needs escapes, and a delegation."""
+    ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(ANCHOR))
+    alice, _ = identity.enroll(identity.make_device("ctl-a", seed=201), "alice", ANCHOR, ledger)
+    for i, owner in enumerate(OWNERS):
+        identity.enroll(identity.make_device(f"dev-{i}", seed=202 + i), owner, ANCHOR, ledger)
+    ledger.record_event("wf", "note", {"text": 'say "hi"\\\n \xe9'}, alice)
+    ledger.clock.advance(7)
+    ledger.set_flag(alice.token_id, "delegated", alice, delegate_id="bob")
+    return tuple(saved_bytes(ledger.chain).decode("ascii").splitlines())
+
+
+DROP = object()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_single_field_edit_of_a_saved_chain_is_refused(data):
+    """Edit, drop or retype one field of one saved block, its tx or its
+    payload, without re-hashing: ``read_chain`` then ``replay_chain`` raises
+    ``IntegrityViolationError``. Swapped-in values include every value the
+    chain already holds, such as another live token as ``signer``."""
+    lines = live_chain_lines()
+    records = [json.loads(line) for line in lines]
+    held = [value for rec in records
+            for part in (rec, rec["txs"][0], rec["txs"][0]["payload"])
+            for value in part.values() if not isinstance(value, (list, dict))]
+    at = data.draw(st.integers(0, len(lines) - 1))
+    block = records[at]
+    part = data.draw(st.sampled_from((block, block["txs"][0], block["txs"][0]["payload"])))
+    name = data.draw(st.sampled_from(sorted(k for k in part if k != "txs")))
+    value = data.draw(st.just(DROP) | st.sampled_from(held) | JSON_VALUES | st.integers())
+    if value is DROP:
+        del part[name]
+    else:
+        assume(canonical_json(value) != canonical_json(part[name]))
+        part[name] = value
+    edited = "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records)
+    with pytest.raises(IntegrityViolationError):
+        replay_chain(read_back(edited.encode()))
+
+
 def appended(chain, tx):
     """``chain`` with one more block holding ``tx``, hashed as an editor could."""
     prev = chain[-1].block_hash if chain else GENESIS_PREV_HASH
     height = len(chain)
-    return [*chain, Block(height, prev, (tx,), compute_block_hash(height, prev, (tx,)), 0)]
+    return [*chain, Block(height, prev, (tx,), compute_block_hash(height, prev, (tx,), 0), 0)]
 
 
 DIFF_OPS = st.one_of(
