@@ -14,12 +14,11 @@ import csv as csv_mod
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
 
-from . import identity, simnet, telemetry
+from . import identity, jsonread as jr, simnet, telemetry
 from .aggregator import (
     ActionType,
     DfAggregator,
@@ -49,15 +48,12 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
-def _read_config(path: str) -> dict:
-    """The JSON object in the file at ``path``; ConfigurationError otherwise."""
+def _read_config(path: str):
+    """The JSON value in the file at ``path``; ConfigurationError otherwise."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config {path} must hold a JSON object")
-    return raw
 
 
 def _out_dir(path: str) -> Path:
@@ -152,72 +148,69 @@ def demo_scenario() -> dict:
     }
 
 
-def _whole(value) -> int:
-    """A window step: an integer, or a float with no fractional part."""
-    if type(value) is bool:
-        raise ValueError(f"window step {value!r} is not a number")
-    step = int(value)
-    if step != value:
-        raise ValueError(f"window step {value!r} is not a whole number")
-    return step
+# The keys of each scenario object; every other key is an error.
+_SCENARIO = frozenset({"resources", "requests", "bids"})
+_RESOURCE = frozenset({"resource_id", "kind", "controllable", "capacity_kw", "baseline",
+                       "owner"})
+_BASELINE = frozenset({"action", "level_kw"})
+_REQUEST = frozenset({"request_id", "window", "shape", "quantity_kw", "direction",
+                      "incentive_per_kw", "issuer"})
+_WINDOW = frozenset({"start", "duration"})
+_BID = frozenset({"bid_id", "prosumer", "offered_kw", "price_per_kw", "resource_ids"})
+_BID_OPTIONAL = frozenset({"request_id"})
 
 
-def _number(value) -> float:
-    """A kW, price or incentive figure: a finite JSON number, not a boolean."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{value!r} is not a finite number")
-    return float(value)
+def _resource(r: dict) -> FlexResource:
+    jr.obj(r, _RESOURCE)
+    baseline = jr.obj(r["baseline"], _BASELINE)
+    return FlexResource(
+        resource_id=jr.of(str, r["resource_id"]),
+        kind=ResourceKind(jr.of(str, r["kind"])),
+        controllable=jr.of(bool, r["controllable"]),
+        capacity_kw=jr.number(r["capacity_kw"]),
+        baseline_setpoint=SetpointAction(ActionType(jr.of(str, baseline["action"])),
+                                         jr.number(baseline["level_kw"])),
+        owner=jr.of(str, r["owner"]),
+    )
 
 
-def _boolean(value) -> bool:
-    if type(value) is not bool:
-        raise ValueError(f"{value!r} is not a JSON boolean")
-    return value
+def _request(q: dict) -> FlexRequest:
+    jr.obj(q, _REQUEST)
+    window = jr.obj(q["window"], _WINDOW)
+    return FlexRequest(
+        request_id=jr.of(str, q["request_id"]),
+        window=Window(jr.whole(window["start"]), jr.whole(window["duration"])),
+        shape=RequestShape(jr.of(str, q["shape"])),
+        quantity_kw=jr.number(q["quantity_kw"]),
+        direction=Direction(jr.of(str, q["direction"])),
+        incentive_per_kw=jr.number(q["incentive_per_kw"]),
+        issuer=jr.of(str, q["issuer"]),
+    )
 
 
-def parse_scenario(raw: dict) -> tuple:
-    """(resources, requests, bids); bids are (Bid, request_id) pairs. Raises ValidationError."""
+def _bid(b: dict, default_request) -> tuple:
+    jr.obj(b, _BID, _BID_OPTIONAL)
+    bid = Bid(
+        bid_id=jr.of(str, b["bid_id"]),
+        prosumer_id=jr.of(str, b["prosumer"]),
+        offered_kw=jr.number(b["offered_kw"]),
+        price_per_kw=jr.number(b["price_per_kw"]),
+        resource_ids=tuple(jr.of(str, r) for r in jr.of(list, b["resource_ids"])),
+    )
+    return bid, jr.of(str, b["request_id"]) if "request_id" in b else default_request
+
+
+def parse_scenario(raw) -> tuple:
+    """(resources, requests, bids); bids are (Bid, request_id) pairs. A bid
+    without a ``request_id`` answers the first request. Raises ValidationError."""
     try:
-        resources = [
-            FlexResource(
-                resource_id=r["resource_id"],
-                kind=ResourceKind(r["kind"]),
-                controllable=_boolean(r["controllable"]),
-                capacity_kw=_number(r["capacity_kw"]),
-                baseline_setpoint=SetpointAction(
-                    ActionType(r["baseline"]["action"]), _number(r["baseline"]["level_kw"])
-                ),
-                owner=r["owner"],
-            )
-            for r in raw["resources"]
-        ]
-        requests = [
-            FlexRequest(
-                request_id=q["request_id"],
-                window=Window(_whole(q["window"]["start"]), _whole(q["window"]["duration"])),
-                shape=RequestShape(q["shape"]),
-                quantity_kw=_number(q["quantity_kw"]),
-                direction=Direction(q["direction"]),
-                incentive_per_kw=_number(q["incentive_per_kw"]),
-                issuer=q["issuer"],
-            )
-            for q in raw["requests"]
-        ]
-        bids = [
-            (
-                Bid(
-                    bid_id=b["bid_id"],
-                    prosumer_id=b["prosumer"],
-                    offered_kw=_number(b["offered_kw"]),
-                    price_per_kw=_number(b["price_per_kw"]),
-                    resource_ids=tuple(b["resource_ids"]),
-                ),
-                b.get("request_id", raw["requests"][0]["request_id"]),
-            )
-            for b in raw["bids"]
-        ]
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed scenario: {exc!r}") from exc
+        jr.obj(raw, _SCENARIO)
+        resources = [_resource(r) for r in jr.of(list, raw["resources"])]
+        requests = [_request(q) for q in jr.of(list, raw["requests"])]
+        default_request = requests[0].request_id if requests else None
+        bids = [_bid(b, default_request) for b in jr.of(list, raw["bids"])]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed scenario: {exc}") from exc
     known = {req.request_id for req in requests}
     for bid, request_id in bids:
         if request_id not in known:
@@ -296,12 +289,17 @@ def cmd_trade(args) -> int:
 # attack
 # ---------------------------------------------------------------------------
 
+_ATTACK_CONFIG = frozenset({"dataset"})
+
+
 def cmd_attack(args) -> int:
     out = _out_dir(args.out)
     if args.config:
-        dataset = _read_config(args.config).get("dataset")
-        if not isinstance(dataset, str):
-            raise ConfigurationError(f"config {args.config} has no 'dataset' path string")
+        cfg = _read_config(args.config)
+        try:
+            dataset = jr.of(str, jr.obj(cfg, _ATTACK_CONFIG)["dataset"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed attack config {args.config}: {exc}") from exc
         series = telemetry.load_dataset(dataset)
     else:
         series = telemetry.generate_synthetic(args.synthetic, seed=args.seed)
@@ -353,6 +351,10 @@ def _parse_rates(text: str) -> list:
         raise ValidationError(f"--rates must be comma-separated numbers: {exc}") from exc
 
 
+# A bench config's keys, both optional.
+_BENCH_CONFIG = frozenset({"topology", "credential_models"})
+
+
 def cmd_bench(args) -> int:
     out = _out_dir(args.out)
     rates = _parse_rates(args.rates)
@@ -364,13 +366,18 @@ def cmd_bench(args) -> int:
     topology = None
     if args.config:
         cfg = _read_config(args.config)
+        try:
+            jr.obj(cfg, frozenset(), _BENCH_CONFIG)
+            overrides = jr.obj(cfg.get("credential_models", {}), frozenset(), frozenset(models))
+            # The key names the mode, so an override holds model fields only.
+            for raw in overrides.values():
+                jr.obj(raw, frozenset(), simnet.CREDENTIAL_FIELDS)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed bench config {args.config}: {exc}") from exc
         if "topology" in cfg:
             topology = simnet.topology_from_dict(cfg["topology"])
-        try:
-            for mode, raw in cfg.get("credential_models", {}).items():
-                models[mode] = simnet.CredentialModel.from_dict(dict(raw, mode=mode))
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed credential_models: {exc!r}") from exc
+        for mode, raw in overrides.items():
+            models[mode] = simnet.CredentialModel.from_dict(dict(raw, mode=mode))
     summary = {"seed": args.seed, "modes": {}}
     for mode in modes:
         model = models[mode]

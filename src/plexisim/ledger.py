@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Union
 
+from . import jsonread as jr
 from .clock import SimClock
 from .errors import (
     AuthorizationError,
@@ -133,14 +134,6 @@ def _has_non_str_key(value) -> bool:
     return False
 
 
-def _json_int(rec: dict, name: str) -> int:
-    """``rec[name]``, which must be a JSON integer: not a bool, float or string."""
-    value = rec[name]
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Transactions and blocks
 # ---------------------------------------------------------------------------
@@ -164,27 +157,29 @@ class Transaction:
         object.__setattr__(self, "tx_id", hashlib.sha256(message + self.signature).hexdigest())
 
     @classmethod
-    def from_record(cls, rec: dict) -> "Transaction":
-        """The tx a saved record holds. A field of the wrong type, or a
-        signature not spelt in lower-case hex, raises ``TypeError`` or
-        ``ValueError``."""
-        if type(rec["signer"]) is not str:
-            raise TypeError(f"signer must be a string, got {rec['signer']!r}")
+    def from_record(cls, rec) -> "Transaction":
+        """The tx a saved record holds. A missing or unknown key, a field of
+        the wrong type, or a signature not spelt in lower-case hex, raises
+        ``TypeError`` or ``ValueError``."""
+        jr.obj(rec, _TX_FIELDS)
         signature = bytes.fromhex(rec["signature"])
         # fromhex also reads upper case and spaces, which no hash would cover.
         if signature.hex() != rec["signature"]:
             raise ValueError("signature must be lower-case hex")
         return cls(
             payload=rec["payload"],
-            signer=rec["signer"],
+            signer=jr.of(str, rec["signer"]),
             signature=signature,
-            sim_time_submitted=_json_int(rec, "sim_time_submitted"),
+            sim_time_submitted=jr.of(int, rec["sim_time_submitted"]),
         )
 
 
 # The chain file: one JSON line per block, fields in this order. A tx is
 # saved as its payload (the signed message itself), signer, signature and
-# submit time; its message and tx_id are derived again on read.
+# submit time; its message and tx_id are derived again on read. A record
+# with any other key set is refused.
+_BLOCK_FIELDS = frozenset({"height", "prev_hash", "block_hash", "sim_time_committed", "txs"})
+_TX_FIELDS = frozenset({"payload", "signer", "signature", "sim_time_submitted"})
 _BLOCK_LINE = (b'{"height":%d,"prev_hash":%s,"block_hash":%s,"sim_time_committed":%d,'
                b'"txs":[%s]}\n')
 _TX_RECORD = b'{"payload":%s,"signer":%s,"signature":"%s","sim_time_submitted":%d}'
@@ -236,31 +231,30 @@ def _receipt(tx: Transaction, block: Block) -> CommitReceipt:
 
 def _token_from_create(payload: dict) -> tuple:
     """The token and challenge index a create_nft payload mints. A malformed
-    payload raises ``KeyError``, ``TypeError``, ``ValueError`` or
-    ``OverflowError``: a missing field, a hex field that is not lower-case
-    hex, a non-string id or name, a non-integer issue time or challenge
-    index, or a token id that is not the hash of its device, key and owner."""
+    payload raises ``KeyError``, ``TypeError`` or ``ValueError``: a missing
+    field, a hex field that is not lower-case hex, a non-string id or name,
+    an issue time or challenge index that is not a JSON integer, or a token
+    id that is not the hash of its device, key and owner."""
+    # Typed fields keep token equality exact (see __eq__), and the state
+    # holds the integers that were signed.
     token = NftToken(
-        token_id=payload["token_id"],
-        token_name=payload["token_name"],
+        token_id=jr.of(str, payload["token_id"]),
+        token_name=jr.of(str, payload["token_name"]),
         device_id=bytes.fromhex(payload["device_id"]),
         public_key=bytes.fromhex(payload["public_key"]),
-        owner_id=payload["owner_id"],
+        owner_id=jr.of(str, payload["owner_id"]),
         constraints=_NO_FLAGS,
-        issue_time=int(payload["issue_time"]),
+        issue_time=jr.of(int, payload["issue_time"]),
     )
     # fromhex also reads upper case and spaces; only the .hex() spelling
     # gives one device one device-index key.
     if (token.device_id.hex(), token.public_key.hex()) != (payload["device_id"],
                                                            payload["public_key"]):
         raise ValueError("create_nft device_id and public_key must be lower-case hex")
-    # Typed fields keep token equality exact (see __eq__).
-    if any(type(v) is not str for v in (token.token_id, token.token_name, token.owner_id)):
-        raise TypeError("create_nft token_id, token_name and owner_id must be strings")
     if token.token_id != compute_token_id(token.device_id, token.public_key, token.owner_id):
         raise ValueError("create_nft token_id is not derived from device_id, public_key "
                          "and owner_id")
-    return token, int(payload.get("challenge_index", 0))
+    return token, jr.of(int, payload.get("challenge_index", 0))
 
 
 @dataclass
@@ -300,9 +294,10 @@ class RegistryState:
             signer = self.tokens.get(tx.signer)
             if signer is None or signer.constraints.revoked:
                 raise AuthorizationError(f"signer {tx.signer!r} is not a live token")
-        payload = tx.payload
-        if type(payload) is not dict:
-            raise ValidationError(f"payload of tx {tx.tx_id[:12]} is not an object")
+        try:
+            payload = jr.of(dict, tx.payload)
+        except TypeError as exc:
+            raise ValidationError(f"payload of tx {tx.tx_id[:12]}: {exc}") from exc
         op = payload.get("op")
         if op == OP_CREATE_NFT:
             # Only the anchor mints: a device key would pick its own token's key.
@@ -310,7 +305,7 @@ class RegistryState:
                 raise AuthorizationError("create_nft must be signed by the anchor")
             try:
                 token, challenge_index = _token_from_create(payload)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"malformed create_nft payload: {exc!r}") from exc
             device_hex = payload["device_id"]
             if device_hex in self.device_index:
@@ -323,14 +318,14 @@ class RegistryState:
             if flag not in FLAGS:
                 raise ValidationError(f"unknown flag {flag!r}")
             delegate_id, new_owner = payload.get("delegate_id"), payload.get("new_owner")
-            if any(v and type(v) is not str for v in (delegate_id, new_owner)):
-                raise ValidationError("set_flag delegate_id and new_owner must be strings")
-            value = payload.get("value", True)
-            if type(value) is not bool:
-                raise ValidationError(f"set_flag value must be a boolean, got {value!r}")
-            token_id = payload.get("token_id")
-            if type(token_id) is not str:
-                raise ValidationError(f"set_flag token_id must be a string, got {token_id!r}")
+            try:
+                token_id = jr.of(str, payload.get("token_id"))
+                value = jr.of(bool, payload.get("value", True))
+                for v in (delegate_id, new_owner):
+                    if v is not None:
+                        jr.of(str, v)
+            except TypeError as exc:
+                raise ValidationError(f"malformed set_flag payload: {exc}") from exc
             token = self.tokens.get(token_id)
             if token is None:
                 raise ValidationError(f"no token {token_id}")
@@ -606,25 +601,30 @@ def replay_chain(chain: Iterable[Block]) -> RegistryState:
 
 
 def read_chain(path) -> list[Block]:
+    """The blocks a chain file holds, one JSON line each. A line that is not
+    UTF-8, not JSON, or not a record with exactly the saved keys and their
+    JSON types raises ``IntegrityViolationError``; ``replay_chain`` checks
+    the hashes and the contract."""
     blocks: list[Block] = []
-    with open(path, encoding="utf-8") as fh:
+    # Binary lines, decoded one at a time, so a byte that is not UTF-8 is
+    # reported with its line.
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                txs = tuple(Transaction.from_record(t) for t in rec["txs"])
+                rec = jr.obj(json.loads(line.decode("utf-8")), _BLOCK_FIELDS)
                 blocks.append(
                     Block(
-                        height=_json_int(rec, "height"),
-                        prev_hash=rec["prev_hash"],
-                        tx_list=txs,
-                        block_hash=rec["block_hash"],
-                        sim_time_committed=_json_int(rec, "sim_time_committed"),
+                        height=jr.of(int, rec["height"]),
+                        prev_hash=jr.of(str, rec["prev_hash"]),
+                        tx_list=tuple(map(Transaction.from_record, jr.of(list, rec["txs"]))),
+                        block_hash=jr.of(str, rec["block_hash"]),
+                        sim_time_committed=jr.of(int, rec["sim_time_committed"]),
                     )
                 )
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise IntegrityViolationError(
                     f"{path}: malformed block record on line {lineno}: {exc!r}"
                 ) from exc

@@ -26,6 +26,7 @@ from itertools import cycle, islice, repeat
 from operator import add, itemgetter
 from typing import Optional, Sequence
 
+from . import jsonread as jr
 from .errors import ConfigurationError, ValidationError
 from .ledger import BLOCK_INTERVAL_MS
 
@@ -103,23 +104,36 @@ def default_topology(n_edge: int = 4, n_fog: int = 2) -> Topology:
     return Topology(nodes=tuple(nodes))
 
 
-def topology_from_dict(raw: dict) -> Topology:
+_TOPOLOGY = frozenset({"nodes"})
+_NODE = frozenset({"node_id", "tier", "service_rate_tps", "link_delay_ms"})
+
+
+def _node(n: dict) -> NodeSpec:
+    jr.obj(n, _NODE)
+    return NodeSpec(
+        node_id=jr.of(str, n["node_id"]),
+        tier=Tier(jr.of(str, n["tier"])),
+        service_rate_tps=jr.number(n["service_rate_tps"]),
+        link_delay_ms=jr.number(n["link_delay_ms"]),
+    )
+
+
+def topology_from_dict(raw) -> Topology:
     """JSON config form: {"nodes": [{node_id, tier, service_rate_tps, link_delay_ms}]}."""
     try:
-        nodes = tuple(
-            NodeSpec(
-                node_id=n["node_id"],
-                tier=Tier(n["tier"]),
-                service_rate_tps=float(n["service_rate_tps"]),
-                link_delay_ms=float(n["link_delay_ms"]),
-            )
-            for n in raw["nodes"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed topology: {exc!r}") from exc
+        nodes = tuple(map(_node, jr.of(list, jr.obj(raw, _TOPOLOGY)["nodes"])))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed topology: {exc}") from exc
     topo = Topology(nodes=nodes)
     topo.validate()
     return topo
+
+
+# The fields a credential model override may set: four byte counts, read
+# as whole numbers, and verify_cost_factor, read as a number.
+CREDENTIAL_FIELDS = frozenset({"cert_bytes", "keypair_bytes", "partial_key_bytes",
+                               "tx_overhead_bytes", "verify_cost_factor"})
+_MODE = frozenset({"mode"})
 
 
 @dataclass(frozen=True)
@@ -146,20 +160,22 @@ class CredentialModel:
                    verify_cost_factor=CERT_VERIFY_FACTOR)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "CredentialModel":
-        base = cls.certificate_default() if raw.get("mode") == "certificate" else cls.nft_default()
-        fields = {k: raw[k] for k in
-                  ("cert_bytes", "keypair_bytes", "partial_key_bytes",
-                   "tx_overhead_bytes", "verify_cost_factor") if k in raw}
-        for k, v in fields.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigurationError(f"credential model field {k!r} must be a number")
-            if not math.isfinite(v):
-                raise ConfigurationError(f"credential model field {k!r} must be finite")
-            if k == "verify_cost_factor" and v <= 0:
-                raise ConfigurationError("verify_cost_factor must be positive")
-            if v < 0:
-                raise ConfigurationError(f"credential model field {k!r} must not be negative")
+    def from_dict(cls, raw) -> "CredentialModel":
+        """JSON form: {"mode": "nft" | "certificate", plus any of
+        ``CREDENTIAL_FIELDS``}; the fields given replace the mode's defaults."""
+        try:
+            mode = jr.of(str, jr.obj(raw, _MODE, CREDENTIAL_FIELDS)["mode"])
+            if mode not in ("nft", "certificate"):
+                raise ValueError(f"unknown mode {mode!r}")
+            fields = {k: jr.number(v) if k == "verify_cost_factor" else jr.whole(v)
+                      for k, v in raw.items() if k != "mode"}
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed credential model: {exc}") from exc
+        if fields.get("verify_cost_factor", 1.0) <= 0:
+            raise ConfigurationError("verify_cost_factor must be positive")
+        if any(v < 0 for v in fields.values()):
+            raise ConfigurationError("credential model fields must not be negative")
+        base = cls.certificate_default() if mode == "certificate" else cls.nft_default()
         model = replace(base, **fields)
         if model.per_device_storage() <= 0:
             raise ConfigurationError(f"{model.mode} model stores no bytes per device")
@@ -372,8 +388,10 @@ def run_benchmark(
         raise ValidationError("need at least one send rate")
     if not all(0 < rate < math.inf for rate in send_rates):
         raise ValidationError("send rates must be finite and positive")
-    if not 10 <= duration_s < math.inf:
-        raise ValidationError("benchmark duration must be finite and at least 10 simulated seconds")
+    if not 2 * TRIM_S < duration_s < math.inf:
+        # Shorter runs leave no steady-state window between the trimmed ends.
+        raise ValidationError(f"benchmark duration must be finite and longer than "
+                              f"{2 * TRIM_S:g} simulated seconds")
     topology = topology or default_topology()
     results = []
     for rate in send_rates:

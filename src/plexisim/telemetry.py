@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -59,51 +60,68 @@ class AttackProfile:
 # Ingestion and synthesis
 # ---------------------------------------------------------------------------
 
+# A reading cell: a decimal number, or nan/inf, which the finiteness check
+# then refuses. float() alone also takes "1_0" as 10.0, and surrounding
+# spaces and non-ASCII digits.
+_READING = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                      r"|nan|inf(?:inity)?)", re.IGNORECASE)
+
+
+def _reading(cell: str) -> float:
+    if not _READING.fullmatch(cell):
+        raise ValueError(f"{cell!r} is not a decimal number")
+    return float(cell)
+
+
 def load_dataset(path) -> list:
     """Parse and validate a telemetry CSV; errors carry the row number."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise IngestionError(f"cannot open {path}: {exc.strerror}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # Decoding runs ahead of the csv reader, so no row number is known.
+        raise IngestionError(f"cannot read {path} as UTF-8 CSV: {exc}") from None
+    if not rows:
+        raise IngestionError("empty file")
+    header = rows[0]
+    if header != CSV_HEADER:
+        missing = [c for c in CSV_HEADER if c not in header]
+        if missing:
+            raise IngestionError(f"missing column {missing[0]!r}")
+        raise IngestionError(f"header must be exactly {','.join(CSV_HEADER)}")
+    series: list[TelemetrySample] = []
+    stride = timedelta(minutes=SAMPLE_MINUTES)
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise IngestionError("wrong column count", row=row_no)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError("empty file") from None
-        if header != CSV_HEADER:
-            missing = [c for c in CSV_HEADER if c not in header]
-            if missing:
-                raise IngestionError(f"missing column {missing[0]!r}")
-            raise IngestionError(f"header must be exactly {','.join(CSV_HEADER)}")
-        series: list[TelemetrySample] = []
-        stride = timedelta(minutes=SAMPLE_MINUTES)
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise IngestionError("wrong column count", row=row_no)
-            try:
-                sample = TelemetrySample(
-                    time=datetime.fromisoformat(row[0]),
-                    net_kw=float(row[1]),
-                    tamb_c=float(row[2]),
-                    hvac_kw=float(row[3]),
-                    hvac_demand_res_kw=float(row[4]),
-                )
-            except ValueError as exc:
-                raise IngestionError(f"unparsable row: {exc}", row=row_no) from None
-            if not all(map(math.isfinite, (sample.net_kw, sample.tamb_c, sample.hvac_kw,
-                                           sample.hvac_demand_res_kw))):
-                raise IngestionError("non-finite reading", row=row_no)
-            if sample.hvac_kw < 0:
-                raise IngestionError("hvac consumption cannot be negative", row=row_no)
-            if series:
-                if sample.time <= series[-1].time:
-                    raise IngestionError("timestamps not strictly increasing", row=row_no)
-                if sample.time - series[-1].time != stride:
-                    raise IngestionError("stride is not 30 minutes", row=row_no)
-            series.append(sample)
+            sample = TelemetrySample(
+                time=datetime.fromisoformat(row[0]),
+                net_kw=_reading(row[1]),
+                tamb_c=_reading(row[2]),
+                hvac_kw=_reading(row[3]),
+                hvac_demand_res_kw=_reading(row[4]),
+            )
+        except ValueError as exc:
+            raise IngestionError(f"unparsable row: {exc}", row=row_no) from None
+        if not all(map(math.isfinite, (sample.net_kw, sample.tamb_c, sample.hvac_kw,
+                                       sample.hvac_demand_res_kw))):
+            raise IngestionError("non-finite reading", row=row_no)
+        if sample.hvac_kw < 0:
+            raise IngestionError("hvac consumption cannot be negative", row=row_no)
+        if series:
+            # A naive and an offset-carrying time do not compare.
+            if (sample.time.tzinfo is None) is not (series[-1].time.tzinfo is None):
+                raise IngestionError("timestamps mix naive and UTC-offset forms", row=row_no)
+            if sample.time <= series[-1].time:
+                raise IngestionError("timestamps not strictly increasing", row=row_no)
+            if sample.time - series[-1].time != stride:
+                raise IngestionError("stride is not 30 minutes", row=row_no)
+        series.append(sample)
     return series
 
 

@@ -141,7 +141,7 @@ class TestBench:
 
     def test_single_mode_flag(self, tmp_path):
         out = tmp_path / "b"
-        assert run(["bench", "--rates", "40", "--duration", 10,
+        assert run(["bench", "--rates", "40", "--duration", 20,
                     "--mode", "nft", "--seed", 2, "--out", out]) == 0
         assert (out / "metrics_nft.csv").exists()
         assert (out / "metrics_nft.json").exists()
@@ -159,11 +159,11 @@ class TestBench:
             "credential_models": {"nft": {"partial_key_bytes": 512}},
         }))
         out = tmp_path / "b"
-        assert run(["bench", "--rates", "40,120", "--duration", 10, "--mode", "nft",
+        assert run(["bench", "--rates", "40,120", "--duration", 20, "--mode", "nft",
                     "--config", cfg, "--seed", 2, "--out", out]) == 0
         summary = json.loads((out / "summary.json").read_text())
         # Capacity shrinks to the configured fog rate; storage to the new size.
-        assert summary["modes"]["nft"]["saturation_tps"] <= 91
+        assert 0 < summary["modes"]["nft"]["saturation_tps"] <= 91
         assert summary["modes"]["nft"]["storage_bytes_100_devices"] == 51200
 
 
@@ -364,7 +364,7 @@ def _topology_node_without_id(tmp_path):
     node = {"tier": "edge", "service_rate_tps": 100.0, "link_delay_ms": 1.0}
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"topology": {"nodes": [node]}}))
-    return ["bench", "--rates", "40", "--duration", 10, "--config", cfg,
+    return ["bench", "--rates", "40", "--duration", 20, "--config", cfg,
             "--out", tmp_path / "b"]
 
 
@@ -410,14 +410,14 @@ def _attack_dataset_non_finite(tmp_path):
 def _credential_model_not_an_object(tmp_path):
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"credential_models": {"nft": 5}}))
-    return ["bench", "--rates", "40", "--duration", 10, "--config", cfg,
+    return ["bench", "--rates", "40", "--duration", 20, "--config", cfg,
             "--out", tmp_path / "b"]
 
 
 def _bench_with_partial_key_bytes(tmp_path, value):
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"credential_models": {"nft": {"partial_key_bytes": value}}}))
-    return ["bench", "--rates", "40", "--duration", 10, "--config", cfg,
+    return ["bench", "--rates", "40", "--duration", 20, "--config", cfg,
             "--out", tmp_path / "b"]
 
 
@@ -433,7 +433,7 @@ def _certificate_footprint_zero(tmp_path):
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps(
         {"credential_models": {"certificate": {"cert_bytes": 0, "keypair_bytes": 0}}}))
-    return ["bench", "--rates", "40", "--duration", 10, "--config", cfg,
+    return ["bench", "--rates", "40", "--duration", 20, "--config", cfg,
             "--out", tmp_path / "b"]
 
 
@@ -442,10 +442,10 @@ def _credential_model_field_negative(tmp_path):
 
 
 def _non_numeric_rate(tmp_path):
-    return ["bench", "--rates", "40,x", "--duration", 10, "--out", tmp_path / "b"]
+    return ["bench", "--rates", "40,x", "--duration", 20, "--out", tmp_path / "b"]
 
 
-def _bench(tmp_path, rates, duration=10):
+def _bench(tmp_path, rates, duration=20):
     return ["bench", "--rates", rates, "--duration", duration, "--out", tmp_path / "b"]
 
 
@@ -480,8 +480,128 @@ def _topology_negative_link(tmp_path):
     ]
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"topology": {"nodes": nodes}}))
-    return ["bench", "--rates", "40", "--duration", 10, "--config", cfg,
+    return ["bench", "--rates", "40", "--duration", 20, "--config", cfg,
             "--out", tmp_path / "b"]
+
+
+def _bench_config(tmp_path, cfg):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(cfg))
+    return ["bench", "--rates", "40", "--duration", 20, "--config", path,
+            "--out", tmp_path / "b"]
+
+
+def _topology_with_edge(tmp_path, **edit):
+    nodes = [
+        dict({"node_id": "e0", "tier": "edge", "service_rate_tps": 50.0,
+              "link_delay_ms": 25.0}, **edit),
+        {"node_id": "f0", "tier": "fog", "service_rate_tps": 175.0, "link_delay_ms": 10.0},
+    ]
+    return _bench_config(tmp_path, {"topology": {"nodes": nodes}})
+
+
+def _topology_node_id_int(tmp_path):
+    return _topology_with_edge(tmp_path, node_id=7)
+
+
+def _topology_rate_string(tmp_path):
+    return _topology_with_edge(tmp_path, service_rate_tps="200")
+
+
+def _topology_link_bool(tmp_path):
+    return _topology_with_edge(tmp_path, link_delay_ms=True)
+
+
+def _topology_node_unknown_key(tmp_path):
+    return _topology_with_edge(tmp_path, zone="north")
+
+
+def _credential_model_key_misspelt(tmp_path):
+    return _bench_config(tmp_path, {"credential_models": {"nft": {"verify_cost_factr": 2.0}}})
+
+
+def _credential_model_unknown_mode(tmp_path):
+    return _bench_config(tmp_path, {"credential_models": {"ftn": {"partial_key_bytes": 512}}})
+
+
+def _credential_model_mode_inside(tmp_path):
+    return _bench_config(tmp_path, {"credential_models": {"nft": {"mode": "certificate"}}})
+
+
+def _credential_model_bytes_fractional(tmp_path):
+    return _bench_config(tmp_path, {"credential_models": {"nft": {"tx_overhead_bytes": 1.5}}})
+
+
+def _bench_config_unknown_key(tmp_path):
+    return _bench_config(tmp_path, {"topologies": {}})
+
+
+def _duration_leaves_no_window(tmp_path):
+    return _bench(tmp_path, "40", 10)
+
+
+def _resource_ids_string(scenario):
+    # tuple() would read the string "e" as the one id "e".
+    scenario["resources"][2]["resource_id"] = "e"
+    scenario["bids"][1]["resource_ids"] = "e"
+
+
+def _scenario_resource_ids_string(tmp_path):
+    return _scenario_with(tmp_path, _resource_ids_string)
+
+
+def _scenario_bids_object(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s.update(bids={}))
+
+
+def _scenario_unknown_key(tmp_path):
+    return _scenario_with(tmp_path, lambda s: s["requests"][0].update(deadline=3))
+
+
+def _attack_config_unknown_key(tmp_path):
+    cfg = tmp_path / "attack.json"
+    cfg.write_text(json.dumps({"dataset": str(tmp_path / "d.csv"), "extra": 1}))
+    return ["attack", "--config", cfg, "--out", tmp_path / "a"]
+
+
+def _attack_dataset_rows(tmp_path, *rows):
+    data = tmp_path / "d.csv"
+    data.write_text("time,net,tamb,hvac,hvac_demand_res\n" + "".join(r + "\n" for r in rows))
+    return _attack_with_dataset(tmp_path, str(data))
+
+
+def _attack_dataset_naive_then_offset(tmp_path):
+    return _attack_dataset_rows(tmp_path, "2021-06-01T00:00:00,1.0,20.0,1.0,0.5",
+                                "2021-06-01T00:30:00+00:00,1.0,20.0,1.0,0.5")
+
+
+def _attack_dataset_underscore_reading(tmp_path):
+    return _attack_dataset_rows(tmp_path, "2021-06-01T00:00:00,1_0,20.0,1.0,0.5")
+
+
+def _attack_dataset_not_utf8(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"time,net,tamb,hvac,hvac_demand_res\n2021-06-01T00:00:00,1.0,\xff,1.0,0.5\n")
+    return _attack_with_dataset(tmp_path, str(data))
+
+
+def _attack_dataset_field_too_long(tmp_path):
+    return _attack_dataset_rows(tmp_path, "2021-06-01T00:00:00," + "1" * 200_000 + ",20.0,1.0,0.5")
+
+
+def _registry_not_utf8(tmp_path):
+    argv = _registry_with_edited_block(tmp_path, lambda block: None)
+    registry = Path(argv[-1])
+    registry.write_bytes(registry.read_bytes().replace(b"{", b"\xff{", 1))
+    return argv
+
+
+def _registry_block_unknown_key(tmp_path):
+    return _registry_with_edited_block(tmp_path, lambda block: block.update(note="x"))
+
+
+def _registry_tx_unknown_key(tmp_path):
+    return _registry_with_edited_tx(tmp_path, lambda tx: tx.update(tx_id="00" * 32))
 
 
 def _enroll_negative_count(tmp_path):
@@ -516,6 +636,14 @@ def _out_is_a_file(tmp_path):
     _credential_model_field_negative, _non_numeric_rate,
     _rate_nan, _rate_inf, _rate_zero, _rate_negative, _duration_nan, _duration_inf,
     _topology_negative_link, _enroll_negative_count, _registry_is_a_directory, _out_is_a_file,
+    _topology_node_id_int, _topology_rate_string, _topology_link_bool,
+    _topology_node_unknown_key, _credential_model_key_misspelt, _credential_model_unknown_mode,
+    _credential_model_mode_inside, _credential_model_bytes_fractional,
+    _bench_config_unknown_key, _duration_leaves_no_window, _scenario_resource_ids_string,
+    _scenario_bids_object, _scenario_unknown_key, _attack_config_unknown_key,
+    _attack_dataset_naive_then_offset, _attack_dataset_underscore_reading,
+    _registry_block_unknown_key, _registry_tx_unknown_key, _attack_dataset_not_utf8,
+    _attack_dataset_field_too_long, _registry_not_utf8,
 ])
 def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)

@@ -330,6 +330,13 @@ MALFORMED_CREATES = {
     "token_name not str": lambda p: dict(p, token_name=["d"]),
     "issue_time inf": lambda p: dict(p, issue_time=math.inf),
     "challenge_index not int": lambda p: dict(p, challenge_index="one"),
+    # int() would take each of these, so the state would disagree with the
+    # signed payload.
+    "issue_time fractional": lambda p: dict(p, issue_time=5.7),
+    "issue_time bool": lambda p: dict(p, issue_time=True),
+    "issue_time string": lambda p: dict(p, issue_time="12"),
+    "challenge_index string": lambda p: dict(p, challenge_index="3"),
+    "challenge_index fractional": lambda p: dict(p, challenge_index=2.9),
     "device_id upper case": lambda p: dict(p, device_id=p["device_id"].upper()),
     "public_key upper case": lambda p: dict(p, public_key=p["public_key"].upper()),
     "device_id with spaces": lambda p: dict(p, device_id=p["device_id"][:2] + " "

@@ -465,20 +465,20 @@ class TestBenchmark:
         assert sat_nft >= sat_cert
 
     def test_duration_precondition(self):
-        for duration_s in (5.0, math.nan, math.inf):
+        for duration_s in (5.0, 10.0, math.nan, math.inf):
             with pytest.raises(ValidationError):
                 run_benchmark([20], NFT, duration_s=duration_s)
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -5.0])
     def test_non_finite_or_nonpositive_rate_rejected(self, rate):
         with pytest.raises(ValidationError):
-            run_benchmark([20, rate], NFT, duration_s=10.0)
+            run_benchmark([20, rate], NFT, duration_s=20.0)
 
     def test_empty_rates_rejected(self):
         with pytest.raises(ValidationError):
             run_benchmark([], NFT)
 
     def test_storage_reported(self):
-        (m,) = run_benchmark([20], CERT, duration_s=10.0, n_devices=10)
+        (m,) = run_benchmark([20], CERT, duration_s=20.0, n_devices=10)
         assert m.storage_bytes == memory_footprint(10, CERT)
 
