@@ -152,9 +152,25 @@ class Transaction:
     tx_id: str = field(init=False, compare=False)
 
     def __post_init__(self):
-        message = _message(self.payload)
+        self._seal(_message(self.payload))
+
+    def _seal(self, message: bytes) -> None:
         object.__setattr__(self, "message", message)
         object.__setattr__(self, "tx_id", hashlib.sha256(message + self.signature).hexdigest())
+
+    @classmethod
+    def from_message(cls, message: bytes, signer: str, signature: bytes,
+                     sim_time_submitted: int) -> "Transaction":
+        """The tx whose payload is the canonical ``message`` decoded, so it
+        shares no object with the one that was encoded. ``message`` is kept as
+        the signed bytes, not encoded again."""
+        tx = object.__new__(cls)
+        object.__setattr__(tx, "payload", json.loads(message))
+        object.__setattr__(tx, "signer", signer)
+        object.__setattr__(tx, "signature", signature)
+        object.__setattr__(tx, "sim_time_submitted", sim_time_submitted)
+        tx._seal(message)
+        return tx
 
     @classmethod
     def from_record(cls, rec) -> "Transaction":
@@ -529,6 +545,8 @@ class LedgerSim:
         payload: dict,
         signer: SigningKey,
     ) -> CommitReceipt:
+        """Commit an event. The tx and the event log hold a payload decoded
+        from the signed bytes, so a later edit to ``payload`` changes neither."""
         now = self.clock.now()
         body = {
             "op": OP_RECORD_EVENT,
@@ -537,8 +555,12 @@ class LedgerSim:
             "payload": payload,
             "sim_time": now,
         }
-        env = sign(_message(body), signer, sim_time=now)
-        return self.submit(Transaction(body, env.token_id, env.signature, now))
+        message = _message(body)
+        # Decoding reads a non-string key back as a string, so check the caller's.
+        if _has_non_str_key(payload):
+            raise ValidationError(f"payload of event {kind!r} has a non-string key")
+        env = sign(message, signer, sim_time=now)
+        return self.submit(Transaction.from_message(message, env.token_id, env.signature, now))
 
     # -- replay and persistence ---------------------------------------------
 

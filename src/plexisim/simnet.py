@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import cycle, islice, repeat
-from operator import add, itemgetter
+from operator import add
 from typing import Optional, Sequence
 
 from . import jsonread as jr
@@ -50,6 +50,11 @@ LINK_BYTES_PER_MS = 1024.0
 # run_benchmark leaves this much simulated time at each end of a run out of
 # its steady-state measurement window.
 TRIM_S = 5.0
+# The most transactions uniform_load builds for one run, 55 times the largest
+# sweep point of the paper (300 tps for 60 s). A run's columns and run_sim's
+# lists and commit dict peak near 250 bytes per transaction (tracemalloc,
+# CPython 3.11), so one run stays near 250 MB.
+MAX_SIM_TXS = 1_000_000
 
 
 class Tier(Enum):
@@ -211,14 +216,26 @@ class Metrics:
 
 @dataclass(frozen=True)
 class LoadScenario:
-    """Transaction submissions: (send_time_ms, edge_node_id) pairs."""
+    """Transaction submissions as two columns of equal length: tx i is sent
+    at ``send_ms[i]`` (simulated ms) from the edge node ``edge_ids[i]``."""
 
     credential: CredentialModel
-    submissions: tuple
+    send_ms: tuple
+    edge_ids: tuple
+
+    def __post_init__(self):
+        if len(self.send_ms) != len(self.edge_ids):
+            raise ValidationError(f"{len(self.send_ms)} send times for "
+                                  f"{len(self.edge_ids)} edge ids")
+
+    @property
+    def submissions(self) -> tuple:
+        """The (send_ms, edge_id) pair of each transaction."""
+        return tuple(zip(self.send_ms, self.edge_ids))
 
     @property
     def duration_ms(self) -> float:
-        return max(map(itemgetter(0), self.submissions), default=0.0)
+        return max(self.send_ms, default=0.0)
 
 
 def uniform_load(
@@ -227,12 +244,15 @@ def uniform_load(
     topology: Topology,
     credential: CredentialModel,
 ) -> LoadScenario:
-    """Evenly spaced sends, ``1000 / rate_tps`` ms apart, dealt to the edges in turn."""
+    """Evenly spaced sends, ``1000 / rate_tps`` ms apart, dealt to the edges in
+    turn. More than ``MAX_SIM_TXS`` transactions raise ``ValidationError``."""
+    if not rate_tps * duration_s <= MAX_SIM_TXS:
+        raise ValidationError(f"{rate_tps:g} tps for {duration_s:g} s is more than "
+                              f"{MAX_SIM_TXS} simulated transactions")
     n = int(rate_tps * duration_s)
-    sends = [i * 1000.0 / rate_tps for i in range(n)]
     edge_ids = [e.node_id for e in topology.edges()]
-    return LoadScenario(credential=credential,
-                        submissions=tuple(zip(sends, islice(cycle(edge_ids), n))))
+    return LoadScenario(credential, tuple([i * 1000.0 / rate_tps for i in range(n)]),
+                        tuple(islice(cycle(edge_ids), n)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +267,8 @@ def run_sim(
 ) -> tuple:
     """Run the load through the pipeline; returns (commit_ms, Metrics).
 
-    ``commit_ms`` maps each committed transaction's index in
-    ``scenario.submissions`` to its commit time. Failed transactions are
-    absent from it.
+    ``commit_ms`` maps each committed transaction's index in the scenario's
+    columns to its commit time. Failed transactions are absent from it.
 
     One pass, no event queue. Arrivals are taken in (arrival time, send
     time, index) order. Each is admitted or failed against the buffer of
@@ -272,42 +291,41 @@ def run_sim(
     if not all(0.0 <= ms < math.inf for ms in stage_ms):
         raise ValidationError("link, wire and service times must be finite and non-negative")
 
-    subs = scenario.submissions
-    send_time = list(map(itemgetter(0), subs))
-    link_ms = map(links.__getitem__, map(itemgetter(1), subs))
+    send_time = scenario.send_ms
+    link_ms = map(links.__getitem__, scenario.edge_ids)
     arrive = list(map(add, map(add, send_time, link_ms), repeat(wire_ms)))
     # Two stable sorts give (arrival, send, index) order without a tuple per tx.
-    by_arrival = sorted(range(len(subs)), key=send_time.__getitem__)
+    by_arrival = sorted(range(len(send_time)), key=send_time.__getitem__)
     by_arrival.sort(key=arrive.__getitem__)
 
     # The last admitted tx releases the server at free_t; it began service at
     # free_s. A release (r, b) is handled before an arrival (a, s) iff
     # (r, b) < (a, s).
     free_t = free_s = -math.inf
-    waiting: deque = deque()        # for each buffered tx, the release that starts it
+    depth = BUFFER_DEPTH
+    # The releases (r, b) that started the last ``depth`` buffered txs. They
+    # never decrease, so the txs still waiting at an arrival (a, s) are those
+    # whose release is not before it, and the buffer is full iff the oldest
+    # kept release is not.
+    waiting: deque = deque(maxlen=depth)
     ordered: list = []              # time each admitted tx enters ordering, in service order
-    ordered_tx: list = []
-    failed: list = []
+    served: list = []               # index of each admitted tx, in service order
+    failed = 0
     for tx, a, s in zip(by_arrival, map(arrive.__getitem__, by_arrival),
                         map(send_time.__getitem__, by_arrival)):
         if free_t < a or (free_t == a and free_s < s):
-            # The server is free on arrival. Every buffered tx has started;
-            # the next busy arrival drops their releases from ``waiting``.
-            start = a
+            start = a               # the server is free on arrival
+        elif len(waiting) == depth and waiting[0] >= (a, s):
+            # No queueing past the buffer: the transaction fails now.
+            failed += 1
+            continue
         else:
-            now = (a, s)
-            while waiting and waiting[0] < now:
-                waiting.popleft()
-            if len(waiting) >= BUFFER_DEPTH:
-                # No queueing past the buffer: the transaction fails now.
-                failed.append(tx)
-                continue
             waiting.append((free_t, free_s))
             start = free_t
         end = start + service_ms
         free_t, free_s = end, start
         ordered.append(end + ENDORSE_ROUND_MS)
-        ordered_tx.append(tx)
+        served.append(tx)
 
     # ``ordered`` never decreases, so a block is its first tx and every later
     # one ordered before the deadline, up to BLOCK_MAX_TXS; a full block is
@@ -324,35 +342,35 @@ def run_sim(
             cut = deadline
         commit += [cut + COMMIT_DELAY_MS] * (last - first)
         first = last
-    commit_ms = dict(zip(ordered_tx, commit))
 
-    metrics = _measure(scenario, send_time, commit_ms, failed, n_devices, measure_window)
-    return commit_ms, metrics
+    metrics = _measure(scenario, served, commit, failed, n_devices, measure_window)
+    return dict(zip(served, commit)), metrics
 
 
 def _measure(
     scenario: LoadScenario,
-    send_time: Sequence[float],
-    commit_time: dict,
-    failed: list,
+    served: list,
+    commit: list,
+    failed_count: int,
     n_devices: int,
     window: Optional[tuple],
 ) -> Metrics:
-    n = len(scenario.submissions)
+    """Metrics of a run whose tx ``served[k]`` committed at ``commit[k]``; the
+    lists are in service order, so ``commit`` never decreases."""
+    send_time = scenario.send_ms
     duration_ms = scenario.duration_ms
-    commits = sorted(commit_time.values())
     if window is None:
         # Full-run measurement: count until the last commit lands.
-        end = max(duration_ms, commits[-1]) if commits else duration_ms
+        end = max(duration_ms, commit[-1]) if commit else duration_ms
         window = (0.0, end if end > 0 else 1.0)
     w0, w1 = window
 
-    latencies = [commit - sent for tx, commit in commit_time.items()
-                 if w0 <= (sent := send_time[tx]) <= w1]
-    commits_in_window = bisect_right(commits, w1) - bisect_left(commits, w0)
+    latencies = [c - sent for c, sent in zip(commit, map(send_time.__getitem__, served))
+                 if w0 <= sent <= w1]
+    commits_in_window = bisect_right(commit, w1) - bisect_left(commit, w0)
     span_s = (w1 - w0) / 1000.0
     achieved = commits_in_window / span_s if span_s > 0 else 0.0
-    rate = n / (duration_ms / 1000.0) if duration_ms > 0 else 0.0
+    rate = len(send_time) / (duration_ms / 1000.0) if duration_ms > 0 else 0.0
 
     latencies.sort()
     if latencies:
@@ -366,7 +384,7 @@ def _measure(
         achieved_throughput_tps=achieved,
         latency_ms_mean=mean,
         latency_ms_p95=p95,
-        failed_tx_count=len(failed),
+        failed_tx_count=failed_count,
         storage_bytes=memory_footprint(n_devices, scenario.credential),
     )
 
@@ -393,10 +411,14 @@ def run_benchmark(
         raise ValidationError(f"benchmark duration must be finite and longer than "
                               f"{2 * TRIM_S:g} simulated seconds")
     topology = topology or default_topology()
+    window = w0, w1 = (TRIM_S * 1000.0, (duration_s - TRIM_S) * 1000.0)
     results = []
     for rate in send_rates:
         scenario = uniform_load(rate, duration_s, topology, model)
-        window = (TRIM_S * 1000.0, (duration_s - TRIM_S) * 1000.0)
+        # send_ms is sorted, so these bisects count the sends inside the window.
+        if bisect_right(scenario.send_ms, w1) == bisect_left(scenario.send_ms, w0):
+            raise ValidationError(f"at {rate:g} tps no transaction is sent inside the "
+                                  f"measured window ({TRIM_S:g} s to {duration_s - TRIM_S:g} s)")
         _, metrics = run_sim(topology, scenario, n_devices=n_devices, measure_window=window)
         metrics.send_rate_tps = rate
         results.append(metrics)

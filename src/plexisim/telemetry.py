@@ -26,6 +26,9 @@ from . import identity
 CSV_HEADER = ["time", "net", "tamb", "hvac", "hvac_demand_res"]
 SAMPLE_MINUTES = 30
 SAMPLES_PER_DAY = 24 * 60 // SAMPLE_MINUTES
+# generate_synthetic makes at most ten years of samples; the paper's dataset
+# covers one.
+MAX_SYNTHETIC_DAYS = 3650
 
 TARGET_FIELDS = ("net_kw", "tamb_c", "hvac_kw")
 
@@ -145,6 +148,9 @@ def generate_synthetic(days: int, seed: int = 0, start: Optional[datetime] = Non
     """Schema-identical synthetic series: diurnal HVAC cycle, seasonal tamb."""
     if days < 1:
         raise ValidationError("need at least one day")
+    if days > MAX_SYNTHETIC_DAYS:
+        raise ValidationError(f"{days} days is more than {MAX_SYNTHETIC_DAYS} "
+                              f"days of synthetic telemetry")
     rng = random.Random(seed)
     start = start or datetime(2021, 1, 1)
     series = []

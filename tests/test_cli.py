@@ -540,6 +540,22 @@ def _duration_leaves_no_window(tmp_path):
     return _bench(tmp_path, "40", 10)
 
 
+def _duration_unbounded(tmp_path):
+    return _bench(tmp_path, "40", "1e300")
+
+
+def _rate_times_duration_overflows(tmp_path):
+    return _bench(tmp_path, "1e200", "1e200")
+
+
+def _rate_sends_nothing_in_window(tmp_path):
+    return _bench(tmp_path, "1e-9", 11) + ["--mode", "nft"]
+
+
+def _synthetic_days_unbounded(tmp_path):
+    return ["attack", "--synthetic", 100_000_000, "--out", tmp_path / "a"]
+
+
 def _resource_ids_string(scenario):
     # tuple() would read the string "e" as the one id "e".
     scenario["resources"][2]["resource_id"] = "e"
@@ -643,7 +659,8 @@ def _out_is_a_file(tmp_path):
     _scenario_bids_object, _scenario_unknown_key, _attack_config_unknown_key,
     _attack_dataset_naive_then_offset, _attack_dataset_underscore_reading,
     _registry_block_unknown_key, _registry_tx_unknown_key, _attack_dataset_not_utf8,
-    _attack_dataset_field_too_long, _registry_not_utf8,
+    _attack_dataset_field_too_long, _registry_not_utf8, _duration_unbounded,
+    _rate_times_duration_overflows, _rate_sends_nothing_in_window, _synthetic_days_unbounded,
 ])
 def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)

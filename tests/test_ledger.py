@@ -174,6 +174,18 @@ class TestSubmit:
         assert (ledger.height, ledger.clock.now()) == (height, now)
         assert ledger.state.event_log == []
 
+    def test_caller_edit_after_commit_changes_nothing(self, tmp_path, ledger, enrolled):
+        _, key, _ = enrolled
+        p = {"kw": 5}
+        receipt = ledger.record_event("wf", "k", p, key)
+        p["kw"] = 500
+        assert ledger.state.event_log[-1]["payload"] == {"kw": 5}
+        tx = ledger.chain[-1].tx_list[0]
+        assert (tx.tx_id, tx.payload["payload"]) == (receipt.tx_id, {"kw": 5})
+        path = tmp_path / "chain.jsonl"
+        ledger.save_chain(path)
+        assert replay_chain(read_chain(path)) == ledger.state
+
     def test_bad_envelope_never_commits(self, ledger, enrolled):
         _, key, _ = enrolled
         tx = record_tx(ledger, key)

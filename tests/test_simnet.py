@@ -138,7 +138,7 @@ def reference_run_sim(topology, scenario, n_devices=100, measure_window=None):
         elif kind == "commit":
             pass
 
-    metrics = _measure(
+    metrics = reference_measure(
         scenario, send_time, commit_time, failed, n_devices, measure_window
     )
     return commit_time, metrics
@@ -214,6 +214,11 @@ class TestTopology:
             CredentialModel.from_dict(raw)
 
 
+def load(model, pairs):
+    """The scenario that sends tx i at ``pairs[i][0]`` from edge ``pairs[i][1]``."""
+    return LoadScenario(model, tuple(t for t, _ in pairs), tuple(e for _, e in pairs))
+
+
 def edge_topology(links, fog_rates=(simnet.DEFAULT_FOG_RATE_TPS,) * 2):
     return Topology(nodes=tuple(
         [NodeSpec(f"edge-{i}", Tier.EDGE, simnet.DEFAULT_EDGE_RATE_TPS, float(d))
@@ -226,10 +231,9 @@ def reference_uniform_load(rate_tps, duration_s, topology, credential):
     """The former generator-expression form of uniform_load."""
     edges = topology.edges()
     n = int(rate_tps * duration_s)
-    subs = tuple(
+    return load(credential, [
         (i * 1000.0 / rate_tps, edges[i % len(edges)].node_id) for i in range(n)
-    )
-    return LoadScenario(credential=credential, submissions=subs)
+    ])
 
 
 class TestUniformLoad:
@@ -248,6 +252,10 @@ class TestUniformLoad:
         assert got.submissions == reference_uniform_load(36, 0.0, topo, NFT).submissions == ()
         assert got.duration_ms == 0.0
 
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValidationError):
+            LoadScenario(NFT, (0.0, 1.0), ("edge-0",))
+
 
 class TestRunSim:
     def test_repeat_run_identical(self):
@@ -257,7 +265,7 @@ class TestRunSim:
 
     def test_zero_transaction_scenario(self):
         topo = default_topology()
-        scenario = LoadScenario(credential=NFT, submissions=())
+        scenario = load(NFT, [])
         commit_ms, metrics = run_sim(topo, scenario)
         assert commit_ms == {}
         assert metrics.failed_tx_count == 0
@@ -270,8 +278,7 @@ class TestRunSim:
         # block at 780.964 committing at 1205.964; the remaining 4 cut at
         # 1320.964 committing at 1745.964.
         topo = default_topology()
-        subs = tuple((90.0 * i, f"edge-{i % 4}") for i in range(10))
-        scenario = LoadScenario(credential=NFT, submissions=subs)
+        scenario = load(NFT, [(90.0 * i, f"edge-{i % 4}") for i in range(10)])
         commit_ms, metrics = run_sim(topo, scenario)
         blocks = [n for _, n in sorted(Counter(commit_ms.values()).items())]
         assert len(commit_ms) == 10
@@ -286,8 +293,7 @@ class TestRunSim:
         # tx1 (sent at 500 ms) enters ordering. tx1 opens the next block.
         topo = edge_topology([6], [125])
         model = CredentialModel(mode="nft", tx_overhead_bytes=1792)
-        scenario = LoadScenario(credential=model,
-                                submissions=((0.0, "edge-0"), (500.0, "edge-0")))
+        scenario = load(model, [(0.0, "edge-0"), (500.0, "edge-0")])
         commit_ms, _ = run_sim(topo, scenario)
         assert commit_ms == {0: 766.0 + COMMIT_DELAY_MS, 1: 1266.0 + COMMIT_DELAY_MS}
 
@@ -297,7 +303,7 @@ class TestRunSim:
         commit_ms, _ = run_sim(topo, scenario)
         min_link = min(n.link_delay_ms for n in topo.edges())
         for tx, t_commit in commit_ms.items():
-            assert t_commit >= scenario.submissions[tx][0] + min_link
+            assert t_commit >= scenario.send_ms[tx] + min_link
 
     @pytest.mark.parametrize("topo, model", [
         (edge_topology([25.0, -30.0]), NFT),
@@ -307,7 +313,7 @@ class TestRunSim:
         (default_topology(), CredentialModel(mode="nft", tx_overhead_bytes=-30_000)),
     ])
     def test_negative_or_non_finite_stage_time_rejected(self, topo, model):
-        scenario = LoadScenario(credential=model, submissions=((0.0, "edge-0"),))
+        scenario = load(model, [(0.0, "edge-0")])
         with pytest.raises(ValidationError):
             run_sim(topo, scenario)
 
@@ -363,8 +369,7 @@ class TestMatchesEventEngine:
         topo = edge_topology(links, fog_rates)
         model = CredentialModel(mode="nft", tx_overhead_bytes=overhead,
                                 verify_cost_factor=factor)
-        subs = tuple((float(t), f"edge-{e}") for t, e in sends)
-        scenario = LoadScenario(credential=model, submissions=subs)
+        scenario = load(model, [(float(t), f"edge-{e}") for t, e in sends])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simnet, "BUFFER_DEPTH", depth)
             got_commits, got = run_sim(topo, scenario, measure_window=window)
@@ -429,14 +434,16 @@ class TestMeasure:
     @example(sends=[10, 20, 15], waits=[0, 10, 5] + [None] * 27, window=(10, 20))
     def test_matches_reference(self, sends, waits, window):
         # Small integer times, so sends and commits land on the window's edges.
-        scenario = LoadScenario(credential=NFT, submissions=tuple(
-            (float(t), "edge-0") for t in sends))
+        scenario = load(NFT, [(float(t), "edge-0") for t in sends])
         send_time = [float(t) for t in sends]
         commit_time = {tx: send_time[tx] + w for tx, w in enumerate(waits[:len(sends)])
                        if w is not None}
         failed = [tx for tx in range(len(sends)) if tx not in commit_time]
-        args = (scenario, send_time, commit_time, failed, 10, window)
-        assert _measure(*args) == reference_measure(*args)
+        # run_sim passes its commits in service order, where commit times never decrease.
+        served = sorted(commit_time, key=commit_time.__getitem__)
+        commit = [commit_time[tx] for tx in served]
+        assert _measure(scenario, served, commit, len(failed), 10, window) == \
+            reference_measure(scenario, send_time, commit_time, failed, 10, window)
 
 
 class TestBenchmark:

@@ -264,6 +264,10 @@ class TestSynthetic:
         with pytest.raises(ValidationError):
             generate_synthetic(0)
 
+    def test_rejects_more_than_the_day_bound(self):
+        with pytest.raises(ValidationError):
+            generate_synthetic(telemetry.MAX_SYNTHETIC_DAYS + 1)
+
 
 class TestTamperDetection:
     def test_untampered_stream_clean(self, anchor, ledger, enrolled):

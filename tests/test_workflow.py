@@ -144,6 +144,16 @@ class TestLedgerParity:
         assert len(committed) == len(wf.event_history) == len(kinds)
         assert [e["kind"] for e in committed] == [k.value for k in kinds]
 
+    def test_subscriber_edit_leaves_the_committed_event(self, stack):
+        _, _, ledger, engine, _ = stack
+        engine.register_actor(Actor("p1", ActorRole.PROSUMER, {Topic.FLEX_BID_REQUEST}))
+        wf = engine.create_workflow()
+        engine.advance(wf.workflow_id, ev(EventKind.CREATE_FLEX_REQUEST, payload={"kw": 5}))
+        (note,) = engine.actors["p1"].received(Topic.FLEX_BID_REQUEST)
+        note.payload["kw"] = 500
+        assert ledger.state.event_log[-1]["payload"] == {"kw": 5}
+        assert ledger.replay() == ledger.state
+
     def test_topic_discipline(self, stack):
         # Each event kind maps to exactly its step's topic.
         _, _, _, engine, _ = stack
