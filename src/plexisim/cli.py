@@ -52,7 +52,8 @@ def _read_config(path: str):
     """The JSON value in the file at ``path``; ConfigurationError otherwise."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    # A value nested past the recursion limit stops the decoder.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
 
 

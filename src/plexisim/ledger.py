@@ -3,8 +3,9 @@
 A transaction is a contract call signed by one party: its ``payload``, its
 ``signer`` (a token id, or ``ANCHOR_TOKEN_ID`` for the enrollment anchor),
 the Ed25519 ``signature`` and ``sim_time_submitted``. The signed message is
-always ``canonical_json(payload)`` and ``tx_id`` is the SHA-256 of that
-message followed by the signature, so neither is stored. Endorsement gates
+``canonical_json(payload)`` when the tx is built, and the stored payload
+bytes when it is read back; ``tx_id`` is the SHA-256 of that message
+followed by the signature, so neither is stored. Endorsement gates
 every transaction on the signature (``identity.verify``, or the anchor key)
 and on the registry contract (``RegistryState.admit``); one logical orderer
 then commits each endorsed transaction in its own block, in submission
@@ -12,16 +13,22 @@ order. Committed blocks are hash-chained over every stored field (the
 derived ``tx_id``s, each signer and submit time, and the commit time), and
 the world state is the same contract folded over the chain, so replay
 reproduces the live state exactly and refuses any tx the contract refuses.
+A signature commits once: ``submit`` and replay refuse a second tx that
+carries it, however its payload is spelt.
 Blocks persist as JSON lines filled from one fixed template, each payload
-written as the bytes that were signed.
+written as the bytes that were signed. ``read_chain`` walks each line
+against that template, takes each payload's stored bytes as its message,
+and refuses a line with another field order or whitespace between fields.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
 from typing import Iterable, Optional, Union
 
 from . import jsonread as jr
@@ -80,11 +87,17 @@ def canonical_json(obj) -> str:
 def _message(payload) -> bytes:
     """The signed bytes of a transaction payload."""
     try:
-        return canonical_json(payload).encode("utf-8")
+        message = canonical_json(payload).encode("utf-8")
     except (TypeError, ValueError) as exc:
         # A non-JSON value, or a dict mixing str and int keys, which sort_keys
         # cannot order.
         raise ValidationError(f"payload is not encodable as canonical JSON: {exc}") from exc
+    # JSON writes a non-string key as a string, so the payload decoded from
+    # the message would differ from this one. Walked after encoding, which
+    # has refused a circular payload.
+    if _has_non_str_key(payload):
+        raise ValidationError("payload has a non-string key")
+    return message
 
 
 def _same_json(a, b) -> bool:
@@ -142,7 +155,9 @@ def _has_non_str_key(value) -> bool:
 class Transaction:
     """A signed contract call. The signed ``message`` and the ``tx_id`` are
     derived from the stored fields: the same payload and signature give the
-    same ``tx_id`` whatever ``signer`` and ``sim_time_submitted`` say."""
+    same ``tx_id`` whatever ``signer`` and ``sim_time_submitted`` say. The
+    ``payload`` is always the decoding of ``message``, so it shares no
+    object with a dict a caller built or may still edit."""
 
     payload: dict
     signer: str
@@ -152,53 +167,55 @@ class Transaction:
     tx_id: str = field(init=False, compare=False)
 
     def __post_init__(self):
-        self._seal(_message(self.payload))
+        message = _message(self.payload)
+        self._seal(json.loads(message), message)
 
-    def _seal(self, message: bytes) -> None:
+    def _seal(self, payload, message: bytes) -> None:
+        object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "message", message)
         object.__setattr__(self, "tx_id", hashlib.sha256(message + self.signature).hexdigest())
 
     @classmethod
-    def from_message(cls, message: bytes, signer: str, signature: bytes,
-                     sim_time_submitted: int) -> "Transaction":
-        """The tx whose payload is the canonical ``message`` decoded, so it
-        shares no object with the one that was encoded. ``message`` is kept as
-        the signed bytes, not encoded again."""
+    def _sealed(cls, payload, message: bytes, signer: str, signature: bytes,
+                sim_time_submitted: int) -> "Transaction":
+        """The tx whose ``message`` is taken as given and whose ``payload`` is
+        its decoding; neither is encoded again."""
         tx = object.__new__(cls)
-        object.__setattr__(tx, "payload", json.loads(message))
         object.__setattr__(tx, "signer", signer)
         object.__setattr__(tx, "signature", signature)
         object.__setattr__(tx, "sim_time_submitted", sim_time_submitted)
-        tx._seal(message)
+        tx._seal(payload, message)
         return tx
 
     @classmethod
-    def from_record(cls, rec) -> "Transaction":
-        """The tx a saved record holds. A missing or unknown key, a field of
-        the wrong type, or a signature not spelt in lower-case hex, raises
-        ``TypeError`` or ``ValueError``."""
-        jr.obj(rec, _TX_FIELDS)
-        signature = bytes.fromhex(rec["signature"])
-        # fromhex also reads upper case and spaces, which no hash would cover.
-        if signature.hex() != rec["signature"]:
-            raise ValueError("signature must be lower-case hex")
-        return cls(
-            payload=rec["payload"],
-            signer=jr.of(str, rec["signer"]),
-            signature=signature,
-            sim_time_submitted=jr.of(int, rec["sim_time_submitted"]),
-        )
+    def from_message(cls, message: bytes, signer: str, signature: bytes,
+                     sim_time_submitted: int) -> "Transaction":
+        """The tx signing ``message``, whose payload is ``message`` decoded."""
+        return cls._sealed(json.loads(message), message, signer, signature, sim_time_submitted)
 
 
-# The chain file: one JSON line per block, fields in this order. A tx is
-# saved as its payload (the signed message itself), signer, signature and
-# submit time; its message and tx_id are derived again on read. A record
-# with any other key set is refused.
-_BLOCK_FIELDS = frozenset({"height", "prev_hash", "block_hash", "sim_time_committed", "txs"})
-_TX_FIELDS = frozenset({"payload", "signer", "signature", "sim_time_submitted"})
+# The chain file: one JSON line per block, filled from these templates by
+# save_chain and read back against them by read_chain, so they are the one
+# definition of the format. A tx is saved as its payload (the signed message
+# itself), signer, signature and submit time; its message is the stored
+# payload bytes and its tx_id is derived again on read.
 _BLOCK_LINE = (b'{"height":%d,"prev_hash":%s,"block_hash":%s,"sim_time_committed":%d,'
                b'"txs":[%s]}\n')
 _TX_RECORD = b'{"payload":%s,"signer":%s,"signature":"%s","sim_time_submitted":%d}'
+_TX_SEP = b","
+
+
+def _literals(template: bytes) -> list:
+    """The text between a template's ``%`` fields."""
+    return re.split(r"%[ds]", template.decode("ascii"))
+
+
+_HEIGHT, _PREV_HASH, _BLOCK_HASH, _COMMITTED, _TXS, _BLOCK_END = _literals(_BLOCK_LINE)
+_PAYLOAD, _SIGNER, _SIGNATURE, _SUBMITTED, _TX_END = _literals(_TX_RECORD)
+_NEXT_PAYLOAD = _TX_SEP.decode("ascii") + _PAYLOAD
+# Reads the one JSON value that starts at an index, in C where available:
+# no backtracking and no whitespace skipped before the value.
+_scan = make_scanner(json.JSONDecoder())
 
 
 @dataclass(frozen=True)
@@ -436,6 +453,7 @@ class LedgerSim:
         self.chain: list[Block] = []
         self.state = RegistryState()
         self._committed: dict[str, CommitReceipt] = {}
+        self._signatures: set[bytes] = set()
 
     # -- queries ----------------------------------------------------------
 
@@ -457,10 +475,6 @@ class LedgerSim:
     def submit(self, tx: Transaction) -> CommitReceipt:
         """Endorse ``tx`` (signature, then ``RegistryState.admit``), commit it
         alone in the next block and return its receipt."""
-        # Ed25519 signing is deterministic, so a signature over a committed
-        # payload is that tx again, whatever its unsigned fields say.
-        if tx.tx_id in self._committed:
-            raise DuplicateTransactionError(f"tx {tx.tx_id[:12]} already seen")
         if tx.signer == ANCHOR_TOKEN_ID:
             signed = signature_valid(self.anchor_pk, tx.message, tx.signature)
         else:
@@ -468,9 +482,12 @@ class LedgerSim:
             signed = verify(env, self.state) is VerifyStatus.ACCEPT
         if not signed:
             raise RejectedTransactionError(f"signature rejected for tx {tx.tx_id[:12]}")
-        # A JSON-read payload has only string keys, so replay skips this walk.
-        if _has_non_str_key(tx.payload):
-            raise ValidationError(f"payload of tx {tx.tx_id[:12]} has a non-string key")
+        # Ed25519 signing is deterministic, so a valid signature that has
+        # committed is that tx again, whatever its unsigned fields say or
+        # however its payload is spelt. Checked after the signature, so a
+        # signature moved onto another payload is rejected as forged.
+        if tx.signature in self._signatures:
+            raise DuplicateTransactionError(f"tx {tx.tx_id[:12]} already seen")
         self.state.admit(tx)
         now = self.clock.advance(BLOCK_INTERVAL_MS)
         prev = self.chain[-1].block_hash if self.chain else GENESIS_PREV_HASH
@@ -483,6 +500,7 @@ class LedgerSim:
             sim_time_committed=now,
         )
         receipt = self._committed[tx.tx_id] = _receipt(tx, block)
+        self._signatures.add(tx.signature)
         self.chain.append(block)
         return receipt
 
@@ -509,8 +527,9 @@ class LedgerSim:
             "challenge_index": challenge_index,
             "issue_time": now,
         }
-        env = sign_as_anchor(_message(payload), anchor, sim_time=now)
-        self.submit(Transaction(payload, env.token_id, env.signature, now))
+        message = _message(payload)
+        env = sign_as_anchor(message, anchor, sim_time=now)
+        self.submit(Transaction.from_message(message, env.token_id, env.signature, now))
         return self.state.tokens[payload["token_id"]]
 
     def set_flag(
@@ -534,8 +553,9 @@ class LedgerSim:
             payload["delegate_id"] = delegate_id
         if new_owner is not None:
             payload["new_owner"] = new_owner
-        env = sign(_message(payload), actor_key, sim_time=now)
-        self.submit(Transaction(payload, env.token_id, env.signature, now))
+        message = _message(payload)
+        env = sign(message, actor_key, sim_time=now)
+        self.submit(Transaction.from_message(message, env.token_id, env.signature, now))
         return self.state.tokens[token_id]
 
     def record_event(
@@ -556,9 +576,6 @@ class LedgerSim:
             "sim_time": now,
         }
         message = _message(body)
-        # Decoding reads a non-string key back as a string, so check the caller's.
-        if _has_non_str_key(payload):
-            raise ValidationError(f"payload of event {kind!r} has a non-string key")
         env = sign(message, signer, sim_time=now)
         return self.submit(Transaction.from_message(message, env.token_id, env.signature, now))
 
@@ -578,7 +595,7 @@ class LedgerSim:
                     encode_basestring_ascii(block.prev_hash).encode(),
                     encode_basestring_ascii(block.block_hash).encode(),
                     block.sim_time_committed,
-                    b",".join(
+                    _TX_SEP.join(
                         _TX_RECORD % (tx.message, encode_basestring_ascii(tx.signer).encode(),
                                       tx.signature.hex().encode(), tx.sim_time_submitted)
                         for tx in block.tx_list
@@ -593,14 +610,15 @@ class LedgerSim:
         self._committed = {
             tx.tx_id: _receipt(tx, block) for block in self.chain for tx in block.tx_list
         }
+        self._signatures = {tx.signature for block in self.chain for tx in block.tx_list}
 
 
 def replay_chain(chain: Iterable[Block]) -> RegistryState:
-    """Verify hash links, reject a tx_id seen twice, and fold the chain into
-    a fresh state."""
+    """Verify hash links, reject a signature seen twice, and fold the chain
+    into a fresh state."""
     state = RegistryState()
     prev = GENESIS_PREV_HASH
-    seen: set[str] = set()
+    seen: set[bytes] = set()
     for i, block in enumerate(chain):
         if block.height != i:
             raise IntegrityViolationError(f"block height gap at {i}")
@@ -612,42 +630,95 @@ def replay_chain(chain: Iterable[Block]) -> RegistryState:
             raise IntegrityViolationError(f"block hash mismatch at height {i}")
         for tx in block.tx_list:
             # Block hashes are unkeyed, so a re-hashed copy of a committed
-            # block, re-timed or not, would otherwise replay its transactions
-            # twice.
-            if tx.tx_id in seen:
-                raise IntegrityViolationError(f"tx {tx.tx_id[:12]} appears twice in the chain")
-            seen.add(tx.tx_id)
+            # block, re-timed or its payload spelt another way, would
+            # otherwise replay its transactions twice.
+            if tx.signature in seen:
+                raise IntegrityViolationError(
+                    f"signature of tx {tx.tx_id[:12]} appears twice in the chain")
+            seen.add(tx.signature)
             state.apply(tx)
         prev = block.block_hash
     return state
 
 
 def read_chain(path) -> list[Block]:
-    """The blocks a chain file holds, one JSON line each. A line that is not
-    UTF-8, not JSON, or not a record with exactly the saved keys and their
-    JSON types raises ``IntegrityViolationError``; ``replay_chain`` checks
-    the hashes and the contract."""
+    """The blocks a chain file holds, one ``_BLOCK_LINE`` each. A line that
+    is not UTF-8 or departs from the template (another field order,
+    whitespace between fields, a value of the wrong JSON type, a
+    signature not in lower-case hex) raises ``IntegrityViolationError``
+    naming the line and the field; ``replay_chain`` checks the hashes and
+    the contract."""
     blocks: list[Block] = []
     # Binary lines, decoded one at a time, so a byte that is not UTF-8 is
     # reported with its line.
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                rec = jr.obj(json.loads(line.decode("utf-8")), _BLOCK_FIELDS)
-                blocks.append(
-                    Block(
-                        height=jr.of(int, rec["height"]),
-                        prev_hash=jr.of(str, rec["prev_hash"]),
-                        tx_list=tuple(map(Transaction.from_record, jr.of(list, rec["txs"]))),
-                        block_hash=jr.of(str, rec["block_hash"]),
-                        sim_time_committed=jr.of(int, rec["sim_time_committed"]),
-                    )
-                )
-            except (ValueError, TypeError) as exc:
+                blocks.append(_block_from_line(line.decode("utf-8")))
+            # A payload nested past the recursion limit stops the scanner.
+            except (ValueError, RecursionError) as exc:
                 raise IntegrityViolationError(
-                    f"{path}: malformed block record on line {lineno}: {exc!r}"
+                    f"{path}: malformed block record on line {lineno}: {exc}"
                 ) from exc
     return blocks
+
+
+def _past(line: str, i: int, literal: str) -> int:
+    """The index after ``literal``, which must stand at ``i``."""
+    if line.startswith(literal, i):
+        return i + len(literal)
+    raise ValueError(f"expected {literal!r} at column {i}")
+
+
+def _block_from_line(line: str) -> Block:
+    """The block a saved line holds, read left to right against
+    ``_BLOCK_LINE`` and ``_TX_RECORD``: each literal must stand where the
+    template puts it, and each value is one JSON value of its field's type.
+    A tx's message is its stored payload bytes. A departure raises
+    ``ValueError`` naming the field being read."""
+    name = "height"
+    try:
+        height, i = _scan(line, _past(line, 0, _HEIGHT))
+        jr.of(int, height)
+        name = "prev_hash"
+        prev_hash, i = _scan(line, _past(line, i, _PREV_HASH))
+        jr.of(str, prev_hash)
+        name = "block_hash"
+        block_hash, i = _scan(line, _past(line, i, _BLOCK_HASH))
+        jr.of(str, block_hash)
+        name = "sim_time_committed"
+        committed, i = _scan(line, _past(line, i, _COMMITTED))
+        jr.of(int, committed)
+        name = "txs"
+        i = _past(line, i, _TXS)
+        txs = []
+        opening = _PAYLOAD
+        # A line ends at its only newline, so the end literal ends the line.
+        while not line.startswith(_BLOCK_END, i):
+            name = "payload"
+            start = _past(line, i, opening)
+            payload, i = _scan(line, start)
+            message = line[start:i].encode("utf-8")
+            name = "signer"
+            signer, i = _scan(line, _past(line, i, _SIGNER))
+            jr.of(str, signer)
+            name = "signature"
+            i = _past(line, i, _SIGNATURE)
+            end = line.index('"', i)
+            signature = bytes.fromhex(line[i:end])
+            # fromhex also reads upper case and spaces, which no hash covers.
+            if signature.hex() != line[i:end]:
+                raise ValueError("signature must be lower-case hex")
+            name = "sim_time_submitted"
+            submitted, i = _scan(line, _past(line, end, _SUBMITTED))
+            jr.of(int, submitted)
+            name = "txs"
+            i = _past(line, i, _TX_END)
+            txs.append(Transaction._sealed(payload, message, signer, signature, submitted))
+            opening = _NEXT_PAYLOAD
+    except StopIteration as exc:
+        raise ValueError(f"field {name!r}: no JSON value at column {exc.value}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from exc
+    return Block(height=height, prev_hash=prev_hash, tx_list=tuple(txs),
+                 block_hash=block_hash, sim_time_committed=committed)

@@ -612,6 +612,21 @@ def _registry_not_utf8(tmp_path):
     return argv
 
 
+def _registry_payload_nested_deep(tmp_path):
+    argv = _registry_with_edited_block(tmp_path, lambda block: None)
+    registry = Path(argv[-1])
+    text = registry.read_text()
+    payload = canonical_json(json.loads(text.splitlines()[0])["txs"][0]["payload"])
+    registry.write_text(text.replace(payload, "[" * 200_000 + "]" * 200_000, 1))
+    return argv
+
+
+def _bench_config_nested_deep(tmp_path):
+    argv = _bench_config(tmp_path, {})
+    Path(argv[argv.index("--config") + 1]).write_text("[" * 200_000 + "]" * 200_000)
+    return argv
+
+
 def _registry_block_unknown_key(tmp_path):
     return _registry_with_edited_block(tmp_path, lambda block: block.update(note="x"))
 
@@ -661,6 +676,7 @@ def _out_is_a_file(tmp_path):
     _registry_block_unknown_key, _registry_tx_unknown_key, _attack_dataset_not_utf8,
     _attack_dataset_field_too_long, _registry_not_utf8, _duration_unbounded,
     _rate_times_duration_overflows, _rate_sends_nothing_in_window, _synthetic_days_unbounded,
+    _registry_payload_nested_deep, _bench_config_nested_deep,
 ])
 def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)

@@ -239,9 +239,18 @@ def saved_chain() -> list:
 
 
 def chain_text(doc) -> str:
-    """One JSON line per block; a non-list root is a file of one line."""
+    """One JSON line per block, spaced as ``save_chain`` writes it, so a
+    mutation is the only departure; a non-list root is a file of one line."""
     lines = doc if isinstance(doc, list) else [doc]
-    return "".join(json.dumps(rec) + "\n" for rec in lines)
+    return "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in lines)
+
+
+def test_unmutated_chain_text_is_accepted():
+    with tempfile.TemporaryDirectory() as tmp:
+        registry = Path(tmp) / "ledger.jsonl"
+        registry.write_text(chain_text(saved_chain()), encoding="utf-8")
+        assert run_cli(["enroll", "--n", 1, "--seed", 2, "--registry", registry,
+                        "--out", Path(tmp) / "o"], False) == 0
 
 
 @FUZZ

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plexisim import identity
+from plexisim import jsonread as jr
 from plexisim.clock import SimClock
 from plexisim.errors import (
     AuthorizationError,
@@ -182,6 +183,29 @@ class TestSubmit:
         assert ledger.state.event_log[-1]["payload"] == {"kw": 5}
         tx = ledger.chain[-1].tx_list[0]
         assert (tx.tx_id, tx.payload["payload"]) == (receipt.tx_id, {"kw": 5})
+        path = tmp_path / "chain.jsonl"
+        ledger.save_chain(path)
+        assert replay_chain(read_chain(path)) == ledger.state
+
+    def test_payload_edit_after_construction_changes_nothing(self, tmp_path, ledger, enrolled):
+        # The signature covers the message built with the tx; the dict the
+        # caller built stays editable until submit.
+        _, key, token_id = enrolled
+        now = ledger.clock.now()
+        event = {"op": "record_event", "workflow_id": "wf", "kind": "k",
+                 "payload": {"kw": 1.0}, "sim_time": now}
+        event_signed = as_tx(event, identity.sign(canonical_json(event).encode(), key, now), now)
+        event["payload"]["kw"] = 999.0
+        ledger.submit(event_signed)
+        now = ledger.clock.now()
+        flag = {"op": "set_flag", "token_id": token_id, "flag": "delegated", "value": True,
+                "sim_time": now, "delegate_id": "bob"}
+        flag_signed = as_tx(flag, identity.sign(canonical_json(flag).encode(), key, now), now)
+        flag["flag"] = "revoked"
+        ledger.submit(flag_signed)
+        constraints = ledger.query(token_id).constraints
+        assert (constraints.delegated, constraints.revoked) == (True, False)
+        assert ledger.state.event_log[-1]["payload"] == {"kw": 1.0}
         path = tmp_path / "chain.jsonl"
         ledger.save_chain(path)
         assert replay_chain(read_chain(path)) == ledger.state
@@ -577,18 +601,19 @@ class TestBatching:
 
 
 # Edits of the enrolled fixture's block (height 0) that int() or
-# bytes.fromhex would read back as the stored value.
+# bytes.fromhex would read back as the stored value, each with the field
+# where the edited line departs from the template.
 RESPELT_FIELDS = {
-    "height as bool": lambda rec: rec.update(height=False),
-    "commit time as string": lambda rec: rec.update(
-        sim_time_committed=str(rec["sim_time_committed"])),
-    "commit time as float": lambda rec: rec.update(
-        sim_time_committed=float(rec["sim_time_committed"])),
-    "commit time missing": lambda rec: rec.pop("sim_time_committed"),
-    "submit time as float": lambda rec: rec["txs"][0].update(
-        sim_time_submitted=float(rec["txs"][0]["sim_time_submitted"])),
-    "signature in upper case": lambda rec: rec["txs"][0].update(
-        signature=rec["txs"][0]["signature"].upper()),
+    "height as bool": ("height", lambda rec: rec.update(height=False)),
+    "commit time as string": ("sim_time_committed", lambda rec: rec.update(
+        sim_time_committed=str(rec["sim_time_committed"]))),
+    "commit time as float": ("sim_time_committed", lambda rec: rec.update(
+        sim_time_committed=float(rec["sim_time_committed"]))),
+    "commit time missing": ("sim_time_committed", lambda rec: rec.pop("sim_time_committed")),
+    "submit time as float": ("sim_time_submitted", lambda rec: rec["txs"][0].update(
+        sim_time_submitted=float(rec["txs"][0]["sim_time_submitted"]))),
+    "signature in upper case": ("signature", lambda rec: rec["txs"][0].update(
+        signature=rec["txs"][0]["signature"].upper())),
 }
 
 
@@ -630,15 +655,17 @@ class TestPersistence:
         with pytest.raises(IntegrityViolationError, match="block hash mismatch"):
             replay_chain(read_chain(path))
 
-    @pytest.mark.parametrize("edit", RESPELT_FIELDS.values(), ids=RESPELT_FIELDS.keys())
-    def test_field_spelt_another_way_rejected(self, tmp_path, ledger, enrolled, edit):
+    @pytest.mark.parametrize("name, edit", RESPELT_FIELDS.values(), ids=RESPELT_FIELDS.keys())
+    def test_field_spelt_another_way_rejected(self, tmp_path, ledger, enrolled, name, edit):
         path = tmp_path / "chain.jsonl"
         ledger.save_chain(path)
         rec = json.loads(path.read_text())
         edit(rec)
-        path.write_text(json.dumps(rec) + "\n")
-        with pytest.raises(IntegrityViolationError, match="malformed block record"):
+        # Written as save_chain spaces it, so only the edited field departs.
+        path.write_text(json.dumps(rec, separators=(",", ":")) + "\n")
+        with pytest.raises(IntegrityViolationError, match="malformed block record") as info:
             read_chain(path)
+        assert f"field {name!r}" in str(info.value)
 
     def test_old_format_record_rejected(self, tmp_path, ledger, enrolled):
         # The earlier format stored the signed message in an envelope, and
@@ -651,7 +678,7 @@ class TestPersistence:
                           "signature": tx.pop("signature"), "token_id": tx.pop("signer"),
                           "sim_time": tx["sim_time_submitted"]}
         tx["tx_id"] = "00" * 32
-        path.write_text(json.dumps(rec) + "\n")
+        path.write_text(json.dumps(rec, separators=(",", ":")) + "\n")
         with pytest.raises(IntegrityViolationError, match="'signer'"):
             read_chain(path)
 
@@ -859,12 +886,35 @@ def saved_bytes(chain) -> bytes:
             return fh.read()
 
 
-def read_back(data: bytes) -> list:
+def read_back(data: bytes, reader=read_chain) -> list:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ledger.jsonl")
         with open(path, "wb") as fh:
             fh.write(data)
-        return read_chain(path)
+        return reader(path)
+
+
+def reference_read_chain(path) -> list:
+    """The chain reader before the template walk: ``json.loads`` each line,
+    check every field's keys and JSON type, and re-encode each payload with
+    ``canonical_json`` for its message."""
+    blocks = []
+    with open(path, "rb") as fh:
+        for line in fh:
+            rec = jr.obj(json.loads(line.decode("utf-8")),
+                         frozenset({"height", "prev_hash", "block_hash", "sim_time_committed",
+                                    "txs"}))
+            txs = []
+            for t in jr.of(list, rec["txs"]):
+                jr.obj(t, frozenset({"payload", "signer", "signature", "sim_time_submitted"}))
+                signature = bytes.fromhex(t["signature"])
+                assert signature.hex() == t["signature"]
+                txs.append(Transaction(t["payload"], jr.of(str, t["signer"]), signature,
+                                       jr.of(int, t["sim_time_submitted"])))
+            blocks.append(Block(jr.of(int, rec["height"]), jr.of(str, rec["prev_hash"]),
+                                tuple(txs), jr.of(str, rec["block_hash"]),
+                                jr.of(int, rec["sim_time_committed"])))
+    return blocks
 
 
 def stored_fields(chain) -> list:
@@ -880,6 +930,15 @@ def stored_fields(chain) -> list:
 @given(chain=chains())
 def test_saved_chain_reads_back_equal(chain):
     assert stored_fields(read_back(saved_bytes(chain))) == stored_fields(chain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=chains())
+def test_template_reader_agrees_with_the_reference_reader(chain):
+    """Every stored field, message and tx_id ``read_chain`` takes from a
+    saved file is what decoding and re-encoding each line gives."""
+    data = saved_bytes(chain)
+    assert stored_fields(read_back(data)) == stored_fields(read_back(data, reference_read_chain))
 
 
 def json_record(block) -> dict:
@@ -904,8 +963,8 @@ def test_saved_line_is_the_json_record_with_sorted_payload_keys(chain):
 
 
 @functools.cache
-def live_chain_lines() -> tuple:
-    """The saved lines of a chain the ledger built: three enrollments, an
+def live_chain() -> tuple:
+    """A chain the ledger built, one tx per block: three enrollments, an
     event whose payload needs escapes, and a delegation."""
     ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(ANCHOR))
     alice, _ = identity.enroll(identity.make_device("ctl-a", seed=201), "alice", ANCHOR, ledger)
@@ -914,7 +973,110 @@ def live_chain_lines() -> tuple:
     ledger.record_event("wf", "note", {"text": 'say "hi"\\\n \xe9'}, alice)
     ledger.clock.advance(7)
     ledger.set_flag(alice.token_id, "delegated", alice, delegate_id="bob")
-    return tuple(saved_bytes(ledger.chain).decode("ascii").splitlines())
+    return tuple(ledger.chain)
+
+
+@functools.cache
+def live_chain_lines() -> tuple:
+    """The saved lines of ``live_chain()``."""
+    return tuple(saved_bytes(list(live_chain())).decode("ascii").splitlines())
+
+
+def joined(lines) -> bytes:
+    return "".join(line + "\n" for line in lines).encode("ascii")
+
+
+# Ways to write a payload that decode to the same object as its signed
+# message but are other bytes.
+RESPELLINGS = {
+    "space after each colon": lambda payload: json.dumps(payload, sort_keys=True,
+                                                         separators=(",", ": ")),
+    "keys in reverse order": lambda payload: json.dumps(
+        dict(sorted(payload.items(), reverse=True)), separators=(",", ":")),
+}
+
+
+def respelt(line: str, how: str) -> str:
+    """``line`` with its one tx's payload written another way; its hashes
+    are left as they were."""
+    payload = json.loads(line)["txs"][0]["payload"]
+    signed = '{"payload":' + canonical_json(payload)
+    assert line.count(signed) == 1
+    return line.replace(signed, '{"payload":' + RESPELLINGS[how](payload))
+
+
+def relinked(chain) -> list:
+    """``chain`` with every hash link and block hash recomputed, as an
+    editor could."""
+    out, prev = [], GENESIS_PREV_HASH
+    for block in chain:
+        out.append(Block(block.height, prev, block.tx_list,
+                         compute_block_hash(block.height, prev, block.tx_list,
+                                            block.sim_time_committed),
+                         block.sim_time_committed))
+        prev = out[-1].block_hash
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), how=st.sampled_from(sorted(RESPELLINGS)))
+def test_respelt_copy_of_a_committed_tx_is_refused(data, how):
+    """A committed tx copied onto the chain with its payload spelt another
+    way has another tx_id, but its signature appears twice."""
+    lines = live_chain_lines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    copy = read_back(joined([respelt(lines[at], how)]))[0].tx_list[0]
+    assert copy.tx_id != live_chain()[at].tx_list[0].tx_id
+    with pytest.raises(IntegrityViolationError, match="appears twice"):
+        replay_chain(appended(read_back(joined(lines)), copy))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), how=st.sampled_from(sorted(RESPELLINGS)))
+def test_tx_respelt_in_a_loaded_chain_cannot_be_submitted_again(data, how):
+    """One tx of a saved chain respelt in place and the chain re-hashed:
+    it loads, and its original is then a duplicate."""
+    lines = list(live_chain_lines())
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines[at] = respelt(lines[at], how)
+    ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(ANCHOR))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ledger.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(saved_bytes(relinked(read_back(joined(lines)))))
+        ledger.load_chain(path)
+    original = live_chain()[at].tx_list[0]
+    assert ledger.chain[at].tx_list[0].tx_id != original.tx_id
+    with pytest.raises(DuplicateTransactionError):
+        ledger.submit(original)
+
+
+def content_spans(line: str) -> list:
+    """The (start, end) of each value in a saved line where a space is
+    content, not layout: the payload and each JSON string value but the
+    signature's hex."""
+    spans = []
+    for name in ("prev_hash", "block_hash", "payload", "signer"):
+        start = line.index(f'"{name}":') + len(name) + 3
+        spans.append((start, json.JSONDecoder().raw_decode(line, start)[1]))
+    return spans
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_space_outside_the_payload_is_refused(data):
+    """A space inserted anywhere but inside a value that can hold one
+    departs from the template, and the error names the line. (Inside a
+    value it changes what the block hash covers; replay refuses that.)"""
+    lines = list(live_chain_lines())
+    n = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[n]
+    spans = content_spans(line)
+    i = data.draw(st.sampled_from([i for i in range(len(line) + 1)
+                                   if not any(start < i < end for start, end in spans)]))
+    lines[n] = line[:i] + " " + line[i:]
+    with pytest.raises(IntegrityViolationError, match=f"on line {n + 1}: field '"):
+        read_back(joined(lines))
 
 
 DROP = object()
