@@ -232,7 +232,7 @@ def build_csp(req: FlexRequest, resources: Sequence[FlexResource]) -> CspInstanc
         total = sum(delivered_kw(by_id[rid], act) for rid, act in assignment.items())
         return total >= req.quantity_kw - 1e-9
 
-    quantity = Constraint(scope=tuple(variables), predicate=enough, name="delivery-quantity")
+    quantity = Constraint(scope=tuple(variables), predicate=enough)
     return CspInstance(variables=variables, domains=domains, constraints=[quantity])
 
 

@@ -36,8 +36,6 @@ from .ledger import LedgerSim, canonical_json
 from .market import Bid
 from .workflow import Actor, ActorRole, Topic, WorkflowEngine
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSAT = 2
@@ -267,7 +265,6 @@ def cmd_trade(args) -> int:
             unsat.append(req.request_id)
             continue
         clock.advance_to(max(clock.now(), req.window.end_ms))
-        agg.tick()
         agg.activation_and_settlement(req.request_id)
         schedules.append(schedule.to_record())
 

@@ -3,9 +3,11 @@
 Variables take values from finite per-variable domains; a constraint is a
 scope plus either an explicit relation (set of admissible scope tuples) or
 a predicate over the scope assignment. High-order scopes are supported.
-The solver runs depth-first backtracking with forward checking, visiting
-variables in lexicographic id order and values in domain list order, so
-results are fully deterministic.
+The solver is one iterative loop of chronological backtracking. It visits
+variables in lexicographic id order and values in domain list order, and
+checks each constraint once per candidate value: when the last variable
+of its scope is assigned. So it returns the first solution in (variable,
+value) order, and needs no recursion however many variables there are.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ class Constraint:
     scope: tuple
     predicate: Optional[Callable[[Mapping[str, Any]], bool]] = None
     allowed: Optional[frozenset] = None
-    name: str = ""
 
     def __post_init__(self):
         if (self.predicate is None) == (self.allowed is None):
@@ -65,74 +66,35 @@ def check_assignment(inst: CspInstance, assignment: Mapping[str, Any]) -> bool:
 
 
 def solve_csp(inst: CspInstance) -> Optional[dict]:
-    """Return a satisfying total assignment, or None when none exists."""
+    """Return the first satisfying total assignment in (variable, value)
+    order, or None when none exists."""
     inst.validate()
     order = sorted(inst.variables, key=str)
-    if not order:
-        # Constraints with empty scopes still apply to the empty assignment.
-        return {} if all(c.holds({}) for c in inst.constraints) else None
+    domains = [list(inst.domains[v]) for v in order]
+    position = {v: i for i, v in enumerate(order)}
+    due: list = [[] for _ in order]   # constraints whose last scope variable is order[i]
+    for c in inst.constraints:
+        if c.scope:
+            due[max(position[v] for v in c.scope)].append(c)
+        elif not c.holds({}):
+            return None
 
-    domains = {v: list(inst.domains[v]) for v in order}
-    if any(not domains[v] for v in order):
-        return None
-
-    constraints = list(inst.constraints)
     assignment: dict = {}
-
-    def consistent_so_far(var) -> bool:
-        # Check every constraint whose scope is now fully assigned.
-        for c in constraints:
-            if var in c.scope and all(u in assignment for u in c.scope):
-                if not c.holds(assignment):
-                    return False
-        return True
-
-    def forward_check(var) -> Optional[list]:
-        """Prune domains of variables one assignment away from each scope.
-
-        Returns (variable, previous domain) snapshots for undo, or None
-        when some domain was wiped out. Snapshots preserve value order.
-        """
-        snapshots: list = []
-        for c in constraints:
-            if var not in c.scope:
-                continue
-            unassigned = [u for u in c.scope if u not in assignment]
-            if len(unassigned) != 1:
-                continue
-            u = unassigned[0]
-            keep = []
-            for w in domains[u]:
-                assignment[u] = w
-                ok = c.holds(assignment)
-                del assignment[u]
-                if ok:
-                    keep.append(w)
-            if len(keep) != len(domains[u]):
-                snapshots.append((u, domains[u]))
-                domains[u] = keep
-            if not keep:
-                for uu, old in reversed(snapshots):
-                    domains[uu] = old
+    tried = [0] * len(order)          # values of domains[i] tried at position i
+    i = 0
+    while i < len(order):
+        if tried[i] == len(domains[i]):
+            assignment.pop(order[i], None)
+            tried[i] = 0
+            if i == 0:
                 return None
-        return snapshots
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return all(c.holds(assignment) for c in constraints)
-        var = order[i]
-        for value in list(domains[var]):
-            assignment[var] = value
-            if consistent_so_far(var):
-                snapshots = forward_check(var)
-                if snapshots is not None:
-                    if backtrack(i + 1):
-                        return True
-                    for u, old in reversed(snapshots):
-                        domains[u] = old
-            del assignment[var]
-        return False
-
-    if backtrack(0):
-        return dict(assignment)
-    return None
+            i -= 1
+            continue
+        assignment[order[i]] = domains[i][tried[i]]
+        tried[i] += 1
+        for c in due[i]:
+            if not c.holds(assignment):
+                break
+        else:
+            i += 1
+    return assignment

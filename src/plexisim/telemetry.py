@@ -1,11 +1,12 @@
 """Telemetry ingestion, attack injection, and flexibility estimation.
 
 Dataset rows carry site net power, ambient temperature, HVAC draw, and the
-theoretical demand-response headroom, sampled every 30 minutes. Injection
-attacks are additive at the core (attacked = original + delta); the
-percent-based variants derive their deltas from the original readings.
-Samples signed at ingestion, one signature per day of samples, can be
-re-verified later to flag exactly the samples mutated after signing.
+theoretical demand-response headroom, sampled every 30 minutes. Both
+injection attacks, FDI and MadIoT, scale one field of the readings in a
+window up by a percentage of themselves (attacked = original + original *
+fraction / 100). Samples signed at ingestion, one signature per day of
+samples, can be re-verified later to flag exactly the samples mutated
+after signing.
 """
 
 from __future__ import annotations
@@ -183,46 +184,26 @@ def generate_synthetic(days: int, seed: int = 0, start: Optional[datetime] = Non
 # Attack injection
 # ---------------------------------------------------------------------------
 
-def _check_window(series: Sequence, window: Optional[tuple]) -> tuple:
-    if window is None:
-        return (0, len(series))
-    lo, hi = window
-    if not (0 <= lo <= hi <= len(series)):
-        raise ValidationError(f"window {window} outside series bounds")
-    return (lo, hi)
-
-
-def inject_additive(
-    series: Sequence[TelemetrySample],
-    deltas: Sequence[float],
-    target_field: str,
-    window: Optional[tuple] = None,
-) -> list:
-    """Additive attack primitive; the input series is never mutated."""
-    if target_field not in TARGET_FIELDS:
-        raise ValidationError(f"cannot attack field {target_field!r}")
-    lo, hi = _check_window(series, window)
-    if len(deltas) != hi - lo:
-        raise ValidationError("need one delta per attacked sample")
-    out = list(series)
-    for offset, i in enumerate(range(lo, hi)):
-        s = out[i]
-        out[i] = replace(s, **{target_field: getattr(s, target_field) + deltas[offset]})
-    return out
-
-
 def fdi_inject(
     series: Sequence[TelemetrySample],
     fraction: float,
     target_field: str = "net_kw",
     window: Optional[tuple] = None,
 ) -> list:
-    """Scale the target readings up by ``fraction`` percent of themselves."""
+    """Scale the target readings in ``window`` up by ``fraction`` percent of
+    themselves; the input series is never mutated."""
+    if target_field not in TARGET_FIELDS:
+        raise ValidationError(f"cannot attack field {target_field!r}")
     if not 0 < fraction <= 100:
         raise ValidationError("fraction must be in (0, 100]")
-    lo, hi = _check_window(series, window)
-    deltas = [getattr(series[i], target_field) * fraction / 100.0 for i in range(lo, hi)]
-    return inject_additive(series, deltas, target_field, (lo, hi))
+    lo, hi = (0, len(series)) if window is None else window
+    if not (0 <= lo <= hi <= len(series)):
+        raise ValidationError(f"window {window} outside series bounds")
+    out = list(series)
+    for i in range(lo, hi):
+        v = getattr(out[i], target_field)
+        out[i] = replace(out[i], **{target_field: v + v * fraction / 100.0})
+    return out
 
 
 def madiot_inject(

@@ -76,6 +76,25 @@ class TestTrade:
         for name in ("schedules.json", "trace.json", "ledger.jsonl"):
             assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
 
+    def test_one_bid_on_a_thousand_resources_is_fulfilled(self, tmp_path, capsys):
+        # The schedule's constraint instance has one variable per resource.
+        scenario = demo_scenario()
+        scenario["resources"] = [
+            {"resource_id": f"dg-{i:04d}", "kind": "DG", "controllable": True,
+             "capacity_kw": 1.0, "baseline": {"action": "IDLE", "level_kw": 0.0},
+             "owner": "prosumer-a"}
+            for i in range(1000)
+        ]
+        scenario["bids"] = [
+            {"bid_id": "A", "prosumer": "prosumer-a", "offered_kw": 10.0,
+             "price_per_kw": 3.0, "request_id": "req-1",
+             "resource_ids": [r["resource_id"] for r in scenario["resources"]]},
+        ]
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(scenario))
+        assert run(["trade", "--config", cfg, "--seed", 1, "--out", tmp_path / "t"]) == 0
+        assert "FULFILLED" in capsys.readouterr().out
+
     def test_unsat_exits_two_with_bidding_trace(self, tmp_path, capsys):
         scenario = demo_scenario()
         scenario["bids"] = [b for b in scenario["bids"] if b["bid_id"] == "B"]

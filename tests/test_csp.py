@@ -126,7 +126,7 @@ class TestOracleAgreement:
             inst = random_instance(rng)
             expected = enumerate_oracle(inst)
             got = solve_csp(inst)
-            assert (got is None) == (expected is None)
+            assert got == expected
             if got is not None:
                 assert check_assignment(inst, got)
                 sat += 1
@@ -141,3 +141,26 @@ class TestOracleAgreement:
             got = solve_csp(inst)
             if got is not None:
                 assert check_assignment(inst, got)
+
+
+class TestLargeInstances:
+    """The shape the aggregator builds: one value per variable and one sum
+    constraint over all of them, with more variables than the recursion
+    limit allows frames."""
+
+    N = 5000
+
+    def sum_instance(self, at_least):
+        variables = [f"r{i:05d}" for i in range(self.N)]
+        total = Constraint(
+            scope=tuple(variables), predicate=lambda a: sum(a.values()) >= at_least
+        )
+        return CspInstance(variables, {v: [1] for v in variables}, [total])
+
+    def test_satisfiable(self):
+        got = solve_csp(self.sum_instance(self.N))
+        assert got is not None and len(got) == self.N
+        assert set(got.values()) == {1}
+
+    def test_unsatisfiable(self):
+        assert solve_csp(self.sum_instance(self.N + 1)) is None

@@ -148,8 +148,10 @@ class TestFdi:
                 assert att.net_kw - orig.net_kw == pytest.approx(orig.net_kw * p / 100)
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValidationError):
-            fdi_inject(samples([1.0]), 2.0, "hvac_demand_res_kw")
+        # "time" is a sample field, but not a reading an attack can scale.
+        for field in ("hvac_demand_res_kw", "time", "nope"):
+            with pytest.raises(ValidationError):
+                fdi_inject(samples([1.0]), 2.0, field)
 
 
 class TestMadiot:
