@@ -69,6 +69,13 @@ FLAGS = ("revoked", "delegated", "transferred")
 _NO_FLAGS = TokenConstraints()
 # Fields a record_event payload must carry.
 _EVENT_FIELDS = frozenset({"workflow_id", "kind", "sim_time"})
+# The keys a create_nft or set_flag payload must carry, and the keys it may
+# carry; any other key is refused. set_flag's sim_time is signed but not read.
+_CREATE_KEYS = frozenset({"op", "token_id", "token_name", "device_id", "public_key",
+                          "owner_id", "issue_time"})
+_CREATE_OPTIONAL = frozenset({"challenge_index"})
+_FLAG_KEYS = frozenset({"op", "token_id", "flag"})
+_FLAG_OPTIONAL = frozenset({"value", "sim_time", "delegate_id", "new_owner"})
 
 # A block commits BLOCK_INTERVAL_MS after its transaction is submitted;
 # simnet imports the interval as its batching deadline.
@@ -264,10 +271,11 @@ def _receipt(tx: Transaction, block: Block) -> CommitReceipt:
 
 def _token_from_create(payload: dict) -> tuple:
     """The token and challenge index a create_nft payload mints. A malformed
-    payload raises ``KeyError``, ``TypeError`` or ``ValueError``: a missing
+    payload raises ``TypeError`` or ``ValueError``: a missing or unknown
     field, a hex field that is not lower-case hex, a non-string id or name,
     an issue time or challenge index that is not a JSON integer, or a token
     id that is not the hash of its device, key and owner."""
+    jr.obj(payload, _CREATE_KEYS, _CREATE_OPTIONAL)
     # Typed fields keep token equality exact (see __eq__), and the state
     # holds the integers that were signed.
     token = NftToken(
@@ -338,7 +346,7 @@ class RegistryState:
                 raise AuthorizationError("create_nft must be signed by the anchor")
             try:
                 token, challenge_index = _token_from_create(payload)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValidationError(f"malformed create_nft payload: {exc!r}") from exc
             device_hex = payload["device_id"]
             if device_hex in self.device_index:
@@ -352,12 +360,13 @@ class RegistryState:
                 raise ValidationError(f"unknown flag {flag!r}")
             delegate_id, new_owner = payload.get("delegate_id"), payload.get("new_owner")
             try:
-                token_id = jr.of(str, payload.get("token_id"))
+                jr.obj(payload, _FLAG_KEYS, _FLAG_OPTIONAL)
+                token_id = jr.of(str, payload["token_id"])
                 value = jr.of(bool, payload.get("value", True))
                 for v in (delegate_id, new_owner):
                     if v is not None:
                         jr.of(str, v)
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValidationError(f"malformed set_flag payload: {exc}") from exc
             token = self.tokens.get(token_id)
             if token is None:

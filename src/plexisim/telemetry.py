@@ -16,9 +16,11 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from itertools import repeat
+from operator import is_
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, IngestionError, ValidationError
@@ -200,9 +202,16 @@ def fdi_inject(
     if not (0 <= lo <= hi <= len(series)):
         raise ValidationError(f"window {window} outside series bounds")
     out = list(series)
+    # The constructor builds an attacked sample at about half the cost of
+    # dataclasses.replace: the other fields pass through as the same
+    # objects, and the new sample keeps no line until it is formatted.
+    at = [f.name for f in fields(TelemetrySample)].index(target_field)
     for i in range(lo, hi):
-        v = getattr(out[i], target_field)
-        out[i] = replace(out[i], **{target_field: v + v * fraction / 100.0})
+        s = out[i]
+        args = [s.time, s.net_kw, s.tamb_c, s.hvac_kw, s.hvac_demand_res_kw]
+        v = args[at]
+        args[at] = v + v * fraction / 100.0
+        out[i] = TelemetrySample(*args)
     return out
 
 
@@ -266,7 +275,9 @@ ESTIMATOR = EstimatorConfig()
 def estimate_flexibility(series: Sequence[TelemetrySample]) -> list:
     """Per-sample demand-flexibility estimate in kW under ``ESTIMATOR``."""
     a, b, c, t_ref = ESTIMATOR.a, ESTIMATOR.b, ESTIMATOR.c, ESTIMATOR.t_ref
-    return [max(0.0, a * s.net_kw + b * s.hvac_kw - c * (s.tamb_c - t_ref)) for s in series]
+    # The same floor as max(0.0, x), nan and -0.0 included, without the call.
+    return [x if (x := a * s.net_kw + b * s.hvac_kw - c * (s.tamb_c - t_ref)) > 0.0 else 0.0
+            for s in series]
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +332,13 @@ def canonical_sample_bytes(sample: TelemetrySample) -> bytes:
     )).encode("utf-8")
 
 
+# The first line of each day's signed message: the day's index in the
+# stream and the stream's day count. The pattern reads back exactly the
+# lines that the template writes.
+_DAY_HEADER = b'{"day":%d,"days":%d}'
+_DAY_HEADER_LINE = re.compile(rb'\{"day":(0|[1-9][0-9]*),"days":([1-9][0-9]*)\}')
+
+
 def sign_stream(
     series: Sequence[TelemetrySample],
     key: identity.SigningKey,
@@ -328,17 +346,37 @@ def sign_stream(
 ) -> list:
     """Sign one signature per day of samples; return one envelope per sample.
 
-    Chunk k holds samples ``[48k, 48k + 48)``. Its message is their
-    ``canonical_sample_bytes`` joined by ``b"\\n"`` (canonical JSON holds no
-    raw newline), and every sample of the chunk carries the chunk's envelope,
-    so a one-sample chunk signs exactly that sample's bytes.
+    Day k of n holds samples ``[48k, 48k + 48)``. Its message is the header
+    line ``{"day":k,"days":n}`` followed by the day's
+    ``canonical_sample_bytes``, joined by ``b"\\n"`` (canonical JSON holds no
+    raw newline). Every sample of the day carries the day's envelope. The
+    header binds the signed lines to their place: the same samples signed as
+    another day, or in a stream of another length, sign other bytes.
     """
+    days = -(-len(series) // SAMPLES_PER_DAY)
     envelopes = []
-    for lo in range(0, len(series), SAMPLES_PER_DAY):
-        day = series[lo:lo + SAMPLES_PER_DAY]
-        env = identity.sign(b"\n".join(map(canonical_sample_bytes, day)), key, sim_time)
-        envelopes.extend([env] * len(day))
+    for d in range(days):
+        day = series[d * SAMPLES_PER_DAY:(d + 1) * SAMPLES_PER_DAY]
+        message = b"\n".join([_DAY_HEADER % (d, days), *map(canonical_sample_bytes, day)])
+        envelopes.extend([identity.sign(message, key, sim_time)] * len(day))
     return envelopes
+
+
+def _signed_day(env: identity.SignedEnvelope, registry, days: int) -> tuple:
+    """The day index that ``env`` names and the sample lines it signs, or
+    ``(None, [])`` when its signature is not accepted or its message opens
+    with no day header. A header that counts other than ``days`` days raises
+    ``ValidationError``."""
+    if identity.verify(env, registry) is not identity.VerifyStatus.ACCEPT:
+        return None, []
+    header, *lines = env.message.split(b"\n")
+    match = _DAY_HEADER_LINE.fullmatch(header)
+    if match is None:
+        return None, []
+    if int(match[2]) != days:
+        raise ValidationError(f"series holds {days} days of samples, but its "
+                              f"signatures count {int(match[2])}")
+    return int(match[1]), lines
 
 
 def detect_tamper(
@@ -349,31 +387,61 @@ def detect_tamper(
     """Sorted indices of samples that no accepted signature covers as stored.
 
     ``identity.verify`` runs once per envelope object in the call (equal but
-    distinct objects each verify, with the same verdict), and index i is
-    flagged when that verify is not ACCEPT (bad signature, unknown or
-    revoked token), when offset ``i % SAMPLES_PER_DAY`` is past the signed
-    message's line count, or when the signed line at that offset differs from
-    the sample's current canonical bytes. So any post-signing mutation of a
-    signed field is flagged, and so is a sample moved to another offset,
-    whose timestamp differs from the one signed there. Verify verdicts are
-    never cached across calls, so a revocation flags every index at the next
-    call. The line of a sample made only of immutable values is formatted
-    once and kept on the sample (see ``canonical_sample_bytes``), so a sample
-    that ``sign_stream`` formatted is not formatted again here.
-    Mutations made before signing are invisible by construction.
+    distinct objects each verify, with the same verdict), and index i, at
+    offset ``i % SAMPLES_PER_DAY`` of day ``i // SAMPLES_PER_DAY``, is flagged
+    when that verify is not ACCEPT (bad signature, unknown or revoked token),
+    when the envelope's header names another day or none, when the offset is
+    past the signed message's sample lines, or when the signed line at that
+    offset differs from the sample's current canonical bytes. So any
+    post-signing mutation of a signed field is flagged, and so is a sample
+    moved to another offset, whose timestamp differs from the one signed
+    there, and every sample of a day replayed or moved with its envelope. A
+    verified header whose day count differs from the series' raises
+    ``ValidationError``, as a dropped day does.
+
+    The check runs a day at a time. When one envelope object covers the
+    whole day, as ``sign_stream`` returns it, the day's stored lines are
+    compared with the signed ones in one list compare; the per-offset walk
+    above runs only on a mismatch, or on a day that holds more than one
+    envelope object. Verify verdicts are never cached across calls, so a
+    revocation flags every index at the next call. The line of a sample made
+    only of immutable values is formatted once and kept on the sample (see
+    ``canonical_sample_bytes``), so a sample that ``sign_stream`` formatted is
+    not formatted again here. Mutations made before signing are invisible by
+    construction.
     """
     if len(series) != len(envelopes):
         raise ValidationError("series and envelope counts differ")
+    days = -(-len(series) // SAMPLES_PER_DAY)
     # Keyed by id(), not by the envelope, whose frozen-dataclass hash is
     # recomputed at every lookup. ``envelopes`` keeps each id's object alive.
-    signed_lines = {}
+    verdicts = {}
+
+    def signed_day(env):
+        verdict = verdicts.get(id(env))
+        if verdict is None:
+            verdict = verdicts[id(env)] = _signed_day(env, registry, days)
+        return verdict
+
     flagged = []
-    for i, (sample, env) in enumerate(zip(series, envelopes)):
-        lines = signed_lines.get(id(env))
-        if lines is None:
-            accepted = identity.verify(env, registry) is identity.VerifyStatus.ACCEPT
-            lines = signed_lines[id(env)] = env.message.split(b"\n") if accepted else []
-        offset = i % SAMPLES_PER_DAY
-        if offset >= len(lines) or lines[offset] != canonical_sample_bytes(sample):
-            flagged.append(i)
+    for d in range(days):
+        lo = d * SAMPLES_PER_DAY
+        samples = series[lo:lo + SAMPLES_PER_DAY]
+        envs = envelopes[lo:lo + SAMPLES_PER_DAY]
+        if all(map(is_, envs, repeat(envs[0]))):
+            day, lines = signed_day(envs[0])
+            # With one accepted envelope that names this day and signs as
+            # many lines as the day holds, the walk below reduces to a
+            # compare of the day's stored lines with the signed ones.
+            if day == d and len(lines) == len(samples):
+                stored = list(map(canonical_sample_bytes, samples))
+                if stored != lines:
+                    flagged += [lo + offset for offset, (line, signed) in
+                                enumerate(zip(stored, lines)) if line != signed]
+                continue
+        for offset, (sample, env) in enumerate(zip(samples, envs)):
+            day, lines = signed_day(env)
+            if (day != d or offset >= len(lines)
+                    or lines[offset] != canonical_sample_bytes(sample)):
+                flagged.append(lo + offset)
     return flagged

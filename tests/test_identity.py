@@ -307,7 +307,7 @@ def test_verify_ledger_and_tamper_detection_agree(anchor, ledger, enrolled, case
     assert endorsed is (status is VerifyStatus.ACCEPT)
 
     sample = telemetry.generate_synthetic(1, seed=6)[0]
-    sample_env = _as_case(case, sign(telemetry.canonical_sample_bytes(sample), key), device_id)
+    sample_env = _as_case(case, telemetry.sign_stream([sample], key)[0], device_id)
     assert verify(sample_env, ledger) is status
     unflagged = telemetry.detect_tamper([sample], [sample_env], ledger) == []
     assert unflagged is (status is VerifyStatus.ACCEPT)

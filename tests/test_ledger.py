@@ -378,6 +378,9 @@ MALFORMED_CREATES = {
     "device_id with spaces": lambda p: dict(p, device_id=p["device_id"][:2] + " "
                                             + p["device_id"][2:]),
     "token_id not derived": lambda p: dict(p, token_id="f" * 64),
+    "unknown key": lambda p: dict(p, note="x"),
+    "no challenge_index, unknown key": lambda p: {
+        **{k: v for k, v in p.items() if k != "challenge_index"}, "challenge": 0},
 }
 
 
@@ -419,6 +422,19 @@ class TestMalformedPayload:
             with pytest.raises(ValidationError):
                 ledger.submit(flag_tx(ledger, token_id, "delegated", owner_key, **extra))
         assert ledger.height == height
+
+    def test_set_flag_with_an_unknown_key_refused(self, anchor, ledger, enrolled):
+        _, _, token_id = enrolled
+        owner_key, _ = identity.enroll(
+            identity.make_device("alice-ctl", seed=18), "alice", anchor, ledger
+        )
+        tx = flag_tx(ledger, token_id, "revoked", owner_key, note="x")
+        height, before = ledger.height, ledger.state.canonical()
+        with pytest.raises(ValidationError, match="unknown key"):
+            ledger.submit(tx)
+        assert (ledger.height, ledger.state.canonical()) == (height, before)
+        with pytest.raises(IntegrityViolationError):
+            replay_chain(appended(ledger.chain, tx))
 
     def test_endorsement_rejects_event_without_fields(self, ledger, enrolled):
         _, key, _ = enrolled

@@ -411,6 +411,50 @@ def test_canonical_bytes_match_json_dumps(time, net, tamb, hvac, res):
 SIGNED_FIELDS = ("time", "net_kw", "tamb_c", "hvac_kw", "hvac_demand_res_kw")
 
 
+def reference_inject(series, fraction, target_field, window):
+    """fdi_inject as it was first written: one dataclasses.replace per
+    attacked sample."""
+    lo, hi = (0, len(series)) if window is None else window
+    out = list(series)
+    for i in range(lo, hi):
+        v = getattr(out[i], target_field)
+        out[i] = dataclasses.replace(out[i], **{target_field: v + v * fraction / 100.0})
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       readings=st.lists(st.tuples(FLOATS, FLOATS, FLOATS, FLOATS), min_size=1, max_size=12),
+       target=st.sampled_from(telemetry.TARGET_FIELDS),
+       fraction=st.floats(0, 100, exclude_min=True) | st.sampled_from([2.0, 100.0, 5e-324]),
+       kind=st.sampled_from([None, *telemetry.AttackKind]))
+def test_injection_matches_replace_reference(data, readings, target, fraction, kind):
+    start = datetime(2021, 6, 1)
+    series = [TelemetrySample(start + timedelta(minutes=30 * i), *r)
+              for i, r in enumerate(readings)]
+    lo = data.draw(st.integers(0, len(series)))
+    window = data.draw(st.sampled_from([None, (lo, data.draw(st.integers(lo, len(series))))]))
+    for s in series:
+        canonical_sample_bytes(s)   # so an input sample holds its line, where it keeps one
+    before = list(series), list(map(repr, series))
+    if kind is None:
+        attacked = fdi_inject(series, fraction, target, window)
+    else:
+        attacked = telemetry.apply_profile(
+            series, telemetry.AttackProfile(kind, target, fraction, window))
+    assert list(map(repr, attacked)) == list(map(repr, reference_inject(
+        series, fraction, target, window)))
+    assert all(a is b for a, b in zip(series, before[0])) and list(map(repr, series)) == before[1]
+    lo, hi = window or (0, len(series))
+    for i, (orig, new) in enumerate(zip(series, attacked)):
+        if not lo <= i < hi:
+            assert new is orig
+            continue
+        assert all(getattr(new, f) is getattr(orig, f) for f in SIGNED_FIELDS if f != target)
+        assert new._line is None
+        assert encoded(canonical_sample_bytes, new) == encoded(reference_sample_bytes, new)
+
+
 @pytest.fixture(scope="module")
 def site():
     """A registry with one enrolled meter, and a 150-sample stream.
@@ -429,12 +473,19 @@ def _mutate(sample, field, delta):
     return dataclasses.replace(sample, **{field: getattr(sample, field) + delta})
 
 
+def day_header(day, days):
+    return json.dumps({"day": day, "days": days}, separators=(",", ":")).encode()
+
+
 def reference_flags(series, envelopes, registry):
-    """detect_tamper without its memo: each sample verifies its envelope."""
+    """detect_tamper without its memo or its per-day compare: each sample
+    verifies its envelope, whose first line must name the sample's day."""
+    per_day = telemetry.SAMPLES_PER_DAY
+    days = -(-len(series) // per_day)
     return [i for i, (s, env) in enumerate(zip(series, envelopes))
             if identity.verify(env, registry) is not identity.VerifyStatus.ACCEPT
-            or env.message.split(b"\n")[i % telemetry.SAMPLES_PER_DAY:][:1]
-            != [canonical_sample_bytes(s)]]
+            or env.message.split(b"\n")[:1] != [day_header(i // per_day, days)]
+            or env.message.split(b"\n")[1 + i % per_day:][:1] != [canonical_sample_bytes(s)]]
 
 
 class TestDaySignatures:
@@ -491,13 +542,15 @@ class TestDaySignatures:
         for d in range(7):
             day = series[d * per_day:(d + 1) * per_day]
             assert len(set(envs[d * per_day:(d + 1) * per_day])) == 1
-            assert envs[d * per_day].message == b"\n".join(map(canonical_sample_bytes, day))
+            assert envs[d * per_day].message == b"\n".join(
+                [day_header(d, 7), *map(canonical_sample_bytes, day)])
             assert envs[d * per_day].sim_time == 5
 
     def test_one_sample_envelope_is_the_per_sample_signature(self, enrolled):
         _, key, _ = enrolled
         s = generate_synthetic(1, seed=3)[0]
-        assert sign_stream([s], key, 3) == [identity.sign(canonical_sample_bytes(s), key, 3)]
+        assert sign_stream([s], key, 3) == [
+            identity.sign(b'{"day":0,"days":1}\n' + canonical_sample_bytes(s), key, 3)]
 
     def test_count_mismatch_rejected(self, ledger, enrolled):
         _, key, _ = enrolled
@@ -513,11 +566,78 @@ class TestDaySignatures:
         per_day = telemetry.SAMPLES_PER_DAY
         days = [slice(d * per_day, (d + 1) * per_day) for d in reversed(range(3))]
         by_day = [s for d in days for s in series[d]], [e for d in days for e in envs[d]]
-        assert detect_tamper(*by_day, ledger) == []
+        # Days 0 and 2 trade places with their envelopes; day 1 stays put.
+        flagged = detect_tamper(*by_day, ledger)
+        assert flagged == [*range(per_day), *range(2 * per_day, 3 * per_day)]
+        assert flagged == reference_flags(*by_day, ledger)
         by_sample = series[::-1], envs[::-1]
         flagged = detect_tamper(*by_sample, ledger)
         assert flagged == reference_flags(*by_sample, ledger)
         assert len(flagged) == len(series)
+
+    def test_day_replayed_in_place_of_another(self, ledger, enrolled):
+        _, key, _ = enrolled
+        series = generate_synthetic(3, seed=7)
+        envs = sign_stream(series, key)
+        per_day = telemetry.SAMPLES_PER_DAY
+        stored, stored_envs = list(series), list(envs)
+        stored[2 * per_day:] = series[:per_day]
+        stored_envs[2 * per_day:] = envs[:per_day]
+        assert detect_tamper(stored, stored_envs, ledger) == list(range(2 * per_day, 3 * per_day))
+
+    def test_days_swapped_with_their_envelopes(self, ledger, enrolled):
+        _, key, _ = enrolled
+        series = generate_synthetic(3, seed=7)
+        envs = sign_stream(series, key)
+        per_day = telemetry.SAMPLES_PER_DAY
+        swap = [*range(per_day, 2 * per_day), *range(per_day), *range(2 * per_day, 3 * per_day)]
+        stored, stored_envs = [series[i] for i in swap], [envs[i] for i in swap]
+        assert detect_tamper(stored, stored_envs, ledger) == list(range(2 * per_day))
+
+    def test_last_day_dropped(self, ledger, enrolled):
+        _, key, _ = enrolled
+        series = generate_synthetic(3, seed=7)
+        envs = sign_stream(series, key)
+        kept = 2 * telemetry.SAMPLES_PER_DAY
+        with pytest.raises(ValidationError, match="2 days"):
+            detect_tamper(series[:kept], envs[:kept], ledger)
+
+    def test_signature_without_day_header_covers_nothing(self, ledger, enrolled):
+        _, key, _ = enrolled
+        series = generate_synthetic(1, seed=7)[:3]
+        env = identity.sign(b"\n".join(map(canonical_sample_bytes, series)), key)
+        assert detect_tamper(series, [env] * 3, ledger) == [0, 1, 2]
+
+    def test_walk_on_equal_but_distinct_envelopes(self, ledger, enrolled):
+        # No day carries a single envelope object, so every day is walked.
+        _, key, _ = enrolled
+        series = generate_synthetic(2, seed=5)[:70]
+        envs = sign_stream(series, key)
+        copies = [dataclasses.replace(e) for e in envs]
+        stored = list(series)
+        stored[3] = _mutate(stored[3], "tamb_c", 1.0)
+        stored[60] = _mutate(stored[60], "time", 30)
+        for case in (envs, copies):
+            assert detect_tamper(stored, case, ledger) == reference_flags(stored, case, ledger)
+        assert detect_tamper(stored, copies, ledger) == [3, 60]
+
+    def test_walk_on_a_day_holding_two_days_envelopes(self, ledger, enrolled):
+        _, key, _ = enrolled
+        series = generate_synthetic(3, seed=5)
+        envs = sign_stream(series, key)
+        per_day = telemetry.SAMPLES_PER_DAY
+        stored, stored_envs = list(series), list(envs)
+        # Day 1's last ten samples are day 2's, moved with their envelope.
+        stored[2 * per_day - 10:2 * per_day] = series[3 * per_day - 10:]
+        stored_envs[2 * per_day - 10:2 * per_day] = envs[3 * per_day - 10:]
+        flagged = detect_tamper(stored, stored_envs, ledger)
+        assert flagged == reference_flags(stored, stored_envs, ledger)
+        assert flagged == list(range(2 * per_day - 10, 2 * per_day))
+        # The same envelope swap with day 1's own samples left in place.
+        stored = list(series)
+        flagged = detect_tamper(stored, stored_envs, ledger)
+        assert flagged == reference_flags(stored, stored_envs, ledger)
+        assert flagged == list(range(2 * per_day - 10, 2 * per_day))
 
     def test_equal_but_distinct_envelopes(self, ledger, enrolled, monkeypatch):
         _, key, _ = enrolled
