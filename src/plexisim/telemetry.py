@@ -6,7 +6,13 @@ injection attacks, FDI and MadIoT, scale one field of the readings in a
 window up by a percentage of themselves (attacked = original + original *
 fraction / 100). Samples signed at ingestion, one signature per day of
 samples, can be re-verified later to flag exactly the samples mutated
-after signing.
+after signing. Each day's signed message opens with a header line,
+``{"day":k,"days":n}``, that binds it to its place in the stream: a day
+replayed or moved to another place is flagged whole, and a stream whose
+day count differs from the signed count is refused. The check runs a day
+at a time: one verify per envelope object, and one compare of the day's
+stored lines with the signed ones, looking offset by offset only on a
+mismatch.
 """
 
 from __future__ import annotations
@@ -400,10 +406,12 @@ def detect_tamper(
     ``ValidationError``, as a dropped day does.
 
     The check runs a day at a time. When one envelope object covers the
-    whole day, as ``sign_stream`` returns it, the day's stored lines are
-    compared with the signed ones in one list compare; the per-offset walk
-    above runs only on a mismatch, or on a day that holds more than one
-    envelope object. Verify verdicts are never cached across calls, so a
+    whole day, as ``sign_stream`` returns it, and its accepted header names
+    the day over as many lines as the day holds, the day's stored lines are
+    compared with the signed ones in one list compare, and only a mismatch
+    compares them offset by offset. Any other day, such as one that holds
+    more than one envelope object, is walked sample by sample under the rule
+    above. Verify verdicts are never cached across calls, so a
     revocation flags every index at the next call. The line of a sample made
     only of immutable values is formatted once and kept on the sample (see
     ``canonical_sample_bytes``), so a sample that ``sign_stream`` formatted is
