@@ -47,14 +47,13 @@ def obj(value, keys: frozenset, optional: frozenset = frozenset()) -> dict:
     ``optional``, and no other key."""
     if type(value) is not dict:
         raise TypeError(f"expected a JSON object, got {value!r}")
-    # The common cases, an object with exactly the required keys, or with
-    # every optional key as well, cost one set comparison each.
-    present = value.keys()
-    if present != keys and present != keys | optional:
-        missing = keys - present
+    # The common case, an object with exactly the required keys, costs one
+    # set comparison and builds no set.
+    if value.keys() != keys:
+        missing = keys - value.keys()
         if missing:
             raise ValueError(f"missing key(s) {sorted(missing)}")
-        unknown = present - keys - optional
+        unknown = value.keys() - keys - optional
         if unknown:
             raise ValueError(f"unknown key(s) {sorted(unknown)}")
     return value

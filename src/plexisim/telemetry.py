@@ -8,11 +8,10 @@ fraction / 100). Samples signed at ingestion, one signature per day of
 samples, can be re-verified later to flag exactly the samples mutated
 after signing. Each day's signed message opens with a header line,
 ``{"day":k,"days":n}``, that binds it to its place in the stream: a day
-replayed or moved to another place is flagged whole, and a stream whose
-day count differs from the signed count is refused. The check runs a day
-at a time: one verify per envelope object, and one compare of the day's
-stored lines with the signed ones, looking offset by offset only on a
-mismatch.
+replayed or moved to another place is flagged whole, and a stream shorter
+than it was signed, by whole days or by samples cut from its end, is
+refused. The check runs a day at a time, with one verify per envelope
+object.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ import re
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from itertools import repeat
-from operator import is_
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, IngestionError, ValidationError
@@ -53,6 +51,12 @@ class TelemetrySample:
     # has checked that every field is immutable. Unset until then (the class
     # default), and not copied by ``dataclasses.replace``.
     _line: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
+
+
+# The constructor's arguments, in order, and a getter that reads them off a
+# sample as one tuple.
+_SAMPLE_FIELDS = tuple(f.name for f in fields(TelemetrySample) if f.init)
+_sample_args = attrgetter(*_SAMPLE_FIELDS)
 
 
 class AttackKind(Enum):
@@ -211,10 +215,9 @@ def fdi_inject(
     # The constructor builds an attacked sample at about half the cost of
     # dataclasses.replace: the other fields pass through as the same
     # objects, and the new sample keeps no line until it is formatted.
-    at = [f.name for f in fields(TelemetrySample)].index(target_field)
+    at = _SAMPLE_FIELDS.index(target_field)
     for i in range(lo, hi):
-        s = out[i]
-        args = [s.time, s.net_kw, s.tamb_c, s.hvac_kw, s.hvac_demand_res_kw]
+        args = list(_sample_args(out[i]))
         v = args[at]
         args[at] = v + v * fraction / 100.0
         out[i] = TelemetrySample(*args)
@@ -368,21 +371,26 @@ def sign_stream(
     return envelopes
 
 
-def _signed_day(env: identity.SignedEnvelope, registry, days: int) -> tuple:
+def _signed_day(env: identity.SignedEnvelope, registry, days: int, last_day: int) -> tuple:
     """The day index that ``env`` names and the sample lines it signs, or
     ``(None, [])`` when its signature is not accepted or its message opens
-    with no day header. A header that counts other than ``days`` days raises
-    ``ValidationError``."""
+    with no day header. A header that counts other than ``days`` days, or
+    that names the last day over more lines than the series' last day holds
+    (``last_day`` samples), raises ``ValidationError``."""
     if identity.verify(env, registry) is not identity.VerifyStatus.ACCEPT:
         return None, []
     header, *lines = env.message.split(b"\n")
     match = _DAY_HEADER_LINE.fullmatch(header)
     if match is None:
         return None, []
-    if int(match[2]) != days:
+    day, signed_days = int(match[1]), int(match[2])
+    if signed_days != days:
         raise ValidationError(f"series holds {days} days of samples, but its "
-                              f"signatures count {int(match[2])}")
-    return int(match[1]), lines
+                              f"signatures count {signed_days}")
+    if day == days - 1 and len(lines) > last_day:
+        raise ValidationError(f"the series' last day holds {last_day} samples, "
+                              f"but its signature covers {len(lines)}")
+    return day, lines
 
 
 def detect_tamper(
@@ -402,53 +410,34 @@ def detect_tamper(
     post-signing mutation of a signed field is flagged, and so is a sample
     moved to another offset, whose timestamp differs from the one signed
     there, and every sample of a day replayed or moved with its envelope. A
-    verified header whose day count differs from the series' raises
-    ``ValidationError``, as a dropped day does.
+    series shorter than it was signed is refused: a verified header whose
+    day count differs from the series', or whose last day signs more lines
+    than the series' last day holds, raises ``ValidationError``, as a dropped
+    day or samples cut from the end do.
 
-    The check runs a day at a time. When one envelope object covers the
-    whole day, as ``sign_stream`` returns it, and its accepted header names
-    the day over as many lines as the day holds, the day's stored lines are
-    compared with the signed ones in one list compare, and only a mismatch
-    compares them offset by offset. Any other day, such as one that holds
-    more than one envelope object, is walked sample by sample under the rule
-    above. Verify verdicts are never cached across calls, so a
-    revocation flags every index at the next call. The line of a sample made
-    only of immutable values is formatted once and kept on the sample (see
-    ``canonical_sample_bytes``), so a sample that ``sign_stream`` formatted is
-    not formatted again here. Mutations made before signing are invisible by
-    construction.
+    The check runs a day at a time. Verify verdicts are never cached across
+    calls, so a revocation flags every index at the next call. The line of a
+    sample made only of immutable values is formatted once and kept on the
+    sample (see ``canonical_sample_bytes``), so a sample that ``sign_stream``
+    formatted is not formatted again here. Mutations made before signing are
+    invisible by construction.
     """
     if len(series) != len(envelopes):
         raise ValidationError("series and envelope counts differ")
     days = -(-len(series) // SAMPLES_PER_DAY)
+    last_day = len(series) - (days - 1) * SAMPLES_PER_DAY
     # Keyed by id(), not by the envelope, whose frozen-dataclass hash is
     # recomputed at every lookup. ``envelopes`` keeps each id's object alive.
-    verdicts = {}
-
-    def signed_day(env):
-        verdict = verdicts.get(id(env))
-        if verdict is None:
-            verdict = verdicts[id(env)] = _signed_day(env, registry, days)
-        return verdict
-
+    signed_days = {}
     flagged = []
     for d in range(days):
         lo = d * SAMPLES_PER_DAY
-        samples = series[lo:lo + SAMPLES_PER_DAY]
-        envs = envelopes[lo:lo + SAMPLES_PER_DAY]
-        if all(map(is_, envs, repeat(envs[0]))):
-            day, lines = signed_day(envs[0])
-            # With one accepted envelope that names this day and signs as
-            # many lines as the day holds, the walk below reduces to a
-            # compare of the day's stored lines with the signed ones.
-            if day == d and len(lines) == len(samples):
-                stored = list(map(canonical_sample_bytes, samples))
-                if stored != lines:
-                    flagged += [lo + offset for offset, (line, signed) in
-                                enumerate(zip(stored, lines)) if line != signed]
-                continue
-        for offset, (sample, env) in enumerate(zip(samples, envs)):
-            day, lines = signed_day(env)
+        hi = lo + SAMPLES_PER_DAY
+        for offset, (sample, env) in enumerate(zip(series[lo:hi], envelopes[lo:hi])):
+            signed = signed_days.get(id(env))
+            if signed is None:
+                signed = signed_days[id(env)] = _signed_day(env, registry, days, last_day)
+            day, lines = signed
             if (day != d or offset >= len(lines)
                     or lines[offset] != canonical_sample_bytes(sample)):
                 flagged.append(lo + offset)

@@ -302,13 +302,12 @@ def test_whole_refuses_the_rest(value):
 
 
 def test_obj_takes_exact_keys_and_optional_ones():
-    keys, optional = frozenset({"a"}), frozenset({"b", "c"})
+    keys, optional = frozenset({"a"}), frozenset({"b"})
     assert jr.obj({"a": 1}, keys, optional) == {"a": 1}
     assert jr.obj({"a": 1, "b": 2}, keys, optional) == {"a": 1, "b": 2}
-    assert jr.obj({"a": 1, "b": 2, "c": 3}, keys, optional) == {"a": 1, "b": 2, "c": 3}
     with pytest.raises(ValueError, match="missing key"):
-        jr.obj({"b": 2, "c": 3}, keys, optional)
+        jr.obj({"b": 2}, keys, optional)
     with pytest.raises(ValueError, match="unknown key"):
-        jr.obj({"a": 1, "d": 4}, keys, optional)
+        jr.obj({"a": 1, "c": 3}, keys, optional)
     with pytest.raises(TypeError):
         jr.obj([("a", 1)], keys, optional)
