@@ -32,7 +32,7 @@ from .aggregator import (
 )
 from .clock import SimClock
 from .errors import ConfigurationError, EnrollmentRejected, SimError, ValidationError
-from .ledger import LedgerSim, canonical_json
+from .ledger import LedgerSim
 from .market import Bid
 from .workflow import Actor, ActorRole, Topic, WorkflowEngine
 
@@ -98,7 +98,7 @@ def cmd_enroll(args) -> int:
 
     with open(out / "enrollments.jsonl", "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(canonical_json(rec) + "\n")
+            fh.write(jr.canonical_json(rec) + "\n")
     ledger.save_chain(registry_path)
 
     print(f"enrolled {len(records)} devices, {len(duplicates)} duplicates")

@@ -6,13 +6,19 @@ only with the JSON type its field declares and is never coerced. An object
 must hold exactly the keys its reader knows: an unknown key is an error in
 every reader. Each check returns the value and raises ``TypeError`` or
 ``ValueError`` otherwise; the reader turns that into its own error.
+``canonical_json`` is the one writer of canonical JSON, for the bytes the
+ledger signs and the records the CLI writes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 _JSON_NAMES = {str: "string", bool: "boolean", int: "integer", list: "array", dict: "object"}
+# Same bytes as json.dumps(obj, sort_keys=True, separators=(",", ":")),
+# without building an encoder per call. The output is ASCII.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def of(kind: type, value):

@@ -55,6 +55,7 @@ from .identity import (
     signature_valid,
     verify,
 )
+from .jsonread import canonical_json
 
 GENESIS_PREV_HASH = "0" * 64
 
@@ -67,28 +68,22 @@ FLAGS = ("revoked", "delegated", "transferred")
 # Every token starts with no flag set; the constraints type is frozen, so
 # tokens share one instance.
 _NO_FLAGS = TokenConstraints()
-# Fields a record_event payload must carry.
-_EVENT_FIELDS = frozenset({"workflow_id", "kind", "sim_time"})
-# The keys a create_nft or set_flag payload must carry, and the keys it may
-# carry; any other key is refused. set_flag's sim_time is signed but not read.
-_CREATE_KEYS = frozenset({"op", "token_id", "token_name", "device_id", "public_key",
-                          "owner_id", "issue_time"})
-_CREATE_OPTIONAL = frozenset({"challenge_index"})
-_FLAG_KEYS = frozenset({"op", "token_id", "flag"})
-_FLAG_OPTIONAL = frozenset({"value", "sim_time", "delegate_id", "new_owner"})
+# Each op's payload keys: the keys it must carry and the keys it may carry
+# besides; any other key is refused. set_flag's sim_time is signed but not read.
+_CONTRACT_KEYS = {
+    OP_CREATE_NFT: (frozenset({"op", "token_id", "token_name", "device_id", "public_key",
+                               "owner_id", "challenge_index", "issue_time"}), frozenset()),
+    OP_SET_FLAG: (frozenset({"op", "token_id", "flag", "value", "sim_time"}),
+                  frozenset({"delegate_id", "new_owner"})),
+    OP_RECORD_EVENT: (frozenset({"op", "workflow_id", "kind", "payload", "sim_time"}),
+                      frozenset()),
+}
 
 # A block commits BLOCK_INTERVAL_MS after its transaction is submitted;
 # simnet imports the interval as its batching deadline.
 BLOCK_INTERVAL_MS = 500
 
-# Same bytes as json.dumps(obj, sort_keys=True, separators=(",", ":")),
-# without building an encoder per call. The output is ASCII.
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _SEQUENCES = (list, tuple)
-
-
-def canonical_json(obj) -> str:
-    return _CANONICAL_ENCODER.encode(obj)
 
 
 def _message(payload) -> bytes:
@@ -270,12 +265,11 @@ def _receipt(tx: Transaction, block: Block) -> CommitReceipt:
 # ---------------------------------------------------------------------------
 
 def _token_from_create(payload: dict) -> tuple:
-    """The token and challenge index a create_nft payload mints. A malformed
-    payload raises ``TypeError`` or ``ValueError``: a missing or unknown
-    field, a hex field that is not lower-case hex, a non-string id or name,
-    an issue time or challenge index that is not a JSON integer, or a token
-    id that is not the hash of its device, key and owner."""
-    jr.obj(payload, _CREATE_KEYS, _CREATE_OPTIONAL)
+    """The token and challenge index a create_nft payload mints, its keys
+    already checked. A malformed field raises ``TypeError`` or
+    ``ValueError``: a hex field that is not lower-case hex, a non-string id
+    or name, an issue time or challenge index that is not a JSON integer, or
+    a token id that is not the hash of its device, key and owner."""
     # Typed fields keep token equality exact (see __eq__), and the state
     # holds the integers that were signed.
     token = NftToken(
@@ -295,7 +289,7 @@ def _token_from_create(payload: dict) -> tuple:
     if token.token_id != compute_token_id(token.device_id, token.public_key, token.owner_id):
         raise ValueError("create_nft token_id is not derived from device_id, public_key "
                          "and owner_id")
-    return token, jr.of(int, payload.get("challenge_index", 0))
+    return token, jr.of(int, payload["challenge_index"])
 
 
 @dataclass
@@ -330,24 +324,46 @@ class RegistryState:
         check itself (``identity.verify``, or the anchor key) is not part of
         it: it runs in ``submit`` only, because re-verifying every stored
         signature would cost about 115 us per tx on replay.
+
+        The payload is a JSON object holding exactly its ``op`` and that
+        op's keys (``_CONTRACT_KEYS``), each of its JSON type, none with a
+        default: ``create_nft`` holds ``token_id``, ``token_name``,
+        ``device_id``, ``public_key``, ``owner_id``, ``challenge_index`` and
+        ``issue_time``; ``set_flag`` holds ``token_id``, ``flag``, boolean
+        ``value`` and ``sim_time``, and may add string ``delegate_id`` or
+        ``new_owner``; ``record_event`` holds string ``workflow_id`` and
+        ``kind``, integer ``sim_time`` and a ``payload`` of any JSON value.
         """
         if tx.signer != ANCHOR_TOKEN_ID:
             signer = self.tokens.get(tx.signer)
             if signer is None or signer.constraints.revoked:
                 raise AuthorizationError(f"signer {tx.signer!r} is not a live token")
+        # Every field is read with its type before any rule runs.
         try:
-            payload = jr.of(dict, tx.payload)
-        except TypeError as exc:
-            raise ValidationError(f"payload of tx {tx.tx_id[:12]}: {exc}") from exc
-        op = payload.get("op")
+            op = jr.of(dict, tx.payload).get("op")
+            if type(op) is not str or op not in _CONTRACT_KEYS:
+                raise ValueError(f"unknown contract op {op!r}")
+            payload = jr.obj(tx.payload, *_CONTRACT_KEYS[op])
+            if op == OP_CREATE_NFT:
+                token, challenge_index = _token_from_create(payload)
+            elif op == OP_SET_FLAG:
+                flag, token_id = payload["flag"], jr.of(str, payload["token_id"])
+                if flag not in FLAGS:
+                    raise ValueError(f"unknown flag {flag!r}")
+                value = jr.of(bool, payload["value"])
+                delegate_id, new_owner = (jr.of(str, payload[k]) if k in payload else None
+                                          for k in ("delegate_id", "new_owner"))
+            else:
+                event = {"workflow_id": jr.of(str, payload["workflow_id"]),
+                         "kind": jr.of(str, payload["kind"]),
+                         "payload": payload["payload"],
+                         "sim_time": jr.of(int, payload["sim_time"])}
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed payload of tx {tx.tx_id[:12]}: {exc}") from exc
         if op == OP_CREATE_NFT:
             # Only the anchor mints: a device key would pick its own token's key.
             if tx.signer != ANCHOR_TOKEN_ID:
                 raise AuthorizationError("create_nft must be signed by the anchor")
-            try:
-                token, challenge_index = _token_from_create(payload)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"malformed create_nft payload: {exc!r}") from exc
             device_hex = payload["device_id"]
             if device_hex in self.device_index:
                 raise EnrollmentRejected("device id already bound to a live token")
@@ -355,19 +371,6 @@ class RegistryState:
             self.device_index[device_hex] = token.token_id
             self.challenge_index[device_hex] = challenge_index
         elif op == OP_SET_FLAG:
-            flag = payload.get("flag")
-            if flag not in FLAGS:
-                raise ValidationError(f"unknown flag {flag!r}")
-            delegate_id, new_owner = payload.get("delegate_id"), payload.get("new_owner")
-            try:
-                jr.obj(payload, _FLAG_KEYS, _FLAG_OPTIONAL)
-                token_id = jr.of(str, payload["token_id"])
-                value = jr.of(bool, payload.get("value", True))
-                for v in (delegate_id, new_owner):
-                    if v is not None:
-                        jr.of(str, v)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"malformed set_flag payload: {exc}") from exc
             token = self.tokens.get(token_id)
             if token is None:
                 raise ValidationError(f"no token {token_id}")
@@ -389,20 +392,8 @@ class RegistryState:
             if flag == "transferred" and new_owner:
                 changes["owner_id"] = new_owner
             self.tokens[token_id] = replace(token, **changes)
-        elif op == OP_RECORD_EVENT:
-            missing = _EVENT_FIELDS - payload.keys()
-            if missing:
-                raise ValidationError(f"record_event lacks {sorted(missing)}")
-            self.event_log.append(
-                {
-                    "workflow_id": payload["workflow_id"],
-                    "kind": payload["kind"],
-                    "payload": payload.get("payload", {}),
-                    "sim_time": payload["sim_time"],
-                }
-            )
         else:
-            raise ValidationError(f"unknown contract op {op!r}")
+            self.event_log.append(event)
 
     def apply(self, tx: Transaction) -> None:
         """Replay one committed tx through ``admit``; a tx the contract

@@ -17,7 +17,6 @@ object.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import random
 import re
@@ -29,6 +28,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigurationError, IngestionError, ValidationError
 from . import identity
+from .jsonread import canonical_json
 
 CSV_HEADER = ["time", "net", "tamb", "hvac", "hvac_demand_res"]
 SAMPLE_MINUTES = 30
@@ -90,7 +90,7 @@ def _reading(cell: str) -> float:
 
 
 def load_dataset(path) -> list:
-    """Parse and validate a telemetry CSV; errors carry the row number."""
+    """Parse and validate a telemetry CSV of one or more samples; errors carry the row number."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -138,6 +138,8 @@ def load_dataset(path) -> list:
             if sample.time - series[-1].time != stride:
                 raise IngestionError("stride is not 30 minutes", row=row_no)
         series.append(sample)
+    if not series:
+        raise IngestionError("no sample row")
     return series
 
 
@@ -298,14 +300,13 @@ def estimate_flexibility(series: Sequence[TelemetrySample]) -> list:
 _SAMPLE_LINE = '{"hvac":%s,"hvac_demand_res":%s,"net":%s,"tamb":%s,"time":"%s"}'
 # The same line for four finite floats: %r is float.__repr__.
 _FLOAT_LINE = _SAMPLE_LINE.replace("%s", "%r", 4)
-_json_value = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _json_reading(v) -> str:
     # float.__repr__ is json's spelling of a finite float (v - v is nan for
     # nan and +-inf); anything else, float subclasses included, goes through
     # json itself, which also raises for what json.dumps rejects.
-    return float.__repr__(v) if type(v) is float and v - v == 0.0 else _json_value(v)
+    return float.__repr__(v) if type(v) is float and v - v == 0.0 else canonical_json(v)
 
 
 def canonical_sample_bytes(sample: TelemetrySample) -> bytes:

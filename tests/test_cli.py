@@ -605,6 +605,10 @@ def _attack_dataset_rows(tmp_path, *rows):
     return _attack_with_dataset(tmp_path, str(data))
 
 
+def _attack_dataset_header_only(tmp_path):
+    return _attack_dataset_rows(tmp_path)
+
+
 def _attack_dataset_naive_then_offset(tmp_path):
     return _attack_dataset_rows(tmp_path, "2021-06-01T00:00:00,1.0,20.0,1.0,0.5",
                                 "2021-06-01T00:30:00+00:00,1.0,20.0,1.0,0.5")
@@ -695,7 +699,7 @@ def _out_is_a_file(tmp_path):
     _registry_block_unknown_key, _registry_tx_unknown_key, _attack_dataset_not_utf8,
     _attack_dataset_field_too_long, _registry_not_utf8, _duration_unbounded,
     _rate_times_duration_overflows, _rate_sends_nothing_in_window, _synthetic_days_unbounded,
-    _registry_payload_nested_deep, _bench_config_nested_deep,
+    _registry_payload_nested_deep, _bench_config_nested_deep, _attack_dataset_header_only,
 ])
 def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)

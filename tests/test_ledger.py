@@ -29,6 +29,7 @@ from plexisim.ledger import (
     LedgerSim,
     RegistryState,
     Transaction,
+    _CONTRACT_KEYS,
     canonical_json,
     compute_block_hash,
     read_chain,
@@ -209,6 +210,42 @@ class TestSubmit:
         path = tmp_path / "chain.jsonl"
         ledger.save_chain(path)
         assert replay_chain(read_chain(path)) == ledger.state
+
+    def test_set_flag_without_value_refused(self, anchor, ledger, enrolled):
+        # value has no default: an owner-signed flag change naming none
+        # changes nothing.
+        _, _, token_id = enrolled
+        owner_key, _ = identity.enroll(identity.make_device("alice-ctl", seed=2), "alice",
+                                       anchor, ledger)
+        now = ledger.clock.now()
+        payload = {"op": "set_flag", "token_id": token_id, "flag": "delegated"}
+        tx = as_tx(payload, identity.sign(canonical_json(payload).encode(), owner_key, now), now)
+        height, constraints = ledger.height, ledger.query(token_id).constraints
+        with pytest.raises(ValidationError):
+            ledger.submit(tx)
+        assert (ledger.height, ledger.query(token_id).constraints) == (height, constraints)
+
+    @pytest.mark.parametrize("op, call, passed", [
+        ("create_nft", lambda ledger, anchor, key, token_id: ledger.create_nft(
+            b"\x01" * 16, "bob", b"\x02" * 32, anchor), ()),
+        ("set_flag", lambda ledger, anchor, key, token_id: ledger.set_flag(
+            token_id, "delegated", key), ()),
+        ("set_flag", lambda ledger, anchor, key, token_id: ledger.set_flag(
+            token_id, "delegated", key, delegate_id="bob"), ("delegate_id",)),
+        ("set_flag", lambda ledger, anchor, key, token_id: ledger.set_flag(
+            token_id, "transferred", key, new_owner="bob"), ("new_owner",)),
+        ("record_event", lambda ledger, anchor, key, token_id: ledger.record_event(
+            "wf", "k", {"kw": 1}, key), ()),
+    ], ids=["create_nft", "set_flag", "set_flag delegate_id", "set_flag new_owner",
+            "record_event"])
+    def test_builder_writes_exactly_the_contract_keys(self, anchor, ledger, enrolled, op, call,
+                                                      passed):
+        # The builders and the contract's key table name the same keys.
+        _, key, token_id = enrolled
+        call(ledger, anchor, key, token_id)
+        payload = ledger.chain[-1].tx_list[0].payload
+        assert payload["op"] == op
+        assert payload.keys() == _CONTRACT_KEYS[op][0] | set(passed)
 
     def test_bad_envelope_never_commits(self, ledger, enrolled):
         _, key, _ = enrolled
@@ -418,7 +455,7 @@ class TestMalformedPayload:
             identity.make_device("alice-ctl", seed=18), "alice", anchor, ledger
         )
         height = ledger.height
-        for extra in ({"delegate_id": 7}, {"new_owner": ["bob"]}):
+        for extra in ({"delegate_id": 7}, {"new_owner": ["bob"]}, {"delegate_id": None}):
             with pytest.raises(ValidationError):
                 ledger.submit(flag_tx(ledger, token_id, "delegated", owner_key, **extra))
         assert ledger.height == height
@@ -1132,6 +1169,9 @@ def appended(chain, tx):
     return [*chain, Block(height, prev, (tx,), compute_block_hash(height, prev, (tx,), 0), 0)]
 
 
+# Calls whose payload breaks the contract whoever signs it.
+REFUSED_OPS = ("device create", "malformed create", "event lacking", "event extra key",
+               "event retyped", "flag lacking")
 DIFF_OPS = st.one_of(
     st.tuples(st.just("create"), st.integers(0, 7), st.sampled_from(OWNERS)),
     st.tuples(st.just("device create"), st.integers(0, 7), st.integers(0, 9)),
@@ -1139,10 +1179,22 @@ DIFF_OPS = st.one_of(
               st.sampled_from(sorted(MALFORMED_CREATES))),
     st.tuples(st.just("event"), st.integers(0, 9), JSON_VALUES),
     st.tuples(st.just("event lacking"), st.integers(0, 9),
-              st.sampled_from(("workflow_id", "kind", "sim_time"))),
+              st.sampled_from(("workflow_id", "kind", "payload", "sim_time"))),
+    st.tuples(st.just("event extra key"), st.integers(0, 9),
+              st.text(max_size=8).filter(lambda k: k not in _CONTRACT_KEYS["record_event"][0]),
+              JSON_VALUES),
+    st.tuples(st.just("event retyped"), st.integers(0, 9),
+              st.fixed_dictionaries({}, optional={
+                  "workflow_id": JSON_VALUES.filter(lambda v: type(v) is not str),
+                  "kind": JSON_VALUES.filter(lambda v: type(v) is not str),
+                  "sim_time": JSON_VALUES.filter(lambda v: type(v) is not int),
+              }).filter(bool)),
     st.tuples(st.just("flag"), st.integers(0, 9), st.integers(0, 9),
               st.sampled_from(("revoked", "delegated", "transferred", "frozen")),
               st.booleans(), st.sampled_from((*OWNERS, 7))),
+    st.tuples(st.just("flag lacking"), st.integers(0, 9), st.integers(0, 9),
+              st.sampled_from(("revoked", "delegated", "transferred")),
+              st.sets(st.sampled_from(("value", "sim_time")), min_size=1)),
     st.tuples(st.just("advance"), st.sampled_from((1, BLOCK_INTERVAL_MS))),
 )
 
@@ -1160,6 +1212,14 @@ def signed_call(ledger, keys, op, args):
     elif op == "event lacking":
         tx = record_tx(ledger, key)
         payload = {k: v for k, v in tx.payload.items() if k != args[1]}
+    elif op == "event extra key":
+        payload = dict(record_tx(ledger, key).payload, **{args[1]: args[2]})
+    elif op == "event retyped":
+        payload = dict(record_tx(ledger, key).payload, **args[1])
+    elif op == "flag lacking":
+        target, flag, dropped = args[1:]
+        tx = flag_tx(ledger, keys[target % len(keys)].token_id, flag, key)
+        payload = {k: v for k, v in tx.payload.items() if k not in dropped}
     elif op == "event":
         return record_tx(ledger, key, payload=args[1]), None
     else:
@@ -1181,6 +1241,13 @@ def signed_call(ledger, keys, op, args):
 # A revoked token signs an event: submit's signature stage refuses it.
 @example(devices=3, ops=[("flag", 2, 0, "revoked", True, "alice"),
                          ("event", 0, {"kw": 1})])
+# An owner-signed set_flag naming neither value nor time.
+@example(devices=1, ops=[("flag lacking", 0, 0, "delegated", {"value", "sim_time"})])
+# An event carrying one more signed key.
+@example(devices=1, ops=[("event extra key", 0, "evil", 1)])
+# An event whose fields have the wrong JSON types.
+@example(devices=1, ops=[("event retyped", 0,
+                          {"workflow_id": ["x"], "kind": 5, "sim_time": "later"})])
 def test_replay_refuses_exactly_what_submit_refuses(devices, ops):
     """``submit`` and replay apply one contract. With valid signatures, a
     tx that ``submit`` refuses, appended to the chain as a re-hashed block,
@@ -1205,7 +1272,7 @@ def test_replay_refuses_exactly_what_submit_refuses(devices, ops):
             with pytest.raises(IntegrityViolationError):
                 replay_chain(appended(ledger.chain, tx))
             continue
-        assert op not in ("device create", "malformed create", "event lacking")
+        assert op not in REFUSED_OPS
         if key is not None:
             keys.append(key)
         assert replay_chain(ledger.chain) == ledger.state
