@@ -9,7 +9,7 @@ Modules:
     aggregator  flexibility engine: requests, bids, scheduling, restoration
     workflow    event-driven workflow state machine with pub/sub
     telemetry   dataset ingestion, attack injection, tamper detection
-    simnet      discrete-event benchmark harness (throughput/latency/footprint)
+    simnet      one-pass queueing benchmark harness (throughput/latency/footprint)
     cli         reproducible command-line scenarios
 """
 

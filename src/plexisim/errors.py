@@ -30,7 +30,7 @@ class RejectedTransactionError(SimError):
 
 
 class DuplicateTransactionError(SimError):
-    """Transaction id already committed."""
+    """Transaction signature already committed."""
 
 
 class IntegrityViolationError(SimError):

@@ -48,6 +48,15 @@ def whole(value) -> int:
     return int(value)
 
 
+def hexbytes(value) -> bytes:
+    """The bytes a JSON string spells in lower-case hex, the one spelling
+    ``.hex()`` writes (``bytes.fromhex`` also reads upper case and spaces)."""
+    data = bytes.fromhex(of(str, value))
+    if data.hex() != value:
+        raise ValueError(f"{value!r} is not lower-case hex")
+    return data
+
+
 def obj(value, keys: frozenset, optional: frozenset = frozenset()) -> dict:
     """``value`` if it is a JSON object holding every key in ``keys``, any of
     ``optional``, and no other key."""

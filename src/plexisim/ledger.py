@@ -13,8 +13,8 @@ order. Committed blocks are hash-chained over every stored field (the
 derived ``tx_id``s, each signer and submit time, and the commit time), and
 the world state is the same contract folded over the chain, so replay
 reproduces the live state exactly and refuses any tx the contract refuses.
-A signature commits once: ``submit`` and replay refuse a second tx that
-carries it, however its payload is spelt.
+A signature commits once: the contract keeps the signatures it has folded
+in and refuses a second tx that carries one, however its payload is spelt.
 Blocks persist as JSON lines filled from one fixed template, each payload
 written as the bytes that were signed. ``read_chain`` walks each line
 against that template, takes each payload's stored bytes as its message,
@@ -69,7 +69,8 @@ FLAGS = ("revoked", "delegated", "transferred")
 # tokens share one instance.
 _NO_FLAGS = TokenConstraints()
 # Each op's payload keys: the keys it must carry and the keys it may carry
-# besides; any other key is refused. set_flag's sim_time is signed but not read.
+# besides; any other key is refused. set_flag's sim_time must be an integer,
+# and its optional keys are read as _SUBJECT_KEYS says.
 _CONTRACT_KEYS = {
     OP_CREATE_NFT: (frozenset({"op", "token_id", "token_name", "device_id", "public_key",
                                "owner_id", "challenge_index", "issue_time"}), frozenset()),
@@ -78,6 +79,9 @@ _CONTRACT_KEYS = {
     OP_RECORD_EVENT: (frozenset({"op", "workflow_id", "kind", "payload", "sim_time"}),
                       frozenset()),
 }
+# The one optional key each flag reads, only when set true; a set_flag
+# carrying a key it does not read is refused.
+_SUBJECT_KEYS = {"delegated": "delegate_id", "transferred": "new_owner"}
 
 # A block commits BLOCK_INTERVAL_MS after its transaction is submitted;
 # simnet imports the interval as its batching deadline.
@@ -189,12 +193,6 @@ class Transaction:
         tx._seal(payload, message)
         return tx
 
-    @classmethod
-    def from_message(cls, message: bytes, signer: str, signature: bytes,
-                     sim_time_submitted: int) -> "Transaction":
-        """The tx signing ``message``, whose payload is ``message`` decoded."""
-        return cls._sealed(json.loads(message), message, signer, signature, sim_time_submitted)
-
 
 # The chain file: one JSON line per block, filled from these templates by
 # save_chain and read back against them by read_chain, so they are the one
@@ -267,29 +265,29 @@ def _receipt(tx: Transaction, block: Block) -> CommitReceipt:
 def _token_from_create(payload: dict) -> tuple:
     """The token and challenge index a create_nft payload mints, its keys
     already checked. A malformed field raises ``TypeError`` or
-    ``ValueError``: a hex field that is not lower-case hex, a non-string id
-    or name, an issue time or challenge index that is not a JSON integer, or
-    a token id that is not the hash of its device, key and owner."""
+    ``ValueError``: a hex field that is not lower-case hex (so one device has
+    one device-index key), a non-string id or name, an issue time or
+    challenge index that is not a JSON integer, a negative challenge index,
+    or a token id that is not the hash of its device, key and owner."""
     # Typed fields keep token equality exact (see __eq__), and the state
     # holds the integers that were signed.
     token = NftToken(
         token_id=jr.of(str, payload["token_id"]),
         token_name=jr.of(str, payload["token_name"]),
-        device_id=bytes.fromhex(payload["device_id"]),
-        public_key=bytes.fromhex(payload["public_key"]),
+        device_id=jr.hexbytes(payload["device_id"]),
+        public_key=jr.hexbytes(payload["public_key"]),
         owner_id=jr.of(str, payload["owner_id"]),
         constraints=_NO_FLAGS,
         issue_time=jr.of(int, payload["issue_time"]),
     )
-    # fromhex also reads upper case and spaces; only the .hex() spelling
-    # gives one device one device-index key.
-    if (token.device_id.hex(), token.public_key.hex()) != (payload["device_id"],
-                                                           payload["public_key"]):
-        raise ValueError("create_nft device_id and public_key must be lower-case hex")
     if token.token_id != compute_token_id(token.device_id, token.public_key, token.owner_id):
         raise ValueError("create_nft token_id is not derived from device_id, public_key "
                          "and owner_id")
-    return token, jr.of(int, payload["challenge_index"])
+    # Live verification derives the device's challenge from this index.
+    challenge_index = jr.of(int, payload["challenge_index"])
+    if challenge_index < 0:
+        raise ValueError("create_nft challenge_index must not be negative")
+    return token, challenge_index
 
 
 @dataclass
@@ -301,6 +299,8 @@ class RegistryState:
     challenge_index: dict = field(default_factory=dict)  # device_id hex -> int
     delegates: dict = field(default_factory=dict)        # token_id -> actor id
     event_log: list = field(default_factory=list)
+    # Of every tx folded in; the chain fixes it, so canonical() and == skip it.
+    signatures: set = field(default_factory=set, repr=False)
 
     def query(self, key: Union[str, bytes]) -> Optional[NftToken]:
         """A ``str`` key is a token id, a ``bytes`` key a device id."""
@@ -318,22 +318,31 @@ class RegistryState:
 
         This is the contract's one rule set: ``LedgerSim.submit`` endorses
         with it and ``apply`` replays with it. A refused tx raises
-        ``ValidationError``, ``AuthorizationError`` or ``EnrollmentRejected``
-        before any field of the state changes. A signer other than the
-        anchor must be a live token at this point of the chain. The signature
-        check itself (``identity.verify``, or the anchor key) is not part of
-        it: it runs in ``submit`` only, because re-verifying every stored
-        signature would cost about 115 us per tx on replay.
+        ``DuplicateTransactionError``, ``ValidationError``,
+        ``AuthorizationError`` or ``EnrollmentRejected`` before any field of
+        the state changes. A signature commits once, checked first. A signer
+        other than the anchor must be a live token at this point of the
+        chain. The signature check itself (``identity.verify``, or the anchor
+        key) is not part of it: it runs in ``submit`` only, because
+        re-verifying every stored signature would cost about 115 us per tx
+        on replay.
 
         The payload is a JSON object holding exactly its ``op`` and that
         op's keys (``_CONTRACT_KEYS``), each of its JSON type, none with a
         default: ``create_nft`` holds ``token_id``, ``token_name``,
-        ``device_id``, ``public_key``, ``owner_id``, ``challenge_index`` and
-        ``issue_time``; ``set_flag`` holds ``token_id``, ``flag``, boolean
-        ``value`` and ``sim_time``, and may add string ``delegate_id`` or
-        ``new_owner``; ``record_event`` holds string ``workflow_id`` and
-        ``kind``, integer ``sim_time`` and a ``payload`` of any JSON value.
+        ``device_id``, ``public_key``, ``owner_id``, a non-negative
+        ``challenge_index`` and ``issue_time``; ``set_flag`` holds
+        ``token_id``, ``flag``, boolean ``value`` and integer ``sim_time``,
+        and a ``delegated`` flag set true may add a string ``delegate_id``, a
+        ``transferred`` one a string ``new_owner``; ``record_event`` holds
+        string ``workflow_id`` and ``kind``, integer ``sim_time`` and a
+        ``payload`` of any JSON value.
         """
+        # Ed25519 signing is deterministic, so a signature folded in before is
+        # that tx again, re-timed, respelt or copied into a re-hashed block.
+        if tx.signature in self.signatures:
+            raise DuplicateTransactionError(
+                f"signature of tx {tx.tx_id[:12]} appears twice in the chain")
         if tx.signer != ANCHOR_TOKEN_ID:
             signer = self.tokens.get(tx.signer)
             if signer is None or signer.constraints.revoked:
@@ -351,8 +360,12 @@ class RegistryState:
                 if flag not in FLAGS:
                     raise ValueError(f"unknown flag {flag!r}")
                 value = jr.of(bool, payload["value"])
-                delegate_id, new_owner = (jr.of(str, payload[k]) if k in payload else None
-                                          for k in ("delegate_id", "new_owner"))
+                jr.of(int, payload["sim_time"])
+                read = _SUBJECT_KEYS.get(flag) if value else None
+                for k in _SUBJECT_KEYS.values():
+                    if k in payload and k != read:
+                        raise ValueError(f"set_flag of {flag}={value} does not read {k}")
+                subject = jr.of(str, payload[read]) if read in payload else None
             else:
                 event = {"workflow_id": jr.of(str, payload["workflow_id"]),
                          "kind": jr.of(str, payload["kind"]),
@@ -387,13 +400,14 @@ class RegistryState:
                 raise ValidationError(f"token {token_id[:12]} is revoked")
             changes = {"constraints": replace(token.constraints,
                                               **{flag: value})}
-            if flag == "delegated" and delegate_id:
-                self.delegates[token_id] = delegate_id
-            if flag == "transferred" and new_owner:
-                changes["owner_id"] = new_owner
+            if subject and flag == "delegated":
+                self.delegates[token_id] = subject
+            elif subject:
+                changes["owner_id"] = subject
             self.tokens[token_id] = replace(token, **changes)
         else:
             self.event_log.append(event)
+        self.signatures.add(tx.signature)
 
     def apply(self, tx: Transaction) -> None:
         """Replay one committed tx through ``admit``; a tx the contract
@@ -401,7 +415,8 @@ class RegistryState:
         state changes."""
         try:
             self.admit(tx)
-        except (ValidationError, AuthorizationError, EnrollmentRejected) as exc:
+        except (DuplicateTransactionError, ValidationError, AuthorizationError,
+                EnrollmentRejected) as exc:
             raise IntegrityViolationError(
                 f"tx {tx.tx_id[:12]} in chain breaks the contract: {exc}"
             ) from exc
@@ -453,7 +468,6 @@ class LedgerSim:
         self.chain: list[Block] = []
         self.state = RegistryState()
         self._committed: dict[str, CommitReceipt] = {}
-        self._signatures: set[bytes] = set()
 
     # -- queries ----------------------------------------------------------
 
@@ -480,14 +494,9 @@ class LedgerSim:
         else:
             env = SignedEnvelope(tx.message, tx.signature, tx.signer, tx.sim_time_submitted)
             signed = verify(env, self.state) is VerifyStatus.ACCEPT
+        # Before the contract's duplicate rule, so a moved signature is forged.
         if not signed:
             raise RejectedTransactionError(f"signature rejected for tx {tx.tx_id[:12]}")
-        # Ed25519 signing is deterministic, so a valid signature that has
-        # committed is that tx again, whatever its unsigned fields say or
-        # however its payload is spelt. Checked after the signature, so a
-        # signature moved onto another payload is rejected as forged.
-        if tx.signature in self._signatures:
-            raise DuplicateTransactionError(f"tx {tx.tx_id[:12]} already seen")
         self.state.admit(tx)
         now = self.clock.advance(BLOCK_INTERVAL_MS)
         prev = self.chain[-1].block_hash if self.chain else GENESIS_PREV_HASH
@@ -500,7 +509,6 @@ class LedgerSim:
             sim_time_committed=now,
         )
         receipt = self._committed[tx.tx_id] = _receipt(tx, block)
-        self._signatures.add(tx.signature)
         self.chain.append(block)
         return receipt
 
@@ -527,9 +535,7 @@ class LedgerSim:
             "challenge_index": challenge_index,
             "issue_time": now,
         }
-        message = _message(payload)
-        env = sign_as_anchor(message, anchor, sim_time=now)
-        self.submit(Transaction.from_message(message, env.token_id, env.signature, now))
+        self._call(payload, anchor, now)
         return self.state.tokens[payload["token_id"]]
 
     def set_flag(
@@ -553,9 +559,7 @@ class LedgerSim:
             payload["delegate_id"] = delegate_id
         if new_owner is not None:
             payload["new_owner"] = new_owner
-        message = _message(payload)
-        env = sign(message, actor_key, sim_time=now)
-        self.submit(Transaction.from_message(message, env.token_id, env.signature, now))
+        self._call(payload, actor_key, now)
         return self.state.tokens[token_id]
 
     def record_event(
@@ -565,8 +569,6 @@ class LedgerSim:
         payload: dict,
         signer: SigningKey,
     ) -> CommitReceipt:
-        """Commit an event. The tx and the event log hold a payload decoded
-        from the signed bytes, so a later edit to ``payload`` changes neither."""
         now = self.clock.now()
         body = {
             "op": OP_RECORD_EVENT,
@@ -575,9 +577,18 @@ class LedgerSim:
             "payload": payload,
             "sim_time": now,
         }
-        message = _message(body)
-        env = sign(message, signer, sim_time=now)
-        return self.submit(Transaction.from_message(message, env.token_id, env.signature, now))
+        return self._call(body, signer, now)
+
+    def _call(self, payload: dict, key: Union[SigningKey, AnchorKeys],
+              now: int) -> CommitReceipt:
+        """Sign ``payload`` with ``key`` (the anchor's, for a create_nft) and submit
+        it, decoded from the signed bytes: no later edit to the dict commits."""
+        message = _message(payload)
+        # Names read at each call, so a wrapper patched onto them sees it.
+        signing = sign_as_anchor if payload["op"] == OP_CREATE_NFT else sign
+        env = signing(message, key, sim_time=now)
+        return self.submit(Transaction._sealed(json.loads(message), message, env.token_id,
+                                               env.signature, now))
 
     # -- replay and persistence ---------------------------------------------
 
@@ -610,15 +621,13 @@ class LedgerSim:
         self._committed = {
             tx.tx_id: _receipt(tx, block) for block in self.chain for tx in block.tx_list
         }
-        self._signatures = {tx.signature for block in self.chain for tx in block.tx_list}
 
 
 def replay_chain(chain: Iterable[Block]) -> RegistryState:
-    """Verify hash links, reject a signature seen twice, and fold the chain
-    into a fresh state."""
+    """Verify hash links and fold the chain into a fresh state through the
+    contract, which also refuses a signature seen twice."""
     state = RegistryState()
     prev = GENESIS_PREV_HASH
-    seen: set[bytes] = set()
     for i, block in enumerate(chain):
         if block.height != i:
             raise IntegrityViolationError(f"block height gap at {i}")
@@ -629,13 +638,6 @@ def replay_chain(chain: Iterable[Block]) -> RegistryState:
         if block.block_hash != expected:
             raise IntegrityViolationError(f"block hash mismatch at height {i}")
         for tx in block.tx_list:
-            # Block hashes are unkeyed, so a re-hashed copy of a committed
-            # block, re-timed or its payload spelt another way, would
-            # otherwise replay its transactions twice.
-            if tx.signature in seen:
-                raise IntegrityViolationError(
-                    f"signature of tx {tx.tx_id[:12]} appears twice in the chain")
-            seen.add(tx.signature)
             state.apply(tx)
         prev = block.block_hash
     return state
@@ -705,10 +707,8 @@ def _block_from_line(line: str) -> Block:
             name = "signature"
             i = _past(line, i, _SIGNATURE)
             end = line.index('"', i)
-            signature = bytes.fromhex(line[i:end])
-            # fromhex also reads upper case and spaces, which no hash covers.
-            if signature.hex() != line[i:end]:
-                raise ValueError("signature must be lower-case hex")
+            # Lower-case only: another spelling would be covered by no hash.
+            signature = jr.hexbytes(line[i:end])
             name = "sim_time_submitted"
             submitted, i = _scan(line, _past(line, end, _SUBMITTED))
             jr.of(int, submitted)

@@ -30,6 +30,7 @@ from plexisim.ledger import (
     RegistryState,
     Transaction,
     _CONTRACT_KEYS,
+    _SUBJECT_KEYS,
     canonical_json,
     compute_block_hash,
     read_chain,
@@ -155,6 +156,19 @@ class TestSubmit:
             ledger.submit(copy)
         assert len(ledger.state.event_log) == 1
 
+    def test_admit_refuses_a_signature_it_has_folded_in(self, anchor, ledger):
+        # The duplicate rule is the contract's own: a bare state refuses the
+        # second fold of one event, with no ledger around it.
+        create, key = create_tx(ledger, anchor, identity.make_device("d", seed=19), "alice")
+        state = RegistryState()
+        state.admit(create)
+        event = record_tx(ledger, key)
+        state.admit(event)
+        before = state.canonical()
+        with pytest.raises(DuplicateTransactionError, match="appears twice"):
+            state.admit(event)
+        assert state.canonical() == before
+
     def test_tx_id_is_the_hash_of_message_and_signature(self, tmp_path, ledger, enrolled):
         _, key, _ = enrolled
         tx = record_tx(ledger, key)
@@ -246,6 +260,28 @@ class TestSubmit:
         payload = ledger.chain[-1].tx_list[0].payload
         assert payload["op"] == op
         assert payload.keys() == _CONTRACT_KEYS[op][0] | set(passed)
+
+    @pytest.mark.parametrize("flag, value, extra", [
+        ("transferred", False, {"new_owner": "mallory"}),
+        ("delegated", False, {"delegate_id": "bob"}),
+        ("revoked", True, {"delegate_id": "eve"}),
+        ("delegated", False, {"sim_time": "later"}),
+    ], ids=["new_owner on transferred false", "delegate_id on delegated false",
+            "delegate_id on revoked", "sim_time not an integer"])
+    def test_set_flag_takes_only_the_keys_it_reads(self, anchor, ledger, enrolled, flag, value,
+                                                   extra):
+        # Each would commit an owner or a delegate that no set flag names,
+        # or a time that is not one.
+        _, _, token_id = enrolled
+        owner_key, _ = identity.enroll(identity.make_device("alice-ctl", seed=2), "alice",
+                                       anchor, ledger)
+        tx = flag_tx(ledger, token_id, flag, owner_key, value=value, **extra)
+        height, before = ledger.height, ledger.state.canonical()
+        with pytest.raises(ValidationError):
+            ledger.submit(tx)
+        assert (ledger.height, ledger.state.canonical()) == (height, before)
+        with pytest.raises(IntegrityViolationError):
+            replay_chain(appended(ledger.chain, tx))
 
     def test_bad_envelope_never_commits(self, ledger, enrolled):
         _, key, _ = enrolled
@@ -410,6 +446,8 @@ MALFORMED_CREATES = {
     "issue_time string": lambda p: dict(p, issue_time="12"),
     "challenge_index string": lambda p: dict(p, challenge_index="3"),
     "challenge_index fractional": lambda p: dict(p, challenge_index=2.9),
+    # Live verification could derive no challenge from it.
+    "challenge_index negative": lambda p: dict(p, challenge_index=-1),
     "device_id upper case": lambda p: dict(p, device_id=p["device_id"].upper()),
     "public_key upper case": lambda p: dict(p, public_key=p["public_key"].upper()),
     "device_id with spaces": lambda p: dict(p, device_id=p["device_id"][:2] + " "
@@ -862,7 +900,8 @@ def contract_tx(ledger, keys, sent, op, args):
     if op == "event":
         return record_tx(ledger, keys[args[0] % len(keys)], payload=args[1]), None
     signer, target, flag, value, other = args
-    extra = {"delegate_id": other} if flag == "delegated" else {"new_owner": other}
+    # A flag set true reads its own subject key; no other set_flag carries one.
+    extra = {_SUBJECT_KEYS[flag]: other} if value and flag in _SUBJECT_KEYS else {}
     return flag_tx(ledger, keys[target % len(keys)].token_id, flag,
                    keys[signer % len(keys)], value=value, **extra), None
 
@@ -1169,9 +1208,9 @@ def appended(chain, tx):
     return [*chain, Block(height, prev, (tx,), compute_block_hash(height, prev, (tx,), 0), 0)]
 
 
-# Calls whose payload breaks the contract whoever signs it.
+# Calls the contract refuses whoever signs them.
 REFUSED_OPS = ("device create", "malformed create", "event lacking", "event extra key",
-               "event retyped", "flag lacking")
+               "event retyped", "flag lacking", "flag extra key", "repeat")
 DIFF_OPS = st.one_of(
     st.tuples(st.just("create"), st.integers(0, 7), st.sampled_from(OWNERS)),
     st.tuples(st.just("device create"), st.integers(0, 7), st.integers(0, 9)),
@@ -1195,15 +1234,26 @@ DIFF_OPS = st.one_of(
     st.tuples(st.just("flag lacking"), st.integers(0, 9), st.integers(0, 9),
               st.sampled_from(("revoked", "delegated", "transferred")),
               st.sets(st.sampled_from(("value", "sim_time")), min_size=1)),
+    # A subject key that its flag and value do not read.
+    st.tuples(st.just("flag extra key"), st.integers(0, 9), st.integers(0, 9),
+              st.sampled_from(("revoked", "delegated", "transferred")), st.booleans(),
+              st.sampled_from(sorted(_SUBJECT_KEYS.values()))).filter(
+        lambda t: not (t[4] and _SUBJECT_KEYS.get(t[3]) == t[5])),
+    # A committed tx submitted again, exactly or re-timed.
+    st.tuples(st.just("repeat"), st.integers(0, 30), st.booleans()),
     st.tuples(st.just("advance"), st.sampled_from((1, BLOCK_INTERVAL_MS))),
 )
 
 
 def signed_call(ledger, keys, op, args):
     """The tx for one drawn call, signed by the drawn key (whose token may
-    be revoked), and the key it mints."""
-    if op in ("create", "malformed create"):
+    be revoked) or, for a repeat, a committed tx again, and the key it mints."""
+    if op in ("create", "malformed create", "event", "flag"):
         return contract_tx(ledger, keys, [], op, args)
+    if op == "repeat":
+        sent = [tx for block in ledger.chain for tx in block.tx_list]
+        tx = sent[args[0] % len(sent)]
+        return (retimed(tx, ledger.clock.now()) if args[1] else tx), None
     key = keys[args[0] % len(keys)]
     if op == "device create":
         create, _ = create_tx(ledger, ANCHOR, identity.make_device(f"dev-{args[1]}",
@@ -1220,13 +1270,10 @@ def signed_call(ledger, keys, op, args):
         target, flag, dropped = args[1:]
         tx = flag_tx(ledger, keys[target % len(keys)].token_id, flag, key)
         payload = {k: v for k, v in tx.payload.items() if k not in dropped}
-    elif op == "event":
-        return record_tx(ledger, key, payload=args[1]), None
     else:
-        target, flag, value, other = args[1:]
-        extra = {"delegate_id": other} if flag == "delegated" else {"new_owner": other}
+        target, flag, value, name = args[1:]
         return flag_tx(ledger, keys[target % len(keys)].token_id, flag, key, value=value,
-                       **extra), None
+                       **{name: "bob"}), None
     now = ledger.clock.now()
     return as_tx(payload, identity.sign(canonical_json(payload).encode(), key, now), now), None
 
@@ -1248,6 +1295,10 @@ def signed_call(ledger, keys, op, args):
 # An event whose fields have the wrong JSON types.
 @example(devices=1, ops=[("event retyped", 0,
                           {"workflow_id": ["x"], "kind": 5, "sim_time": "later"})])
+# An owner-signed transfer set false that names a new owner.
+@example(devices=1, ops=[("flag extra key", 0, 0, "transferred", False, "new_owner")])
+# The enrollment tx submitted again, re-timed.
+@example(devices=1, ops=[("repeat", 0, True)])
 def test_replay_refuses_exactly_what_submit_refuses(devices, ops):
     """``submit`` and replay apply one contract. With valid signatures, a
     tx that ``submit`` refuses, appended to the chain as a re-hashed block,
