@@ -333,8 +333,9 @@ class RegistryState:
         ``device_id``, ``public_key``, ``owner_id``, a non-negative
         ``challenge_index`` and ``issue_time``; ``set_flag`` holds
         ``token_id``, ``flag``, boolean ``value`` and integer ``sim_time``,
-        and a ``delegated`` flag set true may add a string ``delegate_id``, a
-        ``transferred`` one a string ``new_owner``; ``record_event`` holds
+        and a ``delegated`` flag set true may add a non-empty string
+        ``delegate_id``, a ``transferred`` one a non-empty string
+        ``new_owner``; ``record_event`` holds
         string ``workflow_id`` and ``kind``, integer ``sim_time`` and a
         ``payload`` of any JSON value.
         """
@@ -366,6 +367,8 @@ class RegistryState:
                     if k in payload and k != read:
                         raise ValueError(f"set_flag of {flag}={value} does not read {k}")
                 subject = jr.of(str, payload[read]) if read in payload else None
+                if subject == "":
+                    raise ValueError(f"{read} is empty")
             else:
                 event = {"workflow_id": jr.of(str, payload["workflow_id"]),
                          "kind": jr.of(str, payload["kind"]),
@@ -616,10 +619,13 @@ class LedgerSim:
             )
 
     def load_chain(self, path) -> None:
-        self.chain = read_chain(path)
-        self.state = replay_chain(self.chain)
+        """Replace the chain with the file's; a file that fails to read or
+        replay leaves the ledger as it was."""
+        chain = read_chain(path)
+        state = replay_chain(chain)
+        self.chain, self.state = chain, state
         self._committed = {
-            tx.tx_id: _receipt(tx, block) for block in self.chain for tx in block.tx_list
+            tx.tx_id: _receipt(tx, block) for block in chain for tx in block.tx_list
         }
 
 

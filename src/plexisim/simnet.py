@@ -52,8 +52,9 @@ LINK_BYTES_PER_MS = 1024.0
 TRIM_S = 5.0
 # The most transactions uniform_load builds for one run, 55 times the largest
 # sweep point of the paper (300 tps for 60 s). A run's columns and run_sim's
-# lists and commit dict peak near 250 bytes per transaction (tracemalloc,
-# CPython 3.11), so one run stays near 250 MB.
+# lists and commit dict peak near 210 bytes per transaction when every tx
+# commits, 170 when most fail (tracemalloc, CPython 3.11), so one run stays
+# near 210 MB.
 MAX_SIM_TXS = 1_000_000
 
 
@@ -293,10 +294,9 @@ def run_sim(
 
     send_time = scenario.send_ms
     link_ms = map(links.__getitem__, scenario.edge_ids)
-    arrive = list(map(add, map(add, send_time, link_ms), repeat(wire_ms)))
-    # Two stable sorts give (arrival, send, index) order without a tuple per tx.
-    by_arrival = sorted(range(len(send_time)), key=send_time.__getitem__)
-    by_arrival.sort(key=arrive.__getitem__)
+    arrive = map(add, map(add, send_time, link_ms), repeat(wire_ms))
+    # Triples compare item by item, so one sort gives (arrival, send, index) order.
+    by_arrival = sorted(zip(arrive, send_time, range(len(send_time))))
 
     # The last admitted tx releases the server at free_t; it began service at
     # free_s. A release (r, b) is handled before an arrival (a, s) iff
@@ -311,8 +311,7 @@ def run_sim(
     ordered: list = []              # time each admitted tx enters ordering, in service order
     served: list = []               # index of each admitted tx, in service order
     failed = 0
-    for tx, a, s in zip(by_arrival, map(arrive.__getitem__, by_arrival),
-                        map(send_time.__getitem__, by_arrival)):
+    for a, s, tx in by_arrival:
         if free_t < a or (free_t == a and free_s < s):
             start = a               # the server is free on arrival
         elif len(waiting) == depth and waiting[0] >= (a, s):
@@ -326,6 +325,7 @@ def run_sim(
         free_t, free_s = end, start
         ordered.append(end + ENDORSE_ROUND_MS)
         served.append(tx)
+    del by_arrival                  # freed before the commit lists and dict are built
 
     # ``ordered`` never decreases, so a block is its first tx and every later
     # one ordered before the deadline, up to BLOCK_MAX_TXS; a full block is

@@ -266,12 +266,16 @@ class TestSubmit:
         ("delegated", False, {"delegate_id": "bob"}),
         ("revoked", True, {"delegate_id": "eve"}),
         ("delegated", False, {"sim_time": "later"}),
+        ("transferred", True, {"new_owner": ""}),
+        ("delegated", True, {"delegate_id": ""}),
     ], ids=["new_owner on transferred false", "delegate_id on delegated false",
-            "delegate_id on revoked", "sim_time not an integer"])
+            "delegate_id on revoked", "sim_time not an integer", "empty new_owner",
+            "empty delegate_id"])
     def test_set_flag_takes_only_the_keys_it_reads(self, anchor, ledger, enrolled, flag, value,
                                                    extra):
         # Each would commit an owner or a delegate that no set flag names,
-        # or a time that is not one.
+        # a time that is not one, or a set flag whose signed subject is
+        # dropped.
         _, _, token_id = enrolled
         owner_key, _ = identity.enroll(identity.make_device("alice-ctl", seed=2), "alice",
                                        anchor, ledger)
@@ -783,6 +787,19 @@ class TestPersistence:
         reloaded.load_chain(path)
         assert reloaded.receipt_for(tx.tx_id) == live
 
+    def test_load_chain_refused_keeps_the_old_chain(self, tmp_path, ledger, enrolled):
+        # The second block repeats the first at height 1: it reads, and
+        # replay refuses it.
+        path = tmp_path / "chain.jsonl"
+        ledger.save_chain(path)
+        first = path.read_bytes().splitlines(keepends=True)[0]
+        path.write_bytes(first + first.replace(b'{"height":0,', b'{"height":1,', 1))
+        height, before = ledger.height, ledger.state.canonical()
+        with pytest.raises(IntegrityViolationError):
+            ledger.load_chain(path)
+        assert (ledger.height, ledger.state.canonical()) == (height, before)
+        assert ledger.replay() == ledger.state
+
 
 # ---------------------------------------------------------------------------
 # Properties
@@ -1210,7 +1227,8 @@ def appended(chain, tx):
 
 # Calls the contract refuses whoever signs them.
 REFUSED_OPS = ("device create", "malformed create", "event lacking", "event extra key",
-               "event retyped", "flag lacking", "flag extra key", "repeat")
+               "event retyped", "flag lacking", "flag extra key", "flag empty subject",
+               "repeat")
 DIFF_OPS = st.one_of(
     st.tuples(st.just("create"), st.integers(0, 7), st.sampled_from(OWNERS)),
     st.tuples(st.just("device create"), st.integers(0, 7), st.integers(0, 9)),
@@ -1239,6 +1257,9 @@ DIFF_OPS = st.one_of(
               st.sampled_from(("revoked", "delegated", "transferred")), st.booleans(),
               st.sampled_from(sorted(_SUBJECT_KEYS.values()))).filter(
         lambda t: not (t[4] and _SUBJECT_KEYS.get(t[3]) == t[5])),
+    # A flag set true whose subject key is the empty string.
+    st.tuples(st.just("flag empty subject"), st.integers(0, 9), st.integers(0, 9),
+              st.sampled_from(sorted(_SUBJECT_KEYS))),
     # A committed tx submitted again, exactly or re-timed.
     st.tuples(st.just("repeat"), st.integers(0, 30), st.booleans()),
     st.tuples(st.just("advance"), st.sampled_from((1, BLOCK_INTERVAL_MS))),
@@ -1270,6 +1291,10 @@ def signed_call(ledger, keys, op, args):
         target, flag, dropped = args[1:]
         tx = flag_tx(ledger, keys[target % len(keys)].token_id, flag, key)
         payload = {k: v for k, v in tx.payload.items() if k not in dropped}
+    elif op == "flag empty subject":
+        target, flag = args[1:]
+        return flag_tx(ledger, keys[target % len(keys)].token_id, flag, key,
+                       **{_SUBJECT_KEYS[flag]: ""}), None
     else:
         target, flag, value, name = args[1:]
         return flag_tx(ledger, keys[target % len(keys)].token_id, flag, key, value=value,
@@ -1297,6 +1322,8 @@ def signed_call(ledger, keys, op, args):
                           {"workflow_id": ["x"], "kind": 5, "sim_time": "later"})])
 # An owner-signed transfer set false that names a new owner.
 @example(devices=1, ops=[("flag extra key", 0, 0, "transferred", False, "new_owner")])
+# An owner-signed transfer whose new owner is the empty string.
+@example(devices=1, ops=[("flag empty subject", 0, 0, "transferred")])
 # The enrollment tx submitted again, re-timed.
 @example(devices=1, ops=[("repeat", 0, True)])
 def test_replay_refuses_exactly_what_submit_refuses(devices, ops):

@@ -364,6 +364,10 @@ class TestMatchesEventEngine:
     # 1191 ms, the window's upper edge.
     @example(case=([6], [125], 1792, 1.0,
                    [(50 * i, 0) for i in range(9)] + [(500, 0)], 5, (0, 1191)))
+    # tx1 (sent at 4 ms) and tx2 (sent at 0 ms) both arrive at 6.25 ms while
+    # tx0 is in service: the earlier send goes first, so tx2 takes the 1-deep
+    # buffer and tx1 fails, though tx1 has the lower index.
+    @example(case=([6, 2], [125], 0, 1.0, [(0, 1), (4, 1), (0, 0)], 1, None))
     def test_tie_heavy(self, case):
         links, fog_rates, overhead, factor, sends, depth, window = case
         topo = edge_topology(links, fog_rates)
