@@ -335,9 +335,8 @@ class RegistryState:
         ``token_id``, ``flag``, boolean ``value`` and integer ``sim_time``,
         and a ``delegated`` flag set true may add a non-empty string
         ``delegate_id``, a ``transferred`` one a non-empty string
-        ``new_owner``; ``record_event`` holds
-        string ``workflow_id`` and ``kind``, integer ``sim_time`` and a
-        ``payload`` of any JSON value.
+        ``new_owner``; ``record_event`` holds string ``workflow_id`` and
+        ``kind``, integer ``sim_time`` and a ``payload`` of any JSON value.
         """
         # Ed25519 signing is deterministic, so a signature folded in before is
         # that tx again, re-timed, respelt or copied into a re-hashed block.
