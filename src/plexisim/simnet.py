@@ -51,10 +51,12 @@ LINK_BYTES_PER_MS = 1024.0
 # its steady-state measurement window.
 TRIM_S = 5.0
 # The most transactions uniform_load builds for one run, 55 times the largest
-# sweep point of the paper (300 tps for 60 s). A run's columns and run_sim's
-# lists and commit dict peak near 210 bytes per transaction when every tx
-# commits, 170 when most fail (tracemalloc, CPython 3.11), so one run stays
-# near 210 MB.
+# sweep point of the paper (300 tps for 60 s). A run peaks at the end of its
+# pass, while the load's columns, the sorted arrival triples and the pass's
+# service-order lists are all alive: near 210 bytes per transaction when every
+# tx commits, 170 when most fail (tracemalloc, CPython 3.11), so one run stays
+# near 210 MB. run_benchmark builds no commit dict, and run_sim builds its
+# dict after the triples are freed, below that peak.
 MAX_SIM_TXS = 1_000_000
 
 
@@ -95,6 +97,10 @@ class Topology:
         return [n for n in self.nodes if n.tier is Tier.FOG]
 
     def validate(self) -> None:
+        ids = [n.node_id for n in self.nodes]
+        if len(set(ids)) != len(ids):
+            repeated = next(i for i in ids if ids.count(i) > 1)
+            raise ConfigurationError(f"topology repeats node_id {repeated!r}")
         if not self.fogs():
             raise ConfigurationError("topology needs at least one orderer-hosting fog node")
         if not self.edges():
@@ -228,6 +234,8 @@ class LoadScenario:
         if len(self.send_ms) != len(self.edge_ids):
             raise ValidationError(f"{len(self.send_ms)} send times for "
                                   f"{len(self.edge_ids)} edge ids")
+        if not all(map(math.isfinite, self.send_ms)):
+            raise ValidationError("send times must be finite")
 
     @property
     def submissions(self) -> tuple:
@@ -269,7 +277,20 @@ def run_sim(
     """Run the load through the pipeline; returns (commit_ms, Metrics).
 
     ``commit_ms`` maps each committed transaction's index in the scenario's
-    columns to its commit time. Failed transactions are absent from it.
+    columns to its commit time. Failed transactions are absent from it. The
+    send rate is the load's transaction count over its last send time.
+    """
+    served, commit, failed = _simulate(topology, scenario)
+    duration_ms = scenario.duration_ms
+    rate = len(scenario.send_ms) / (duration_ms / 1000.0) if duration_ms > 0 else 0.0
+    metrics = _measure(scenario, served, commit, failed, rate, n_devices, measure_window)
+    return dict(zip(served, commit)), metrics
+
+
+def _simulate(topology: Topology, scenario: LoadScenario) -> tuple:
+    """The pipeline model; returns (served, commit, failed): the index and
+    commit time of each committed transaction, in service order, and the
+    count of failed ones.
 
     One pass, no event queue. Arrivals are taken in (arrival time, send
     time, index) order. Each is admitted or failed against the buffer of
@@ -325,7 +346,7 @@ def run_sim(
         free_t, free_s = end, start
         ordered.append(end + ENDORSE_ROUND_MS)
         served.append(tx)
-    del by_arrival                  # freed before the commit lists and dict are built
+    del by_arrival                  # freed before the commit list is built
 
     # ``ordered`` never decreases, so a block is its first tx and every later
     # one ordered before the deadline, up to BLOCK_MAX_TXS; a full block is
@@ -342,9 +363,7 @@ def run_sim(
             cut = deadline
         commit += [cut + COMMIT_DELAY_MS] * (last - first)
         first = last
-
-    metrics = _measure(scenario, served, commit, failed, n_devices, measure_window)
-    return dict(zip(served, commit)), metrics
+    return served, commit, failed
 
 
 def _measure(
@@ -352,15 +371,16 @@ def _measure(
     served: list,
     commit: list,
     failed_count: int,
+    send_rate_tps: float,
     n_devices: int,
     window: Optional[tuple],
 ) -> Metrics:
     """Metrics of a run whose tx ``served[k]`` committed at ``commit[k]``; the
     lists are in service order, so ``commit`` never decreases."""
     send_time = scenario.send_ms
-    duration_ms = scenario.duration_ms
     if window is None:
         # Full-run measurement: count until the last commit lands.
+        duration_ms = scenario.duration_ms
         end = max(duration_ms, commit[-1]) if commit else duration_ms
         window = (0.0, end if end > 0 else 1.0)
     w0, w1 = window
@@ -370,7 +390,6 @@ def _measure(
     commits_in_window = bisect_right(commit, w1) - bisect_left(commit, w0)
     span_s = (w1 - w0) / 1000.0
     achieved = commits_in_window / span_s if span_s > 0 else 0.0
-    rate = len(send_time) / (duration_ms / 1000.0) if duration_ms > 0 else 0.0
 
     latencies.sort()
     if latencies:
@@ -380,7 +399,7 @@ def _measure(
         mean = p95 = 0.0
 
     return Metrics(
-        send_rate_tps=rate,
+        send_rate_tps=send_rate_tps,
         achieved_throughput_tps=achieved,
         latency_ms_mean=mean,
         latency_ms_p95=p95,
@@ -419,9 +438,8 @@ def run_benchmark(
         if bisect_right(scenario.send_ms, w1) == bisect_left(scenario.send_ms, w0):
             raise ValidationError(f"at {rate:g} tps no transaction is sent inside the "
                                   f"measured window ({TRIM_S:g} s to {duration_s - TRIM_S:g} s)")
-        _, metrics = run_sim(topology, scenario, n_devices=n_devices, measure_window=window)
-        metrics.send_rate_tps = rate
-        results.append(metrics)
+        served, commit, failed = _simulate(topology, scenario)
+        results.append(_measure(scenario, served, commit, failed, rate, n_devices, window))
     return results
 
 

@@ -535,6 +535,10 @@ def _topology_node_unknown_key(tmp_path):
     return _topology_with_edge(tmp_path, zone="north")
 
 
+def _topology_duplicate_node_id(tmp_path):
+    return _topology_with_edge(tmp_path, node_id="f0")
+
+
 def _credential_model_key_misspelt(tmp_path):
     return _bench_config(tmp_path, {"credential_models": {"nft": {"verify_cost_factr": 2.0}}})
 
@@ -691,7 +695,8 @@ def _out_is_a_file(tmp_path):
     _rate_nan, _rate_inf, _rate_zero, _rate_negative, _duration_nan, _duration_inf,
     _topology_negative_link, _enroll_negative_count, _registry_is_a_directory, _out_is_a_file,
     _topology_node_id_int, _topology_rate_string, _topology_link_bool,
-    _topology_node_unknown_key, _credential_model_key_misspelt, _credential_model_unknown_mode,
+    _topology_node_unknown_key, _topology_duplicate_node_id, _credential_model_key_misspelt,
+    _credential_model_unknown_mode,
     _credential_model_mode_inside, _credential_model_bytes_fractional,
     _bench_config_unknown_key, _duration_leaves_no_window, _scenario_resource_ids_string,
     _scenario_bids_object, _scenario_unknown_key, _attack_config_unknown_key,

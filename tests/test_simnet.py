@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import math
@@ -186,6 +187,16 @@ class TestTopology:
         with pytest.raises(ValidationError):
             NodeSpec("x", Tier.FOG, 0, 1)
 
+    def test_repeated_node_id_rejected(self):
+        # One links dict keyed by node_id would give the edge the fog's 50 ms
+        # link, so its first commit would land at 1230.96 ms, not 1185.96.
+        topo = Topology(nodes=(NodeSpec("n1", Tier.EDGE, 50.0, 5.0),
+                               NodeSpec("n1", Tier.FOG, 175.0, 50.0)))
+        with pytest.raises(ConfigurationError, match="n1"):
+            topo.validate()
+        with pytest.raises(ConfigurationError):
+            run_sim(topo, load(NFT, [(0.0, "n1")]))
+
     def test_from_json_config(self):
         raw = {"nodes": [
             {"node_id": "e0", "tier": "edge", "service_rate_tps": 40, "link_delay_ms": 20},
@@ -255,6 +266,11 @@ class TestUniformLoad:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValidationError):
             LoadScenario(NFT, (0.0, 1.0), ("edge-0",))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_send_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            LoadScenario(NFT, (0.0, bad, 5.0), ("edge-0",) * 3)
 
 
 class TestRunSim:
@@ -446,8 +462,9 @@ class TestMeasure:
         # run_sim passes its commits in service order, where commit times never decrease.
         served = sorted(commit_time, key=commit_time.__getitem__)
         commit = [commit_time[tx] for tx in served]
-        assert _measure(scenario, served, commit, len(failed), 10, window) == \
-            reference_measure(scenario, send_time, commit_time, failed, 10, window)
+        want = reference_measure(scenario, send_time, commit_time, failed, 10, window)
+        assert _measure(scenario, served, commit, len(failed), want.send_rate_tps, 10,
+                        window) == want
 
 
 class TestBenchmark:
@@ -492,4 +509,21 @@ class TestBenchmark:
     def test_storage_reported(self):
         (m,) = run_benchmark([20], CERT, duration_s=20.0, n_devices=10)
         assert m.storage_bytes == memory_footprint(10, CERT)
+
+    @settings(max_examples=60, deadline=None)
+    # At 2 tps or more a send lands in every window of 500 ms or longer.
+    @given(rate=st.floats(2.0, 300.0),
+           duration_s=st.floats(10.5, 25.0),
+           model=st.sampled_from([NFT, CERT]),
+           name=st.sampled_from(sorted(REALISTIC_TOPOLOGIES)))
+    def test_matches_run_sim(self, rate, duration_s, model, name):
+        # run_benchmark measures the pass's columns directly; run_sim reports
+        # the same metrics except the send rate, which run_benchmark takes
+        # from the rate it ran.
+        topo = REALISTIC_TOPOLOGIES[name]
+        window = (TRIM_S * 1000.0, (duration_s - TRIM_S) * 1000.0)
+        (got,) = run_benchmark([rate], model, duration_s, topo)
+        _, want = run_sim(topo, uniform_load(rate, duration_s, topo, model),
+                          measure_window=window)
+        assert got == dataclasses.replace(want, send_rate_tps=rate)
 
