@@ -308,10 +308,8 @@ class RegistryState:
             key = self.device_index.get(key.hex())
         return self.tokens.get(key)
 
-    def challenge_index_for(self, device_id: Union[str, bytes]) -> int:
-        if isinstance(device_id, bytes):
-            device_id = device_id.hex()
-        return self.challenge_index.get(device_id, 0)
+    def challenge_index_for(self, device_id: bytes) -> int:
+        return self.challenge_index.get(device_id.hex(), 0)
 
     def admit(self, tx: Transaction) -> None:
         """Check ``tx`` against the registry contract, then fold it in.
@@ -324,8 +322,8 @@ class RegistryState:
         other than the anchor must be a live token at this point of the
         chain. The signature check itself (``identity.verify``, or the anchor
         key) is not part of it: it runs in ``submit`` only, because
-        re-verifying every stored signature would cost about 115 us per tx
-        on replay.
+        re-verifying a stored signature on replay would cost several times
+        the whole chain audit per tx.
 
         The payload is a JSON object holding exactly its ``op`` and that
         op's keys (``_CONTRACT_KEYS``), each of its JSON type, none with a
@@ -480,7 +478,7 @@ class LedgerSim:
     def query(self, key: Union[str, bytes]) -> Optional[NftToken]:
         return self.state.query(key)
 
-    def challenge_index_for(self, device_id: Union[str, bytes]) -> int:
+    def challenge_index_for(self, device_id: bytes) -> int:
         return self.state.challenge_index_for(device_id)
 
     def receipt_for(self, tx_id: str) -> Optional[CommitReceipt]:

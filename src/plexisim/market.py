@@ -67,8 +67,8 @@ class MarketResult:
 
 def clear_market(bids: Sequence[Bid], quantity_kw: float) -> Optional[MarketResult]:
     """Pick the cheapest whole-bid cover of ``quantity_kw``; None if unsat."""
-    if quantity_kw <= 0:
-        raise ValidationError("requested quantity must be positive")
+    if not 0 < quantity_kw < math.inf:
+        raise ValidationError("requested quantity must be positive and finite")
     pool = sorted(bids, key=lambda b: b.bid_id)
     if len({b.bid_id for b in pool}) != len(pool):
         raise ValidationError("duplicate bid ids")

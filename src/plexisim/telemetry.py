@@ -10,8 +10,7 @@ after signing. Each day's signed message opens with a header line,
 ``{"day":k,"days":n}``, that binds it to its place in the stream: a day
 replayed or moved to another place is flagged whole, and a stream shorter
 than it was signed, by whole days or by samples cut from its end, is
-refused. The check runs a day at a time, with one verify per envelope
-object.
+refused. The check runs a day at a time, with one verify per day.
 """
 
 from __future__ import annotations
@@ -354,21 +353,21 @@ def sign_stream(
     key: identity.SigningKey,
     sim_time: int = 0,
 ) -> list:
-    """Sign one signature per day of samples; return one envelope per sample.
+    """Sign each day of samples; return one envelope per day.
 
     Day k of n holds samples ``[48k, 48k + 48)``. Its message is the header
     line ``{"day":k,"days":n}`` followed by the day's
     ``canonical_sample_bytes``, joined by ``b"\\n"`` (canonical JSON holds no
-    raw newline). Every sample of the day carries the day's envelope. The
-    header binds the signed lines to their place: the same samples signed as
-    another day, or in a stream of another length, sign other bytes.
+    raw newline). The header binds the signed lines to their place: the
+    same samples signed as another day, or in a stream of another length,
+    sign other bytes.
     """
     days = -(-len(series) // SAMPLES_PER_DAY)
     envelopes = []
     for d in range(days):
         day = series[d * SAMPLES_PER_DAY:(d + 1) * SAMPLES_PER_DAY]
         message = b"\n".join([_DAY_HEADER % (d, days), *map(canonical_sample_bytes, day)])
-        envelopes.extend([identity.sign(message, key, sim_time)] * len(day))
+        envelopes.append(identity.sign(message, key, sim_time))
     return envelopes
 
 
@@ -401,44 +400,37 @@ def detect_tamper(
 ) -> list:
     """Sorted indices of samples that no accepted signature covers as stored.
 
-    ``identity.verify`` runs once per envelope object in the call (equal but
-    distinct objects each verify, with the same verdict), and index i, at
-    offset ``i % SAMPLES_PER_DAY`` of day ``i // SAMPLES_PER_DAY``, is flagged
-    when that verify is not ACCEPT (bad signature, unknown or revoked token),
-    when the envelope's header names another day or none, when the offset is
-    past the signed message's sample lines, or when the signed line at that
-    offset differs from the sample's current canonical bytes. So any
-    post-signing mutation of a signed field is flagged, and so is a sample
-    moved to another offset, whose timestamp differs from the one signed
-    there, and every sample of a day replayed or moved with its envelope. A
-    series shorter than it was signed is refused: a verified header whose
-    day count differs from the series', or whose last day signs more lines
-    than the series' last day holds, raises ``ValidationError``, as a dropped
-    day or samples cut from the end do.
+    ``envelopes[d]`` signs day d, samples ``[48d, 48d + 48)``; a list whose
+    length is not the series' day count raises ``ValidationError``. Each
+    envelope is verified once per call, and every sample of its day is
+    flagged when that verify is not ACCEPT (bad signature, unknown or
+    revoked token) or when the envelope's header names another day or none.
+    Otherwise a sample is flagged when its offset in the day is past the
+    signed message's sample lines, or when the signed line there differs
+    from the sample's current canonical bytes. So any post-signing mutation
+    of a signed field is flagged, and so is a sample moved to another
+    offset, whose timestamp differs from the one signed there, and every
+    sample of a day replayed or moved with its envelope. A series shorter
+    than it was signed is refused: a verified header whose day count
+    differs from the series', or whose last day signs more lines than the
+    series' last day holds, raises ``ValidationError``, as a dropped day or
+    samples cut from the end do.
 
-    The check runs a day at a time. Verify verdicts are never cached across
-    calls, so a revocation flags every index at the next call. The line of a
-    sample made only of immutable values is formatted once and kept on the
-    sample (see ``canonical_sample_bytes``), so a sample that ``sign_stream``
-    formatted is not formatted again here. Mutations made before signing are
-    invisible by construction.
+    Verify verdicts are never cached across calls, so a revocation flags
+    every index at the next call. A sample that ``sign_stream`` formatted
+    keeps its line (see ``canonical_sample_bytes``) and is not formatted
+    again here. Mutations made before signing are invisible by construction.
     """
-    if len(series) != len(envelopes):
-        raise ValidationError("series and envelope counts differ")
     days = -(-len(series) // SAMPLES_PER_DAY)
+    if len(envelopes) != days:
+        raise ValidationError(f"series holds {days} days of samples, but "
+                              f"{len(envelopes)} envelopes are given")
     last_day = len(series) - (days - 1) * SAMPLES_PER_DAY
-    # Keyed by id(), not by the envelope, whose frozen-dataclass hash is
-    # recomputed at every lookup. ``envelopes`` keeps each id's object alive.
-    signed_days = {}
     flagged = []
-    for d in range(days):
+    for d, env in enumerate(envelopes):
+        day, lines = _signed_day(env, registry, days, last_day)
         lo = d * SAMPLES_PER_DAY
-        hi = lo + SAMPLES_PER_DAY
-        for offset, (sample, env) in enumerate(zip(series[lo:hi], envelopes[lo:hi])):
-            signed = signed_days.get(id(env))
-            if signed is None:
-                signed = signed_days[id(env)] = _signed_day(env, registry, days, last_day)
-            day, lines = signed
+        for offset, sample in enumerate(series[lo:lo + SAMPLES_PER_DAY]):
             if (day != d or offset >= len(lines)
                     or lines[offset] != canonical_sample_bytes(sample)):
                 flagged.append(lo + offset)

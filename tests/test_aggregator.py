@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -70,6 +71,10 @@ class TestTypes:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValidationError):
             Window(0, 0)
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValidationError):
+            Window(-1, 1)
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -433,6 +438,82 @@ class TestBidAdmission:
         agg.create_flex_request(request(q=4.0))
         assert_rejected(stack, Bid("A", "pa", 4, 1, ("ess-1",)), AuthorizationError)
         assert_rejected(stack, Bid("B", "pb", 4, 1, ("ess-1", "dg-1")), AuthorizationError)
+
+
+def snapshot(stack):
+    """Ledger height, each workflow's state and history, and each request's
+    context, as copies."""
+    ledger, engine, agg = stack[2], stack[3], stack[4]
+    return (ledger.height,
+            {wid: (wf.state, list(wf.event_history)) for wid, wf in engine.workflows.items()},
+            {rid: dataclasses.replace(ctx, bids=list(ctx.bids))
+             for rid, ctx in agg.requests.items()})
+
+
+def assert_refused(stack, step, error):
+    """``step()`` raises ``error`` and changes no ledger, workflow or request."""
+    before = snapshot(stack)
+    with pytest.raises(error):
+        step()
+    assert snapshot(stack) == before
+
+
+class TestRefusedSteps:
+    def test_resource_registered_twice(self, stack):
+        agg = setup_market(stack)
+        resources, setpoints = dict(agg.resources), dict(agg.setpoints)
+        again = dataclasses.replace(islanding_resources()[0], capacity_kw=9.0)
+        assert_refused(stack, lambda: agg.register_resource(again), ValidationError)
+        assert (agg.resources, agg.setpoints) == (resources, setpoints)
+
+    def test_request_id_used_twice(self, stack):
+        agg = setup_market(stack)
+        agg.create_flex_request(request())
+        assert_refused(stack, lambda: agg.create_flex_request(request(q=2.0)), ValidationError)
+
+    def test_bid_citing_uncontrollable_resource(self, stack):
+        fixed = FlexResource("dg-2", ResourceKind.DG, False, 5.0,
+                          SetpointAction(ActionType.IDLE, 0.0), "pa")
+        agg = setup_market(stack, [*islanding_resources(), fixed])
+        agg.create_flex_request(request(q=4.0))
+        bid = Bid("A", "pa", 4, 1, ("dg-2",))
+        assert_refused(stack, lambda: agg.submit_bid(bid, "req-1"), ValidationError)
+
+    def test_build_instance_before_clear(self, stack):
+        agg = setup_market(stack)
+        agg.create_flex_request(request(q=4.0))
+        agg.submit_bid(Bid("A", "pa", 5, 1, ("dg-1",)), "req-1")
+        assert_refused(stack, lambda: agg.build_instance("req-1"), StateError)
+
+    def test_schedule_before_build_instance(self, stack):
+        agg = setup_market(stack)
+        req = request(q=4.0)
+        agg.create_flex_request(req)
+        agg.submit_bid(Bid("A", "pa", 5, 1, ("dg-1",)), "req-1")
+        assert agg.clear("req-1") is not None
+        assignment = solve_csp(build_csp(req, islanding_resources()[:1]))
+        assert assignment is not None
+        assert_refused(stack, lambda: agg.schedule_dr(assignment, req.window, "req-1"),
+                       StateError)
+
+    def test_settlement_without_schedule(self, stack):
+        agg = setup_market(stack)
+        agg.create_flex_request(request())
+        assert_refused(stack, lambda: agg.activation_and_settlement("req-1"), StateError)
+
+    @pytest.mark.parametrize("step", [
+        lambda agg: agg.submit_bid(Bid("A", "pa", 5, 1, ("dg-1",)), "req-9"),
+        lambda agg: agg.clear("req-9"),
+        lambda agg: agg.build_instance("req-9"),
+        lambda agg: agg.schedule_dr({}, Window(1, 1), "req-9"),
+        lambda agg: agg.activation_and_settlement("req-9"),
+        lambda agg: agg.workflow_state("req-9"),
+    ], ids=["submit_bid", "clear", "build_instance", "schedule_dr",
+            "activation_and_settlement", "workflow_state"])
+    def test_unknown_request_id(self, stack, step):
+        agg = setup_market(stack)
+        agg.create_flex_request(request())
+        assert_refused(stack, lambda: step(agg), ValidationError)
 
 
 OWNERS = ("pa", "pb")

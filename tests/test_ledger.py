@@ -424,6 +424,15 @@ class TestSetFlag:
         with pytest.raises(IntegrityViolationError):
             replay_chain(appended(ledger.chain, tx))
 
+    def test_unknown_token_rejected(self, anchor, ledger, enrolled):
+        owner_key, _ = identity.enroll(
+            identity.make_device("alice-ctl", seed=16), "alice", anchor, ledger
+        )
+        height, before = ledger.height, ledger.state.canonical()
+        with pytest.raises(ValidationError, match="no token"):
+            ledger.set_flag("f" * 64, "revoked", owner_key)
+        assert (ledger.height, ledger.state.canonical()) == (height, before)
+
     def test_unknown_flag_rejected(self, anchor, ledger, enrolled):
         _, _, token_id = enrolled
         alice_key, _ = identity.enroll(
@@ -481,9 +490,11 @@ class TestMalformedPayload:
             identity.make_device("alice-ctl", seed=20), "alice", anchor, ledger
         )
         height, now, before = ledger.height, clock.now(), ledger.state.canonical()
+        unknown_op = {"op": "burn_nft", "token_id": token_id}
         ill_typed = [
             as_tx(5, identity.sign(b"5", key, now), now),
             flag_tx(ledger, [token_id], "revoked", owner_key),
+            as_tx(unknown_op, identity.sign(canonical_json(unknown_op).encode(), key, now), now),
         ]
         for tx in ill_typed:
             with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 import random
 
 import pytest
@@ -125,9 +126,10 @@ class TestExamples:
         bids = [Bid("a", "p", 10, 1), Bid("b", "p", 10, 1)]
         assert clear_market(bids, 10).bid_ids == ("a",)
 
-    def test_zero_quantity_rejected(self):
+    @pytest.mark.parametrize("quantity", [0, -1, math.nan, math.inf])
+    def test_zero_quantity_rejected(self, quantity):
         with pytest.raises(ValidationError):
-            clear_market([Bid("A", "p", 1, 1)], 0)
+            clear_market([Bid("a", "p", 5, 1.0), Bid("b", "p", 3, 2.0)], quantity)
 
     def test_duplicate_bid_ids_rejected(self):
         with pytest.raises(ValidationError):

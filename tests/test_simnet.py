@@ -183,6 +183,11 @@ class TestTopology:
         with pytest.raises(ConfigurationError):
             topo.validate()
 
+    def test_requires_edge(self):
+        topo = Topology(nodes=(NodeSpec("f", Tier.FOG, 10, 1),))
+        with pytest.raises(ConfigurationError, match="edge"):
+            topo.validate()
+
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValidationError):
             NodeSpec("x", Tier.FOG, 0, 1)
@@ -219,6 +224,7 @@ class TestTopology:
         {"mode": "certificate", "verify_cost_factor": 0},
         {"mode": "nft", "verify_cost_factor": -1.0},
         {"mode": "nft", "verify_cost_factor": math.inf},
+        {"mode": "hybrid"},
     ])
     def test_credential_from_dict_rejects_unusable_values(self, raw):
         with pytest.raises(ConfigurationError):

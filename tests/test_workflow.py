@@ -53,6 +53,14 @@ class TestTransitions:
             with pytest.raises(StateError):
                 engine.advance(wf.workflow_id, ev(kind))
 
+    def test_unknown_workflow_rejected(self, stack):
+        ledger, engine = stack[2], make_engine(stack)
+        height = ledger.height
+        with pytest.raises(ValidationError):
+            engine.advance("wf-0001", ev(EventKind.CREATE_FLEX_REQUEST))
+        assert ledger.height == height
+        assert engine.workflows == {} and engine.trace == []
+
     def test_illegal_first_event(self, stack):
         engine = make_engine(stack)
         wf = engine.create_workflow()
@@ -104,6 +112,16 @@ class TestPubSub:
             engine.subscribe("p1", "weather")
         with pytest.raises(ValidationError):
             engine.publish("weather", {}, "dso")
+
+    def test_actor_registered_twice_rejected(self, stack):
+        engine = make_engine(stack)
+        engine.register_actor(Actor("p1", ActorRole.PROSUMER, {Topic.BID_OFFER}))
+        subscribers = {t: engine.subscribers(t) for t in Topic}
+        with pytest.raises(ValidationError):
+            engine.register_actor(Actor("p1", ActorRole.DSO_TSO, {Topic.DF_FULFILLED}))
+        assert engine.actors["p1"].role is ActorRole.PROSUMER
+        assert engine.actors["p1"].subscriptions == {Topic.BID_OFFER}
+        assert {t: engine.subscribers(t) for t in Topic} == subscribers
 
     def test_unknown_actor_rejected(self, stack):
         engine = make_engine(stack)
