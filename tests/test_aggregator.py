@@ -396,14 +396,27 @@ class TestRecordBeforeMutate:
         assert agg.clear("req-1") is None
 
 
+def snapshot(stack):
+    """Ledger height, each workflow's state and history, and each request's
+    context, as copies."""
+    ledger, engine, agg = stack[2], stack[3], stack[4]
+    return (ledger.height,
+            {wid: (wf.state, list(wf.event_history)) for wid, wf in engine.workflows.items()},
+            {rid: dataclasses.replace(ctx, bids=list(ctx.bids))
+             for rid, ctx in agg.requests.items()})
+
+
+def assert_refused(stack, step, error):
+    """``step()`` raises ``error`` and changes no ledger, workflow or request."""
+    before = snapshot(stack)
+    with pytest.raises(error):
+        step()
+    assert snapshot(stack) == before
+
+
 def assert_rejected(stack, bid, error):
     """Submitting ``bid`` to req-1 raises ``error`` and records nothing."""
-    ledger, agg = stack[2], stack[4]
-    height, bids = ledger.height, list(agg.requests["req-1"].bids)
-    with pytest.raises(error):
-        agg.submit_bid(bid, "req-1")
-    assert ledger.height == height
-    assert agg.requests["req-1"].bids == bids
+    assert_refused(stack, lambda: stack[4].submit_bid(bid, "req-1"), error)
 
 
 class TestBidAdmission:
@@ -440,24 +453,6 @@ class TestBidAdmission:
         assert_rejected(stack, Bid("B", "pb", 4, 1, ("ess-1", "dg-1")), AuthorizationError)
 
 
-def snapshot(stack):
-    """Ledger height, each workflow's state and history, and each request's
-    context, as copies."""
-    ledger, engine, agg = stack[2], stack[3], stack[4]
-    return (ledger.height,
-            {wid: (wf.state, list(wf.event_history)) for wid, wf in engine.workflows.items()},
-            {rid: dataclasses.replace(ctx, bids=list(ctx.bids))
-             for rid, ctx in agg.requests.items()})
-
-
-def assert_refused(stack, step, error):
-    """``step()`` raises ``error`` and changes no ledger, workflow or request."""
-    before = snapshot(stack)
-    with pytest.raises(error):
-        step()
-    assert snapshot(stack) == before
-
-
 class TestRefusedSteps:
     def test_resource_registered_twice(self, stack):
         agg = setup_market(stack)
@@ -476,8 +471,7 @@ class TestRefusedSteps:
                           SetpointAction(ActionType.IDLE, 0.0), "pa")
         agg = setup_market(stack, [*islanding_resources(), fixed])
         agg.create_flex_request(request(q=4.0))
-        bid = Bid("A", "pa", 4, 1, ("dg-2",))
-        assert_refused(stack, lambda: agg.submit_bid(bid, "req-1"), ValidationError)
+        assert_rejected(stack, Bid("A", "pa", 4, 1, ("dg-2",)), ValidationError)
 
     def test_build_instance_before_clear(self, stack):
         agg = setup_market(stack)
