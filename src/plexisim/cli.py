@@ -79,9 +79,8 @@ def _new_ledger(seed: int) -> tuple:
 def cmd_enroll(args) -> int:
     if args.n < 0:
         raise ValidationError(f"--n must be non-negative, got {args.n}")
-    out = _out_dir(args.out)
     _, anchor, ledger = _new_ledger(args.seed)
-    registry_path = Path(args.registry) if args.registry else out / "ledger.jsonl"
+    registry_path = Path(args.registry) if args.registry else Path(args.out) / "ledger.jsonl"
     if registry_path.exists():
         ledger.load_chain(registry_path)
 
@@ -96,6 +95,7 @@ def cmd_enroll(args) -> int:
         except EnrollmentRejected:
             duplicates.append(device.hardware_label)
 
+    out = _out_dir(args.out)
     with open(out / "enrollments.jsonl", "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(jr.canonical_json(rec) + "\n")
@@ -233,7 +233,6 @@ def build_stack(seed: int) -> tuple:
 
 
 def cmd_trade(args) -> int:
-    out = _out_dir(args.out)
     raw = _read_config(args.config) if args.config else demo_scenario()
     resources, requests, bids = parse_scenario(raw)
 
@@ -268,6 +267,7 @@ def cmd_trade(args) -> int:
         agg.activation_and_settlement(req.request_id)
         schedules.append(schedule.to_record())
 
+    out = _out_dir(args.out)
     _write_pretty_json(out / "trace.json", engine.trace)
     _write_pretty_json(out / "schedules.json", schedules)
     ledger.save_chain(out / "ledger.jsonl")
@@ -291,7 +291,6 @@ _ATTACK_CONFIG = frozenset({"dataset"})
 
 
 def cmd_attack(args) -> int:
-    out = _out_dir(args.out)
     if args.config:
         cfg = _read_config(args.config)
         try:
@@ -301,7 +300,6 @@ def cmd_attack(args) -> int:
         series = telemetry.load_dataset(dataset)
     else:
         series = telemetry.generate_synthetic(args.synthetic, seed=args.seed)
-        telemetry.write_dataset(out / "dataset.csv", series)
 
     _, anchor, ledger = _new_ledger(args.seed)
     meter = identity.make_device("site-meter", seed=args.seed)
@@ -322,6 +320,9 @@ def cmd_attack(args) -> int:
     deltas = telemetry.per_step_deltas(series, attacked, target)
     gain = telemetry.madiot_gain(deltas, len(deltas))
 
+    out = _out_dir(args.out)
+    if not args.config:
+        telemetry.write_dataset(out / "dataset.csv", series)
     report = out / "attack_report.csv"
     with open(report, "w", newline="", encoding="utf-8") as fh:
         writer = csv_mod.writer(fh)
@@ -344,7 +345,7 @@ def cmd_attack(args) -> int:
 
 def _parse_rates(text: str) -> list:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        return [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"--rates must be comma-separated numbers: {exc}") from exc
 
@@ -354,7 +355,6 @@ _BENCH_CONFIG = frozenset({"topology", "credential_models"})
 
 
 def cmd_bench(args) -> int:
-    out = _out_dir(args.out)
     rates = _parse_rates(args.rates)
     modes = args.mode or ["nft", "certificate"]
     models = {
@@ -376,12 +376,13 @@ def cmd_bench(args) -> int:
             topology = simnet.topology_from_dict(cfg["topology"])
         for mode, raw in overrides.items():
             models[mode] = simnet.CredentialModel.from_dict(dict(raw, mode=mode))
+    runs = {mode: simnet.run_benchmark(rates, models[mode], duration_s=args.duration,
+                                       seed=args.seed, topology=topology)
+            for mode in modes}
+    out = _out_dir(args.out)
     summary = {"seed": args.seed, "modes": {}}
-    for mode in modes:
+    for mode, metrics in runs.items():
         model = models[mode]
-        metrics = simnet.run_benchmark(
-            rates, model, duration_s=args.duration, seed=args.seed, topology=topology
-        )
         rows = [m.to_row() for m in metrics]
         path = out / f"metrics_{mode}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:

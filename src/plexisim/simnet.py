@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import cycle, islice, repeat
-from operator import add
+from operator import add, lt
 from typing import Optional, Sequence
 
 from . import jsonread as jr
@@ -52,11 +52,12 @@ LINK_BYTES_PER_MS = 1024.0
 TRIM_S = 5.0
 # The most transactions uniform_load builds for one run, 55 times the largest
 # sweep point of the paper (300 tps for 60 s). A run peaks at the end of its
-# pass, while the load's columns, the sorted arrival triples and the pass's
-# service-order lists are all alive: near 210 bytes per transaction when every
-# tx commits, 170 when most fail (tracemalloc, CPython 3.11), so one run stays
+# pass, while the load's columns, the pass's arrivals and its service-order
+# lists are all alive (tracemalloc, CPython 3.11, per transaction): 146 bytes
+# when every tx commits and 103 when most fail if the arrivals already rise,
+# and 210 and 186 if they must be sorted into triples first. So one run stays
 # near 210 MB. run_benchmark builds no commit dict, and run_sim builds its
-# dict after the triples are freed, below that peak.
+# dict after the arrivals are freed, below that peak.
 MAX_SIM_TXS = 1_000_000
 
 
@@ -69,8 +70,9 @@ class Tier(Enum):
 class NodeSpec:
     """One edge or fog node.
 
-    ``run_sim`` reads ``link_delay_ms`` of every node and ``service_rate_tps``
-    of the fogs only: an edge's rate is validated but feeds no model stage.
+    The pipeline pass that ``run_sim`` and ``run_benchmark`` run reads
+    ``link_delay_ms`` of every node and ``service_rate_tps`` of the fogs only:
+    an edge's rate is validated but feeds no model stage.
     It stays so that edges and fogs share one node schema in ``bench
     --config`` topologies, and so the default topology keeps its fogs faster
     than its edges (``test_fog_faster_than_edge_by_default``).
@@ -315,32 +317,38 @@ def _simulate(topology: Topology, scenario: LoadScenario) -> tuple:
 
     send_time = scenario.send_ms
     link_ms = map(links.__getitem__, scenario.edge_ids)
-    arrive = map(add, map(add, send_time, link_ms), repeat(wire_ms))
-    # Triples compare item by item, so one sort gives (arrival, send, index) order.
-    by_arrival = sorted(zip(arrive, send_time, range(len(send_time))))
+    arrive = list(map(add, map(add, send_time, link_ms), repeat(wire_ms)))
+    by_arrival = zip(arrive, send_time, range(len(send_time)))
+    if not all(map(lt, arrive, islice(arrive, 1, None))):
+        # Triples compare item by item, so one sort gives (arrival, send, index)
+        # order; strictly rising arrivals are in that order already.
+        by_arrival = sorted(by_arrival)
+    del arrive                      # freed here once sorted; else the zip holds it
 
     # The last admitted tx releases the server at free_t; it began service at
     # free_s. A release (r, b) is handled before an arrival (a, s) iff
     # (r, b) < (a, s).
     free_t = free_s = -math.inf
-    depth = BUFFER_DEPTH
-    # The releases (r, b) that started the last ``depth`` buffered txs. They
-    # never decrease, so the txs still waiting at an arrival (a, s) are those
-    # whose release is not before it, and the buffer is full iff the oldest
-    # kept release is not.
-    waiting: deque = deque(maxlen=depth)
+    # The service starts b of the last ``BUFFER_DEPTH`` buffered txs; each
+    # released the server at r = b + service_ms, the same float as its free_t.
+    # Releases never decrease, so the txs still waiting at an arrival (a, s)
+    # are those whose release is not before it, and the buffer is full iff the
+    # oldest kept release is not. A -inf pad releases before every arrival.
+    waiting = deque(repeat(-math.inf, BUFFER_DEPTH), maxlen=BUFFER_DEPTH)
     ordered: list = []              # time each admitted tx enters ordering, in service order
     served: list = []               # index of each admitted tx, in service order
     failed = 0
     for a, s, tx in by_arrival:
         if free_t < a or (free_t == a and free_s < s):
             start = a               # the server is free on arrival
-        elif len(waiting) == depth and waiting[0] >= (a, s):
-            # No queueing past the buffer: the transaction fails now.
-            failed += 1
-            continue
         else:
-            waiting.append((free_t, free_s))
+            b = waiting[0]
+            r = b + service_ms
+            if r > a or (r == a and b >= s):
+                # No queueing past the buffer: the transaction fails now.
+                failed += 1
+                continue
+            waiting.append(free_s)
             start = free_t
         end = start + service_ms
         free_t, free_s = end, start

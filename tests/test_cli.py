@@ -484,6 +484,14 @@ def _rate_negative(tmp_path):
     return _bench(tmp_path, "40,-5")
 
 
+def _rate_empty_item(tmp_path):
+    return _bench(tmp_path, "10,,20")
+
+
+def _rate_trailing_comma(tmp_path):
+    return _bench(tmp_path, "40,")
+
+
 def _duration_nan(tmp_path):
     return _bench(tmp_path, "40", "nan")
 
@@ -692,7 +700,8 @@ def _out_is_a_file(tmp_path):
     _credential_model_not_an_object, _credential_model_field_not_a_number,
     _credential_model_field_bool, _certificate_footprint_zero,
     _credential_model_field_negative, _non_numeric_rate,
-    _rate_nan, _rate_inf, _rate_zero, _rate_negative, _duration_nan, _duration_inf,
+    _rate_nan, _rate_inf, _rate_zero, _rate_negative, _rate_empty_item, _rate_trailing_comma,
+    _duration_nan, _duration_inf,
     _topology_negative_link, _enroll_negative_count, _registry_is_a_directory, _out_is_a_file,
     _topology_node_id_int, _topology_rate_string, _topology_link_bool,
     _topology_node_unknown_key, _topology_duplicate_node_id, _credential_model_key_misspelt,
@@ -708,9 +717,14 @@ def _out_is_a_file(tmp_path):
 ])
 def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
+    out = Path(argv[argv.index("--out") + 1])
+    existed = out.exists()
     capsys.readouterr()
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    # A refused command leaves no --out directory behind.
+    if not existed:
+        assert not out.exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

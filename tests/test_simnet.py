@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import heapq
 import itertools
 import math
@@ -319,6 +320,22 @@ class TestRunSim:
         commit_ms, _ = run_sim(topo, scenario)
         assert commit_ms == {0: 766.0 + COMMIT_DELAY_MS, 1: 1266.0 + COMMIT_DELAY_MS}
 
+    def test_release_tied_with_arrival_at_full_buffer_comes_first(self, monkeypatch):
+        # Link 6 ms + 2 ms wire, service 10 ms: arrivals at 8, 9 and 18 ms rise
+        # strictly. tx0, in service from 8 ms, releases the server at 18 ms,
+        # the instant tx2 (sent at 10 ms) arrives and finds tx1 filling the
+        # 1-deep buffer. The release began before tx2's send, so it comes
+        # first: tx1 leaves the buffer and tx2 takes it. All three are ordered
+        # by 288 ms and commit in one block.
+        monkeypatch.setattr(simnet, "BUFFER_DEPTH", 1)
+        topo = edge_topology([6], [100])
+        model = CredentialModel(mode="nft", tx_overhead_bytes=1792)
+        scenario = load(model, [(0.0, "edge-0"), (1.0, "edge-0"), (10.0, "edge-0")])
+        commit_ms, metrics = run_sim(topo, scenario)
+        assert commit_ms == {0: 1193.0, 1: 1193.0, 2: 1193.0}
+        assert metrics.failed_tx_count == 0
+        assert (commit_ms, metrics) == reference_run_sim(topo, scenario)
+
     def test_causality_link_delay(self):
         topo = default_topology()
         scenario = uniform_load(30, 3, topo, NFT)
@@ -511,6 +528,25 @@ class TestBenchmark:
     def test_empty_rates_rejected(self):
         with pytest.raises(ValidationError):
             run_benchmark([], NFT)
+
+    def test_sweep_point_starts_no_garbage_collection(self):
+        # On the default topology the arrivals rise, so the pass builds no
+        # container per transaction, and a saturated 15 s point (4050 txs)
+        # allocates too few of them to start a collection.
+        assert gc.isenabled()
+        starts = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            run_benchmark([270.0], CERT, duration_s=15.0)
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert starts == []
 
     def test_storage_reported(self):
         (m,) = run_benchmark([20], CERT, duration_s=20.0, n_devices=10)
