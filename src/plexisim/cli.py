@@ -451,6 +451,8 @@ def main(argv=None) -> int:
     _setup_logging()
     args = make_parser().parse_args(argv)
     try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out):  # before any work
+            raise ConfigurationError(f"--out {args.out} exists and is not a directory")
         return args.func(args)
     except (SimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,10 +60,6 @@ class MarketResult:
     total_kw: float
     exact: bool = True
 
-    @property
-    def bid_ids(self) -> tuple:
-        return tuple(b.bid_id for b in self.selected)
-
 
 def clear_market(bids: Sequence[Bid], quantity_kw: float) -> Optional[MarketResult]:
     """Pick the cheapest whole-bid cover of ``quantity_kw``; None if unsat."""

@@ -84,7 +84,7 @@ class NodeSpec:
     link_delay_ms: float
 
     def __post_init__(self):
-        if self.service_rate_tps <= 0:
+        if not self.service_rate_tps > 0:  # NaN too, which min() over the fogs skips
             raise ValidationError(f"node {self.node_id}: service rate must be positive")
 
 
@@ -311,7 +311,8 @@ def _simulate(topology: Topology, scenario: LoadScenario) -> tuple:
     bottleneck = min(n.service_rate_tps for n in topology.fogs())
     service_ms = 1000.0 * scenario.credential.verify_cost_factor / bottleneck
     wire_ms = (BASE_TX_BYTES + scenario.credential.tx_overhead_bytes) / LINK_BYTES_PER_MS
-    stage_ms = (service_ms, *(d + wire_ms for d in links.values()))
+    # Each alone, so a wire time cannot cover a negative delay; a sum can overflow.
+    stage_ms = (service_ms, wire_ms, *links.values(), max(links.values()) + wire_ms)
     if not all(0.0 <= ms < math.inf for ms in stage_ms):
         raise ValidationError("link, wire and service times must be finite and non-negative")
 

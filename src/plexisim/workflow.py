@@ -89,9 +89,6 @@ class Actor:
     token_id: Optional[str] = None
     inbox: list = field(default_factory=list)
 
-    def received(self, topic: Topic) -> list:
-        return [n for n in self.inbox if n.topic is topic]
-
 
 @dataclass
 class Workflow:

@@ -166,7 +166,7 @@ class TestWorkflowSteps:
         agg.create_flex_request(request())
         engine = stack[3]
         for p in ("pa", "pb"):
-            notes = engine.actors[p].received(Topic.FLEX_BID_REQUEST)
+            notes = [n for n in engine.actors[p].inbox if n.topic is Topic.FLEX_BID_REQUEST]
             assert len(notes) == 1 and notes[0].payload["request_id"] == "req-1"
 
     def test_two_requests_two_workflows(self, stack):
@@ -215,7 +215,7 @@ class TestWorkflowSteps:
     def test_clear_market_derived_example(self):
         bids = [Bid("A", "pa", 6, 3), Bid("B", "pb", 5, 2), Bid("C", "pc", 10, 6)]
         result = clear_market(bids, 10.0)
-        assert result.bid_ids == ("A", "B") and result.total_cost == 28
+        assert result.selected == (bids[0], bids[1]) and result.total_cost == 28
 
 
 class TestScheduleAndSettle:
@@ -237,7 +237,8 @@ class TestScheduleAndSettle:
         self.run_to_schedule(stack)
         engine = stack[3]
         for rid in ("dg-1", "hvac-1", "ess-1"):
-            notes = engine.actors[f"meter:{rid}"].received(Topic.DF_SCHEDULING)
+            inbox = engine.actors[f"meter:{rid}"].inbox
+            notes = [n for n in inbox if n.topic is Topic.DF_SCHEDULING]
             assert len(notes) == 1
             assert rid in notes[0].payload["assignment"]
 
@@ -298,7 +299,7 @@ class TestScheduleAndSettle:
         clock.advance_to(req.window.end_ms)
         agg.activation_and_settlement("req-1")
         engine = stack[3]
-        notes = engine.actors["dso-1"].received(Topic.DF_FULFILLED)
+        notes = [n for n in engine.actors["dso-1"].inbox if n.topic is Topic.DF_FULFILLED]
         assert len(notes) == 1 and notes[0].payload["request_id"] == "req-1"
 
     def test_run_request_convenience(self, stack):
@@ -423,9 +424,10 @@ class TestBidAdmission:
     def test_repeated_bid_id_rejected(self, stack):
         agg = setup_market(stack)
         agg.create_flex_request(request(q=4.0))
-        agg.submit_bid(Bid("A", "pa", 5, 3, ("dg-1",)), "req-1")
+        first = Bid("A", "pa", 5, 3, ("dg-1",))
+        agg.submit_bid(first, "req-1")
         assert_rejected(stack, Bid("A", "pb", 4, 2, ("ess-1",)), ValidationError)
-        assert agg.clear("req-1").bid_ids == ("A",)
+        assert agg.clear("req-1").selected == (first,)
 
     def test_resource_cited_twice_rejected(self, stack):
         agg = setup_market(stack)

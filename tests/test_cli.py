@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from plexisim import cli
 from plexisim.cli import demo_scenario, main
 from plexisim.ledger import canonical_json, read_chain, replay_chain
 
@@ -527,6 +528,10 @@ def _topology_with_edge(tmp_path, **edit):
     return _bench_config(tmp_path, {"topology": {"nodes": nodes}})
 
 
+def _topology_link_covered_by_wire_time(tmp_path):
+    return _topology_with_edge(tmp_path, link_delay_ms=-0.2)
+
+
 def _topology_node_id_int(tmp_path):
     return _topology_with_edge(tmp_path, node_id=7)
 
@@ -702,7 +707,8 @@ def _out_is_a_file(tmp_path):
     _credential_model_field_negative, _non_numeric_rate,
     _rate_nan, _rate_inf, _rate_zero, _rate_negative, _rate_empty_item, _rate_trailing_comma,
     _duration_nan, _duration_inf,
-    _topology_negative_link, _enroll_negative_count, _registry_is_a_directory, _out_is_a_file,
+    _topology_negative_link, _topology_link_covered_by_wire_time, _enroll_negative_count,
+    _registry_is_a_directory, _out_is_a_file,
     _topology_node_id_int, _topology_rate_string, _topology_link_bool,
     _topology_node_unknown_key, _topology_duplicate_node_id, _credential_model_key_misspelt,
     _credential_model_unknown_mode,
@@ -727,13 +733,47 @@ def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
         assert not out.exists()
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "plexisim", "attack", "--synthetic", "1", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "attack_report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["enroll", "trade", "attack", "bench"])
+def test_out_that_is_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def work(args):
+        raise AssertionError(f"{command} ran although --out is a file")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", work)
+    out = tmp_path / "o"
+    out.write_text("")
+    assert run([command, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: --out ")
+
+
+MODULES = sorted(p.stem for p in (SRC / "plexisim").glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    proc = subprocess.run([sys.executable, "-c", f"import plexisim.{module}"],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_sketch_runs_as_written():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})

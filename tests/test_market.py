@@ -97,9 +97,9 @@ def tie_heavy_bids(rng, n, prefix="b"):
 
 def assert_valid_cover(result, bids, quantity):
     offered = {b.bid_id: b for b in bids}
-    assert len(set(result.bid_ids)) == len(result.bid_ids)
+    ids = [b.bid_id for b in result.selected]
+    assert ids == sorted(set(ids))
     assert all(offered[b.bid_id] == b for b in result.selected)
-    assert result.bid_ids == tuple(sorted(result.bid_ids))
     assert result.total_kw == sum(b.offered_kw for b in result.selected) >= quantity
     assert result.total_cost == sum(b.cost for b in result.selected)
 
@@ -110,12 +110,13 @@ class TestExamples:
         bids = [Bid("A", "pa", 6, 3), Bid("B", "pb", 5, 2), Bid("C", "pc", 10, 6)]
         assert brute_force(bids, 10) == 28
         result = clear_market(bids, 10)
-        assert result.bid_ids == ("A", "B")
+        assert result.selected == (bids[0], bids[1])
         assert result.total_cost == 28
 
     def test_forced_single_zero_price(self):
-        result = clear_market([Bid("only", "p", 1, 0)], 1)
-        assert result.bid_ids == ("only",) and result.total_cost == 0
+        only = Bid("only", "p", 1, 0)
+        result = clear_market([only], 1)
+        assert result.selected == (only,) and result.total_cost == 0
 
     def test_insufficient_supply_unsat(self):
         bids = [Bid("A", "pa", 5, 1), Bid("B", "pb", 3, 1)]
@@ -124,7 +125,7 @@ class TestExamples:
     def test_tie_break_lexicographic(self):
         # Two equal-cost covers; the lexicographically smaller id set wins.
         bids = [Bid("a", "p", 10, 1), Bid("b", "p", 10, 1)]
-        assert clear_market(bids, 10).bid_ids == ("a",)
+        assert clear_market(bids, 10).selected == (bids[0],)
 
     @pytest.mark.parametrize("quantity", [0, -1, math.nan, math.inf])
     def test_zero_quantity_rejected(self, quantity):
@@ -181,7 +182,7 @@ class TestOracleAgreement:
                 unsat += 1
                 continue
             assert got.exact is True
-            assert got.bid_ids == tuple(b.bid_id for b in expected)
+            assert got.selected == tuple(expected)
             assert got.total_cost == sum(b.cost for b in expected)
             sat += 1
         assert sat > 1000 and unsat > 0
@@ -232,12 +233,13 @@ class TestLargePools:
                                                SetpointAction(ActionType.IDLE, 0.0), "pa"))
         agg.create_flex_request(FlexRequest("req-1", Window(1, 1), RequestShape.SHED, 8.0,
                                             Direction.INCREASE_SUPPLY, 4.0, "dso-1"))
-        agg.submit_bid(Bid("A", "pa", 5, 3, ("dg-1",)), "req-1")
-        agg.submit_bid(Bid("B", "pa", 5, 2, ("dg-2",)), "req-1")
+        bids = (Bid("A", "pa", 5, 3, ("dg-1",)), Bid("B", "pa", 5, 2, ("dg-2",)))
+        for bid in bids:
+            agg.submit_bid(bid, "req-1")
         monkeypatch.setattr(market, "NODE_BUDGET", 1)
         with caplog.at_level(logging.INFO, logger="plexisim.aggregator"):
             result = agg.clear("req-1")
-        assert result.exact is False and result.bid_ids == ("A", "B")
+        assert result.exact is False and result.selected == bids
         assert any("req-1" in r.getMessage() and "node budget" in r.getMessage()
                    for r in caplog.records if r.levelno == logging.INFO)
 

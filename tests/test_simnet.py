@@ -190,8 +190,9 @@ class TestTopology:
             topo.validate()
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValidationError):
-            NodeSpec("x", Tier.FOG, 0, 1)
+        for rate in (0, math.nan):
+            with pytest.raises(ValidationError):
+                NodeSpec("x", Tier.FOG, rate, 1)
 
     def test_repeated_node_id_rejected(self):
         # One links dict keyed by node_id would give the edge the fog's 50 ms
@@ -350,6 +351,8 @@ class TestRunSim:
         (edge_topology([25.0, math.inf]), NFT),
         (default_topology(), CredentialModel(mode="nft", verify_cost_factor=-1.0)),
         (default_topology(), CredentialModel(mode="nft", tx_overhead_bytes=-30_000)),
+        (edge_topology([25.0, -0.2]), NFT),      # the 0.25 ms wire time covers it
+        (edge_topology([25.0, 1.797e308]), CredentialModel(mode="nft", tx_overhead_bytes=10**308)),
     ])
     def test_negative_or_non_finite_stage_time_rejected(self, topo, model):
         scenario = load(model, [(0.0, "edge-0")])

@@ -103,7 +103,7 @@ class TestPubSub:
         engine.subscribe("p1", Topic.FLEX_BID_REQUEST)
         engine.subscribe("p1", Topic.FLEX_BID_REQUEST)
         assert engine.publish(Topic.FLEX_BID_REQUEST, {}, "dso") == 1
-        assert len(engine.actors["p1"].received(Topic.FLEX_BID_REQUEST)) == 1
+        assert [n.topic for n in engine.actors["p1"].inbox] == [Topic.FLEX_BID_REQUEST]
 
     def test_unknown_topic_rejected(self, stack):
         engine = make_engine(stack)
@@ -144,7 +144,7 @@ class TestPubSub:
         engine.register_actor(Actor("p1", ActorRole.PROSUMER, {Topic.DF_SCHEDULING}))
         engine.publish(Topic.DF_SCHEDULING, {"k": 1}, "dfasc")
         engine.publish(Topic.DF_SCHEDULING, {"k": 2}, "dfasc")
-        inbox = engine.actors["p1"].received(Topic.DF_SCHEDULING)
+        inbox = [n for n in engine.actors["p1"].inbox if n.topic is Topic.DF_SCHEDULING]
         assert [n.payload["k"] for n in inbox] == [1, 2]
 
 
@@ -167,7 +167,8 @@ class TestLedgerParity:
         engine.register_actor(Actor("p1", ActorRole.PROSUMER, {Topic.FLEX_BID_REQUEST}))
         wf = engine.create_workflow()
         engine.advance(wf.workflow_id, ev(EventKind.CREATE_FLEX_REQUEST, payload={"kw": 5}))
-        (note,) = engine.actors["p1"].received(Topic.FLEX_BID_REQUEST)
+        (note,) = engine.actors["p1"].inbox
+        assert note.topic is Topic.FLEX_BID_REQUEST
         note.payload["kw"] = 500
         assert ledger.state.event_log[-1]["payload"] == {"kw": 5}
         assert ledger.replay() == ledger.state
