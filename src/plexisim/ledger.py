@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
+from math import copysign
 from typing import Iterable, Optional, Union
 
 from . import jsonread as jr
@@ -110,29 +111,59 @@ def _same_json(a, b) -> bool:
     """``canonical_json(a) == canonical_json(b)`` for JSON values, without
     serialising: ``1``, ``1.0`` and ``True`` differ, ``bytes`` and ``str``
     differ, floats compare by ``repr`` (``0.0`` vs ``-0.0`` differ, ``nan``
-    equals ``nan``) and a tuple equals the list it serialises as."""
+    equals ``nan``) and a tuple equals the list it serialises as.
+
+    ``str``, ``int`` and ``float`` items of a dict or sequence are compared
+    in the loop, with the same verdict, rather than by a call per item: the
+    chain audit compares every value of the event log this way."""
     t = type(a)
+    if t in _SEQUENCES:
+        return type(b) in _SEQUENCES and len(a) == len(b) and _same_items(a, b)
     if t is not type(b):
-        return t in _SEQUENCES and type(b) in _SEQUENCES and _same_items(a, b)
+        return False
     if t is dict:
         if a.keys() != b.keys():
             return False
-        for k, v in a.items():
-            if not _same_json(v, b[k]):
+        for k, x in a.items():
+            y = b[k]
+            t = type(x)
+            if t is str or t is int:
+                if type(y) is not t or x != y:
+                    return False
+            elif t is float:
+                # repr tells the zeros apart and spells every nan alike.
+                if type(y) is not float:
+                    return False
+                if x == y:
+                    if x == 0.0 and copysign(1.0, x) != copysign(1.0, y):
+                        return False
+                elif x == x or y == y:
+                    return False
+            elif not _same_json(x, y):
                 return False
         return True
-    if t in _SEQUENCES:
-        return _same_items(a, b)
     if t is float:
         return repr(a) == repr(b)
     return a == b
 
 
 def _same_items(a, b) -> bool:
-    if len(a) != len(b):
-        return False
+    """``_same_json`` of each pair of items of two sequences of one length,
+    leaves compared in the loop as in ``_same_json``'s dict loop."""
     for x, y in zip(a, b):
-        if not _same_json(x, y):
+        t = type(x)
+        if t is str or t is int:
+            if type(y) is not t or x != y:
+                return False
+        elif t is float:
+            if type(y) is not float:
+                return False
+            if x == y:
+                if x == 0.0 and copysign(1.0, x) != copysign(1.0, y):
+                    return False
+            elif x == x or y == y:
+                return False
+        elif not _same_json(x, y):
             return False
     return True
 
@@ -174,10 +205,7 @@ class Transaction:
 
     def __post_init__(self):
         message = _message(self.payload)
-        self._seal(json.loads(message), message)
-
-    def _seal(self, payload, message: bytes) -> None:
-        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "payload", json.loads(message))
         object.__setattr__(self, "message", message)
         object.__setattr__(self, "tx_id", hashlib.sha256(message + self.signature).hexdigest())
 
@@ -187,10 +215,14 @@ class Transaction:
         """The tx whose ``message`` is taken as given and whose ``payload`` is
         its decoding; neither is encoded again."""
         tx = object.__new__(cls)
+        # The fields in the order __init__ sets them, so every tx's instance
+        # dict shares one key table.
+        object.__setattr__(tx, "payload", payload)
         object.__setattr__(tx, "signer", signer)
         object.__setattr__(tx, "signature", signature)
         object.__setattr__(tx, "sim_time_submitted", sim_time_submitted)
-        tx._seal(payload, message)
+        object.__setattr__(tx, "message", message)
+        object.__setattr__(tx, "tx_id", hashlib.sha256(message + signature).hexdigest())
         return tx
 
 
@@ -213,6 +245,11 @@ def _literals(template: bytes) -> list:
 _HEIGHT, _PREV_HASH, _BLOCK_HASH, _COMMITTED, _TXS, _BLOCK_END = _literals(_BLOCK_LINE)
 _PAYLOAD, _SIGNER, _SIGNATURE, _SUBMITTED, _TX_END = _literals(_TX_RECORD)
 _NEXT_PAYLOAD = _TX_SEP.decode("ascii") + _PAYLOAD
+# Each literal's length, which the walk steps over once the literal matches.
+(_HEIGHT_LEN, _PREV_HASH_LEN, _BLOCK_HASH_LEN, _COMMITTED_LEN, _TXS_LEN, _PAYLOAD_LEN,
+ _NEXT_PAYLOAD_LEN, _SIGNER_LEN, _SIGNATURE_LEN, _SUBMITTED_LEN, _TX_END_LEN) = map(len, (
+    _HEIGHT, _PREV_HASH, _BLOCK_HASH, _COMMITTED, _TXS, _PAYLOAD, _NEXT_PAYLOAD, _SIGNER,
+    _SIGNATURE, _SUBMITTED, _TX_END))
 # Reads the one JSON value that starts at an index, in C where available:
 # no backtracking and no whitespace skipped before the value.
 _scan = make_scanner(json.JSONDecoder())
@@ -231,9 +268,9 @@ def compute_block_hash(height: int, prev_hash: str, txs: Iterable[Transaction],
                        sim_time_committed: int) -> str:
     """SHA-256 over every stored field of a block but its own hash. Each
     signer is written as a JSON string, so the body reads only one way."""
-    body = f"{height}|{prev_hash}|{sim_time_committed}|" + ",".join(
+    body = f"{height}|{prev_hash}|{sim_time_committed}|" + ",".join([
         f"{tx.tx_id}|{encode_basestring_ascii(tx.signer)}|{tx.sim_time_submitted}" for tx in txs
-    )
+    ])
     return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
@@ -444,7 +481,7 @@ class RegistryState:
             and self.device_index == other.device_index
             and self.delegates == other.delegates
             and _same_json(self.challenge_index, other.challenge_index)
-            and _same_items(self.event_log, other.event_log)
+            and _same_json(self.event_log, other.event_log)
         )
 
 
@@ -606,11 +643,11 @@ class LedgerSim:
                     encode_basestring_ascii(block.prev_hash).encode(),
                     encode_basestring_ascii(block.block_hash).encode(),
                     block.sim_time_committed,
-                    _TX_SEP.join(
+                    _TX_SEP.join([
                         _TX_RECORD % (tx.message, encode_basestring_ascii(tx.signer).encode(),
                                       tx.signature.hex().encode(), tx.sim_time_submitted)
                         for tx in block.tx_list
-                    ),
+                    ]),
                 )
                 for block in self.chain
             )
@@ -668,10 +705,8 @@ def read_chain(path) -> list[Block]:
     return blocks
 
 
-def _past(line: str, i: int, literal: str) -> int:
-    """The index after ``literal``, which must stand at ``i``."""
-    if line.startswith(literal, i):
-        return i + len(literal)
+def _expected(literal: str, i: int):
+    """Refuse a line on which ``literal`` does not stand at ``i``."""
     raise ValueError(f"expected {literal!r} at column {i}")
 
 
@@ -681,44 +716,66 @@ def _block_from_line(line: str) -> Block:
     template puts it, and each value is one JSON value of its field's type.
     A tx's message is its stored payload bytes. A departure raises
     ``ValueError`` naming the field being read."""
+    # Each literal is checked inline rather than through a helper call:
+    # this walk runs once per stored field of every tx of every audit.
     name = "height"
     try:
-        height, i = _scan(line, _past(line, 0, _HEIGHT))
+        if not line.startswith(_HEIGHT):
+            _expected(_HEIGHT, 0)
+        height, i = _scan(line, _HEIGHT_LEN)
         jr.of(int, height)
         name = "prev_hash"
-        prev_hash, i = _scan(line, _past(line, i, _PREV_HASH))
+        if not line.startswith(_PREV_HASH, i):
+            _expected(_PREV_HASH, i)
+        prev_hash, i = _scan(line, i + _PREV_HASH_LEN)
         jr.of(str, prev_hash)
         name = "block_hash"
-        block_hash, i = _scan(line, _past(line, i, _BLOCK_HASH))
+        if not line.startswith(_BLOCK_HASH, i):
+            _expected(_BLOCK_HASH, i)
+        block_hash, i = _scan(line, i + _BLOCK_HASH_LEN)
         jr.of(str, block_hash)
         name = "sim_time_committed"
-        committed, i = _scan(line, _past(line, i, _COMMITTED))
+        if not line.startswith(_COMMITTED, i):
+            _expected(_COMMITTED, i)
+        committed, i = _scan(line, i + _COMMITTED_LEN)
         jr.of(int, committed)
         name = "txs"
-        i = _past(line, i, _TXS)
+        if not line.startswith(_TXS, i):
+            _expected(_TXS, i)
+        i += _TXS_LEN
         txs = []
-        opening = _PAYLOAD
+        opening, opening_len = _PAYLOAD, _PAYLOAD_LEN
         # A line ends at its only newline, so the end literal ends the line.
         while not line.startswith(_BLOCK_END, i):
             name = "payload"
-            start = _past(line, i, opening)
+            if not line.startswith(opening, i):
+                _expected(opening, i)
+            start = i + opening_len
             payload, i = _scan(line, start)
             message = line[start:i].encode("utf-8")
             name = "signer"
-            signer, i = _scan(line, _past(line, i, _SIGNER))
+            if not line.startswith(_SIGNER, i):
+                _expected(_SIGNER, i)
+            signer, i = _scan(line, i + _SIGNER_LEN)
             jr.of(str, signer)
             name = "signature"
-            i = _past(line, i, _SIGNATURE)
+            if not line.startswith(_SIGNATURE, i):
+                _expected(_SIGNATURE, i)
+            i += _SIGNATURE_LEN
             end = line.index('"', i)
             # Lower-case only: another spelling would be covered by no hash.
             signature = jr.hexbytes(line[i:end])
             name = "sim_time_submitted"
-            submitted, i = _scan(line, _past(line, end, _SUBMITTED))
+            if not line.startswith(_SUBMITTED, end):
+                _expected(_SUBMITTED, end)
+            submitted, i = _scan(line, end + _SUBMITTED_LEN)
             jr.of(int, submitted)
             name = "txs"
-            i = _past(line, i, _TX_END)
+            if not line.startswith(_TX_END, i):
+                _expected(_TX_END, i)
+            i += _TX_END_LEN
             txs.append(Transaction._sealed(payload, message, signer, signature, submitted))
-            opening = _NEXT_PAYLOAD
+            opening, opening_len = _NEXT_PAYLOAD, _NEXT_PAYLOAD_LEN
     except StopIteration as exc:
         raise ValueError(f"field {name!r}: no JSON value at column {exc.value}") from None
     except (TypeError, ValueError) as exc:

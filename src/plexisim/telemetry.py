@@ -371,13 +371,16 @@ def sign_stream(
     return envelopes
 
 
-def _signed_day(env: identity.SignedEnvelope, registry, days: int, last_day: int) -> tuple:
+def _signed_day(env: identity.SignedEnvelope, registry, days: int, last_day: int,
+                signer: Optional[str]) -> tuple:
     """The day index that ``env`` names and the sample lines it signs, or
-    ``(None, [])`` when its signature is not accepted or its message opens
-    with no day header. A header that counts other than ``days`` days, or
-    that names the last day over more lines than the series' last day holds
-    (``last_day`` samples), raises ``ValidationError``."""
-    if identity.verify(env, registry) is not identity.VerifyStatus.ACCEPT:
+    ``(None, [])`` when it cites a token other than ``signer`` (if given),
+    its signature is not accepted or its message opens with no day header.
+    A header that counts other than ``days`` days, or that names the last
+    day over more lines than the series' last day holds (``last_day``
+    samples), raises ``ValidationError``."""
+    if (signer is not None and env.token_id != signer
+            or identity.verify(env, registry) is not identity.VerifyStatus.ACCEPT):
         return None, []
     header, *lines = env.message.split(b"\n")
     match = _DAY_HEADER_LINE.fullmatch(header)
@@ -397,6 +400,7 @@ def detect_tamper(
     series: Sequence[TelemetrySample],
     envelopes: Sequence[identity.SignedEnvelope],
     registry,
+    signer: Optional[str] = None,
 ) -> list:
     """Sorted indices of samples that no accepted signature covers as stored.
 
@@ -404,17 +408,23 @@ def detect_tamper(
     length is not the series' day count raises ``ValidationError``. Each
     envelope is verified once per call, and every sample of its day is
     flagged when that verify is not ACCEPT (bad signature, unknown or
-    revoked token) or when the envelope's header names another day or none.
-    Otherwise a sample is flagged when its offset in the day is past the
-    signed message's sample lines, or when the signed line there differs
-    from the sample's current canonical bytes. So any post-signing mutation
-    of a signed field is flagged, and so is a sample moved to another
-    offset, whose timestamp differs from the one signed there, and every
-    sample of a day replayed or moved with its envelope. A series shorter
-    than it was signed is refused: a verified header whose day count
-    differs from the series', or whose last day signs more lines than the
-    series' last day holds, raises ``ValidationError``, as a dropped day or
-    samples cut from the end do.
+    revoked token), when ``signer`` is given and the envelope cites another
+    token (checked before the verify), or when the envelope's header names
+    another day or none. Otherwise a sample is flagged when its offset in
+    the day is past the signed message's sample lines, or when the signed
+    line there differs from the sample's current canonical bytes. So any
+    post-signing mutation of a signed field is flagged, and so is a sample
+    moved to another offset, whose timestamp differs from the one signed
+    there, and every sample of a day replayed or moved with its envelope.
+    A series shorter than it was signed is refused: a verified header whose
+    day count differs from the series', or whose last day signs more lines
+    than the series' last day holds, raises ``ValidationError``, as a
+    dropped day or samples cut from the end do.
+
+    ``signer`` is the token id of the meter that should sign the stream.
+    Without it the check proves only that some live enrolled device signed
+    each day: the holder of any enrolled key can falsify the stream, sign it
+    again and pass this check.
 
     Verify verdicts are never cached across calls, so a revocation flags
     every index at the next call. A sample that ``sign_stream`` formatted
@@ -428,7 +438,7 @@ def detect_tamper(
     last_day = len(series) - (days - 1) * SAMPLES_PER_DAY
     flagged = []
     for d, env in enumerate(envelopes):
-        day, lines = _signed_day(env, registry, days, last_day)
+        day, lines = _signed_day(env, registry, days, last_day, signer)
         lo = d * SAMPLES_PER_DAY
         for offset, sample in enumerate(series[lo:lo + SAMPLES_PER_DAY]):
             if (day != d or offset >= len(lines)

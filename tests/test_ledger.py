@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plexisim import identity
+from plexisim import ledger as ledger_mod
 from plexisim import jsonread as jr
 from plexisim.clock import SimClock
 from plexisim.errors import (
@@ -678,6 +679,20 @@ class TestReplay:
             assert cur.prev_hash == prev.block_hash
             assert cur.height == prev.height + 1
 
+    def test_block_hash_of_a_two_tx_block_is_pinned(self):
+        """The hashed body is ``height|prev_hash|sim_time_committed|`` then,
+        per tx and joined by commas, ``tx_id|signer as a JSON string|
+        sim_time_submitted``."""
+        txs = (Transaction({"op": "x", "n": 1}, "alice", bytes(range(64)), 5),
+               Transaction({"op": "y", "kw": -0.5}, 'b"ob\xe9', b"\x02" * 64, -7))
+        tx_ids = ["d41f6541d25157a79b233d92e7dec82111fe125ba2c96eb0d336d768abcc375d",
+                  "8612a0885d96fdf736f0e48def87aa04e73a2b5218ee8aa95300c8e3652f28f0"]
+        assert [tx.tx_id for tx in txs] == tx_ids
+        body = f'3|{"ab" * 32}|1500|{tx_ids[0]}|"alice"|5,{tx_ids[1]}|"b\\"ob\\u00e9"|-7'
+        pinned = "a2d8d22719312546d4524d06a52e05de7313a74d8c052cd7f16587fd653a9a0b"
+        assert hashlib.sha256(body.encode("ascii")).hexdigest() == pinned
+        assert compute_block_hash(3, "ab" * 32, txs, 1500) == pinned
+
     def test_exactly_once(self, ledger, enrolled):
         _, key, _ = enrolled
         seen = set()
@@ -879,6 +894,12 @@ def state_with(payload, challenge) -> RegistryState:
 @example(payloads=({"kw": 1.0}, {"kw": True}), challenges=(0, 0))
 @example(payloads=({"kw": [0.0]}, {"kw": (-0.0,)}), challenges=(0, 0))
 @example(payloads=({}, {}), challenges=((math.nan, "a"), [float("nan"), "a"]))
+@example(payloads=({"kw": 0.0}, {"kw": -0.0}), challenges=([0.0], [0.0]))
+@example(payloads=({"kw": math.nan}, {"kw": math.nan}), challenges=([math.nan], [math.nan]))
+@example(payloads=({"kw": math.inf}, {"kw": -math.inf}), challenges=([math.inf], [math.inf]))
+@example(payloads=(["a", 1], ["a", True]), challenges=(0, 0))
+@example(payloads=({"kw": 2**53 + 1}, {"kw": 2.0**53}), challenges=(0, 0))
+@example(payloads=({}, {}), challenges=([-0.0, 1], [0.0, 1]))
 def test_state_equality_matches_canonical_compare(payloads, challenges):
     a = state_with(payloads[0], challenges[0])
     b = state_with(payloads[1], challenges[1])
@@ -1197,6 +1218,91 @@ def test_a_space_outside_the_payload_is_refused(data):
     lines[n] = line[:i] + " " + line[i:]
     with pytest.raises(IntegrityViolationError, match=f"on line {n + 1}: field '"):
         read_back(joined(lines))
+
+
+def reference_block_from_line(line: str) -> Block:
+    """The template walk as first written, each literal checked by a call
+    to ``past``: the reference that ``_block_from_line`` must agree with."""
+    scan = ledger_mod._scan
+
+    def past(i: int, literal: str) -> int:
+        if line.startswith(literal, i):
+            return i + len(literal)
+        raise ValueError(f"expected {literal!r} at column {i}")
+
+    name = "height"
+    try:
+        height, i = scan(line, past(0, ledger_mod._HEIGHT))
+        jr.of(int, height)
+        name = "prev_hash"
+        prev_hash, i = scan(line, past(i, ledger_mod._PREV_HASH))
+        jr.of(str, prev_hash)
+        name = "block_hash"
+        block_hash, i = scan(line, past(i, ledger_mod._BLOCK_HASH))
+        jr.of(str, block_hash)
+        name = "sim_time_committed"
+        committed, i = scan(line, past(i, ledger_mod._COMMITTED))
+        jr.of(int, committed)
+        name = "txs"
+        i = past(i, ledger_mod._TXS)
+        txs = []
+        opening = ledger_mod._PAYLOAD
+        while not line.startswith(ledger_mod._BLOCK_END, i):
+            name = "payload"
+            start = past(i, opening)
+            payload, i = scan(line, start)
+            message = line[start:i].encode("utf-8")
+            name = "signer"
+            signer, i = scan(line, past(i, ledger_mod._SIGNER))
+            jr.of(str, signer)
+            name = "signature"
+            i = past(i, ledger_mod._SIGNATURE)
+            end = line.index('"', i)
+            signature = jr.hexbytes(line[i:end])
+            name = "sim_time_submitted"
+            submitted, i = scan(line, past(end, ledger_mod._SUBMITTED))
+            jr.of(int, submitted)
+            name = "txs"
+            i = past(i, ledger_mod._TX_END)
+            txs.append(Transaction._sealed(payload, message, signer, signature, submitted))
+            opening = ledger_mod._NEXT_PAYLOAD
+    except StopIteration as exc:
+        raise ValueError(f"field {name!r}: no JSON value at column {exc.value}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from exc
+    return Block(height=height, prev_hash=prev_hash, tx_list=tuple(txs),
+                 block_hash=block_hash, sim_time_committed=committed)
+
+
+def walked(walk, line: str):
+    """The stored fields of the block ``walk`` reads from ``line``, or the
+    text of the ``ValueError`` it raises."""
+    try:
+        return stored_fields([walk(line)])
+    except ValueError as exc:
+        return str(exc)
+
+
+# Characters a one-character edit puts into a saved line: template
+# punctuation, JSON number and literal spellings, hex digits and escapes.
+EDIT_CHARS = st.sampled_from('{}[]":,0123456789abcdefnrtlsu-+.E \\/\n\x00\xe9') | st.characters()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), how=st.sampled_from(("insert", "delete", "replace")))
+def test_template_walk_agrees_with_the_reference_walk(data, how):
+    """Any one character inserted, deleted or replaced on a saved line: both
+    walks read the same block, or refuse it with the same message. Half the
+    edits fall outside the hashes, payload and signer, where the template's
+    literals are."""
+    line = data.draw(st.sampled_from(live_chain_lines())) + "\n"
+    layout = [i for i in range(len(line))
+              if not any(start < i < end for start, end in content_spans(line))]
+    i = data.draw(st.sampled_from(layout) | st.integers(0, len(line) - (how != "insert")))
+    tail = line[i + (how != "insert"):]
+    edited = line[:i] + ("" if how == "delete" else data.draw(EDIT_CHARS)) + tail
+    assert walked(ledger_mod._block_from_line, edited) == walked(reference_block_from_line,
+                                                                 edited)
 
 
 DROP = object()

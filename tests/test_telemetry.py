@@ -467,6 +467,19 @@ def site():
     return ledger, key, generate_synthetic(4, seed=9)[:150]
 
 
+@pytest.fixture(scope="module")
+def neighbourhood(site):
+    """``site``'s meter and stream in a registry of their own that also holds
+    two other live devices: (registry, meter key, the others' keys, stream)."""
+    _, _, stream = site
+    anchor = identity.setup(128, seed=1234)
+    ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(anchor))
+    meter, *others = [
+        identity.enroll(identity.make_device(f"meter-{i}", seed=7 + i), owner, anchor, ledger)[0]
+        for i, owner in enumerate(("alice", "bob", "alice"))]
+    return ledger, meter, others, stream
+
+
 def _mutate(sample, field, delta):
     if field == "time":
         return dataclasses.replace(sample, time=sample.time + timedelta(minutes=delta))
@@ -524,6 +537,37 @@ class TestDaySignatures:
         moved = [k for k in range(n) if stored[k] is not series[k]]
         assert moved == (sorted((i, j)) if swap else list(range(min(i, j), max(i, j) + 1)))
         assert detect_tamper(stored, envs, ledger) == moved
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 150),
+        mutations=st.lists(st.tuples(st.integers(0, 149), st.sampled_from(SIGNED_FIELDS)),
+                           max_size=6),
+    )
+    def test_signer_flags_every_day_another_live_token_signed(self, neighbourhood, data, n,
+                                                              mutations):
+        """With ``signer``, a day re-signed by any other live token is
+        flagged whole; a day the meter signed keeps the flags it gets
+        without ``signer``."""
+        ledger, meter, others, stream = neighbourhood
+        series = stream[:n]
+        stored = list(series)
+        for i, field in mutations:
+            stored[i % n] = _mutate(stored[i % n], field, 1)
+        signed = sign_stream(series, meter)
+        forged = sign_stream(stored, data.draw(st.sampled_from(others)))
+        assert detect_tamper(stored, forged, ledger) == []
+        assert detect_tamper(stored, forged, ledger, signer=meter.token_id) == list(range(n))
+        assert (detect_tamper(stored, signed, ledger, signer=meter.token_id)
+                == detect_tamper(stored, signed, ledger))
+        # Days mixed: each forged day is flagged whole, the rest as before.
+        per_day = telemetry.SAMPLES_PER_DAY
+        days = data.draw(st.sets(st.integers(0, len(signed) - 1)))
+        mixed = [forged[d] if d in days else env for d, env in enumerate(signed)]
+        expected = set(detect_tamper(stored, mixed, ledger))
+        expected.update(i for i in range(n) if i // per_day in days)
+        assert detect_tamper(stored, mixed, ledger, signer=meter.token_id) == sorted(expected)
 
     def test_one_sign_per_day(self, enrolled, monkeypatch):
         _, key, _ = enrolled
