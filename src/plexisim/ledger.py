@@ -8,17 +8,19 @@ bytes when it is read back; ``tx_id`` is the SHA-256 of that message
 followed by the signature, so neither is stored. Endorsement gates
 every transaction on the signature (``identity.verify``, or the anchor key)
 and on the registry contract (``RegistryState.admit``); one logical orderer
-then commits each endorsed transaction in its own block, in submission
-order. Committed blocks are hash-chained over every stored field (the
-derived ``tx_id``s, each signer and submit time, and the commit time), and
-the world state is the same contract folded over the chain, so replay
-reproduces the live state exactly and refuses any tx the contract refuses.
+then commits each endorsed transaction alone in its own block, in
+submission order, so a block holds exactly one tx. Committed blocks are
+hash-chained over every stored field (the tx's derived ``tx_id``, signer
+and submit time, and the commit time), and the world state is the same
+contract folded over the chain, so replay reproduces the live state exactly
+and refuses any tx the contract refuses, and any block of other than one tx.
 A signature commits once: the contract keeps the signatures it has folded
 in and refuses a second tx that carries one, however its payload is spelt.
-Blocks persist as JSON lines filled from one fixed template, each payload
+Blocks persist as JSON lines filled from one fixed template, the payload
 written as the bytes that were signed. ``read_chain`` walks each line
-against that template, takes each payload's stored bytes as its message,
-and refuses a line with another field order or whitespace between fields.
+against that template, takes the payload's stored bytes as its message,
+and refuses a line with another field order, whitespace between fields, or
+other than one tx.
 """
 
 from __future__ import annotations
@@ -226,15 +228,15 @@ class Transaction:
         return tx
 
 
-# The chain file: one JSON line per block, filled from these templates by
-# save_chain and read back against them by read_chain, so they are the one
-# definition of the format. A tx is saved as its payload (the signed message
-# itself), signer, signature and submit time; its message is the stored
-# payload bytes and its tx_id is derived again on read.
+# The chain file: one JSON line per block, its "txs" array holding the one
+# _TX_RECORD, filled from these templates by save_chain and read back against
+# them by read_chain, so they are the one definition of the format. A tx is
+# saved as its payload (the signed message itself), signer, signature and
+# submit time; its message is the stored payload bytes and its tx_id is
+# derived again on read.
 _BLOCK_LINE = (b'{"height":%d,"prev_hash":%s,"block_hash":%s,"sim_time_committed":%d,'
                b'"txs":[%s]}\n')
 _TX_RECORD = b'{"payload":%s,"signer":%s,"signature":"%s","sim_time_submitted":%d}'
-_TX_SEP = b","
 
 
 def _literals(template: bytes) -> list:
@@ -244,12 +246,11 @@ def _literals(template: bytes) -> list:
 
 _HEIGHT, _PREV_HASH, _BLOCK_HASH, _COMMITTED, _TXS, _BLOCK_END = _literals(_BLOCK_LINE)
 _PAYLOAD, _SIGNER, _SIGNATURE, _SUBMITTED, _TX_END = _literals(_TX_RECORD)
-_NEXT_PAYLOAD = _TX_SEP.decode("ascii") + _PAYLOAD
 # Each literal's length, which the walk steps over once the literal matches.
 (_HEIGHT_LEN, _PREV_HASH_LEN, _BLOCK_HASH_LEN, _COMMITTED_LEN, _TXS_LEN, _PAYLOAD_LEN,
- _NEXT_PAYLOAD_LEN, _SIGNER_LEN, _SIGNATURE_LEN, _SUBMITTED_LEN, _TX_END_LEN) = map(len, (
-    _HEIGHT, _PREV_HASH, _BLOCK_HASH, _COMMITTED, _TXS, _PAYLOAD, _NEXT_PAYLOAD, _SIGNER,
-    _SIGNATURE, _SUBMITTED, _TX_END))
+ _SIGNER_LEN, _SIGNATURE_LEN, _SUBMITTED_LEN, _TX_END_LEN) = map(len, (
+    _HEIGHT, _PREV_HASH, _BLOCK_HASH, _COMMITTED, _TXS, _PAYLOAD, _SIGNER, _SIGNATURE,
+    _SUBMITTED, _TX_END))
 # Reads the one JSON value that starts at an index, in C where available:
 # no backtracking and no whitespace skipped before the value.
 _scan = make_scanner(json.JSONDecoder())
@@ -257,42 +258,30 @@ _scan = make_scanner(json.JSONDecoder())
 
 @dataclass(frozen=True)
 class Block:
+    """One committed tx. ``tx_list`` is the one-tuple ``(tx,)``, which the
+    chain file writes as a one-element ``"txs"`` array."""
+
     height: int
     prev_hash: str
     tx_list: tuple
     block_hash: str
     sim_time_committed: int
 
-
-def compute_block_hash(height: int, prev_hash: str, txs: Iterable[Transaction],
-                       sim_time_committed: int) -> str:
-    """SHA-256 over every stored field of a block but its own hash. Each
-    signer is written as a JSON string, so the body reads only one way."""
-    body = f"{height}|{prev_hash}|{sim_time_committed}|" + ",".join([
-        f"{tx.tx_id}|{encode_basestring_ascii(tx.signer)}|{tx.sim_time_submitted}" for tx in txs
-    ])
-    return hashlib.sha256(body.encode("ascii")).hexdigest()
-
-
-@dataclass(frozen=True)
-class CommitReceipt:
-    tx_id: str
-    block_height: int
-    submitted_at: int
-    committed_at: int
-
     @property
     def latency_ms(self) -> int:
-        return self.committed_at - self.submitted_at
+        """Simulated ms from the tx's submission to the block's commit."""
+        return self.sim_time_committed - self.tx_list[0].sim_time_submitted
 
 
-def _receipt(tx: Transaction, block: Block) -> CommitReceipt:
-    return CommitReceipt(
-        tx_id=tx.tx_id,
-        block_height=block.height,
-        submitted_at=tx.sim_time_submitted,
-        committed_at=block.sim_time_committed,
-    )
+def compute_block_hash(height: int, prev_hash: str, tx: Transaction,
+                       sim_time_committed: int) -> str:
+    """SHA-256 over every stored field of a block but its own hash: the body
+    ``height|prev_hash|sim_time_committed|tx_id|signer|sim_time_submitted``
+    of its one tx. The signer is written as a JSON string, so the body reads
+    only one way."""
+    body = (f"{height}|{prev_hash}|{sim_time_committed}|{tx.tx_id}|"
+            f"{encode_basestring_ascii(tx.signer)}|{tx.sim_time_submitted}")
+    return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +484,7 @@ class LedgerSim:
     ``submit`` is the one commit path and is synchronous: each endorsed
     transaction commits alone in a block ``BLOCK_INTERVAL_MS`` of simulated
     time after it was submitted, and the shared clock advances to that
-    commit time before the receipt is returned. Batching under load is
+    commit time before the block is returned. Batching under load is
     modelled in ``simnet``.
     """
 
@@ -504,7 +493,7 @@ class LedgerSim:
         self.anchor_pk = anchor_pk
         self.chain: list[Block] = []
         self.state = RegistryState()
-        self._committed: dict[str, CommitReceipt] = {}
+        self._committed: dict[str, Block] = {}
 
     # -- queries ----------------------------------------------------------
 
@@ -518,14 +507,15 @@ class LedgerSim:
     def challenge_index_for(self, device_id: bytes) -> int:
         return self.state.challenge_index_for(device_id)
 
-    def receipt_for(self, tx_id: str) -> Optional[CommitReceipt]:
+    def receipt_for(self, tx_id: str) -> Optional[Block]:
+        """The block that committed the tx ``tx_id``, if any."""
         return self._committed.get(tx_id)
 
     # -- commit -----------------------------------------------------------
 
-    def submit(self, tx: Transaction) -> CommitReceipt:
+    def submit(self, tx: Transaction) -> Block:
         """Endorse ``tx`` (signature, then ``RegistryState.admit``), commit it
-        alone in the next block and return its receipt."""
+        alone in the next block and return that block."""
         if tx.signer == ANCHOR_TOKEN_ID:
             signed = signature_valid(self.anchor_pk, tx.message, tx.signature)
         else:
@@ -542,12 +532,12 @@ class LedgerSim:
             height=height,
             prev_hash=prev,
             tx_list=(tx,),
-            block_hash=compute_block_hash(height, prev, (tx,), now),
+            block_hash=compute_block_hash(height, prev, tx, now),
             sim_time_committed=now,
         )
-        receipt = self._committed[tx.tx_id] = _receipt(tx, block)
+        self._committed[tx.tx_id] = block
         self.chain.append(block)
-        return receipt
+        return block
 
     # -- contract conveniences ---------------------------------------------
 
@@ -605,7 +595,7 @@ class LedgerSim:
         kind: str,
         payload: dict,
         signer: SigningKey,
-    ) -> CommitReceipt:
+    ) -> Block:
         now = self.clock.now()
         body = {
             "op": OP_RECORD_EVENT,
@@ -617,7 +607,7 @@ class LedgerSim:
         return self._call(body, signer, now)
 
     def _call(self, payload: dict, key: Union[SigningKey, AnchorKeys],
-              now: int) -> CommitReceipt:
+              now: int) -> Block:
         """Sign ``payload`` with ``key`` (the anchor's, for a create_nft) and submit
         it, decoded from the signed bytes: no later edit to the dict commits."""
         message = _message(payload)
@@ -633,9 +623,10 @@ class LedgerSim:
         return replay_chain(self.chain)
 
     def save_chain(self, path) -> None:
-        """Write one ``_BLOCK_LINE`` per block. Each payload is the signed
-        ``message``, so its keys appear sorted; every string field goes
-        through the JSON string encoder, so the file is ASCII JSON."""
+        """Write one ``_BLOCK_LINE`` per block, holding its tx's one
+        ``_TX_RECORD``. The payload is the signed ``message``, so its keys
+        appear sorted; every string field goes through the JSON string
+        encoder, so the file is ASCII JSON."""
         with open(path, "wb") as fh:
             fh.writelines(
                 _BLOCK_LINE % (
@@ -643,13 +634,10 @@ class LedgerSim:
                     encode_basestring_ascii(block.prev_hash).encode(),
                     encode_basestring_ascii(block.block_hash).encode(),
                     block.sim_time_committed,
-                    _TX_SEP.join([
-                        _TX_RECORD % (tx.message, encode_basestring_ascii(tx.signer).encode(),
-                                      tx.signature.hex().encode(), tx.sim_time_submitted)
-                        for tx in block.tx_list
-                    ]),
+                    _TX_RECORD % (tx.message, encode_basestring_ascii(tx.signer).encode(),
+                                  tx.signature.hex().encode(), tx.sim_time_submitted),
                 )
-                for block in self.chain
+                for block in self.chain for (tx,) in (block.tx_list,)
             )
 
     def load_chain(self, path) -> None:
@@ -658,14 +646,13 @@ class LedgerSim:
         chain = read_chain(path)
         state = replay_chain(chain)
         self.chain, self.state = chain, state
-        self._committed = {
-            tx.tx_id: _receipt(tx, block) for block in chain for tx in block.tx_list
-        }
+        self._committed = {block.tx_list[0].tx_id: block for block in chain}
 
 
 def replay_chain(chain: Iterable[Block]) -> RegistryState:
     """Verify hash links and fold the chain into a fresh state through the
-    contract, which also refuses a signature seen twice."""
+    contract, which also refuses a signature seen twice. A block that does
+    not hold exactly one tx is refused."""
     state = RegistryState()
     prev = GENESIS_PREV_HASH
     for i, block in enumerate(chain):
@@ -673,12 +660,15 @@ def replay_chain(chain: Iterable[Block]) -> RegistryState:
             raise IntegrityViolationError(f"block height gap at {i}")
         if block.prev_hash != prev:
             raise IntegrityViolationError(f"broken hash link at height {i}")
-        expected = compute_block_hash(block.height, block.prev_hash, block.tx_list,
+        if len(block.tx_list) != 1:
+            raise IntegrityViolationError(
+                f"block at height {i} holds {len(block.tx_list)} txs, not one")
+        (tx,) = block.tx_list
+        expected = compute_block_hash(block.height, block.prev_hash, tx,
                                       block.sim_time_committed)
         if block.block_hash != expected:
             raise IntegrityViolationError(f"block hash mismatch at height {i}")
-        for tx in block.tx_list:
-            state.apply(tx)
+        state.apply(tx)
         prev = block.block_hash
     return state
 
@@ -687,9 +677,9 @@ def read_chain(path) -> list[Block]:
     """The blocks a chain file holds, one ``_BLOCK_LINE`` each. A line that
     is not UTF-8 or departs from the template (another field order,
     whitespace between fields, a value of the wrong JSON type, a
-    signature not in lower-case hex) raises ``IntegrityViolationError``
-    naming the line and the field; ``replay_chain`` checks the hashes and
-    the contract."""
+    signature not in lower-case hex, other than one tx in ``txs``) raises
+    ``IntegrityViolationError`` naming the line and the field;
+    ``replay_chain`` checks the hashes and the contract."""
     blocks: list[Block] = []
     # Binary lines, decoded one at a time, so a byte that is not UTF-8 is
     # reported with its line.
@@ -712,10 +702,11 @@ def _expected(literal: str, i: int):
 
 def _block_from_line(line: str) -> Block:
     """The block a saved line holds, read left to right against
-    ``_BLOCK_LINE`` and ``_TX_RECORD``: each literal must stand where the
-    template puts it, and each value is one JSON value of its field's type.
-    A tx's message is its stored payload bytes. A departure raises
-    ``ValueError`` naming the field being read."""
+    ``_BLOCK_LINE`` and its one ``_TX_RECORD``: each literal must stand where
+    the template puts it, and each value is one JSON value of its field's
+    type. The tx's message is its stored payload bytes. A departure, such as
+    a ``txs`` array holding no tx or more than one, raises ``ValueError``
+    naming the field being read."""
     # Each literal is checked inline rather than through a helper call:
     # this walk runs once per stored field of every tx of every audit.
     name = "height"
@@ -743,42 +734,42 @@ def _block_from_line(line: str) -> Block:
         if not line.startswith(_TXS, i):
             _expected(_TXS, i)
         i += _TXS_LEN
-        txs = []
-        opening, opening_len = _PAYLOAD, _PAYLOAD_LEN
-        # A line ends at its only newline, so the end literal ends the line.
-        while not line.startswith(_BLOCK_END, i):
-            name = "payload"
-            if not line.startswith(opening, i):
-                _expected(opening, i)
-            start = i + opening_len
-            payload, i = _scan(line, start)
-            message = line[start:i].encode("utf-8")
-            name = "signer"
-            if not line.startswith(_SIGNER, i):
-                _expected(_SIGNER, i)
-            signer, i = _scan(line, i + _SIGNER_LEN)
-            jr.of(str, signer)
-            name = "signature"
-            if not line.startswith(_SIGNATURE, i):
-                _expected(_SIGNATURE, i)
-            i += _SIGNATURE_LEN
-            end = line.index('"', i)
-            # Lower-case only: another spelling would be covered by no hash.
-            signature = jr.hexbytes(line[i:end])
-            name = "sim_time_submitted"
-            if not line.startswith(_SUBMITTED, end):
-                _expected(_SUBMITTED, end)
-            submitted, i = _scan(line, end + _SUBMITTED_LEN)
-            jr.of(int, submitted)
-            name = "txs"
-            if not line.startswith(_TX_END, i):
-                _expected(_TX_END, i)
-            i += _TX_END_LEN
-            txs.append(Transaction._sealed(payload, message, signer, signature, submitted))
-            opening, opening_len = _NEXT_PAYLOAD, _NEXT_PAYLOAD_LEN
+        # The array's one record opens here, so an empty array is refused.
+        if not line.startswith(_PAYLOAD, i):
+            _expected(_PAYLOAD, i)
+        start = i + _PAYLOAD_LEN
+        name = "payload"
+        payload, i = _scan(line, start)
+        message = line[start:i].encode("utf-8")
+        name = "signer"
+        if not line.startswith(_SIGNER, i):
+            _expected(_SIGNER, i)
+        signer, i = _scan(line, i + _SIGNER_LEN)
+        jr.of(str, signer)
+        name = "signature"
+        if not line.startswith(_SIGNATURE, i):
+            _expected(_SIGNATURE, i)
+        i += _SIGNATURE_LEN
+        end = line.index('"', i)
+        # Lower-case only: another spelling would be covered by no hash.
+        signature = jr.hexbytes(line[i:end])
+        name = "sim_time_submitted"
+        if not line.startswith(_SUBMITTED, end):
+            _expected(_SUBMITTED, end)
+        submitted, i = _scan(line, end + _SUBMITTED_LEN)
+        jr.of(int, submitted)
+        name = "txs"
+        if not line.startswith(_TX_END, i):
+            _expected(_TX_END, i)
+        i += _TX_END_LEN
+        # A line ends at its only newline, so the end literal ends the line
+        # and a second record departs from it.
+        if not line.startswith(_BLOCK_END, i):
+            _expected(_BLOCK_END, i)
     except StopIteration as exc:
         raise ValueError(f"field {name!r}: no JSON value at column {exc.value}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {name!r}: {exc}") from exc
-    return Block(height=height, prev_hash=prev_hash, tx_list=tuple(txs),
+    return Block(height=height, prev_hash=prev_hash,
+                 tx_list=(Transaction._sealed(payload, message, signer, signature, submitted),),
                  block_hash=block_hash, sim_time_committed=committed)

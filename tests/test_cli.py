@@ -675,6 +675,20 @@ def _registry_tx_unknown_key(tmp_path):
     return _registry_with_edited_tx(tmp_path, lambda tx: tx.update(tx_id="00" * 32))
 
 
+def _registry_with_an_empty_block(tmp_path):
+    # Hashed as a block of no txs would be, so only its empty "txs" is wrong.
+    out = tmp_path / "o"
+    run(["enroll", "--n", 2, "--seed", 1, "--out", out])
+    registry = out / "ledger.jsonl"
+    last = json.loads(registry.read_text().splitlines()[-1])
+    h, prev, t = last["height"] + 1, last["block_hash"], last["sim_time_committed"]
+    block_hash = hashlib.sha256(f"{h}|{prev}|{t}|".encode()).hexdigest()
+    with registry.open("a") as fh:
+        fh.write(json.dumps({"height": h, "prev_hash": prev, "block_hash": block_hash,
+                             "sim_time_committed": t, "txs": []}, separators=(",", ":")) + "\n")
+    return ["enroll", "--n", 0, "--seed", 1, "--out", out, "--registry", registry]
+
+
 def _enroll_negative_count(tmp_path):
     return ["enroll", "--n", -1, "--out", tmp_path / "o"]
 
@@ -693,7 +707,7 @@ def _out_is_a_file(tmp_path):
     _truncated_registry, _registry_payload_not_an_object, _registry_payload_without_device_id,
     _registry_device_id_not_hex, _registry_submit_time_infinite, _registry_owner_id_edited,
     _registry_in_old_format, _registry_commit_time_string, _registry_commit_time_missing,
-    _registry_submit_time_edited,
+    _registry_submit_time_edited, _registry_with_an_empty_block,
     _scenario_without_bids, _scenario_not_json, _scenario_issuer_not_string,
     _scenario_owner_not_string, _scenario_bid_id_not_string, _scenario_capacity_nan,
     _scenario_price_nan, _scenario_quantity_nan, _scenario_window_start_infinite,

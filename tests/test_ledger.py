@@ -73,11 +73,20 @@ def anchor_signed(payload, anchor, now):
                  now)
 
 
-def rehashed(block, *txs):
-    """``block`` holding ``txs``, its hash recomputed as an editor could."""
-    return dataclasses.replace(block, tx_list=txs,
-                               block_hash=compute_block_hash(block.height, block.prev_hash, txs,
+def rehashed(block, tx):
+    """``block`` holding ``tx``, its hash recomputed as an editor could."""
+    return dataclasses.replace(block, tx_list=(tx,),
+                               block_hash=compute_block_hash(block.height, block.prev_hash, tx,
                                                              block.sim_time_committed))
+
+
+def multi_tx_hash(height, prev_hash, txs, sim_time_committed):
+    """The block hash of any number of txs, their ``tx_id|signer|submit``
+    parts joined by commas: what an editor could compute for a block of
+    other than one tx."""
+    body = f"{height}|{prev_hash}|{sim_time_committed}|" + ",".join(
+        f"{tx.tx_id}|{json.dumps(tx.signer)}|{tx.sim_time_submitted}" for tx in txs)
+    return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
 def create_tx(ledger, anchor, device, owner):
@@ -104,9 +113,11 @@ class TestSubmit:
 
     def test_receipt_latency_non_negative(self, anchor, ledger, enrolled):
         _, key, _ = enrolled
-        receipt = ledger.submit(record_tx(ledger, key))
-        assert receipt.latency_ms >= 0
-        assert receipt.committed_at >= receipt.submitted_at
+        tx = record_tx(ledger, key)
+        block = ledger.submit(tx)
+        assert block is ledger.chain[-1] and block.tx_list == (tx,)
+        assert block.latency_ms >= 0
+        assert block.sim_time_committed >= tx.sim_time_submitted
 
     def test_revoked_signer_rejected_at_endorsement(self, anchor, ledger, enrolled):
         _, key, token_id = enrolled
@@ -194,11 +205,11 @@ class TestSubmit:
     def test_caller_edit_after_commit_changes_nothing(self, tmp_path, ledger, enrolled):
         _, key, _ = enrolled
         p = {"kw": 5}
-        receipt = ledger.record_event("wf", "k", p, key)
+        block = ledger.record_event("wf", "k", p, key)
         p["kw"] = 500
         assert ledger.state.event_log[-1]["payload"] == {"kw": 5}
-        tx = ledger.chain[-1].tx_list[0]
-        assert (tx.tx_id, tx.payload["payload"]) == (receipt.tx_id, {"kw": 5})
+        assert block is ledger.chain[-1]
+        assert block.tx_list[0].payload["payload"] == {"kw": 5}
         path = tmp_path / "chain.jsonl"
         ledger.save_chain(path)
         assert replay_chain(read_chain(path)) == ledger.state
@@ -334,8 +345,9 @@ class TestCreateNft:
         device = identity.make_device("d", seed=4)
         _, token_id = identity.enroll(device, "alice", anchor, ledger)
         token = ledger.query(token_id)
-        receipt = ledger.receipt_for(ledger.chain[-1].tx_list[0].tx_id)
-        assert 0 <= token.issue_time <= receipt.committed_at
+        block = ledger.receipt_for(ledger.chain[-1].tx_list[0].tx_id)
+        assert block is ledger.chain[-1]
+        assert 0 <= token.issue_time <= block.sim_time_committed
 
     def test_flags_start_all_false(self, anchor, ledger, enrolled):
         _, _, token_id = enrolled
@@ -598,9 +610,9 @@ class TestReplay:
         tampered = Block(
             height=block.height,
             prev_hash=block.prev_hash,
-            tx_list=block.tx_list[:-1]
-            + (borrowed(block.tx_list[-1], {"op": "record_event", "workflow_id": "wf",
-                                            "kind": "evil", "payload": {}, "sim_time": 0}, 0),),
+            tx_list=(borrowed(block.tx_list[0], {"op": "record_event", "workflow_id": "wf",
+                                                 "kind": "evil", "payload": {}, "sim_time": 0},
+                              0),),
             block_hash=block.block_hash,
             sim_time_committed=block.sim_time_committed,
         )
@@ -642,7 +654,7 @@ class TestReplay:
             height=height,
             prev_hash=last.block_hash,
             tx_list=last.tx_list,
-            block_hash=compute_block_hash(height, last.block_hash, last.tx_list,
+            block_hash=compute_block_hash(height, last.block_hash, last.tx_list[0],
                                           last.sim_time_committed),
             sim_time_committed=last.sim_time_committed,
         ))
@@ -655,16 +667,30 @@ class TestReplay:
         ledger.submit(tx)
         last = ledger.chain[-1]
         height = len(ledger.chain)
-        copy = (retimed(tx, ledger.clock.now()),)
+        copy = retimed(tx, ledger.clock.now())
         ledger.chain.append(Block(
             height=height,
             prev_hash=last.block_hash,
-            tx_list=copy,
+            tx_list=(copy,),
             block_hash=compute_block_hash(height, last.block_hash, copy,
                                           last.sim_time_committed),
             sim_time_committed=last.sim_time_committed,
         ))
         with pytest.raises(IntegrityViolationError, match="twice"):
+            ledger.replay()
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_block_of_other_than_one_tx_refused(self, ledger, enrolled, count):
+        # Hashed over its txs as an editor could, each tx one the contract
+        # would admit: only the block's shape is wrong.
+        _, key, _ = enrolled
+        txs = tuple(record_tx(ledger, key, tag=f"b{i}") for i in range(count))
+        last = ledger.chain[-1]
+        height, committed = len(ledger.chain), last.sim_time_committed
+        ledger.chain.append(Block(height, last.block_hash, txs,
+                                  multi_tx_hash(height, last.block_hash, txs, committed),
+                                  committed))
+        with pytest.raises(IntegrityViolationError, match=f"holds {count} txs, not one"):
             ledger.replay()
 
     def test_empty_chain_empty_state(self):
@@ -679,19 +705,16 @@ class TestReplay:
             assert cur.prev_hash == prev.block_hash
             assert cur.height == prev.height + 1
 
-    def test_block_hash_of_a_two_tx_block_is_pinned(self):
-        """The hashed body is ``height|prev_hash|sim_time_committed|`` then,
-        per tx and joined by commas, ``tx_id|signer as a JSON string|
-        sim_time_submitted``."""
-        txs = (Transaction({"op": "x", "n": 1}, "alice", bytes(range(64)), 5),
-               Transaction({"op": "y", "kw": -0.5}, 'b"ob\xe9', b"\x02" * 64, -7))
-        tx_ids = ["d41f6541d25157a79b233d92e7dec82111fe125ba2c96eb0d336d768abcc375d",
-                  "8612a0885d96fdf736f0e48def87aa04e73a2b5218ee8aa95300c8e3652f28f0"]
-        assert [tx.tx_id for tx in txs] == tx_ids
-        body = f'3|{"ab" * 32}|1500|{tx_ids[0]}|"alice"|5,{tx_ids[1]}|"b\\"ob\\u00e9"|-7'
-        pinned = "a2d8d22719312546d4524d06a52e05de7313a74d8c052cd7f16587fd653a9a0b"
+    def test_block_hash_of_a_one_tx_block_is_pinned(self):
+        """The hashed body is ``height|prev_hash|sim_time_committed|tx_id|
+        signer as a JSON string|sim_time_submitted``."""
+        tx = Transaction({"op": "y", "kw": -0.5}, 'b"ob\xe9', b"\x02" * 64, -7)
+        tx_id = "8612a0885d96fdf736f0e48def87aa04e73a2b5218ee8aa95300c8e3652f28f0"
+        assert tx.tx_id == tx_id
+        body = f'3|{"ab" * 32}|1500|{tx_id}|"b\\"ob\\u00e9"|-7'
+        pinned = "f6ca79561d25d8eb19b4c4a2d827652ab0fa2f6be3ce48288a32990ccd2b1ba4"
         assert hashlib.sha256(body.encode("ascii")).hexdigest() == pinned
-        assert compute_block_hash(3, "ab" * 32, txs, 1500) == pinned
+        assert compute_block_hash(3, "ab" * 32, tx, 1500) == pinned
 
     def test_exactly_once(self, ledger, enrolled):
         _, key, _ = enrolled
@@ -713,12 +736,12 @@ class TestBatching:
         start_height = ledger.height
         clock.advance(7)
         tx = record_tx(ledger, key, tag="solo")
-        receipt = ledger.submit(tx)
-        block = ledger.chain[-1]
-        assert ledger.height == start_height + 1
+        block = ledger.submit(tx)
+        assert block is ledger.chain[-1]
+        assert ledger.height == start_height + 1 == block.height + 1
         assert block.tx_list == (tx,)
-        assert block.sim_time_committed == tx.sim_time_submitted + BLOCK_INTERVAL_MS
-        assert receipt.committed_at == clock.now() == block.sim_time_committed
+        assert block.latency_ms == BLOCK_INTERVAL_MS
+        assert block.sim_time_committed == clock.now()
 
 
 # Edits of the enrolled fixture's block (height 0) that int() or
@@ -811,7 +834,24 @@ class TestPersistence:
         ledger.save_chain(path)
         reloaded = LedgerSim(clock, anchor_pk=identity.anchor_public_key(anchor))
         reloaded.load_chain(path)
-        assert reloaded.receipt_for(tx.tx_id) == live
+        restored = reloaded.receipt_for(tx.tx_id)
+        assert restored == live
+        assert ((restored.height, restored.sim_time_committed, restored.latency_ms)
+                == (live.height, live.sim_time_committed, BLOCK_INTERVAL_MS))
+
+    @pytest.mark.parametrize("records", [
+        lambda record: "",
+        lambda record: record + "," + record,
+    ], ids=["no tx", "two txs"])
+    def test_txs_of_other_than_one_record_refused(self, tmp_path, ledger, enrolled, records):
+        path = tmp_path / "chain.jsonl"
+        ledger.save_chain(path)
+        line = path.read_text()
+        start = line.index('"txs":[') + len('"txs":[')
+        end = line.rindex("]}")
+        path.write_text(line[:start] + records(line[start:end]) + line[end:])
+        with pytest.raises(IntegrityViolationError, match="on line 1: field 'txs'"):
+            read_chain(path)
 
     def test_load_chain_refused_keeps_the_old_chain(self, tmp_path, ledger, enrolled):
         # The second block repeats the first at height 1: it reads, and
@@ -1001,17 +1041,14 @@ AWKWARD_JSON = st.recursive(
 
 @st.composite
 def chains(draw):
-    """Hash-linked blocks of zero to two txs with any payload, signer,
+    """Hash-linked blocks of one tx each with any payload, signer,
     signature and sim times. Saving and reading check no signature."""
     chain, prev = [], GENESIS_PREV_HASH
     for height in range(draw(st.integers(0, 4))):
-        txs = tuple(
-            Transaction(draw(st.dictionaries(AWKWARD_TEXT, AWKWARD_JSON, max_size=4)),
-                        draw(AWKWARD_TEXT), draw(st.binary(max_size=64)), draw(st.integers()))
-            for _ in range(draw(st.integers(0, 2)))
-        )
+        tx = Transaction(draw(st.dictionaries(AWKWARD_TEXT, AWKWARD_JSON, max_size=4)),
+                         draw(AWKWARD_TEXT), draw(st.binary(max_size=64)), draw(st.integers()))
         committed = draw(st.integers())
-        chain.append(Block(height, prev, txs, compute_block_hash(height, prev, txs, committed),
+        chain.append(Block(height, prev, (tx,), compute_block_hash(height, prev, tx, committed),
                            committed))
         prev = chain[-1].block_hash
     return chain
@@ -1152,7 +1189,7 @@ def relinked(chain) -> list:
     out, prev = [], GENESIS_PREV_HASH
     for block in chain:
         out.append(Block(block.height, prev, block.tx_list,
-                         compute_block_hash(block.height, prev, block.tx_list,
+                         compute_block_hash(block.height, prev, block.tx_list[0],
                                             block.sim_time_committed),
                          block.sim_time_committed))
         prev = out[-1].block_hash
@@ -1222,7 +1259,8 @@ def test_a_space_outside_the_payload_is_refused(data):
 
 def reference_block_from_line(line: str) -> Block:
     """The template walk as first written, each literal checked by a call
-    to ``past``: the reference that ``_block_from_line`` must agree with."""
+    to ``past`` and the one record read as such: the reference that
+    ``_block_from_line`` must agree with."""
     scan = ledger_mod._scan
 
     def past(i: int, literal: str) -> int:
@@ -1244,33 +1282,28 @@ def reference_block_from_line(line: str) -> Block:
         committed, i = scan(line, past(i, ledger_mod._COMMITTED))
         jr.of(int, committed)
         name = "txs"
-        i = past(i, ledger_mod._TXS)
-        txs = []
-        opening = ledger_mod._PAYLOAD
-        while not line.startswith(ledger_mod._BLOCK_END, i):
-            name = "payload"
-            start = past(i, opening)
-            payload, i = scan(line, start)
-            message = line[start:i].encode("utf-8")
-            name = "signer"
-            signer, i = scan(line, past(i, ledger_mod._SIGNER))
-            jr.of(str, signer)
-            name = "signature"
-            i = past(i, ledger_mod._SIGNATURE)
-            end = line.index('"', i)
-            signature = jr.hexbytes(line[i:end])
-            name = "sim_time_submitted"
-            submitted, i = scan(line, past(end, ledger_mod._SUBMITTED))
-            jr.of(int, submitted)
-            name = "txs"
-            i = past(i, ledger_mod._TX_END)
-            txs.append(Transaction._sealed(payload, message, signer, signature, submitted))
-            opening = ledger_mod._NEXT_PAYLOAD
+        start = past(past(i, ledger_mod._TXS), ledger_mod._PAYLOAD)
+        name = "payload"
+        payload, i = scan(line, start)
+        message = line[start:i].encode("utf-8")
+        name = "signer"
+        signer, i = scan(line, past(i, ledger_mod._SIGNER))
+        jr.of(str, signer)
+        name = "signature"
+        i = past(i, ledger_mod._SIGNATURE)
+        end = line.index('"', i)
+        signature = jr.hexbytes(line[i:end])
+        name = "sim_time_submitted"
+        submitted, i = scan(line, past(end, ledger_mod._SUBMITTED))
+        jr.of(int, submitted)
+        name = "txs"
+        past(past(i, ledger_mod._TX_END), ledger_mod._BLOCK_END)
     except StopIteration as exc:
         raise ValueError(f"field {name!r}: no JSON value at column {exc.value}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {name!r}: {exc}") from exc
-    return Block(height=height, prev_hash=prev_hash, tx_list=tuple(txs),
+    tx = Transaction._sealed(payload, message, signer, signature, submitted)
+    return Block(height=height, prev_hash=prev_hash, tx_list=(tx,),
                  block_hash=block_hash, sim_time_committed=committed)
 
 
@@ -1339,7 +1372,7 @@ def appended(chain, tx):
     """``chain`` with one more block holding ``tx``, hashed as an editor could."""
     prev = chain[-1].block_hash if chain else GENESIS_PREV_HASH
     height = len(chain)
-    return [*chain, Block(height, prev, (tx,), compute_block_hash(height, prev, (tx,), 0), 0)]
+    return [*chain, Block(height, prev, (tx,), compute_block_hash(height, prev, tx, 0), 0)]
 
 
 # Calls the contract refuses whoever signs them.
