@@ -316,7 +316,8 @@ def cmd_attack(args) -> int:
 
     df_original = telemetry.estimate_flexibility(series)
     df_attacked = telemetry.estimate_flexibility(attacked)
-    flagged = set(telemetry.detect_tamper(attacked, envelopes, ledger, signer=key.token_id))
+    flagged = set(telemetry.detect_tamper(attacked, envelopes, ledger, signer=key.token_id,
+                                          start=series[0].time))
     deltas = telemetry.per_step_deltas(series, attacked, target)
     gain = telemetry.madiot_gain(deltas, len(deltas))
 

@@ -770,6 +770,13 @@ def _block_from_line(line: str) -> Block:
         raise ValueError(f"field {name!r}: no JSON value at column {exc.value}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {name!r}: {exc}") from exc
-    return Block(height=height, prev_hash=prev_hash,
-                 tx_list=(Transaction._sealed(payload, message, signer, signature, submitted),),
-                 block_hash=block_hash, sim_time_committed=committed)
+    # Built as Transaction._sealed builds a tx, without the dataclass
+    # __init__: the fields in the order it sets them.
+    block = object.__new__(Block)
+    object.__setattr__(block, "height", height)
+    object.__setattr__(block, "prev_hash", prev_hash)
+    object.__setattr__(block, "tx_list",
+                       (Transaction._sealed(payload, message, signer, signature, submitted),))
+    object.__setattr__(block, "block_hash", block_hash)
+    object.__setattr__(block, "sim_time_committed", committed)
+    return block

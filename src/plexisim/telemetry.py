@@ -6,11 +6,14 @@ injection attacks, FDI and MadIoT, scale one field of the readings in a
 window up by a percentage of themselves (attacked = original + original *
 fraction / 100). Samples signed at ingestion, one signature per day of
 samples, can be re-verified later to flag exactly the samples mutated
-after signing. Each day's signed message opens with a header line,
-``{"day":k,"days":n}``, that binds it to its place in the stream: a day
-replayed or moved to another place is flagged whole, and a stream shorter
-than it was signed, by whole days or by samples cut from its end, is
-refused. The check runs a day at a time, with one verify per day.
+after signing. Each sample is signed as one fixed-width 48-byte record
+(``canonical_sample_bytes``). Each day's signed message opens with a header
+line, ``{"day":k,"days":n,"start":"<isoformat>"}``, that binds it to its
+place in its stream and to the stream's first sample time: a day replayed,
+moved to another place or spliced in from another stream is flagged whole,
+and a stream shorter than it was signed, by whole days or by samples cut
+from its end, is refused. The check runs a day at a time, with one verify
+per day.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import csv
 import math
 import random
 import re
-from dataclasses import dataclass, field, fields
+import struct
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from operator import attrgetter
@@ -27,7 +31,6 @@ from typing import Optional, Sequence
 
 from .errors import ConfigurationError, IngestionError, ValidationError
 from . import identity
-from .jsonread import canonical_json
 
 CSV_HEADER = ["time", "net", "tamb", "hvac", "hvac_demand_res"]
 SAMPLE_MINUTES = 30
@@ -46,15 +49,11 @@ class TelemetrySample:
     tamb_c: float
     hvac_kw: float
     hvac_demand_res_kw: float
-    # The sample's canonical line, kept by ``canonical_sample_bytes`` once it
-    # has checked that every field is immutable. Unset until then (the class
-    # default), and not copied by ``dataclasses.replace``.
-    _line: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
 
 # The constructor's arguments, in order, and a getter that reads them off a
 # sample as one tuple.
-_SAMPLE_FIELDS = tuple(f.name for f in fields(TelemetrySample) if f.init)
+_SAMPLE_FIELDS = tuple(f.name for f in fields(TelemetrySample))
 _sample_args = attrgetter(*_SAMPLE_FIELDS)
 
 
@@ -215,7 +214,7 @@ def fdi_inject(
     out = list(series)
     # The constructor builds an attacked sample at about half the cost of
     # dataclasses.replace: the other fields pass through as the same
-    # objects, and the new sample keeps no line until it is formatted.
+    # objects.
     at = _SAMPLE_FIELDS.index(target_field)
     for i in range(lo, hi):
         args = list(_sample_args(out[i]))
@@ -294,58 +293,77 @@ def estimate_flexibility(series: Sequence[TelemetrySample]) -> list:
 # Stream signing and tamper detection
 # ---------------------------------------------------------------------------
 
-# One sample line: keys in sorted order, compact separators. isoformat()
-# yields only digits and "-T:.+", which json never escapes.
-_SAMPLE_LINE = '{"hvac":%s,"hvac_demand_res":%s,"net":%s,"tamb":%s,"time":"%s"}'
-# The same line for four finite floats: %r is float.__repr__.
-_FLOAT_LINE = _SAMPLE_LINE.replace("%s", "%r", 4)
+# One sample's record: its four readings as IEEE-754 doubles, in field order,
+# then its wall-clock time as integer microseconds since 0001-01-01T00:00 and
+# its UTC offset in microseconds, or _NAIVE for a time with no tzinfo.
+_RECORD = struct.Struct("<4dqq")
+RECORD_SIZE = _RECORD.size
+# Outside the +-24 h that a UTC offset can take.
+_NAIVE = -(2 ** 63)
+_US = timedelta(microseconds=1)
+_MIN = datetime.min
+_MIN_UTC = datetime.min.replace(tzinfo=timezone.utc)
 
 
-def _json_reading(v) -> str:
-    # float.__repr__ is json's spelling of a finite float (v - v is nan for
-    # nan and +-inf); anything else, float subclasses included, goes through
-    # json itself, which also raises for what json.dumps rejects.
-    return float.__repr__(v) if type(v) is float and v - v == 0.0 else canonical_json(v)
+def _domain_error(sample: TelemetrySample) -> ValidationError:
+    """The error that names the first field the record does not take."""
+    for name in _SAMPLE_FIELDS[1:]:
+        value = getattr(sample, name)
+        if type(value) is not float:
+            return ValidationError(f"sample field {name} is {type(value).__name__}, "
+                                   f"not float")
+    if type(sample.time) is not datetime:
+        return ValidationError(f"sample time is {type(sample.time).__name__}, not datetime")
+    return ValidationError(f"sample time's tzinfo is {type(sample.time.tzinfo).__name__}, "
+                           f"neither None nor datetime.timezone")
 
 
 def canonical_sample_bytes(sample: TelemetrySample) -> bytes:
-    """Sorted-key compact JSON of one sample, byte-identical to
-    ``json.dumps(..., sort_keys=True, separators=(",", ":"))``.
+    """The 48-byte record that signs one sample: ``net_kw``, ``tamb_c``,
+    ``hvac_kw`` and ``hvac_demand_res_kw`` as little-endian doubles, then
+    the wall-clock time as a signed 64-bit count of microseconds since
+    0001-01-01T00:00 and the UTC offset in microseconds, or ``-2**63`` for a
+    time with no tzinfo.
 
-    A sample whose readings are exact finite floats and whose ``time`` is an
-    exact ``datetime`` with no tzinfo or a ``datetime.timezone`` cannot change
-    (the dataclass is frozen and those values are immutable), so its line is
-    formatted once and kept on the sample. Any other sample is formatted at
-    every call, so a mutable reading changed after signing is still seen.
+    Only immutable values are encoded: each reading must be an exact
+    ``float`` (compared by bit pattern, so ``0.0`` and ``-0.0`` differ, and
+    so do NaN payloads) and ``time`` an exact ``datetime`` whose tzinfo is
+    ``None`` or a ``datetime.timezone``. Anything else, ints, bools and
+    float subclasses included, raises ``ValidationError``. Two such samples
+    encode equal exactly when their readings' bits, wall times and offsets
+    (or both being naive) are equal. The record is built again at each
+    call; nothing is kept on the sample.
     """
-    line = sample._line
-    if line is not None:
-        return line
-    hvac, res, net, tamb = (sample.hvac_kw, sample.hvac_demand_res_kw,
-                            sample.net_kw, sample.tamb_c)
     time = sample.time
-    if (type(hvac) is float and type(res) is float and type(net) is float
-            and type(tamb) is float
-            and 0.0 == hvac - hvac == res - res == net - net == tamb - tamb
-            and type(time) is datetime
-            and (time.tzinfo is None or type(time.tzinfo) is timezone)):
-        line = (_FLOAT_LINE % (hvac, res, net, tamb, time.isoformat())).encode("utf-8")
-        object.__setattr__(sample, "_line", line)
-        return line
-    return (_SAMPLE_LINE % (
-        _json_reading(hvac),
-        _json_reading(res),
-        _json_reading(net),
-        _json_reading(tamb),
-        time.isoformat(),
-    )).encode("utf-8")
+    net = sample.net_kw
+    tamb = sample.tamb_c
+    hvac = sample.hvac_kw
+    res = sample.hvac_demand_res_kw
+    if not (type(net) is type(tamb) is type(hvac) is type(res) is float
+            and type(time) is datetime):
+        raise _domain_error(sample)
+    tz = time.tzinfo
+    if tz is None:
+        since, offset = time - _MIN, _NAIVE
+    elif type(tz) is timezone:
+        # An aware difference is taken in UTC; the offset turns it back into
+        # wall-clock time.
+        utcoffset = tz.utcoffset(None)
+        since, offset = time - _MIN_UTC + utcoffset, utcoffset // _US
+    else:
+        raise _domain_error(sample)
+    return _RECORD.pack(net, tamb, hvac, res,
+                        (since.days * 86400 + since.seconds) * 1_000_000 + since.microseconds,
+                        offset)
 
 
 # The first line of each day's signed message: the day's index in the
-# stream and the stream's day count. The pattern reads back exactly the
-# lines that the template writes.
-_DAY_HEADER = b'{"day":%d,"days":%d}'
-_DAY_HEADER_LINE = re.compile(rb'\{"day":(0|[1-9][0-9]*),"days":([1-9][0-9]*)\}')
+# stream, the stream's day count and the isoformat of its first sample's
+# time, which holds only digits and "-T:.+". The pattern reads back exactly
+# the lines that the template writes.
+_DAY_HEADER = b'{"day":%d,"days":%d,"start":"%s"}\n'
+_DAY_HEADER_LINE = re.compile(
+    rb'\{"day":(0|[1-9][0-9]*),"days":([1-9][0-9]*),"start":"([-0-9T:.+]+)"\}')
 
 
 def sign_stream(
@@ -356,44 +374,22 @@ def sign_stream(
     """Sign each day of samples; return one envelope per day.
 
     Day k of n holds samples ``[48k, 48k + 48)``. Its message is the header
-    line ``{"day":k,"days":n}`` followed by the day's
-    ``canonical_sample_bytes``, joined by ``b"\\n"`` (canonical JSON holds no
-    raw newline). The header binds the signed lines to their place: the
-    same samples signed as another day, or in a stream of another length,
-    sign other bytes.
+    line ``{"day":k,"days":n,"start":"<isoformat of series[0].time>"}``,
+    then ``b"\\n"``, then the day's ``canonical_sample_bytes`` back to back.
+    The header binds the signed records to their place and their stream:
+    the same samples signed as another day, in a stream of another length
+    or in a stream that starts at another time, sign other bytes. Every
+    sample is encoded before any day is signed, so a sample that
+    ``canonical_sample_bytes`` refuses raises ``ValidationError`` and
+    nothing is signed.
     """
-    days = -(-len(series) // SAMPLES_PER_DAY)
-    envelopes = []
-    for d in range(days):
-        day = series[d * SAMPLES_PER_DAY:(d + 1) * SAMPLES_PER_DAY]
-        message = b"\n".join([_DAY_HEADER % (d, days), *map(canonical_sample_bytes, day)])
-        envelopes.append(identity.sign(message, key, sim_time))
-    return envelopes
-
-
-def _signed_day(env: identity.SignedEnvelope, registry, days: int, last_day: int,
-                signer: Optional[str]) -> tuple:
-    """The day index that ``env`` names and the sample lines it signs, or
-    ``(None, [])`` when it cites a token other than ``signer`` (if given),
-    its signature is not accepted or its message opens with no day header.
-    A header that counts other than ``days`` days, or that names the last
-    day over more lines than the series' last day holds (``last_day``
-    samples), raises ``ValidationError``."""
-    if (signer is not None and env.token_id != signer
-            or identity.verify(env, registry) is not identity.VerifyStatus.ACCEPT):
-        return None, []
-    header, *lines = env.message.split(b"\n")
-    match = _DAY_HEADER_LINE.fullmatch(header)
-    if match is None:
-        return None, []
-    day, signed_days = int(match[1]), int(match[2])
-    if signed_days != days:
-        raise ValidationError(f"series holds {days} days of samples, but its "
-                              f"signatures count {signed_days}")
-    if day == days - 1 and len(lines) > last_day:
-        raise ValidationError(f"the series' last day holds {last_day} samples, "
-                              f"but its signature covers {len(lines)}")
-    return day, lines
+    bodies = [b"".join(map(canonical_sample_bytes, series[lo:lo + SAMPLES_PER_DAY]))
+              for lo in range(0, len(series), SAMPLES_PER_DAY)]
+    if not bodies:
+        return []
+    start = series[0].time.isoformat().encode("ascii")
+    return [identity.sign(_DAY_HEADER % (d, len(bodies), start) + body, key, sim_time)
+            for d, body in enumerate(bodies)]
 
 
 def detect_tamper(
@@ -401,25 +397,39 @@ def detect_tamper(
     envelopes: Sequence[identity.SignedEnvelope],
     registry,
     signer: Optional[str] = None,
+    start: Optional[datetime] = None,
 ) -> list:
     """Sorted indices of samples that no accepted signature covers as stored.
 
     ``envelopes[d]`` signs day d, samples ``[48d, 48d + 48)``; a list whose
-    length is not the series' day count raises ``ValidationError``. Each
-    envelope is verified once per call, and every sample of its day is
-    flagged when that verify is not ACCEPT (bad signature, unknown or
-    revoked token), when ``signer`` is given and the envelope cites another
-    token (checked before the verify), or when the envelope's header names
-    another day or none. Otherwise a sample is flagged when its offset in
-    the day is past the signed message's sample lines, or when the signed
-    line there differs from the sample's current canonical bytes. So any
-    post-signing mutation of a signed field is flagged, and so is a sample
-    moved to another offset, whose timestamp differs from the one signed
-    there, and every sample of a day replayed or moved with its envelope.
-    A series shorter than it was signed is refused: a verified header whose
-    day count differs from the series', or whose last day signs more lines
-    than the series' last day holds, raises ``ValidationError``, as a
-    dropped day or samples cut from the end do.
+    length is not the series' day count raises ``ValidationError``. Every
+    sample of a day is flagged when its envelope's message opens with no day
+    header, when the header names another stream start, when ``signer`` is
+    given and the envelope cites another token, when the envelope's verify
+    is not ACCEPT (bad signature, unknown or revoked token), when the header
+    names another day, or when the signed records are not a whole number of
+    48-byte records. The checks run in that order, so an envelope is
+    verified at most once per call, and not at all when a cheaper check
+    flags its day. Otherwise a sample is flagged when its offset in the day
+    is past the signed records, when the signed record there differs from
+    the sample's ``canonical_sample_bytes`` or when the sample is one that
+    ``canonical_sample_bytes`` refuses. So any post-signing mutation of a
+    signed field is flagged, and so is a sample moved to another offset,
+    whose timestamp differs from the one signed there, and every sample of a
+    day replayed or moved with its envelope. A series shorter than it was
+    signed is refused: an accepted header of the stream whose day count
+    differs from the series', or whose last day signs more records than the
+    series' last day holds, raises ``ValidationError``, as a dropped day or
+    samples cut from the end do.
+
+    ``start`` is the time of the stream's first sample as it was signed
+    (``sign_stream`` writes its isoformat into every header); a day signed
+    for a stream that starts at another time is flagged whole, at one
+    compare per day. Without ``start``, the stream is the one that the first
+    envelope with a day header names, accepted or not. That binds the days
+    to one another but not to a stream the caller chose: a whole stream
+    offered with its own envelopes passes, and a day 0 spliced in with its
+    envelope from another stream passes while every other day is flagged.
 
     ``signer`` is the token id of the meter that should sign the stream.
     Without it the check proves only that some live enrolled device signed
@@ -427,21 +437,51 @@ def detect_tamper(
     again and pass this check.
 
     Verify verdicts are never cached across calls, so a revocation flags
-    every index at the next call. A sample that ``sign_stream`` formatted
-    keeps its line (see ``canonical_sample_bytes``) and is not formatted
-    again here. Mutations made before signing are invisible by construction.
+    every index at the next call. Each sample is encoded at most once per
+    call, and a day whose records all match is compared in one step.
+    Mutations made before signing are invisible by construction.
     """
     days = -(-len(series) // SAMPLES_PER_DAY)
     if len(envelopes) != days:
         raise ValidationError(f"series holds {days} days of samples, but "
                               f"{len(envelopes)} envelopes are given")
     last_day = len(series) - (days - 1) * SAMPLES_PER_DAY
+    expected = None if start is None else start.isoformat().encode("ascii")
     flagged = []
     for d, env in enumerate(envelopes):
-        day, lines = _signed_day(env, registry, days, last_day, signer)
         lo = d * SAMPLES_PER_DAY
-        for offset, sample in enumerate(series[lo:lo + SAMPLES_PER_DAY]):
-            if (day != d or offset >= len(lines)
-                    or lines[offset] != canonical_sample_bytes(sample)):
+        day = series[lo:lo + SAMPLES_PER_DAY]
+        header, _, body = env.message.partition(b"\n")
+        match = _DAY_HEADER_LINE.fullmatch(header)
+        if match is not None and expected is None:
+            expected = match[3]
+        if (match is None or match[3] != expected
+                or signer is not None and env.token_id != signer
+                or identity.verify(env, registry) is not identity.VerifyStatus.ACCEPT):
+            flagged.extend(range(lo, lo + len(day)))
+            continue
+        signed_day, signed_days = int(match[1]), int(match[2])
+        if signed_days != days:
+            raise ValidationError(f"series holds {days} days of samples, but its "
+                                  f"signatures count {signed_days}")
+        count, partial = divmod(len(body), RECORD_SIZE)
+        if signed_day == days - 1 and not partial and count > last_day:
+            raise ValidationError(f"the series' last day holds {last_day} samples, "
+                                  f"but its signature covers {count}")
+        if signed_day != d or partial:
+            flagged.extend(range(lo, lo + len(day)))
+            continue
+        records = []
+        for sample in day:
+            try:
+                records.append(canonical_sample_bytes(sample))
+            except ValidationError:
+                records.append(None)
+        if None not in records and b"".join(records) == body:
+            continue
+        for offset, record in enumerate(records):
+            at = offset * RECORD_SIZE
+            # Past the signed records the slice is empty, which no record is.
+            if record is None or record != body[at:at + RECORD_SIZE]:
                 flagged.append(lo + offset)
     return flagged

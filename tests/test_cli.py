@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,24 @@ class TestAttack:
         cfg.write_text(json.dumps({"dataset": str(data)}))
         out = tmp_path / "a"
         assert run(["attack", "--config", cfg, "--seed", 4, "--out", out]) == 0
+
+    def test_config_dataset_with_utc_offset_flags_every_attacked_sample(self, tmp_path):
+        from plexisim import telemetry
+
+        start = datetime(2021, 6, 1, tzinfo=timezone(timedelta(hours=1)))
+        data = tmp_path / "d.csv"
+        telemetry.write_dataset(data, telemetry.generate_synthetic(2, seed=2, start=start)[:70])
+        assert data.read_text().splitlines()[1].startswith("2021-06-01T00:00:00+01:00,")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(data)}))
+        out = tmp_path / "a"
+        assert run(["attack", "--config", cfg, "--seed", 4, "--out", out]) == 0
+        with open(out / "attack_report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 70 and rows[0]["time"] == "2021-06-01T00:00:00+01:00"
+        for row in rows:
+            assert row["attacked"] != row["original"]
+            assert row["flagged"] == "1"
 
 
 class TestBench:

@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import random
+import struct
 from datetime import datetime, timedelta, timezone, tzinfo
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -311,36 +313,96 @@ class TestTamperDetection:
         s = samples([1.23456789])[0]
         assert canonical_sample_bytes(s) == canonical_sample_bytes(s)
 
-    def test_memoised_sample_equals_fresh_copy(self):
+    def test_record_built_again_equals_fresh_copy(self):
         s = generate_synthetic(1, seed=6)[0]
         before = repr(s)
-        line = canonical_sample_bytes(s)
-        assert canonical_sample_bytes(s) is line
+        record = canonical_sample_bytes(s)
+        again = canonical_sample_bytes(s)
+        assert again == record and again is not record
+        assert list(vars(s)) == list(SIGNED_FIELDS)   # nothing is kept on the sample
         copy = TelemetrySample(s.time, s.net_kw, s.tamb_c, s.hvac_kw, s.hvac_demand_res_kw)
-        assert s == copy and hash(s) == hash(copy)
+        assert s == copy and hash(s) == hash(copy) and canonical_sample_bytes(copy) == record
         assert repr(s) == before == repr(copy)
-        assert canonical_sample_bytes(dataclasses.replace(s, net_kw=1.5)) != line
+        assert canonical_sample_bytes(dataclasses.replace(s, net_kw=1.5)) != record
 
     @pytest.mark.parametrize("mutable", ["reading", "tzinfo"])
     def test_mutable_value_changed_after_signing_flagged(self, ledger, enrolled, mutable):
+        # A mutable value could change between signing and the check, so it
+        # is never signed, and a stored sample that holds one is flagged
+        # however its value reads.
         _, key, _ = enrolled
         series = generate_synthetic(1, seed=6)
-        net, tz = [1.0], Offset()
+        net, tz = [series[5].net_kw], Offset()
         edit = ({"net_kw": net} if mutable == "reading"
                 else {"time": series[5].time.replace(tzinfo=tz)})
-        series[5] = dataclasses.replace(series[5], **edit)
+        with pytest.raises(ValidationError):
+            sign_stream([*series[:5], dataclasses.replace(series[5], **edit), *series[6:]], key)
         envs = sign_stream(series, key)
-        assert detect_tamper(series, envs, ledger) == []
+        series[5] = dataclasses.replace(series[5], **edit)
+        assert detect_tamper(series, envs, ledger) == [5]
         net.append(2.0)
         tz.minutes = 60
         assert detect_tamper(series, envs, ledger) == [5]
 
     def test_canonical_bytes_golden(self):
-        s = TelemetrySample(datetime(2021, 6, 1, 13, 30), 50.25, -3.5, 1e-07, 6)
-        assert canonical_sample_bytes(s) == (
-            b'{"hvac":1e-07,"hvac_demand_res":6,"net":50.25,"tamb":-3.5,'
-            b'"time":"2021-06-01T13:30:00"}'
-        )
+        s = TelemetrySample(datetime(2021, 6, 1, 13, 30), 50.25, -3.5, 1e-07, 6.0)
+        assert canonical_sample_bytes(s).hex() == (
+            "0000000000204940" "0000000000000cc0" "48afbc9af2d77a3e" "0000000000001840"
+            "0006e455b383e200" "0000000000000080")
+        aware = dataclasses.replace(s, time=s.time.replace(tzinfo=timezone(timedelta(hours=1))))
+        assert canonical_sample_bytes(aware)[32:].hex() == "0006e455b383e200" "00a493d600000000"
+
+    def test_signed_body_not_whole_records_flags_its_day(self, ledger, enrolled):
+        _, key, _ = enrolled
+        series = generate_synthetic(3, seed=7)
+        envs = sign_stream(series, key)
+        per_day = telemetry.SAMPLES_PER_DAY
+        header = day_header(1, 3, series[0].time.isoformat())
+        body = b"".join(map(canonical_sample_bytes, series[per_day:2 * per_day]))
+        assert envs[1].message == header + body
+        for signed in (body + b"\0", body[:-1]):
+            stored_envs = [envs[0], identity.sign(header + signed, key), envs[2]]
+            assert detect_tamper(series, stored_envs, ledger) == list(range(per_day, 2 * per_day))
+
+    def test_each_sample_encoded_once_per_call(self, ledger, enrolled, monkeypatch):
+        _, key, _ = enrolled
+        series = generate_synthetic(3, seed=5)
+        encoded_ids, signed, verified = [], [], []
+        real_encode, real_sign, real_verify = (telemetry.canonical_sample_bytes, identity.sign,
+                                               identity.verify)
+
+        def counting_encode(sample):
+            encoded_ids.append(id(sample))
+            return real_encode(sample)
+
+        def counting_sign(message, sk, sim_time=0):
+            signed.append(message)
+            return real_sign(message, sk, sim_time)
+
+        def counting_verify(env, registry):
+            verified.append(env)
+            return real_verify(env, registry)
+
+        monkeypatch.setattr(telemetry, "canonical_sample_bytes", counting_encode)
+        monkeypatch.setattr(identity, "sign", counting_sign)
+        monkeypatch.setattr(identity, "verify", counting_verify)
+        envs = sign_stream(series, key)
+        assert signed == [env.message for env in envs] and len(envs) == 3
+        assert sorted(encoded_ids) == sorted(map(id, series))
+        encoded_ids.clear()
+        assert detect_tamper(series, envs, ledger) == []
+        assert verified == envs
+        assert sorted(encoded_ids) == sorted(map(id, series))
+        # A changed sample and one the record refuses send day 1 sample by
+        # sample; day 2's envelope names day 0, so day 2 is encoded not at all.
+        stored = list(series)
+        stored[50] = _mutate(stored[50], "net_kw", 1.0)
+        stored[60] = dataclasses.replace(stored[60], net_kw=1)
+        encoded_ids.clear()
+        replayed = [envs[0], envs[1], envs[0]]
+        assert detect_tamper(stored, replayed, ledger) == [50, 60, *range(96, 144)]
+        assert verified == envs + replayed
+        assert sorted(encoded_ids) == sorted(map(id, stored[:96]))
 
 
 class Offset(tzinfo):
@@ -355,57 +417,100 @@ class Offset(tzinfo):
         return None
 
 
-def reference_sample_bytes(sample: TelemetrySample) -> bytes:
-    """The sample line as it was first written: one json.dumps per sample."""
-    return json.dumps(
-        {
-            "time": sample.time.isoformat(),
-            "net": sample.net_kw,
-            "tamb": sample.tamb_c,
-            "hvac": sample.hvac_kw,
-            "hvac_demand_res": sample.hvac_demand_res_kw,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+class DateTime(datetime):
+    """A datetime subclass, which the record refuses."""
 
 
 class Kw(float):
-    """A float subclass whose repr is not json: json.dumps ignores it."""
-
-    def __repr__(self):
-        return "Kw(...)"
+    """A float subclass, which the record refuses."""
 
 
+def reference_record(sample: TelemetrySample) -> bytes:
+    """The record field by field: the wall time from ``toordinal()`` and the
+    time fields, the offset from ``utcoffset()``."""
+    t = sample.time
+    wall = ((((t.toordinal() - 1) * 24 + t.hour) * 60 + t.minute) * 60 + t.second) * 10 ** 6
+    offset = -2 ** 63 if t.tzinfo is None else t.utcoffset() // timedelta(microseconds=1)
+    return struct.pack("<4dqq", sample.net_kw, sample.tamb_c, sample.hvac_kw,
+                       sample.hvac_demand_res_kw, wall + t.microsecond, offset)
+
+
+def record_key(sample: TelemetrySample) -> tuple:
+    """What a record tells apart: the readings' bit patterns, the wall time,
+    and the UTC offset or its absence."""
+    readings = struct.pack("<4d", sample.net_kw, sample.tamb_c, sample.hvac_kw,
+                           sample.hvac_demand_res_kw)
+    return readings, sample.time.replace(tzinfo=None), sample.time.utcoffset()
+
+
+# NaNs with other payloads and signs, which the record tells apart.
+NANS = [struct.unpack("<d", struct.pack("<Q", bits))[0] for bits in (
+    0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001)]
 FLOATS = st.floats() | st.sampled_from(
-    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1.7976931348623157e308,
-     1e16, 1e-7])
-READINGS = (FLOATS | st.integers() | st.booleans() | FLOATS.map(Kw)
-            | st.sampled_from([2 ** 70, -(2 ** 64)]))
-TIMES = st.datetimes(timezones=st.none() | st.builds(timezone, st.timedeltas(
-    min_value=timedelta(hours=-23, minutes=-59), max_value=timedelta(hours=23, minutes=59))))
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2e-308, 1.7976931348623157e308, 1e16, 1e-7,
+     *NANS])
+OFFSETS = st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23, minutes=-59),
+                                            max_value=timedelta(hours=23, minutes=59)))
+TIMES = st.datetimes(timezones=st.none() | OFFSETS)
 TIMES = TIMES | TIMES.map(lambda t: t.replace(microsecond=0))
 
 
-def encoded(encode, sample):
-    """The line, or the type of the exception the encoder raised."""
-    try:
-        return encode(sample)
-    except Exception as exc:
-        return type(exc)
+@settings(max_examples=500, deadline=None)
+@given(time=TIMES, net=FLOATS, tamb=FLOATS, hvac=FLOATS, res=FLOATS)
+@example(time=datetime.min.replace(tzinfo=timezone(timedelta(hours=23, minutes=59))),
+         net=NANS[3], tamb=-0.0, hvac=0.0, res=5e-324)
+@example(time=datetime.max.replace(tzinfo=timezone(-timedelta(hours=23, minutes=59))),
+         net=1.0, tamb=1.0, hvac=1.0, res=1.0)
+def test_canonical_bytes_match_reference_record(time, net, tamb, hvac, res):
+    s = TelemetrySample(time, net, tamb, hvac, res)
+    assert canonical_sample_bytes(s) == reference_record(s)
+    assert len(reference_record(s)) == telemetry.RECORD_SIZE == 48
+
+
+# Few values, so that two drawn samples often share some or all of them.
+FEW_SAMPLES = st.builds(
+    TelemetrySample,
+    st.builds(datetime, st.just(2021), st.just(6), st.just(1), st.integers(0, 1),
+              tzinfo=st.sampled_from([None, timezone.utc, timezone(timedelta(0), "Z"),
+                                      timezone(timedelta(hours=1))])),
+    *[st.sampled_from([0.0, -0.0, 1.5, math.inf, *NANS])] * 4)
 
 
 @settings(max_examples=500, deadline=None)
-@given(time=TIMES, net=READINGS, tamb=READINGS, hvac=READINGS, res=READINGS)
-@example(time=datetime(2021, 6, 1), net=math.nan, tamb=-math.inf, hvac=-0.0, res=Kw(1.5))
-@example(time=datetime(2021, 6, 1), net=object(), tamb=1.0, hvac=1.0, res=1.0)
-@example(time=datetime(2021, 6, 1), net=complex(1, 2), tamb=1.0, hvac=1.0, res=1.0)
-def test_canonical_bytes_match_json_dumps(time, net, tamb, hvac, res):
-    s = TelemetrySample(time, net, tamb, hvac, res)
-    reference = encoded(reference_sample_bytes, s)
-    # The second call reads the line kept on the sample, where one is kept.
-    assert encoded(canonical_sample_bytes, s) == reference
-    assert encoded(canonical_sample_bytes, s) == reference
+@given(a=FEW_SAMPLES, b=FEW_SAMPLES)
+@example(a=TelemetrySample(datetime(2021, 6, 1, 1, tzinfo=timezone(timedelta(hours=1))),
+                           1.5, 1.5, 1.5, 1.5),
+         b=TelemetrySample(datetime(2021, 6, 1, 0, tzinfo=timezone.utc), 1.5, 1.5, 1.5, 1.5))
+@example(a=TelemetrySample(datetime(2021, 6, 1), 1.5, 1.5, 1.5, 1.5),
+         b=TelemetrySample(datetime(2021, 6, 1, tzinfo=timezone.utc), 1.5, 1.5, 1.5, 1.5))
+def test_records_equal_exactly_when_bits_wall_time_and_offset_are(a, b):
+    same = canonical_sample_bytes(a) == canonical_sample_bytes(b)
+    assert same == (record_key(a) == record_key(b))
+
+
+def _with_offset_tzinfo(t):
+    return t.replace(tzinfo=Offset())
+
+
+def _as_string(t):
+    return t.isoformat()
+
+
+def _as_date(t):
+    return t.date()
+
+
+def _as_subclass(t):
+    return DateTime.combine(t.date(), t.timetz())
+
+
+READING_FIELDS = ("net_kw", "tamb_c", "hvac_kw", "hvac_demand_res_kw")
+# (field, a function of the sample's value that gives a value the record refuses)
+OUT_OF_DOMAIN = (
+    st.tuples(st.sampled_from(READING_FIELDS),
+              st.sampled_from([int, bool, Kw, lambda v: [v], lambda v: (v,)]))
+    | st.tuples(st.just("time"),
+                st.sampled_from([_with_offset_tzinfo, _as_string, _as_date, _as_subclass])))
 
 
 SIGNED_FIELDS = ("time", "net_kw", "tamb_c", "hvac_kw", "hvac_demand_res_kw")
@@ -434,8 +539,6 @@ def test_injection_matches_replace_reference(data, readings, target, fraction, k
               for i, r in enumerate(readings)]
     lo = data.draw(st.integers(0, len(series)))
     window = data.draw(st.sampled_from([None, (lo, data.draw(st.integers(lo, len(series))))]))
-    for s in series:
-        canonical_sample_bytes(s)   # so an input sample holds its line, where it keeps one
     before = list(series), list(map(repr, series))
     if kind is None:
         attacked = fdi_inject(series, fraction, target, window)
@@ -451,8 +554,7 @@ def test_injection_matches_replace_reference(data, readings, target, fraction, k
             assert new is orig
             continue
         assert all(getattr(new, f) is getattr(orig, f) for f in SIGNED_FIELDS if f != target)
-        assert new._line is None
-        assert encoded(canonical_sample_bytes, new) == encoded(reference_sample_bytes, new)
+        assert canonical_sample_bytes(new) == reference_record(new)
 
 
 @pytest.fixture(scope="module")
@@ -486,19 +588,45 @@ def _mutate(sample, field, delta):
     return dataclasses.replace(sample, **{field: getattr(sample, field) + delta})
 
 
-def day_header(day, days):
-    return json.dumps({"day": day, "days": days}, separators=(",", ":")).encode()
+def day_header(day, days, start):
+    """The header line that opens the message of day ``day`` of ``days`` of
+    a stream whose first sample's time has the isoformat ``start``."""
+    return json.dumps({"day": day, "days": days, "start": start},
+                      separators=(",", ":")).encode() + b"\n"
 
 
 def reference_flags(series, envelopes, registry):
     """detect_tamper a sample at a time: each sample verifies its day's
-    envelope, whose first line must name that day."""
-    per_day = telemetry.SAMPLES_PER_DAY
+    envelope, whose header must name that day, the series' day count and the
+    start that the first accepted header names, and whose records must hold
+    the sample's record at its offset."""
+    per_day, size = telemetry.SAMPLES_PER_DAY, telemetry.RECORD_SIZE
     days = -(-len(series) // per_day)
-    return [i for i, s in enumerate(series) for env in [envelopes[i // per_day]]
-            if identity.verify(env, registry) is not identity.VerifyStatus.ACCEPT
-            or env.message.split(b"\n")[:1] != [day_header(i // per_day, days)]
-            or env.message.split(b"\n")[1 + i % per_day:][:1] != [canonical_sample_bytes(s)]]
+
+    def header(env):
+        """The (day, days, start) of an accepted envelope's header, or None."""
+        if identity.verify(env, registry) is not identity.VerifyStatus.ACCEPT:
+            return None
+        try:
+            fields = json.loads(env.message.partition(b"\n")[0])
+            key = fields["day"], fields["days"], fields["start"]
+        except (ValueError, TypeError, KeyError):
+            return None
+        return key if env.message.startswith(day_header(*key)) else None
+
+    starts = [h[2] for h in map(header, envelopes) if h is not None]
+    start = starts[0] if starts else None
+    flagged = []
+    for i, s in enumerate(series):
+        env = envelopes[i // per_day]
+        if header(env) != (i // per_day, days, start):
+            flagged.append(i)
+            continue
+        body = env.message.partition(b"\n")[2]
+        at = i % per_day * size
+        if len(body) % size or body[at:at + size] != canonical_sample_bytes(s):
+            flagged.append(i)
+    return flagged
 
 
 class TestDaySignatures:
@@ -585,7 +713,8 @@ class TestDaySignatures:
         per_day = telemetry.SAMPLES_PER_DAY
         for d, env in enumerate(envs):
             day = series[d * per_day:(d + 1) * per_day]
-            assert env.message == b"\n".join([day_header(d, 7), *map(canonical_sample_bytes, day)])
+            assert env.message == (day_header(d, 7, series[0].time.isoformat())
+                                   + b"".join(map(canonical_sample_bytes, day)))
             assert env.sim_time == 5
         for n in (1, 47, 48, 49, 97):
             assert len(sign_stream(series[:n], key)) == math.ceil(n / per_day)
@@ -593,8 +722,9 @@ class TestDaySignatures:
     def test_one_sample_envelope_is_the_per_sample_signature(self, enrolled):
         _, key, _ = enrolled
         s = generate_synthetic(1, seed=3)[0]
-        assert sign_stream([s], key, 3) == [
-            identity.sign(b'{"day":0,"days":1}\n' + canonical_sample_bytes(s), key, 3)]
+        assert sign_stream([s], key, 3) == [identity.sign(
+            b'{"day":0,"days":1,"start":"2021-01-01T00:00:00"}\n' + canonical_sample_bytes(s),
+            key, 3)]
 
     def test_count_mismatch_rejected(self, ledger, enrolled):
         _, key, _ = enrolled
@@ -708,3 +838,68 @@ class TestDaySignatures:
                                        "alice", anchor, ledger)
         ledger.set_flag(token_id, "revoked", owner_key)
         assert detect_tamper(series, envs, ledger) == list(range(60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 150), bad=OUT_OF_DOMAIN)
+def test_out_of_domain_sample_refused_at_signing_and_flagged(site, data, n, bad):
+    ledger, key, stream = site
+    series = stream[:n]
+    i = data.draw(st.integers(0, n - 1))
+    field, make = bad
+    stored = list(series)
+    stored[i] = dataclasses.replace(series[i], **{field: make(getattr(series[i], field))})
+    with mock.patch.object(identity, "sign", wraps=identity.sign) as sign:
+        with pytest.raises(ValidationError, match=field):
+            sign_stream(stored, key)
+    assert sign.call_count == 0
+    envs = sign_stream(series, key)
+    assert detect_tamper(stored, envs, ledger) == [i]
+    assert detect_tamper(stored, envs, ledger, start=series[0].time) == [i]
+
+
+class TestStreamBinding:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 150), seed=st.integers(0, 2 ** 16),
+           shift=st.integers(-20_000, 20_000).filter(bool))
+    def test_day_of_another_stream_flagged_whole(self, site, data, n, seed, shift):
+        """A day spliced in with its envelope from another stream of the same
+        meter flags exactly that day; a whole stream offered under another
+        start flags every index."""
+        ledger, key, stream = site
+        series = stream[:n]
+        start = series[0].time
+        other = generate_synthetic(4, seed=seed,
+                                   start=start + timedelta(minutes=30 * shift))[:n]
+        envs, other_envs = sign_stream(series, key), sign_stream(other, key)
+        per_day = telemetry.SAMPLES_PER_DAY
+        d = data.draw(st.integers(0, len(envs) - 1))
+        day = range(d * per_day, min((d + 1) * per_day, n))
+        stored = [other[i] if i in day else s for i, s in enumerate(series)]
+        stored_envs = [other_envs[k] if k == d else env for k, env in enumerate(envs)]
+        assert detect_tamper(stored, stored_envs, ledger, start=start) == list(day)
+        # Without start, the first accepted day names the stream: a spliced
+        # day 0 passes, and every other day is flagged instead.
+        assert detect_tamper(stored, stored_envs, ledger) == (
+            list(day) if d else list(range(len(day), n)))
+        assert detect_tamper(other, other_envs, ledger, start=start) == list(range(n))
+        assert detect_tamper(other, other_envs, ledger) == []
+
+    def test_january_replayed_into_february(self, site):
+        ledger, key, _ = site
+        jan = generate_synthetic(10, seed=1, start=datetime(2020, 1, 1))
+        feb = generate_synthetic(10, seed=2, start=datetime(2020, 2, 1))
+        jan_envs, feb_envs = sign_stream(jan, key), sign_stream(feb, key)
+        per_day = telemetry.SAMPLES_PER_DAY
+        day3 = slice(3 * per_day, 4 * per_day)
+        stored, stored_envs = list(feb), list(feb_envs)
+        stored[day3], stored_envs[3] = jan[day3], jan_envs[3]
+        assert (detect_tamper(stored, stored_envs, ledger, signer=key.token_id)
+                == list(range(3 * per_day, 4 * per_day)))
+        assert (detect_tamper(jan, jan_envs, ledger, signer=key.token_id, start=feb[0].time)
+                == list(range(len(jan))))
+
+    def test_empty_series_flags_nothing(self, site):
+        ledger, _, stream = site
+        assert detect_tamper([], [], ledger) == []
+        assert detect_tamper([], [], ledger, start=stream[0].time) == []
