@@ -80,7 +80,7 @@ def cmd_enroll(args) -> int:
     if args.n < 0:
         raise ValidationError(f"--n must be non-negative, got {args.n}")
     _, anchor, ledger = _new_ledger(args.seed)
-    registry_path = Path(args.registry) if args.registry else Path(args.out) / "ledger.jsonl"
+    registry_path = Path(args.registry) if args.registry else Path(args.out) / "ledger.chain"
     if registry_path.exists():
         ledger.load_chain(registry_path)
 
@@ -95,11 +95,15 @@ def cmd_enroll(args) -> int:
         except EnrollmentRejected:
             duplicates.append(device.hardware_label)
 
-    out = _out_dir(args.out)
-    with open(out / "enrollments.jsonl", "w", encoding="utf-8") as fh:
+    # The chain is saved first, and --out made before it only when the
+    # registry is a file in it, so a registry that cannot be written leaves
+    # no --out artifact.
+    if registry_path.resolve().parent == Path(args.out).resolve():
+        _out_dir(args.out)
+    ledger.save_chain(registry_path)
+    with open(_out_dir(args.out) / "enrollments.jsonl", "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(jr.canonical_json(rec) + "\n")
-    ledger.save_chain(registry_path)
 
     print(f"enrolled {len(records)} devices, {len(duplicates)} duplicates")
     if duplicates:
@@ -270,7 +274,7 @@ def cmd_trade(args) -> int:
     out = _out_dir(args.out)
     _write_pretty_json(out / "trace.json", engine.trace)
     _write_pretty_json(out / "schedules.json", schedules)
-    ledger.save_chain(out / "ledger.jsonl")
+    ledger.save_chain(out / "ledger.chain")
 
     if ledger.replay() != ledger.state:
         print("ledger replay mismatch", file=sys.stderr)

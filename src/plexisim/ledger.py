@@ -16,18 +16,20 @@ contract folded over the chain, so replay reproduces the live state exactly
 and refuses any tx the contract refuses, and any block of other than one tx.
 A signature commits once: the contract keeps the signatures it has folded
 in and refuses a second tx that carries one, however its payload is spelt.
-Blocks persist as JSON lines filled from one fixed template, the payload
-written as the bytes that were signed. ``read_chain`` walks each line
-against that template, takes the payload's stored bytes as its message,
-and refuses a line with another field order, whitespace between fields, or
-other than one tx.
+Blocks persist as one length-prefixed binary record each: a fixed
+``_RECORD`` header, then the signer's UTF-8 bytes, then the payload bytes
+exactly as signed. A record stores no height or previous hash: its
+position and the record before it give both. ``read_chain`` takes the
+stored payload bytes as the tx's message, and refuses a record cut short,
+one that runs past the file, and a payload that is not one ASCII JSON value
+spanning its bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
+import struct
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
@@ -228,29 +230,14 @@ class Transaction:
         return tx
 
 
-# The chain file: one JSON line per block, its "txs" array holding the one
-# _TX_RECORD, filled from these templates by save_chain and read back against
-# them by read_chain, so they are the one definition of the format. A tx is
-# saved as its payload (the signed message itself), signer, signature and
-# submit time; its message is the stored payload bytes and its tx_id is
-# derived again on read.
-_BLOCK_LINE = (b'{"height":%d,"prev_hash":%s,"block_hash":%s,"sim_time_committed":%d,'
-               b'"txs":[%s]}\n')
-_TX_RECORD = b'{"payload":%s,"signer":%s,"signature":"%s","sim_time_submitted":%d}'
-
-
-def _literals(template: bytes) -> list:
-    """The text between a template's ``%`` fields."""
-    return re.split(r"%[ds]", template.decode("ascii"))
-
-
-_HEIGHT, _PREV_HASH, _BLOCK_HASH, _COMMITTED, _TXS, _BLOCK_END = _literals(_BLOCK_LINE)
-_PAYLOAD, _SIGNER, _SIGNATURE, _SUBMITTED, _TX_END = _literals(_TX_RECORD)
-# Each literal's length, which the walk steps over once the literal matches.
-(_HEIGHT_LEN, _PREV_HASH_LEN, _BLOCK_HASH_LEN, _COMMITTED_LEN, _TXS_LEN, _PAYLOAD_LEN,
- _SIGNER_LEN, _SIGNATURE_LEN, _SUBMITTED_LEN, _TX_END_LEN) = map(len, (
-    _HEIGHT, _PREV_HASH, _BLOCK_HASH, _COMMITTED, _TXS, _PAYLOAD, _SIGNER, _SIGNATURE,
-    _SUBMITTED, _TX_END))
+# The chain file: one record per block, this header followed by the
+# signer's UTF-8 bytes and the payload bytes exactly as signed. The header
+# holds the block hash as 32 raw bytes, the commit and submit sim times as
+# little-endian int64, the 64-byte signature, and the signer and payload
+# lengths. A record's height is its position and its prev_hash the hash of
+# the record before it, so neither is stored; the tx's message is the
+# stored payload bytes and its tx_id is derived again on read.
+_RECORD = struct.Struct("<32sqq64sHI")
 # Reads the one JSON value that starts at an index, in C where available:
 # no backtracking and no whitespace skipped before the value.
 _scan = make_scanner(json.JSONDecoder())
@@ -258,8 +245,7 @@ _scan = make_scanner(json.JSONDecoder())
 
 @dataclass(frozen=True)
 class Block:
-    """One committed tx. ``tx_list`` is the one-tuple ``(tx,)``, which the
-    chain file writes as a one-element ``"txs"`` array."""
+    """One committed tx: ``tx_list`` is the one-tuple ``(tx,)``."""
 
     height: int
     prev_hash: str
@@ -623,22 +609,36 @@ class LedgerSim:
         return replay_chain(self.chain)
 
     def save_chain(self, path) -> None:
-        """Write one ``_BLOCK_LINE`` per block, holding its tx's one
-        ``_TX_RECORD``. The payload is the signed ``message``, so its keys
-        appear sorted; every string field goes through the JSON string
-        encoder, so the file is ASCII JSON."""
+        """Write one ``_RECORD`` per block, then its tx's signer and payload
+        (the signed ``message``, so its keys appear sorted). Every record is
+        packed before the file is opened, so a block the format cannot hold
+        exactly raises ``ValidationError`` and creates or changes no file: a
+        height or prev_hash other than its position and the hash before it
+        give, a block hash that is not 64 lower-case hex digits, a signature
+        of other than 64 bytes, a signer that is not UTF-8, a sim time
+        outside int64, or a signer or payload longer than its length field."""
+        parts = []
+        pack, prev = _RECORD.pack, GENESIS_PREV_HASH
+        try:
+            for height, block in enumerate(self.chain):
+                (tx,) = block.tx_list
+                block_hash = block.block_hash
+                raw = bytes.fromhex(block_hash)
+                if len(raw) != 32 or raw.hex() != block_hash:
+                    raise ValueError(f"block hash {block_hash!r} is not 64 lower-case hex digits")
+                if block.height != height or block.prev_hash != prev:
+                    raise ValueError("height or prev_hash is not the one its position gives")
+                if len(tx.signature) != 64:
+                    raise ValueError(f"signature of {len(tx.signature)} bytes, not 64")
+                signer, message = tx.signer.encode("utf-8"), tx.message
+                # struct refuses an int out of its field's range.
+                parts += (pack(raw, block.sim_time_committed, tx.sim_time_submitted,
+                               tx.signature, len(signer), len(message)), signer, message)
+                prev = block_hash
+        except (TypeError, ValueError, struct.error) as exc:
+            raise ValidationError(f"block {height} cannot be saved: {exc}") from exc
         with open(path, "wb") as fh:
-            fh.writelines(
-                _BLOCK_LINE % (
-                    block.height,
-                    encode_basestring_ascii(block.prev_hash).encode(),
-                    encode_basestring_ascii(block.block_hash).encode(),
-                    block.sim_time_committed,
-                    _TX_RECORD % (tx.message, encode_basestring_ascii(tx.signer).encode(),
-                                  tx.signature.hex().encode(), tx.sim_time_submitted),
-                )
-                for block in self.chain for (tx,) in (block.tx_list,)
-            )
+            fh.write(b"".join(parts))
 
     def load_chain(self, path) -> None:
         """Replace the chain with the file's; a file that fails to read or
@@ -674,109 +674,49 @@ def replay_chain(chain: Iterable[Block]) -> RegistryState:
 
 
 def read_chain(path) -> list[Block]:
-    """The blocks a chain file holds, one ``_BLOCK_LINE`` each. A line that
-    is not UTF-8 or departs from the template (another field order,
-    whitespace between fields, a value of the wrong JSON type, a
-    signature not in lower-case hex, other than one tx in ``txs``) raises
-    ``IntegrityViolationError`` naming the line and the field;
-    ``replay_chain`` checks the hashes and the contract."""
-    blocks: list[Block] = []
-    # Binary lines, decoded one at a time, so a byte that is not UTF-8 is
-    # reported with its line.
+    """The blocks a chain file holds, one ``_RECORD`` each, read in one
+    call. A record cut short, one whose lengths run past the file, a signer
+    that is not UTF-8, or a payload that is not one ASCII JSON value
+    spanning its bytes raises ``IntegrityViolationError`` naming the record
+    and its byte offset; ``replay_chain`` checks the hashes and the
+    contract."""
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                blocks.append(_block_from_line(line.decode("utf-8")))
-            # A payload nested past the recursion limit stops the scanner.
-            except (ValueError, RecursionError) as exc:
-                raise IntegrityViolationError(
-                    f"{path}: malformed block record on line {lineno}: {exc}"
-                ) from exc
-    return blocks
-
-
-def _expected(literal: str, i: int):
-    """Refuse a line on which ``literal`` does not stand at ``i``."""
-    raise ValueError(f"expected {literal!r} at column {i}")
-
-
-def _block_from_line(line: str) -> Block:
-    """The block a saved line holds, read left to right against
-    ``_BLOCK_LINE`` and its one ``_TX_RECORD``: each literal must stand where
-    the template puts it, and each value is one JSON value of its field's
-    type. The tx's message is its stored payload bytes. A departure, such as
-    a ``txs`` array holding no tx or more than one, raises ``ValueError``
-    naming the field being read."""
-    # Each literal is checked inline rather than through a helper call:
-    # this walk runs once per stored field of every tx of every audit.
-    name = "height"
+        data = fh.read()
+    blocks: list[Block] = []
+    unpack, size, end = _RECORD.unpack_from, _RECORD.size, len(data)
+    prev, height, at = GENESIS_PREV_HASH, 0, 0
     try:
-        if not line.startswith(_HEIGHT):
-            _expected(_HEIGHT, 0)
-        height, i = _scan(line, _HEIGHT_LEN)
-        jr.of(int, height)
-        name = "prev_hash"
-        if not line.startswith(_PREV_HASH, i):
-            _expected(_PREV_HASH, i)
-        prev_hash, i = _scan(line, i + _PREV_HASH_LEN)
-        jr.of(str, prev_hash)
-        name = "block_hash"
-        if not line.startswith(_BLOCK_HASH, i):
-            _expected(_BLOCK_HASH, i)
-        block_hash, i = _scan(line, i + _BLOCK_HASH_LEN)
-        jr.of(str, block_hash)
-        name = "sim_time_committed"
-        if not line.startswith(_COMMITTED, i):
-            _expected(_COMMITTED, i)
-        committed, i = _scan(line, i + _COMMITTED_LEN)
-        jr.of(int, committed)
-        name = "txs"
-        if not line.startswith(_TXS, i):
-            _expected(_TXS, i)
-        i += _TXS_LEN
-        # The array's one record opens here, so an empty array is refused.
-        if not line.startswith(_PAYLOAD, i):
-            _expected(_PAYLOAD, i)
-        start = i + _PAYLOAD_LEN
-        name = "payload"
-        payload, i = _scan(line, start)
-        message = line[start:i].encode("utf-8")
-        name = "signer"
-        if not line.startswith(_SIGNER, i):
-            _expected(_SIGNER, i)
-        signer, i = _scan(line, i + _SIGNER_LEN)
-        jr.of(str, signer)
-        name = "signature"
-        if not line.startswith(_SIGNATURE, i):
-            _expected(_SIGNATURE, i)
-        i += _SIGNATURE_LEN
-        end = line.index('"', i)
-        # Lower-case only: another spelling would be covered by no hash.
-        signature = jr.hexbytes(line[i:end])
-        name = "sim_time_submitted"
-        if not line.startswith(_SUBMITTED, end):
-            _expected(_SUBMITTED, end)
-        submitted, i = _scan(line, end + _SUBMITTED_LEN)
-        jr.of(int, submitted)
-        name = "txs"
-        if not line.startswith(_TX_END, i):
-            _expected(_TX_END, i)
-        i += _TX_END_LEN
-        # A line ends at its only newline, so the end literal ends the line
-        # and a second record departs from it.
-        if not line.startswith(_BLOCK_END, i):
-            _expected(_BLOCK_END, i)
+        while at < end:
+            if end - at < size:
+                raise ValueError(f"header cut short at {end - at} of {size} bytes")
+            raw, committed, submitted, signature, n_signer, n_payload = unpack(data, at)
+            start = at + size + n_signer
+            stop = start + n_payload
+            if stop > end:
+                raise ValueError(f"record of {stop - at} bytes runs {stop - end} past the file")
+            message = data[start:stop]
+            payload, i = _scan(message.decode("ascii"), 0)
+            if i != n_payload:
+                raise ValueError(f"payload holds more than one JSON value (byte {i})")
+            tx = Transaction._sealed(payload, message, data[at + size:start].decode("utf-8"),
+                                     signature, submitted)
+            block_hash = raw.hex()
+            # Built as Transaction._sealed builds a tx, without the dataclass
+            # __init__: the fields in the order it sets them.
+            block = object.__new__(Block)
+            object.__setattr__(block, "height", height)
+            object.__setattr__(block, "prev_hash", prev)
+            object.__setattr__(block, "tx_list", (tx,))
+            object.__setattr__(block, "block_hash", block_hash)
+            object.__setattr__(block, "sim_time_committed", committed)
+            blocks.append(block)
+            prev, height, at = block_hash, height + 1, stop
     except StopIteration as exc:
-        raise ValueError(f"field {name!r}: no JSON value at column {exc.value}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {name!r}: {exc}") from exc
-    # Built as Transaction._sealed builds a tx, without the dataclass
-    # __init__: the fields in the order it sets them.
-    block = object.__new__(Block)
-    object.__setattr__(block, "height", height)
-    object.__setattr__(block, "prev_hash", prev_hash)
-    object.__setattr__(block, "tx_list",
-                       (Transaction._sealed(payload, message, signer, signature, submitted),))
-    object.__setattr__(block, "block_hash", block_hash)
-    object.__setattr__(block, "sim_time_committed", committed)
-    return block
+        raise IntegrityViolationError(
+            f"{path}: malformed chain record {height} at byte {at}: payload holds no JSON "
+            f"value at its byte {exc.value}") from None
+    # A payload nested past the recursion limit stops the scanner.
+    except (ValueError, RecursionError) as exc:
+        raise IntegrityViolationError(
+            f"{path}: malformed chain record {height} at byte {at}: {exc}") from exc
+    return blocks

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
@@ -13,6 +14,7 @@ import pytest
 from plexisim import cli
 from plexisim.cli import demo_scenario, main
 from plexisim.ledger import canonical_json, read_chain, replay_chain
+from test_ledger import cut_out, joined, record_bytes, split_records
 
 
 def run(argv):
@@ -36,7 +38,7 @@ class TestEnroll:
         out = tmp_path / "o"
         run(["enroll", "--n", 3, "--seed", 1, "--out", out])
         code = run(["enroll", "--n", 3, "--seed", 1, "--out", out,
-                    "--registry", out / "ledger.jsonl"])
+                    "--registry", out / "ledger.chain"])
         assert code == 1
         captured = capsys.readouterr()
         assert "duplicate" in captured.err
@@ -64,7 +66,7 @@ class TestTrade:
     def test_ledger_replays_identically(self, tmp_path):
         out = tmp_path / "t"
         run(["trade", "--seed", 1, "--out", out])
-        chain = read_chain(out / "ledger.jsonl")
+        chain = read_chain(out / "ledger.chain")
         state = replay_chain(chain)  # raises on any integrity violation
         assert len(state.event_log) >= 6
 
@@ -75,7 +77,7 @@ class TestTrade:
         cfg.write_text(json.dumps(scenario))
         assert run(["trade", "--config", cfg, "--seed", 1, "--out", tmp_path / "f"]) == 0
         assert run(["trade", "--seed", 1, "--out", tmp_path / "d"]) == 0
-        for name in ("schedules.json", "trace.json", "ledger.jsonl"):
+        for name in ("schedules.json", "trace.json", "ledger.chain"):
             assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
 
     def test_one_bid_on_a_thousand_resources_is_fulfilled(self, tmp_path, capsys):
@@ -211,10 +213,10 @@ class TestBench:
 GOLDEN = {
     "enroll": (["enroll", "--n", 200], {
         "enrollments.jsonl": "f52c956713238fc4f159e73618a2e960d4cb13e94f0b60216b2525344d3f3a9d",
-        "ledger.jsonl": "43d8ef75302a152dea9bfedbf02f7a3298b7a9183bd8fa3b1fe29bb4c4100327",
+        "ledger.chain": "b60a55e7e2afc928131007bc5099c9d1a495623f628dc9554c6b2ca9d82ad202",
     }),
     "trade": (["trade"], {
-        "ledger.jsonl": "eb92f299ecf1835673328af4b9eb6395ea35566b9c9462ed609391db55178193",
+        "ledger.chain": "3572ce3344539f39f912ea9da808f2bab4d095cf3d82fd599f88b2faaf93fb0b",
         "schedules.json": "7a63b9e2953ebb21afb15782fd08ad74ff7f615af22abc09756668d2009982ed",
         "trace.json": "9e2f77b3be35895ef8aba714641bbfadc3bd0124af019f46977cec5063c5b932",
     }),
@@ -247,76 +249,100 @@ def test_seeded_artifacts_are_byte_identical(tmp_path, name):
     assert got == expected
 
 
-def _truncated_registry(tmp_path):
+def _registry_with_edited_data(tmp_path, edit):
+    """The bytes of a saved three-block chain after ``edit``, as a registry."""
     out = tmp_path / "o"
     run(["enroll", "--n", 3, "--seed", 1, "--out", out])
-    registry = out / "ledger.jsonl"
-    registry.write_bytes(registry.read_bytes()[:-20])
+    registry = out / "ledger.chain"
+    registry.write_bytes(edit(registry.read_bytes()))
     return ["enroll", "--n", 1, "--out", out, "--registry", registry]
+
+
+def _truncated_registry(tmp_path):
+    return _registry_with_edited_data(tmp_path, lambda data: data[:-20])
 
 
 def _registry_with_edited_block(tmp_path, edit):
-    """Edit the first block of a saved chain without re-hashing it."""
-    out = tmp_path / "o"
-    run(["enroll", "--n", 3, "--seed", 1, "--out", out])
-    registry = out / "ledger.jsonl"
-    lines = registry.read_text().splitlines()
-    block = json.loads(lines[0])
-    edit(block)
-    lines[0] = json.dumps(block, separators=(",", ":"))
-    registry.write_text("\n".join(lines) + "\n")
-    return ["enroll", "--n", 1, "--out", out, "--registry", registry]
+    """The first record of a saved chain replaced by ``edit`` of its raw
+    fields, without re-hashing it."""
+    def edited(data):
+        first, *rest = split_records(data)
+        return edit(first) + joined(rest)
+    return _registry_with_edited_data(tmp_path, edited)
 
 
-def _registry_with_edited_tx(tmp_path, edit):
-    """Edit the first tx of a saved chain without re-hashing it."""
-    return _registry_with_edited_block(tmp_path, lambda block: edit(block["txs"][0]))
+def _registry_with_edited_fields(tmp_path, **fields):
+    return _registry_with_edited_block(tmp_path, lambda rec: record_bytes(**dict(rec, **fields)))
+
+
+def _registry_with_edited_payload(tmp_path, edit):
+    """The first tx's payload replaced by ``edit`` of it, its length kept
+    right, without re-hashing."""
+    return _registry_with_edited_block(tmp_path, lambda rec: record_bytes(**dict(
+        rec, payload=canonical_json(edit(json.loads(rec["payload"]))).encode())))
+
+
+def _float_bits(value) -> int:
+    """The int64 that the eight bytes of the double ``value`` read as."""
+    return struct.unpack("<q", struct.pack("<d", value))[0]
 
 
 def _registry_commit_time_string(tmp_path):
-    return _registry_with_edited_block(tmp_path, lambda block: block.update(
-        sim_time_committed=str(block["sim_time_committed"])))
+    # The commit time's eight bytes hold its decimal digits.
+    return _registry_with_edited_block(tmp_path, lambda rec: record_bytes(**dict(
+        rec, committed=int.from_bytes(b"%08d" % rec["committed"], "little"))))
 
 
 def _registry_commit_time_missing(tmp_path):
-    return _registry_with_edited_block(tmp_path, lambda block: block.pop("sim_time_committed"))
+    return _registry_with_edited_block(tmp_path, lambda rec: cut_out(record_bytes(**rec), 32, 40))
 
 
 def _registry_submit_time_edited(tmp_path):
     # A well-formed edit of an unsigned field: only the block hash catches it.
-    return _registry_with_edited_tx(tmp_path, lambda tx: tx.update(sim_time_submitted=6500))
+    return _registry_with_edited_fields(tmp_path, submitted=6500)
 
 
 def _registry_payload_not_an_object(tmp_path):
-    return _registry_with_edited_tx(tmp_path, lambda tx: tx.update(payload=5))
+    return _registry_with_edited_payload(tmp_path, lambda payload: 5)
 
 
 def _registry_payload_without_device_id(tmp_path):
-    return _registry_with_edited_tx(tmp_path, lambda tx: tx["payload"].pop("device_id"))
+    return _registry_with_edited_payload(tmp_path, lambda payload: {
+        k: v for k, v in payload.items() if k != "device_id"})
 
 
 def _registry_device_id_not_hex(tmp_path):
-    return _registry_with_edited_tx(tmp_path, lambda tx: tx["payload"].update(device_id="zz"))
+    return _registry_with_edited_payload(tmp_path, lambda payload: dict(payload, device_id="zz"))
 
 
 def _registry_submit_time_infinite(tmp_path):
-    return _registry_with_edited_tx(tmp_path, lambda tx: tx.update(sim_time_submitted=math.inf))
+    # The submit time's eight bytes hold a float infinity.
+    return _registry_with_edited_fields(tmp_path, submitted=_float_bits(math.inf))
 
 
 def _registry_owner_id_edited(tmp_path):
     # A well-formed edit: only the tx_id rebuilt from the payload catches it.
-    return _registry_with_edited_tx(tmp_path, lambda tx: tx["payload"].update(owner_id="mallory"))
+    return _registry_with_edited_payload(tmp_path, lambda payload: dict(payload,
+                                                                        owner_id="mallory"))
 
 
-def _to_old_format(tx):
-    tx["envelope"] = {"message": canonical_json(tx["payload"]).encode().hex(),
-                      "signature": tx.pop("signature"), "token_id": tx.pop("signer"),
-                      "sim_time": tx["sim_time_submitted"]}
-    tx["tx_id"] = "00" * 32
+def _json_lines(data: bytes) -> bytes:
+    """A chain in the earlier format: one JSON line per block."""
+    blocks, prev = [], "0" * 64
+    for rec in split_records(data):
+        blocks.append({"height": len(blocks), "prev_hash": prev,
+                       "block_hash": rec["block_hash"].hex(),
+                       "sim_time_committed": rec["committed"],
+                       "txs": [{"payload": json.loads(rec["payload"]),
+                                "signer": rec["signer"].decode(),
+                                "signature": rec["signature"].hex(),
+                                "sim_time_submitted": rec["submitted"]}]})
+        prev = blocks[-1]["block_hash"]
+    return "".join(json.dumps(b, separators=(",", ":")) + "\n" for b in blocks).encode()
 
 
 def _registry_in_old_format(tmp_path):
-    return _registry_with_edited_tx(tmp_path, _to_old_format)
+    return _registry_with_edited_data(tmp_path, _json_lines)
 
 
 def _scenario_without_bids(tmp_path):
@@ -665,19 +691,12 @@ def _attack_dataset_field_too_long(tmp_path):
 
 
 def _registry_not_utf8(tmp_path):
-    argv = _registry_with_edited_block(tmp_path, lambda block: None)
-    registry = Path(argv[-1])
-    registry.write_bytes(registry.read_bytes().replace(b"{", b"\xff{", 1))
-    return argv
+    return _registry_with_edited_block(tmp_path, lambda rec: record_bytes(**dict(
+        rec, signer=b"\xff" + rec["signer"][1:])))
 
 
 def _registry_payload_nested_deep(tmp_path):
-    argv = _registry_with_edited_block(tmp_path, lambda block: None)
-    registry = Path(argv[-1])
-    text = registry.read_text()
-    payload = canonical_json(json.loads(text.splitlines()[0])["txs"][0]["payload"])
-    registry.write_text(text.replace(payload, "[" * 200_000 + "]" * 200_000, 1))
-    return argv
+    return _registry_with_edited_fields(tmp_path, payload=b"[" * 200_000 + b"]" * 200_000)
 
 
 def _bench_config_nested_deep(tmp_path):
@@ -687,25 +706,36 @@ def _bench_config_nested_deep(tmp_path):
 
 
 def _registry_block_unknown_key(tmp_path):
-    return _registry_with_edited_block(tmp_path, lambda block: block.update(note="x"))
+    # A field the record does not have, between its header and its signer.
+    return _registry_with_edited_block(tmp_path, lambda rec: record_bytes(**rec).replace(
+        rec["signer"], b"note=x" + rec["signer"], 1))
 
 
 def _registry_tx_unknown_key(tmp_path):
-    return _registry_with_edited_tx(tmp_path, lambda tx: tx.update(tx_id="00" * 32))
+    # The tx's derived tx_id stored after its payload, as a field the
+    # record does not have.
+    return _registry_with_edited_block(tmp_path, lambda rec: record_bytes(**rec) + hashlib.sha256(
+        rec["payload"] + rec["signature"]).digest())
 
 
 def _registry_with_an_empty_block(tmp_path):
-    # Hashed as a block of no txs would be, so only its empty "txs" is wrong.
-    out = tmp_path / "o"
-    run(["enroll", "--n", 2, "--seed", 1, "--out", out])
-    registry = out / "ledger.jsonl"
-    last = json.loads(registry.read_text().splitlines()[-1])
-    h, prev, t = last["height"] + 1, last["block_hash"], last["sim_time_committed"]
-    block_hash = hashlib.sha256(f"{h}|{prev}|{t}|".encode()).hexdigest()
-    with registry.open("a") as fh:
-        fh.write(json.dumps({"height": h, "prev_hash": prev, "block_hash": block_hash,
-                             "sim_time_committed": t, "txs": []}, separators=(",", ":")) + "\n")
-    return ["enroll", "--n", 0, "--seed", 1, "--out", out, "--registry", registry]
+    # Hashed as a block of no txs would be, so only its empty payload is wrong.
+    def appended(data):
+        records = split_records(data)
+        prev, t = records[-1]["block_hash"].hex(), records[-1]["committed"]
+        block_hash = hashlib.sha256(f"{len(records)}|{prev}|{t}|".encode()).digest()
+        return data + record_bytes(block_hash, t, t, bytes(64), b"", b"")
+    return _registry_with_edited_data(tmp_path, appended)
+
+
+def _registry_in_missing_directory(tmp_path):
+    return ["enroll", "--n", 1, "--out", tmp_path / "o", "--registry",
+            tmp_path / "missing" / "dir" / "x"]
+
+
+def _registry_in_missing_directory_under_out(tmp_path):
+    return ["enroll", "--n", 1, "--out", tmp_path / "o", "--registry",
+            tmp_path / "o" / "missing" / "x"]
 
 
 def _enroll_negative_count(tmp_path):
@@ -753,6 +783,7 @@ def _out_is_a_file(tmp_path):
     _attack_dataset_field_too_long, _registry_not_utf8, _duration_unbounded,
     _rate_times_duration_overflows, _rate_sends_nothing_in_window, _synthetic_days_unbounded,
     _registry_payload_nested_deep, _bench_config_nested_deep, _attack_dataset_header_only,
+    _registry_in_missing_directory, _registry_in_missing_directory_under_out,
 ])
 def test_malformed_input_exits_one_with_error_line(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)

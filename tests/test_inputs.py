@@ -6,13 +6,17 @@ paths: a value swapped for one of another JSON type, a key dropped, a key
 added, a number made non-finite, or the file truncated. A type swap, an
 added key or a non-finite number must never exit 0, because every field a
 reader reads has one JSON type and every object its exact key set. A
-dropped key may be optional, and a truncated chain or CSV may still be a
-valid shorter one, so those only have to keep the exit contract.
+dropped key may be optional, and a truncated CSV may still be a valid
+shorter one, so those only have to keep the exit contract. The saved chain
+is binary records: a JSON mutation of one tx's payload or one changed byte
+must never exit 0, and neither may a cut that does not fall at the end of a
+record.
 """
 
 import copy
 import functools
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -26,6 +30,7 @@ from hypothesis import strategies as st
 from plexisim import jsonread as jr
 from plexisim import telemetry
 from plexisim.cli import demo_scenario, main
+from test_ledger import joined, split_records
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -230,42 +235,52 @@ def test_mutated_dataset_keeps_the_exit_contract(mutation):
 # -- the saved chain -----------------------------------------------------------
 
 @functools.cache
-def saved_chain() -> list:
-    """The block records of an ``enroll --n 2`` chain."""
+def saved_chain() -> tuple:
+    """The raw fields of each record of an ``enroll --n 2`` chain."""
     with tempfile.TemporaryDirectory() as tmp:
         assert run_cli(["enroll", "--n", 2, "--seed", 1, "--out", tmp], False) == 0
-        lines = (Path(tmp) / "ledger.jsonl").read_text().splitlines()
-        return [json.loads(line) for line in lines]
+        return tuple(split_records((Path(tmp) / "ledger.chain").read_bytes()))
 
 
-def chain_text(doc) -> str:
-    """One JSON line per block, spaced as ``save_chain`` writes it, so a
-    mutation is the only departure; a non-list root is a file of one line."""
-    lines = doc if isinstance(doc, list) else [doc]
-    return "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in lines)
+@st.composite
+def chain_mutations(draw):
+    """(chain bytes, must_fail) for one mutation of the saved chain: a JSON
+    mutation of one tx's payload, written back with its length right but
+    not re-hashed; one byte changed; or the file cut anywhere. Only a cut at
+    the end of a record leaves a chain that reads and replays."""
+    records = [dict(rec) for rec in saved_chain()]
+    data = joined(records)
+    kind = draw(st.sampled_from(("payload", "byte", "truncate")))
+    if kind == "truncate":
+        cut = draw(st.integers(0, len(data) - 1))
+        ends = {0, *itertools.accumulate(len(joined([rec])) for rec in records)}
+        return data[:cut], cut not in ends
+    if kind == "byte":
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + bytes([draw(st.integers(0, 255).filter(lambda b: b != data[i]))]) \
+            + data[i + 1:], True
+    at = draw(st.integers(0, len(records) - 1))
+    payload, _ = draw(json_mutations(json.loads(records[at]["payload"])))
+    records[at]["payload"] = json.dumps(payload, sort_keys=True,
+                                        separators=(",", ":")).encode()
+    return joined(records), True
 
 
 def test_unmutated_chain_text_is_accepted():
     with tempfile.TemporaryDirectory() as tmp:
-        registry = Path(tmp) / "ledger.jsonl"
-        registry.write_text(chain_text(saved_chain()), encoding="utf-8")
+        registry = Path(tmp) / "ledger.chain"
+        registry.write_bytes(joined(saved_chain()))
         assert run_cli(["enroll", "--n", 1, "--seed", 2, "--registry", registry,
                         "--out", Path(tmp) / "o"], False) == 0
 
 
 @FUZZ
-@given(data=st.data())
-def test_mutated_chain_keeps_the_exit_contract(data):
+@given(mutation=chain_mutations())
+def test_mutated_chain_keeps_the_exit_contract(mutation):
+    data, must_fail = mutation
     with tempfile.TemporaryDirectory() as tmp:
-        registry = Path(tmp) / "ledger.jsonl"
-        if data.draw(st.booleans(), label="truncate"):
-            # Cut at a line end, this is the chain's prefix, which replays.
-            registry.write_text(truncated(data.draw, chain_text(saved_chain())),
-                                encoding="utf-8")
-            must_fail = False
-        else:
-            doc, must_fail = data.draw(json_mutations(saved_chain()), label="mutation")
-            registry.write_text(chain_text(doc), encoding="utf-8")
+        registry = Path(tmp) / "ledger.chain"
+        registry.write_bytes(data)
         # Another seed enrolls other devices, so a good chain takes them.
         run_cli(["enroll", "--n", 1, "--seed", 2, "--registry", registry,
                  "--out", Path(tmp) / "o"], must_fail)

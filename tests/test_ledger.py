@@ -1,9 +1,12 @@
 import dataclasses
 import functools
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
+import struct
 import tempfile
 
 import pytest
@@ -11,8 +14,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plexisim import identity
-from plexisim import ledger as ledger_mod
-from plexisim import jsonread as jr
 from plexisim.clock import SimClock
 from plexisim.errors import (
     AuthorizationError,
@@ -187,7 +188,7 @@ class TestSubmit:
         assert tx.message == canonical_json(tx.payload).encode()
         assert tx.tx_id == hashlib.sha256(tx.message + tx.signature).hexdigest()
         ledger.submit(tx)
-        path = tmp_path / "chain.jsonl"
+        path = tmp_path / "ledger.chain"
         ledger.save_chain(path)
         assert read_chain(path)[-1].tx_list[0].tx_id == tx.tx_id
 
@@ -210,7 +211,7 @@ class TestSubmit:
         assert ledger.state.event_log[-1]["payload"] == {"kw": 5}
         assert block is ledger.chain[-1]
         assert block.tx_list[0].payload["payload"] == {"kw": 5}
-        path = tmp_path / "chain.jsonl"
+        path = tmp_path / "ledger.chain"
         ledger.save_chain(path)
         assert replay_chain(read_chain(path)) == ledger.state
 
@@ -233,7 +234,7 @@ class TestSubmit:
         constraints = ledger.query(token_id).constraints
         assert (constraints.delegated, constraints.revoked) == (True, False)
         assert ledger.state.event_log[-1]["payload"] == {"kw": 1.0}
-        path = tmp_path / "chain.jsonl"
+        path = tmp_path / "ledger.chain"
         ledger.save_chain(path)
         assert replay_chain(read_chain(path)) == ledger.state
 
@@ -744,20 +745,95 @@ class TestBatching:
         assert block.sim_time_committed == clock.now()
 
 
-# Edits of the enrolled fixture's block (height 0) that int() or
-# bytes.fromhex would read back as the stored value, each with the field
-# where the edited line departs from the template.
+# The chain file's record, written out here so the tests pin the layout: the
+# block hash as 32 raw bytes, the commit and submit sim times as
+# little-endian int64, the 64-byte signature, the signer and payload
+# lengths (uint16, uint32), then the signer's UTF-8 bytes and the payload.
+HEADER = "<32sqq64sHI"
+HEADER_SIZE = struct.calcsize(HEADER)
+FIELDS = ("block_hash", "committed", "submitted", "signature", "signer", "payload")
+
+
+def record_bytes(block_hash, committed, submitted, signature, signer, payload) -> bytes:
+    """One record of the chain file from its raw fields."""
+    return struct.pack(HEADER, block_hash, committed, submitted, signature, len(signer),
+                       len(payload)) + signer + payload
+
+
+def split_records(data: bytes) -> list:
+    """The raw fields of each record of a well-formed chain file, as dicts."""
+    records, fh = [], io.BytesIO(data)
+    while header := fh.read(HEADER_SIZE):
+        *fixed, n_signer, n_payload = struct.unpack(HEADER, header)
+        records.append(dict(zip(FIELDS, (*fixed, fh.read(n_signer), fh.read(n_payload)))))
+    return records
+
+
+def joined(records) -> bytes:
+    return b"".join(record_bytes(**rec) for rec in records)
+
+
+def cut_out(data: bytes, start: int, stop: int) -> bytes:
+    return data[:start] + data[stop:]
+
+
+def saved_records(ledger, path) -> list:
+    ledger.save_chain(path)
+    return split_records(path.read_bytes())
+
+
+# Edits of a record that write a field as a value of another type would be
+# written, or leave it out, each a function of the record's raw fields.
 RESPELT_FIELDS = {
-    "height as bool": ("height", lambda rec: rec.update(height=False)),
-    "commit time as string": ("sim_time_committed", lambda rec: rec.update(
-        sim_time_committed=str(rec["sim_time_committed"]))),
-    "commit time as float": ("sim_time_committed", lambda rec: rec.update(
-        sim_time_committed=float(rec["sim_time_committed"]))),
-    "commit time missing": ("sim_time_committed", lambda rec: rec.pop("sim_time_committed")),
-    "submit time as float": ("sim_time_submitted", lambda rec: rec["txs"][0].update(
-        sim_time_submitted=float(rec["txs"][0]["sim_time_submitted"]))),
-    "signature in upper case": ("signature", lambda rec: rec["txs"][0].update(
-        signature=rec["txs"][0]["signature"].upper())),
+    # The commit time's eight bytes hold its decimal digits.
+    "commit time as string": lambda rec: record_bytes(**dict(
+        rec, committed=int.from_bytes(b"%08d" % rec["committed"], "little"))),
+    "commit time as float": lambda rec: record_bytes(**dict(
+        rec, committed=struct.unpack("<q", struct.pack("<d", rec["committed"]))[0])),
+    "commit time missing": lambda rec: cut_out(record_bytes(**rec), 32, 40),
+    "submit time as float": lambda rec: record_bytes(**dict(
+        rec, submitted=struct.unpack("<q", struct.pack("<d", rec["submitted"]))[0])),
+}
+
+
+class Oversized(bytes):
+    """Bytes that report a length past a uint32, as a payload too long for
+    its length field would, without holding 4 GiB."""
+
+    def __len__(self):
+        return 2 ** 32
+
+
+def with_tx(block, **changes):
+    """``block`` holding its tx with ``changes``; the block keeps its hash."""
+    return dataclasses.replace(block, tx_list=(dataclasses.replace(block.tx_list[0],
+                                                                   **changes),))
+
+
+def with_oversized_payload(block):
+    tx = dataclasses.replace(block.tx_list[0])
+    object.__setattr__(tx, "message", Oversized(tx.message))
+    return dataclasses.replace(block, tx_list=(tx,))
+
+
+# Blocks that save_chain cannot store exactly, each an edit of a block.
+UNSTORABLE = {
+    "signature of 63 bytes": lambda b: with_tx(b, signature=b.tx_list[0].signature[:63]),
+    "signature of 65 bytes": lambda b: with_tx(b, signature=b.tx_list[0].signature + b"\0"),
+    "block hash in upper case": lambda b: dataclasses.replace(b, block_hash="AB" * 32),
+    "block hash of 31 bytes": lambda b: dataclasses.replace(b, block_hash="ab" * 31),
+    "block hash not hex": lambda b: dataclasses.replace(b, block_hash="zz" * 32),
+    "block hash with a space": lambda b: dataclasses.replace(b, block_hash="ab " + "ab" * 31),
+    "commit time past int64": lambda b: dataclasses.replace(b, sim_time_committed=2 ** 63),
+    "commit time below int64": lambda b: dataclasses.replace(b,
+                                                             sim_time_committed=-2 ** 63 - 1),
+    "submit time past int64": lambda b: with_tx(b, sim_time_submitted=2 ** 63),
+    "signer longer than uint16": lambda b: with_tx(b, signer="s" * 2 ** 16),
+    "payload longer than uint32": with_oversized_payload,
+    "signer not UTF-8": lambda b: with_tx(b, signer="\ud800"),
+    "height off its position": lambda b: dataclasses.replace(b, height=5),
+    "prev_hash off the chain": lambda b: dataclasses.replace(b, prev_hash="cd" * 32),
+    "block of two txs": lambda b: dataclasses.replace(b, tx_list=b.tx_list * 2),
 }
 
 
@@ -765,72 +841,76 @@ class TestPersistence:
     def test_save_load_round_trip(self, tmp_path, anchor, ledger, enrolled):
         _, key, _ = enrolled
         ledger.submit(record_tx(ledger, key))
-        path = tmp_path / "chain.jsonl"
+        path = tmp_path / "ledger.chain"
         ledger.save_chain(path)
         loaded = read_chain(path)
         assert replay_chain(loaded) == ledger.state
         # Stable bytes: saving the same chain twice is identical.
-        path2 = tmp_path / "chain2.jsonl"
+        path2 = tmp_path / "chain2"
         ledger.save_chain(path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_file_is_json_lines(self, tmp_path, ledger, enrolled):
+    def test_file_is_length_prefixed_records(self, tmp_path, ledger, enrolled):
         _, key, _ = enrolled
-        ledger.submit(record_tx(ledger, key))
-        path = tmp_path / "chain.jsonl"
-        ledger.save_chain(path)
-        for line in path.read_text().splitlines():
-            rec = json.loads(line)
-            assert set(rec) == {"height", "prev_hash", "block_hash",
-                                "sim_time_committed", "txs"}
-            for tx in rec["txs"]:
-                assert set(tx) == {"payload", "signer", "signature", "sim_time_submitted"}
+        ledger.submit(record_tx(ledger, key, payload={"text": "\xe9"}))
+        records = saved_records(ledger, tmp_path / "ledger.chain")
+        assert len(records) == len(ledger.chain) == 2
+        assert HEADER_SIZE == 118
+        for rec, block in zip(records, ledger.chain):
+            (tx,) = block.tx_list
+            assert rec == {"block_hash": bytes.fromhex(block.block_hash),
+                           "committed": block.sim_time_committed,
+                           "submitted": tx.sim_time_submitted, "signature": tx.signature,
+                           "signer": tx.signer.encode(), "payload": tx.message}
+        assert records[-1]["payload"] == canonical_json(ledger.chain[-1].tx_list[0].payload).encode()
+        assert joined(records) == (tmp_path / "ledger.chain").read_bytes()
 
     def test_edited_payload_in_saved_chain_rejected(self, tmp_path, ledger, enrolled):
         # tx_id is rebuilt from the stored payload, so the stored block hash
         # no longer matches. A re-hashed edit is not caught here.
         _, key, _ = enrolled
         ledger.submit(record_tx(ledger, key, payload={"kw": 5}))
-        path = tmp_path / "chain.jsonl"
+        path = tmp_path / "ledger.chain"
         ledger.save_chain(path)
-        text = path.read_text()
-        assert text.count('"kw":5') == 1
-        path.write_text(text.replace('"kw":5', '"kw":500'))
-        with pytest.raises(IntegrityViolationError, match="block hash mismatch"):
+        data = path.read_bytes()
+        assert data.count(b'"kw":5') == 1
+        path.write_bytes(data.replace(b'"kw":5', b'"kw":7'))
+        with pytest.raises(IntegrityViolationError, match="block hash mismatch at height 1"):
             replay_chain(read_chain(path))
 
-    @pytest.mark.parametrize("name, edit", RESPELT_FIELDS.values(), ids=RESPELT_FIELDS.keys())
-    def test_field_spelt_another_way_rejected(self, tmp_path, ledger, enrolled, name, edit):
-        path = tmp_path / "chain.jsonl"
-        ledger.save_chain(path)
-        rec = json.loads(path.read_text())
-        edit(rec)
-        # Written as save_chain spaces it, so only the edited field departs.
-        path.write_text(json.dumps(rec, separators=(",", ":")) + "\n")
-        with pytest.raises(IntegrityViolationError, match="malformed block record") as info:
-            read_chain(path)
-        assert f"field {name!r}" in str(info.value)
+    @pytest.mark.parametrize("edit", RESPELT_FIELDS.values(), ids=RESPELT_FIELDS.keys())
+    def test_field_spelt_another_way_rejected(self, tmp_path, ledger, enrolled, edit):
+        # A record has one spelling of each field: bytes written for another
+        # type read as another value, which the block hash does not cover,
+        # and a field left out shifts the rest of the record.
+        _, key, _ = enrolled
+        ledger.submit(record_tx(ledger, key))
+        path = tmp_path / "ledger.chain"
+        first, last = saved_records(ledger, path)
+        assert last["committed"] and last["submitted"]
+        path.write_bytes(record_bytes(**first) + edit(last))
+        with pytest.raises(IntegrityViolationError):
+            replay_chain(read_chain(path))
 
     def test_old_format_record_rejected(self, tmp_path, ledger, enrolled):
-        # The earlier format stored the signed message in an envelope, and
-        # no signer or signature field.
-        path = tmp_path / "chain.jsonl"
-        ledger.save_chain(path)
-        rec = json.loads(path.read_text())
-        tx = rec["txs"][0]
-        tx["envelope"] = {"message": canonical_json(tx["payload"]).encode().hex(),
-                          "signature": tx.pop("signature"), "token_id": tx.pop("signer"),
-                          "sim_time": tx["sim_time_submitted"]}
-        tx["tx_id"] = "00" * 32
-        path.write_text(json.dumps(rec, separators=(",", ":")) + "\n")
-        with pytest.raises(IntegrityViolationError, match="'signer'"):
+        # The earlier format: one JSON line per block.
+        path = tmp_path / "ledger.chain"
+        block = ledger.chain[0]
+        (tx,) = block.tx_list
+        line = {"height": 0, "prev_hash": block.prev_hash, "block_hash": block.block_hash,
+                "sim_time_committed": block.sim_time_committed,
+                "txs": [{"payload": tx.payload, "signer": tx.signer,
+                         "signature": tx.signature.hex(),
+                         "sim_time_submitted": tx.sim_time_submitted}]}
+        path.write_text(json.dumps(line, separators=(",", ":")) + "\n")
+        with pytest.raises(IntegrityViolationError, match="malformed chain record 0 at byte 0"):
             read_chain(path)
 
     def test_load_chain_restores_live_receipts(self, tmp_path, clock, anchor, ledger, enrolled):
         _, key, _ = enrolled
         tx = record_tx(ledger, key)
         live = ledger.submit(tx)
-        path = tmp_path / "chain.jsonl"
+        path = tmp_path / "ledger.chain"
         ledger.save_chain(path)
         reloaded = LedgerSim(clock, anchor_pk=identity.anchor_public_key(anchor))
         reloaded.load_chain(path)
@@ -839,32 +919,56 @@ class TestPersistence:
         assert ((restored.height, restored.sim_time_committed, restored.latency_ms)
                 == (live.height, live.sim_time_committed, BLOCK_INTERVAL_MS))
 
-    @pytest.mark.parametrize("records", [
-        lambda record: "",
-        lambda record: record + "," + record,
+    @pytest.mark.parametrize("payload", [
+        lambda payload: b"",
+        lambda payload: payload + payload,
     ], ids=["no tx", "two txs"])
-    def test_txs_of_other_than_one_record_refused(self, tmp_path, ledger, enrolled, records):
-        path = tmp_path / "chain.jsonl"
-        ledger.save_chain(path)
-        line = path.read_text()
-        start = line.index('"txs":[') + len('"txs":[')
-        end = line.rindex("]}")
-        path.write_text(line[:start] + records(line[start:end]) + line[end:])
-        with pytest.raises(IntegrityViolationError, match="on line 1: field 'txs'"):
+    def test_txs_of_other_than_one_record_refused(self, tmp_path, ledger, enrolled, payload):
+        # A record holds one tx: its payload slot holds one JSON value.
+        _, key, _ = enrolled
+        ledger.submit(record_tx(ledger, key))
+        path = tmp_path / "ledger.chain"
+        first, last = saved_records(ledger, path)
+        path.write_bytes(joined([first, dict(last, payload=payload(last["payload"]))]))
+        at = len(record_bytes(**first))
+        with pytest.raises(IntegrityViolationError, match=f"record 1 at byte {at}: payload"):
             read_chain(path)
 
     def test_load_chain_refused_keeps_the_old_chain(self, tmp_path, ledger, enrolled):
-        # The second block repeats the first at height 1: it reads, and
+        # The second record repeats the first: it reads at height 1, and
         # replay refuses it.
-        path = tmp_path / "chain.jsonl"
+        path = tmp_path / "ledger.chain"
         ledger.save_chain(path)
-        first = path.read_bytes().splitlines(keepends=True)[0]
-        path.write_bytes(first + first.replace(b'{"height":0,', b'{"height":1,', 1))
+        path.write_bytes(path.read_bytes() * 2)
         height, before = ledger.height, ledger.state.canonical()
         with pytest.raises(IntegrityViolationError):
             ledger.load_chain(path)
         assert (ledger.height, ledger.state.canonical()) == (height, before)
         assert ledger.replay() == ledger.state
+
+    def test_length_past_the_file_is_refused(self, tmp_path, ledger, enrolled):
+        path = tmp_path / "ledger.chain"
+        (rec,) = saved_records(ledger, path)
+        data = record_bytes(**rec)
+        path.write_bytes(data[:HEADER_SIZE - 4] + struct.pack("<I", 2 ** 32 - 1)
+                         + data[HEADER_SIZE:])
+        with pytest.raises(IntegrityViolationError, match="record 0 at byte 0: .* past the file"):
+            read_chain(path)
+
+    @pytest.mark.parametrize("edit", UNSTORABLE.values(), ids=UNSTORABLE.keys())
+    def test_block_it_cannot_store_exactly_is_refused(self, tmp_path, ledger, enrolled, edit):
+        _, key, _ = enrolled
+        ledger.submit(record_tx(ledger, key))
+        ledger.chain[-1] = edit(ledger.chain[-1])
+        path = tmp_path / "ledger.chain"
+        with pytest.raises(ValidationError, match="block 1 cannot be saved"):
+            ledger.save_chain(path)
+        assert not path.exists()
+        # An existing file is left as it was.
+        path.write_bytes(b"old")
+        with pytest.raises(ValidationError):
+            ledger.save_chain(path)
+        assert path.read_bytes() == b"old"
 
 
 # ---------------------------------------------------------------------------
@@ -947,6 +1051,48 @@ def test_state_equality_matches_canonical_compare(payloads, challenges):
     assert (b == a) is reference_eq(b, a)
 
 
+# Tokens from small domains, so two drawn tokens often share most fields.
+TOKENS = st.builds(
+    identity.NftToken,
+    token_id=st.sampled_from(("t1", "t2")), token_name=st.sampled_from(("", "n")),
+    device_id=st.sampled_from((b"\x01", b"\x02")), public_key=st.just(b"\x03"),
+    owner_id=st.sampled_from(("alice", "bob")),
+    constraints=st.builds(identity.TokenConstraints, st.booleans(), st.booleans(),
+                          st.booleans()),
+    issue_time=st.integers(0, 1),
+)
+
+
+@st.composite
+def token_pairs(draw):
+    """Two token dicts: independent, equal field by field as other objects,
+    or the second with one field of one token changed."""
+    a = draw(st.dictionaries(st.sampled_from(("t1", "t2")), TOKENS, max_size=2))
+    how = draw(st.sampled_from(("independent", "copied", "one field")))
+    if how == "independent":
+        return a, draw(st.dictionaries(st.sampled_from(("t1", "t2")), TOKENS, max_size=2))
+    b = {tid: dataclasses.replace(tok) for tid, tok in a.items()}
+    if how == "one field" and b:
+        tid = draw(st.sampled_from(sorted(b)))
+        other = draw(TOKENS)
+        name = draw(st.sampled_from([f.name for f in dataclasses.fields(other)]))
+        b[tid] = dataclasses.replace(b[tid], **{name: getattr(other, name)})
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=token_pairs())
+def test_token_equality_matches_canonical_compare(tokens):
+    a, b = RegistryState(tokens=tokens[0]), RegistryState(tokens=tokens[1])
+    assert (a == b) is reference_eq(a, b)
+    assert (b == a) is reference_eq(b, a)
+    # A token stays hashable, its hash consistent with its equality.
+    for x in tokens[0].values():
+        for y in tokens[1].values():
+            assert (x == y) is (x.to_record() == y.to_record())
+            assert x != y or hash(x) == hash(y)
+
+
 def test_state_equality_tells_bytes_from_str():
     a, b = state_with({}, "00"), state_with({}, b"00")
     assert a != b and b != a
@@ -1022,7 +1168,7 @@ def test_replay_of_saved_chain_equals_live_state(devices, ops):
             keys.append(key)
     assert all(len(block.tx_list) == 1 for block in ledger.chain)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "ledger.jsonl")
+        path = os.path.join(tmp, "ledger.chain")
         ledger.save_chain(path)
         replayed = replay_chain(read_chain(path))
     assert replayed == ledger.state
@@ -1030,24 +1176,29 @@ def test_replay_of_saved_chain_equals_live_state(devices, ops):
 
 
 # Characters a JSON writer must escape, or may write in more than one way.
-AWKWARD_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1e\x7f \xe9\u2603\U0001f600\ud800'),
-                       max_size=6)
+AWKWARD_CHARS = 'a"\\/\n\t\x00\x1e\x7f \xe9☃\U0001f600'
+AWKWARD_TEXT = st.text(st.sampled_from(AWKWARD_CHARS + "\ud800"), max_size=6)
 AWKWARD_JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | AWKWARD_TEXT,
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(AWKWARD_TEXT, kids, max_size=3),
     max_leaves=8,
 )
+# A signer is stored as UTF-8, which holds no lone surrogate.
+SIGNER_TEXT = st.text(st.sampled_from(AWKWARD_CHARS), max_size=6)
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
 
 
 @st.composite
 def chains(draw):
     """Hash-linked blocks of one tx each with any payload, signer,
-    signature and sim times. Saving and reading check no signature."""
+    signature and sim times the file can hold. Saving and reading check no
+    signature and no contract rule."""
     chain, prev = [], GENESIS_PREV_HASH
     for height in range(draw(st.integers(0, 4))):
         tx = Transaction(draw(st.dictionaries(AWKWARD_TEXT, AWKWARD_JSON, max_size=4)),
-                         draw(AWKWARD_TEXT), draw(st.binary(max_size=64)), draw(st.integers()))
-        committed = draw(st.integers())
+                         draw(SIGNER_TEXT), draw(st.binary(min_size=64, max_size=64)),
+                         draw(INT64))
+        committed = draw(INT64)
         chain.append(Block(height, prev, (tx,), compute_block_hash(height, prev, tx, committed),
                            committed))
         prev = chain[-1].block_hash
@@ -1058,41 +1209,18 @@ def saved_bytes(chain) -> bytes:
     ledger = LedgerSim(SimClock(), anchor_pk=b"")
     ledger.chain = chain
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "ledger.jsonl")
+        path = os.path.join(tmp, "ledger.chain")
         ledger.save_chain(path)
         with open(path, "rb") as fh:
             return fh.read()
 
 
-def read_back(data: bytes, reader=read_chain) -> list:
+def read_back(data: bytes) -> list:
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "ledger.jsonl")
+        path = os.path.join(tmp, "ledger.chain")
         with open(path, "wb") as fh:
             fh.write(data)
-        return reader(path)
-
-
-def reference_read_chain(path) -> list:
-    """The chain reader before the template walk: ``json.loads`` each line,
-    check every field's keys and JSON type, and re-encode each payload with
-    ``canonical_json`` for its message."""
-    blocks = []
-    with open(path, "rb") as fh:
-        for line in fh:
-            rec = jr.obj(json.loads(line.decode("utf-8")),
-                         frozenset({"height", "prev_hash", "block_hash", "sim_time_committed",
-                                    "txs"}))
-            txs = []
-            for t in jr.of(list, rec["txs"]):
-                jr.obj(t, frozenset({"payload", "signer", "signature", "sim_time_submitted"}))
-                signature = bytes.fromhex(t["signature"])
-                assert signature.hex() == t["signature"]
-                txs.append(Transaction(t["payload"], jr.of(str, t["signer"]), signature,
-                                       jr.of(int, t["sim_time_submitted"])))
-            blocks.append(Block(jr.of(int, rec["height"]), jr.of(str, rec["prev_hash"]),
-                                tuple(txs), jr.of(str, rec["block_hash"]),
-                                jr.of(int, rec["sim_time_committed"])))
-    return blocks
+        return read_chain(path)
 
 
 def stored_fields(chain) -> list:
@@ -1104,40 +1232,181 @@ def stored_fields(chain) -> list:
             for block in chain]
 
 
+def reference_read(data: bytes) -> list:
+    """``read_chain`` written plainly, the reference it must agree with: each
+    record read from an ``io.BytesIO``, its header by ``struct.unpack`` and
+    its payload by ``json.loads``. Returns the stored fields of each block
+    as ``stored_fields`` gives them, or raises ``ValueError``."""
+    blocks, prev, fh = [], GENESIS_PREV_HASH, io.BytesIO(data)
+    while header := fh.read(HEADER_SIZE):
+        if len(header) < HEADER_SIZE:
+            raise ValueError("header cut short")
+        block_hash, committed, submitted, signature, n_signer, n_payload = struct.unpack(
+            HEADER, header)
+        signer, message = fh.read(n_signer), fh.read(n_payload)
+        if len(signer) < n_signer or len(message) < n_payload:
+            raise ValueError("record runs past the file")
+        text = message.decode("ascii")
+        # json.loads skips whitespace around the value; a payload holds none.
+        if text.strip(" \t\n\r") != text:
+            raise ValueError("whitespace around the payload")
+        json.loads(text)
+        blocks.append((len(blocks), prev, block_hash.hex(), committed,
+                       [(message, signer.decode("utf-8"), signature, submitted,
+                         hashlib.sha256(message + signature).hexdigest())]))
+        prev = block_hash.hex()
+    return blocks
+
+
+def read_outcome(data: bytes):
+    """The stored fields ``read_chain`` reads from ``data``, or None if it
+    refuses the file."""
+    try:
+        return stored_fields(read_back(data))
+    except IntegrityViolationError:
+        return None
+
+
+def reference_outcome(data: bytes):
+    try:
+        return reference_read(data)
+    # A payload nested past the recursion limit stops json.loads.
+    except (ValueError, RecursionError):
+        return None
+
+
+def hashes_hold(chain) -> bool:
+    """Whether ``replay_chain``'s checks before the contract pass: heights,
+    hash links and block hashes."""
+    prev = GENESIS_PREV_HASH
+    for height, block in enumerate(chain):
+        if (block.height, block.prev_hash) != (height, prev) or block.block_hash != (
+                compute_block_hash(height, prev, block.tx_list[0], block.sim_time_committed)):
+            return False
+        prev = block.block_hash
+    return True
+
+
+def record_ends(data: bytes) -> list:
+    """The offset at which each record of a well-formed file ends."""
+    return list(itertools.accumulate(len(record_bytes(**rec)) for rec in split_records(data)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(chain=chains())
 def test_saved_chain_reads_back_equal(chain):
-    assert stored_fields(read_back(saved_bytes(chain))) == stored_fields(chain)
-
-
-@settings(max_examples=100, deadline=None)
-@given(chain=chains())
-def test_template_reader_agrees_with_the_reference_reader(chain):
-    """Every stored field, message and tx_id ``read_chain`` takes from a
-    saved file is what decoding and re-encoding each line gives."""
+    """Reading a saved chain gives back every stored field, and saving what
+    was read gives the same bytes."""
     data = saved_bytes(chain)
-    assert stored_fields(read_back(data)) == stored_fields(read_back(data, reference_read_chain))
-
-
-def json_record(block) -> dict:
-    """``block`` as a dict in the chain file's field order, payload keys sorted."""
-    return {
-        "height": block.height,
-        "prev_hash": block.prev_hash,
-        "block_hash": block.block_hash,
-        "sim_time_committed": block.sim_time_committed,
-        "txs": [{"payload": json.loads(tx.message), "signer": tx.signer,
-                 "signature": tx.signature.hex(), "sim_time_submitted": tx.sim_time_submitted}
-                for tx in block.tx_list],
-    }
+    back = read_back(data)
+    assert stored_fields(back) == stored_fields(chain)
+    assert hashes_hold(back)
+    assert saved_bytes(back) == data
 
 
 @settings(max_examples=100, deadline=None)
 @given(chain=chains())
-def test_saved_line_is_the_json_record_with_sorted_payload_keys(chain):
-    expected = "".join(json.dumps(json_record(block), separators=(",", ":")) + "\n"
-                       for block in chain)
-    assert saved_bytes(chain) == expected.encode("ascii")
+def test_read_chain_agrees_with_the_reference_reader(chain):
+    data = saved_bytes(chain)
+    assert read_outcome(data) == reference_outcome(data) == stored_fields(chain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=chains())
+def test_saved_record_is_the_header_signer_and_sorted_payload(chain):
+    expected = b"".join(
+        record_bytes(bytes.fromhex(block.block_hash), block.sim_time_committed,
+                     tx.sim_time_submitted, tx.signature, tx.signer.encode("utf-8"),
+                     json.dumps(tx.payload, sort_keys=True, separators=(",", ":")).encode())
+        for block in chain for tx in block.tx_list)
+    assert saved_bytes(chain) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=chains().filter(bool), data=st.data())
+def test_any_single_byte_change_is_refused(chain, data):
+    """Every byte of a record is a field the block hash covers, a length, or
+    part of the signer or payload: with one byte changed, ``read_chain``
+    refuses the file or a block fails the hash checks ``replay_chain``
+    makes before the contract. A third of the changes fall in a header."""
+    saved = bytearray(saved_bytes(chain))
+    starts = [0, *record_ends(bytes(saved))[:-1]]
+    headers = [start + k for start in starts for k in range(HEADER_SIZE)]
+    i = data.draw(st.sampled_from(headers) | st.integers(0, len(saved) - 1))
+    saved[i] = data.draw(st.integers(0, 255).filter(lambda byte: byte != saved[i]))
+    try:
+        back = read_back(bytes(saved))
+    except IntegrityViolationError:
+        return
+    assert not hashes_hold(back)
+
+
+@functools.cache
+def live_chain_bytes() -> bytes:
+    return saved_bytes(list(live_chain()))
+
+
+def test_every_byte_of_a_live_chain_is_checked():
+    """Each bit 0 and bit 7 flipped, one byte at a time, in a chain the
+    contract admits: ``read_chain`` then ``replay_chain`` raises."""
+    saved = live_chain_bytes()
+    for i in range(len(saved)):
+        for bit in (0x01, 0x80):
+            edited = bytearray(saved)
+            edited[i] ^= bit
+            with pytest.raises(IntegrityViolationError):
+                replay_chain(read_back(bytes(edited)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=chains(), data=st.data())
+def test_a_cut_off_a_record_boundary_is_refused(chain, data):
+    """A file cut anywhere but at the end of a record is refused, and the
+    error names the record the cut falls in and the byte it starts at. A cut at a record's end leaves
+    the chain's prefix, which reads and replays: no record pins the
+    chain's length (ROADMAP item 3's signed head will)."""
+    saved = saved_bytes(chain)
+    ends = record_ends(saved)
+    boundaries = [0, *ends]
+    cut = data.draw(st.sampled_from(boundaries) | st.integers(0, len(saved)))
+    if cut in boundaries:
+        assert stored_fields(read_back(saved[:cut])) == stored_fields(
+            chain[:boundaries.index(cut)])
+        return
+    record = sum(end < cut for end in ends)
+    with pytest.raises(IntegrityViolationError,
+                       match=f"record {record} at byte {boundaries[record]}: "):
+        read_back(saved[:cut])
+
+
+# Bytes an edit puts into a saved file: JSON punctuation, spellings of
+# numbers and literals, whitespace, and any byte.
+EDIT_BYTES = st.sampled_from(b'{}[]":,0123456789aeflnrstu-+.E \\/\n\x00\xe9') | st.integers(0, 255)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=chains(), data=st.data())
+def test_read_chain_agrees_with_the_reference_reader_on_byte_edits(chain, data):
+    """One to three bytes of a saved file replaced, inserted or deleted:
+    ``read_chain`` reads the same stored fields as the reference reader, or
+    both refuse the file. Half the edits fall in a header, where the
+    lengths are."""
+    saved = bytearray(saved_bytes(chain))
+    starts = [0, *record_ends(bytes(saved))[:-1]] if saved else []
+    headers = [start + k for start in starts for k in range(HEADER_SIZE)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        how = data.draw(st.sampled_from(("replace", "insert", "delete")) if saved
+                        else st.just("insert"))
+        top = len(saved) - (how != "insert")
+        i = data.draw((st.sampled_from([h for h in headers if h <= top]) if headers else
+                       st.nothing()) | st.integers(0, top))
+        if how == "delete":
+            del saved[i]
+        elif how == "insert":
+            saved.insert(i, data.draw(EDIT_BYTES))
+        else:
+            saved[i] = data.draw(EDIT_BYTES)
+    assert read_outcome(bytes(saved)) == reference_outcome(bytes(saved))
 
 
 @functools.cache
@@ -1155,13 +1424,9 @@ def live_chain() -> tuple:
 
 
 @functools.cache
-def live_chain_lines() -> tuple:
-    """The saved lines of ``live_chain()``."""
-    return tuple(saved_bytes(list(live_chain())).decode("ascii").splitlines())
-
-
-def joined(lines) -> bytes:
-    return "".join(line + "\n" for line in lines).encode("ascii")
+def live_chain_records() -> tuple:
+    """The raw fields of each saved record of ``live_chain()``."""
+    return tuple(split_records(live_chain_bytes()))
 
 
 # Ways to write a payload that decode to the same object as its signed
@@ -1174,13 +1439,10 @@ RESPELLINGS = {
 }
 
 
-def respelt(line: str, how: str) -> str:
-    """``line`` with its one tx's payload written another way; its hashes
-    are left as they were."""
-    payload = json.loads(line)["txs"][0]["payload"]
-    signed = '{"payload":' + canonical_json(payload)
-    assert line.count(signed) == 1
-    return line.replace(signed, '{"payload":' + RESPELLINGS[how](payload))
+def respelt(record: dict, how: str) -> dict:
+    """``record`` with its tx's payload written another way; its hash is
+    left as it was."""
+    return dict(record, payload=RESPELLINGS[how](json.loads(record["payload"])).encode())
 
 
 def relinked(chain) -> list:
@@ -1201,12 +1463,12 @@ def relinked(chain) -> list:
 def test_respelt_copy_of_a_committed_tx_is_refused(data, how):
     """A committed tx copied onto the chain with its payload spelt another
     way has another tx_id, but its signature appears twice."""
-    lines = live_chain_lines()
-    at = data.draw(st.integers(0, len(lines) - 1))
-    copy = read_back(joined([respelt(lines[at], how)]))[0].tx_list[0]
+    records = live_chain_records()
+    at = data.draw(st.integers(0, len(records) - 1))
+    copy = read_back(joined([respelt(records[at], how)]))[0].tx_list[0]
     assert copy.tx_id != live_chain()[at].tx_list[0].tx_id
     with pytest.raises(IntegrityViolationError, match="appears twice"):
-        replay_chain(appended(read_back(joined(lines)), copy))
+        replay_chain(appended(read_back(joined(records)), copy))
 
 
 @settings(max_examples=20, deadline=None)
@@ -1214,14 +1476,14 @@ def test_respelt_copy_of_a_committed_tx_is_refused(data, how):
 def test_tx_respelt_in_a_loaded_chain_cannot_be_submitted_again(data, how):
     """One tx of a saved chain respelt in place and the chain re-hashed:
     it loads, and its original is then a duplicate."""
-    lines = list(live_chain_lines())
-    at = data.draw(st.integers(0, len(lines) - 1))
-    lines[at] = respelt(lines[at], how)
+    records = list(live_chain_records())
+    at = data.draw(st.integers(0, len(records) - 1))
+    records[at] = respelt(records[at], how)
     ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(ANCHOR))
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "ledger.jsonl")
+        path = os.path.join(tmp, "ledger.chain")
         with open(path, "wb") as fh:
-            fh.write(saved_bytes(relinked(read_back(joined(lines)))))
+            fh.write(saved_bytes(relinked(read_back(joined(records)))))
         ledger.load_chain(path)
     original = live_chain()[at].tx_list[0]
     assert ledger.chain[at].tx_list[0].tx_id != original.tx_id
@@ -1229,113 +1491,21 @@ def test_tx_respelt_in_a_loaded_chain_cannot_be_submitted_again(data, how):
         ledger.submit(original)
 
 
-def content_spans(line: str) -> list:
-    """The (start, end) of each value in a saved line where a space is
-    content, not layout: the payload and each JSON string value but the
-    signature's hex."""
-    spans = []
-    for name in ("prev_hash", "block_hash", "payload", "signer"):
-        start = line.index(f'"{name}":') + len(name) + 3
-        spans.append((start, json.JSONDecoder().raw_decode(line, start)[1]))
-    return spans
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_a_space_outside_the_payload_is_refused(data):
-    """A space inserted anywhere but inside a value that can hold one
-    departs from the template, and the error names the line. (Inside a
-    value it changes what the block hash covers; replay refuses that.)"""
-    lines = list(live_chain_lines())
-    n = data.draw(st.integers(0, len(lines) - 1))
-    line = lines[n]
-    spans = content_spans(line)
-    i = data.draw(st.sampled_from([i for i in range(len(line) + 1)
-                                   if not any(start < i < end for start, end in spans)]))
-    lines[n] = line[:i] + " " + line[i:]
-    with pytest.raises(IntegrityViolationError, match=f"on line {n + 1}: field '"):
-        read_back(joined(lines))
-
-
-def reference_block_from_line(line: str) -> Block:
-    """The template walk as first written, each literal checked by a call
-    to ``past`` and the one record read as such: the reference that
-    ``_block_from_line`` must agree with."""
-    scan = ledger_mod._scan
-
-    def past(i: int, literal: str) -> int:
-        if line.startswith(literal, i):
-            return i + len(literal)
-        raise ValueError(f"expected {literal!r} at column {i}")
-
-    name = "height"
-    try:
-        height, i = scan(line, past(0, ledger_mod._HEIGHT))
-        jr.of(int, height)
-        name = "prev_hash"
-        prev_hash, i = scan(line, past(i, ledger_mod._PREV_HASH))
-        jr.of(str, prev_hash)
-        name = "block_hash"
-        block_hash, i = scan(line, past(i, ledger_mod._BLOCK_HASH))
-        jr.of(str, block_hash)
-        name = "sim_time_committed"
-        committed, i = scan(line, past(i, ledger_mod._COMMITTED))
-        jr.of(int, committed)
-        name = "txs"
-        start = past(past(i, ledger_mod._TXS), ledger_mod._PAYLOAD)
-        name = "payload"
-        payload, i = scan(line, start)
-        message = line[start:i].encode("utf-8")
-        name = "signer"
-        signer, i = scan(line, past(i, ledger_mod._SIGNER))
-        jr.of(str, signer)
-        name = "signature"
-        i = past(i, ledger_mod._SIGNATURE)
-        end = line.index('"', i)
-        signature = jr.hexbytes(line[i:end])
-        name = "sim_time_submitted"
-        submitted, i = scan(line, past(end, ledger_mod._SUBMITTED))
-        jr.of(int, submitted)
-        name = "txs"
-        past(past(i, ledger_mod._TX_END), ledger_mod._BLOCK_END)
-    except StopIteration as exc:
-        raise ValueError(f"field {name!r}: no JSON value at column {exc.value}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {name!r}: {exc}") from exc
-    tx = Transaction._sealed(payload, message, signer, signature, submitted)
-    return Block(height=height, prev_hash=prev_hash, tx_list=(tx,),
-                 block_hash=block_hash, sim_time_committed=committed)
-
-
-def walked(walk, line: str):
-    """The stored fields of the block ``walk`` reads from ``line``, or the
-    text of the ``ValueError`` it raises."""
-    try:
-        return stored_fields([walk(line)])
-    except ValueError as exc:
-        return str(exc)
-
-
-# Characters a one-character edit puts into a saved line: template
-# punctuation, JSON number and literal spellings, hex digits and escapes.
-EDIT_CHARS = st.sampled_from('{}[]":,0123456789abcdefnrtlsu-+.E \\/\n\x00\xe9') | st.characters()
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), how=st.sampled_from(("insert", "delete", "replace")))
-def test_template_walk_agrees_with_the_reference_walk(data, how):
-    """Any one character inserted, deleted or replaced on a saved line: both
-    walks read the same block, or refuse it with the same message. Half the
-    edits fall outside the hashes, payload and signer, where the template's
-    literals are."""
-    line = data.draw(st.sampled_from(live_chain_lines())) + "\n"
-    layout = [i for i in range(len(line))
-              if not any(start < i < end for start, end in content_spans(line))]
-    i = data.draw(st.sampled_from(layout) | st.integers(0, len(line) - (how != "insert")))
-    tail = line[i + (how != "insert"):]
-    edited = line[:i] + ("" if how == "delete" else data.draw(EDIT_CHARS)) + tail
-    assert walked(ledger_mod._block_from_line, edited) == walked(reference_block_from_line,
-                                                                 edited)
+    """A space inserted anywhere but inside a payload (in a header or a
+    signer, or between records) moves every field after it: ``read_chain``
+    refuses the file or ``replay_chain`` a block. (Inside a payload it
+    pushes the payload's last byte out of its slot.)"""
+    saved = live_chain_bytes()
+    ends = record_ends(saved)
+    payloads = [(end - len(rec["payload"]), end)
+                for rec, end in zip(live_chain_records(), ends)]
+    i = data.draw(st.sampled_from([i for i in range(len(saved) + 1)
+                                   if not any(start < i < end for start, end in payloads)]))
+    with pytest.raises(IntegrityViolationError):
+        replay_chain(read_back(saved[:i] + b" " + saved[i:]))
 
 
 DROP = object()
@@ -1344,28 +1514,35 @@ DROP = object()
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_any_single_field_edit_of_a_saved_chain_is_refused(data):
-    """Edit, drop or retype one field of one saved block, its tx or its
-    payload, without re-hashing: ``read_chain`` then ``replay_chain`` raises
+    """Change one field of one saved record, or edit, drop or retype one key
+    of its payload, without re-hashing and with the lengths kept right:
+    ``read_chain`` then ``replay_chain`` raises
     ``IntegrityViolationError``. Swapped-in values include every value the
     chain already holds, such as another live token as ``signer``."""
-    lines = live_chain_lines()
-    records = [json.loads(line) for line in lines]
-    held = [value for rec in records
-            for part in (rec, rec["txs"][0], rec["txs"][0]["payload"])
-            for value in part.values() if not isinstance(value, (list, dict))]
-    at = data.draw(st.integers(0, len(lines) - 1))
-    block = records[at]
-    part = data.draw(st.sampled_from((block, block["txs"][0], block["txs"][0]["payload"])))
-    name = data.draw(st.sampled_from(sorted(k for k in part if k != "txs")))
-    value = data.draw(st.just(DROP) | st.sampled_from(held) | JSON_VALUES | st.integers())
-    if value is DROP:
-        del part[name]
+    records = [dict(rec) for rec in live_chain_records()]
+    at = data.draw(st.integers(0, len(records) - 1))
+    record = records[at]
+    name = data.draw(st.sampled_from(FIELDS))
+    if name == "payload" and data.draw(st.booleans()):
+        payload = json.loads(record["payload"])
+        held = [value for rec in records for value in json.loads(rec["payload"]).values()]
+        key = data.draw(st.sampled_from(sorted(payload)))
+        value = data.draw(st.just(DROP) | st.sampled_from(held) | JSON_VALUES | st.integers())
+        if value is DROP:
+            del payload[key]
+        else:
+            assume(canonical_json(value) != canonical_json(payload[key]))
+            payload[key] = value
+        record["payload"] = canonical_json(payload).encode()
     else:
-        assume(canonical_json(value) != canonical_json(part[name]))
-        part[name] = value
-    edited = "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records)
+        fresh = {"block_hash": st.binary(min_size=32, max_size=32),
+                 "signature": st.binary(min_size=64, max_size=64),
+                 "committed": INT64, "submitted": INT64}.get(name, st.binary(max_size=80))
+        value = data.draw(st.sampled_from([rec[name] for rec in records]) | fresh)
+        assume(value != record[name])
+        record[name] = value
     with pytest.raises(IntegrityViolationError):
-        replay_chain(read_back(edited.encode()))
+        replay_chain(read_back(joined(records)))
 
 
 def appended(chain, tx):
