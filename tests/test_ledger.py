@@ -862,7 +862,8 @@ class TestPersistence:
                            "committed": block.sim_time_committed,
                            "submitted": tx.sim_time_submitted, "signature": tx.signature,
                            "signer": tx.signer.encode(), "payload": tx.message}
-        assert records[-1]["payload"] == canonical_json(ledger.chain[-1].tx_list[0].payload).encode()
+        payload = ledger.chain[-1].tx_list[0].payload
+        assert records[-1]["payload"] == canonical_json(payload).encode()
         assert joined(records) == (tmp_path / "ledger.chain").read_bytes()
 
     def test_edited_payload_in_saved_chain_rejected(self, tmp_path, ledger, enrolled):
@@ -1362,9 +1363,10 @@ def test_every_byte_of_a_live_chain_is_checked():
 @given(chain=chains(), data=st.data())
 def test_a_cut_off_a_record_boundary_is_refused(chain, data):
     """A file cut anywhere but at the end of a record is refused, and the
-    error names the record the cut falls in and the byte it starts at. A cut at a record's end leaves
-    the chain's prefix, which reads and replays: no record pins the
-    chain's length (ROADMAP item 3's signed head will)."""
+    error names the record the cut falls in and the byte it starts at. A
+    cut at a record's end leaves the chain's prefix, which reads and
+    replays: no record pins the chain's length; a signed head at the end of
+    the file would."""
     saved = saved_bytes(chain)
     ends = record_ends(saved)
     boundaries = [0, *ends]
