@@ -6,8 +6,9 @@ injection attacks, FDI and MadIoT, scale one field of the readings in a
 window up by a percentage of themselves (attacked = original + original *
 fraction / 100). Samples signed at ingestion, one signature per day of
 samples, can be re-verified later to flag exactly the samples mutated
-after signing. Each sample is signed as one fixed-width 48-byte record
-(``canonical_sample_bytes``). Each day's signed message opens with a header
+after signing. Each sample is signed as one fixed-width 52-byte record;
+one encoder builds a day's records in one pass (``canonical_sample_bytes``
+is its one-sample case). Each day's signed message opens with a header
 line, ``{"day":k,"days":n,"start":"<isoformat>"}``, that binds it to its
 place in its stream and to the stream's first sample time: a day replayed,
 moved to another place or spliced in from another stream is flagged whole,
@@ -294,9 +295,9 @@ def estimate_flexibility(series: Sequence[TelemetrySample]) -> list:
 # ---------------------------------------------------------------------------
 
 # One sample's record: its four readings as IEEE-754 doubles, in field order,
-# then its wall-clock time as integer microseconds since 0001-01-01T00:00 and
+# the days, seconds and microseconds of its wall time less datetime.min, and
 # its UTC offset in microseconds, or _NAIVE for a time with no tzinfo.
-_RECORD = struct.Struct("<4dqq")
+_RECORD = struct.Struct("<4diiiq")
 RECORD_SIZE = _RECORD.size
 # Outside the +-24 h that a UTC offset can take.
 _NAIVE = -(2 ** 63)
@@ -318,12 +319,44 @@ def _domain_error(sample: TelemetrySample) -> ValidationError:
                            f"neither None nor datetime.timezone")
 
 
+def _records(samples: Sequence[TelemetrySample]) -> list:
+    """The day encoder: the ``canonical_sample_bytes`` of each sample in one
+    pass, in order, with ``None`` for a sample that the record refuses."""
+    pack = _RECORD.pack
+    records = []
+    append = records.append
+    for sample in samples:
+        time = sample.time
+        net = sample.net_kw
+        tamb = sample.tamb_c
+        hvac = sample.hvac_kw
+        res = sample.hvac_demand_res_kw
+        if not (type(net) is type(tamb) is type(hvac) is type(res) is float
+                and type(time) is datetime):
+            append(None)
+            continue
+        tz = time.tzinfo
+        if tz is None:
+            since, offset = time - _MIN, _NAIVE
+        elif type(tz) is timezone:
+            # An aware difference is taken in UTC; the offset turns it back
+            # into wall-clock time.
+            utcoffset = tz.utcoffset(None)
+            since, offset = time - _MIN_UTC + utcoffset, utcoffset // _US
+        else:
+            append(None)
+            continue
+        append(pack(net, tamb, hvac, res, since.days, since.seconds, since.microseconds, offset))
+    return records
+
+
 def canonical_sample_bytes(sample: TelemetrySample) -> bytes:
-    """The 48-byte record that signs one sample: ``net_kw``, ``tamb_c``,
+    """The 52-byte record that signs one sample: ``net_kw``, ``tamb_c``,
     ``hvac_kw`` and ``hvac_demand_res_kw`` as little-endian doubles, then
-    the wall-clock time as a signed 64-bit count of microseconds since
-    0001-01-01T00:00 and the UTC offset in microseconds, or ``-2**63`` for a
-    time with no tzinfo.
+    the ``days``, ``seconds`` and ``microseconds`` of the wall-clock time
+    less ``datetime.min`` as signed 32-bit ints, then the UTC offset in
+    microseconds as a signed 64-bit int, or ``-2**63`` for a time with no
+    tzinfo: the one-sample case of the day encoder.
 
     Only immutable values are encoded: each reading must be an exact
     ``float`` (compared by bit pattern, so ``0.0`` and ``-0.0`` differ, and
@@ -334,27 +367,10 @@ def canonical_sample_bytes(sample: TelemetrySample) -> bytes:
     (or both being naive) are equal. The record is built again at each
     call; nothing is kept on the sample.
     """
-    time = sample.time
-    net = sample.net_kw
-    tamb = sample.tamb_c
-    hvac = sample.hvac_kw
-    res = sample.hvac_demand_res_kw
-    if not (type(net) is type(tamb) is type(hvac) is type(res) is float
-            and type(time) is datetime):
+    record, = _records((sample,))
+    if record is None:
         raise _domain_error(sample)
-    tz = time.tzinfo
-    if tz is None:
-        since, offset = time - _MIN, _NAIVE
-    elif type(tz) is timezone:
-        # An aware difference is taken in UTC; the offset turns it back into
-        # wall-clock time.
-        utcoffset = tz.utcoffset(None)
-        since, offset = time - _MIN_UTC + utcoffset, utcoffset // _US
-    else:
-        raise _domain_error(sample)
-    return _RECORD.pack(net, tamb, hvac, res,
-                        (since.days * 86400 + since.seconds) * 1_000_000 + since.microseconds,
-                        offset)
+    return record
 
 
 # The first line of each day's signed message: the day's index in the
@@ -378,13 +394,16 @@ def sign_stream(
     then ``b"\\n"``, then the day's ``canonical_sample_bytes`` back to back.
     The header binds the signed records to their place and their stream:
     the same samples signed as another day, in a stream of another length
-    or in a stream that starts at another time, sign other bytes. Every
-    sample is encoded before any day is signed, so a sample that
-    ``canonical_sample_bytes`` refuses raises ``ValidationError`` and
-    nothing is signed.
+    or in a stream that starts at another time, sign other bytes. The day
+    encoder runs once over the whole series before any day is signed, so a
+    sample that the record refuses raises ``ValidationError`` naming its
+    field, and nothing is signed.
     """
-    bodies = [b"".join(map(canonical_sample_bytes, series[lo:lo + SAMPLES_PER_DAY]))
-              for lo in range(0, len(series), SAMPLES_PER_DAY)]
+    records = _records(series)
+    if None in records:
+        raise _domain_error(series[records.index(None)])
+    bodies = [b"".join(records[lo:lo + SAMPLES_PER_DAY])
+              for lo in range(0, len(records), SAMPLES_PER_DAY)]
     if not bodies:
         return []
     start = series[0].time.isoformat().encode("ascii")
@@ -408,15 +427,15 @@ def detect_tamper(
     given and the envelope cites another token, when the envelope's verify
     is not ACCEPT (bad signature, unknown or revoked token), when the header
     names another day, or when the signed records are not a whole number of
-    48-byte records. The checks run in that order, so an envelope is
+    52-byte records. The checks run in that order, so an envelope is
     verified at most once per call, and not at all when a cheaper check
     flags its day. Otherwise a sample is flagged when its offset in the day
     is past the signed records, when the signed record there differs from
     the sample's ``canonical_sample_bytes`` or when the sample is one that
-    ``canonical_sample_bytes`` refuses. So any post-signing mutation of a
-    signed field is flagged, and so is a sample moved to another offset,
-    whose timestamp differs from the one signed there, and every sample of a
-    day replayed or moved with its envelope. A series shorter than it was
+    the record refuses. So any post-signing mutation of a signed field is
+    flagged, and so is a sample moved to another offset, whose timestamp
+    differs from the one signed there, and every sample of a day replayed or
+    moved with its envelope. A series shorter than it was
     signed is refused: an accepted header of the stream whose day count
     differs from the series', or whose last day signs more records than the
     series' last day holds, raises ``ValidationError``, as a dropped day or
@@ -437,8 +456,9 @@ def detect_tamper(
     again and pass this check.
 
     Verify verdicts are never cached across calls, so a revocation flags
-    every index at the next call. Each sample is encoded at most once per
-    call, and a day whose records all match is compared in one step.
+    every index at the next call. The day encoder builds a day's records in
+    one pass, so each sample is encoded at most once per call, and a day
+    whose records all match is compared in one step.
     Mutations made before signing are invisible by construction.
     """
     days = -(-len(series) // SAMPLES_PER_DAY)
@@ -471,12 +491,7 @@ def detect_tamper(
         if signed_day != d or partial:
             flagged.extend(range(lo, lo + len(day)))
             continue
-        records = []
-        for sample in day:
-            try:
-                records.append(canonical_sample_bytes(sample))
-            except ValidationError:
-                records.append(None)
+        records = _records(day)
         if None not in records and b"".join(records) == body:
             continue
         for offset, record in enumerate(records):

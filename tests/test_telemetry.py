@@ -345,12 +345,21 @@ class TestTamperDetection:
         assert detect_tamper(series, envs, ledger) == [5]
 
     def test_canonical_bytes_golden(self):
+        # Four doubles, then days, seconds and microseconds since
+        # datetime.min as int32 and the UTC offset in µs as int64.
         s = TelemetrySample(datetime(2021, 6, 1, 13, 30), 50.25, -3.5, 1e-07, 6.0)
         assert canonical_sample_bytes(s).hex() == (
             "0000000000204940" "0000000000000cc0" "48afbc9af2d77a3e" "0000000000001840"
-            "0006e455b383e200" "0000000000000080")
-        aware = dataclasses.replace(s, time=s.time.replace(tzinfo=timezone(timedelta(hours=1))))
-        assert canonical_sample_bytes(aware)[32:].hex() == "0006e455b383e200" "00a493d600000000"
+            "95420b00" "d8bd0000" "00000000" "0000000000000080")
+        west = timezone(-timedelta(hours=5, minutes=30))
+        aware = dataclasses.replace(s, time=s.time.replace(microsecond=7, tzinfo=west))
+        assert canonical_sample_bytes(aware)[32:].hex() == (
+            "95420b00" "d8bd0000" "07000000" "00fad363fbffffff")
+        east = timezone(timedelta(hours=1))
+        last = dataclasses.replace(s, time=datetime.max.replace(tzinfo=east))
+        assert canonical_sample_bytes(last)[32:].hex() == (
+            "dab93700" "7f510100" "3f420f00" "00a493d600000000")
+        assert telemetry.RECORD_SIZE == 52
 
     def test_signed_body_not_whole_records_flags_its_day(self, ledger, enrolled):
         _, key, _ = enrolled
@@ -368,12 +377,11 @@ class TestTamperDetection:
         _, key, _ = enrolled
         series = generate_synthetic(3, seed=5)
         encoded_ids, signed, verified = [], [], []
-        real_encode, real_sign, real_verify = (telemetry.canonical_sample_bytes, identity.sign,
-                                               identity.verify)
+        real_records, real_sign, real_verify = telemetry._records, identity.sign, identity.verify
 
-        def counting_encode(sample):
-            encoded_ids.append(id(sample))
-            return real_encode(sample)
+        def counting_records(samples):
+            encoded_ids.extend(map(id, samples))
+            return real_records(samples)
 
         def counting_sign(message, sk, sim_time=0):
             signed.append(message)
@@ -383,7 +391,7 @@ class TestTamperDetection:
             verified.append(env)
             return real_verify(env, registry)
 
-        monkeypatch.setattr(telemetry, "canonical_sample_bytes", counting_encode)
+        monkeypatch.setattr(telemetry, "_records", counting_records)
         monkeypatch.setattr(identity, "sign", counting_sign)
         monkeypatch.setattr(identity, "verify", counting_verify)
         envs = sign_stream(series, key)
@@ -403,6 +411,23 @@ class TestTamperDetection:
         assert detect_tamper(stored, replayed, ledger) == [50, 60, *range(96, 144)]
         assert verified == envs + replayed
         assert sorted(encoded_ids) == sorted(map(id, stored[:96]))
+        # A refused sample at offset k of day d: signing names its field and
+        # signs nothing, and the check flags exactly index 48d + k.
+        per_day = telemetry.SAMPLES_PER_DAY
+        for d, k, field, value in [(0, 0, "hvac_kw", True), (1, 47, "tamb_c", Kw(20.0)),
+                                   (2, 13, "time", series[109].time.replace(tzinfo=Offset()))]:
+            stored = list(series)
+            i = per_day * d + k
+            stored[i] = dataclasses.replace(series[i], **{field: value})
+            signed.clear()
+            encoded_ids.clear()
+            with pytest.raises(ValidationError, match=field):
+                sign_stream(stored, key)
+            assert signed == []
+            assert sorted(encoded_ids) == sorted(map(id, stored))
+            encoded_ids.clear()
+            assert detect_tamper(stored, envs, ledger) == [i]
+            assert sorted(encoded_ids) == sorted(map(id, stored))
 
 
 class Offset(tzinfo):
@@ -426,13 +451,14 @@ class Kw(float):
 
 
 def reference_record(sample: TelemetrySample) -> bytes:
-    """The record field by field: the wall time from ``toordinal()`` and the
-    time fields, the offset from ``utcoffset()``."""
+    """The record field by field: the wall time as the naive difference from
+    ``datetime.min``, the offset from ``utcoffset()``."""
     t = sample.time
-    wall = ((((t.toordinal() - 1) * 24 + t.hour) * 60 + t.minute) * 60 + t.second) * 10 ** 6
+    wall = t.replace(tzinfo=None) - datetime.min
     offset = -2 ** 63 if t.tzinfo is None else t.utcoffset() // timedelta(microseconds=1)
-    return struct.pack("<4dqq", sample.net_kw, sample.tamb_c, sample.hvac_kw,
-                       sample.hvac_demand_res_kw, wall + t.microsecond, offset)
+    return struct.pack("<4diiiq", sample.net_kw, sample.tamb_c, sample.hvac_kw,
+                       sample.hvac_demand_res_kw, wall.days, wall.seconds, wall.microseconds,
+                       offset)
 
 
 def record_key(sample: TelemetrySample) -> tuple:
@@ -449,22 +475,61 @@ NANS = [struct.unpack("<d", struct.pack("<Q", bits))[0] for bits in (
 FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2e-308, 1.7976931348623157e308, 1e16, 1e-7,
      *NANS])
-OFFSETS = st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23, minutes=-59),
-                                            max_value=timedelta(hours=23, minutes=59)))
+# The widest offsets that datetime.timezone takes, at µs resolution.
+LAST_OFFSET = timedelta(hours=24) - timedelta(microseconds=1)
+OFFSETS = st.builds(timezone, st.timedeltas(min_value=-LAST_OFFSET, max_value=LAST_OFFSET)
+                    | st.sampled_from([LAST_OFFSET, -LAST_OFFSET]))
+# Naive and aware times across [datetime.min, datetime.max].
 TIMES = st.datetimes(timezones=st.none() | OFFSETS)
 TIMES = TIMES | TIMES.map(lambda t: t.replace(microsecond=0))
 
 
+def _same_instant_elsewhere(t, tz):
+    """``t`` under the offset ``tz`` at the same instant, or ``t`` when that
+    instant has no wall time there."""
+    try:
+        return t.astimezone(tz)
+    except OverflowError:
+        return t
+
+
+def related_samples(data, a):
+    """A sample that keeps or redraws each of ``a``'s readings, and whose
+    time is ``a``'s, a fresh one, ``a``'s wall time under another offset (or
+    naive), or ``a``'s instant under another offset."""
+    tz = data.draw(OFFSETS)
+    t = a.time
+    time = data.draw(st.sampled_from([t, t.replace(tzinfo=None), t.replace(tzinfo=tz)])
+                     | st.sampled_from([t] if t.tzinfo is None
+                                       else [_same_instant_elsewhere(t, tz)])
+                     | TIMES)
+    readings = [data.draw(st.just(getattr(a, f)) | FLOATS) for f in READING_FIELDS]
+    return TelemetrySample(time, *readings)
+
+
 @settings(max_examples=500, deadline=None)
-@given(time=TIMES, net=FLOATS, tamb=FLOATS, hvac=FLOATS, res=FLOATS)
-@example(time=datetime.min.replace(tzinfo=timezone(timedelta(hours=23, minutes=59))),
+@given(data=st.data(), time=TIMES, net=FLOATS, tamb=FLOATS, hvac=FLOATS, res=FLOATS)
+@example(data=None, time=datetime.min.replace(tzinfo=timezone(LAST_OFFSET)),
          net=NANS[3], tamb=-0.0, hvac=0.0, res=5e-324)
-@example(time=datetime.max.replace(tzinfo=timezone(-timedelta(hours=23, minutes=59))),
+@example(data=None, time=datetime.max.replace(tzinfo=timezone(-LAST_OFFSET)),
          net=1.0, tamb=1.0, hvac=1.0, res=1.0)
-def test_canonical_bytes_match_reference_record(time, net, tamb, hvac, res):
-    s = TelemetrySample(time, net, tamb, hvac, res)
-    assert canonical_sample_bytes(s) == reference_record(s)
-    assert len(reference_record(s)) == telemetry.RECORD_SIZE == 48
+@example(data=None, time=datetime.min.replace(tzinfo=timezone(-LAST_OFFSET)),
+         net=1.0, tamb=1.0, hvac=1.0, res=1.0)
+@example(data=None, time=datetime.max.replace(tzinfo=timezone(LAST_OFFSET)),
+         net=1.0, tamb=1.0, hvac=1.0, res=1.0)
+@example(data=None, time=datetime.min, net=1.0, tamb=1.0, hvac=1.0, res=1.0)
+@example(data=None, time=datetime.max, net=1.0, tamb=1.0, hvac=1.0, res=1.0)
+def test_canonical_bytes_match_reference_record(data, time, net, tamb, hvac, res):
+    """Each record is the independent ``struct.pack``; two records are equal
+    exactly when the readings' bits, the wall times and the offsets are (or
+    both times are naive); and no time in range raises ``struct.error``."""
+    a = TelemetrySample(time, net, tamb, hvac, res)
+    b = a if data is None else related_samples(data, a)
+    assert canonical_sample_bytes(a) == reference_record(a)
+    assert telemetry._records([a, b]) == [reference_record(a), reference_record(b)]
+    assert len(reference_record(a)) == telemetry.RECORD_SIZE == 52
+    same = canonical_sample_bytes(a) == canonical_sample_bytes(b)
+    assert same == (record_key(a) == record_key(b))
 
 
 # Few values, so that two drawn samples often share some or all of them.
@@ -903,3 +968,34 @@ class TestStreamBinding:
         ledger, _, stream = site
         assert detect_tamper([], [], ledger) == []
         assert detect_tamper([], [], ledger, start=stream[0].time) == []
+
+
+def test_utc_offset_change_mid_day(site, tmp_path):
+    """A stream whose offset moves from +01:00 to +02:00 inside day 1, at
+    the 30-minute UTC stride, loads, signs and checks clean; a sample moved
+    to the same instant under another offset is flagged alone."""
+    ledger, key, _ = site
+    winter, summer = timezone(timedelta(hours=1)), timezone(timedelta(hours=2))
+    first = datetime(2021, 3, 27, tzinfo=winter)
+    switch = datetime(2021, 3, 28, 1, tzinfo=timezone.utc)
+    readings = generate_synthetic(2, seed=11)
+    series = []
+    for i, s in enumerate(readings):
+        t = first + timedelta(minutes=30 * i)
+        series.append(dataclasses.replace(s, time=t.astimezone(summer if t >= switch else winter)))
+    assert {s.time.utcoffset() for s in series[48:]} == {winter.utcoffset(None),
+                                                        summer.utcoffset(None)}
+    path = tmp_path / "dst.csv"
+    write_dataset(path, series)
+    loaded = load_dataset(path)
+    assert list(map(canonical_sample_bytes, loaded)) == list(map(canonical_sample_bytes, series))
+    envs = sign_stream(loaded, key)
+    assert detect_tamper(loaded, envs, ledger) == []
+    assert detect_tamper(loaded, envs, ledger, start=first) == []
+    for i in (3, 49, 73, 74, 95):
+        stored = list(loaded)
+        other = winter if stored[i].time.utcoffset() == summer.utcoffset(None) else summer
+        stored[i] = dataclasses.replace(stored[i], time=stored[i].time.astimezone(other))
+        assert stored[i] == loaded[i]     # the same instant compares equal
+        assert detect_tamper(stored, envs, ledger) == [i]
+        assert detect_tamper(stored, envs, ledger, start=first) == [i]
