@@ -17,7 +17,7 @@ import os
 import random
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -109,16 +109,17 @@ class SigningKey:
         return type(self), (self.seed, self.token_id)
 
 
-@dataclass(frozen=True)
-class TokenConstraints:
+class TokenConstraints(NamedTuple):
     revoked: bool = False
     delegated: bool = False
     transferred: bool = False
 
 
-@dataclass(frozen=True)
-class NftToken:
-    """Identity token binding a device fingerprint to a verification key."""
+class NftToken(NamedTuple):
+    """Identity token binding a device fingerprint to a verification key.
+
+    Like ``TokenConstraints``, a tuple record: built and compared in C, its
+    fields read-only, equal to a plain tuple of the same values."""
 
     token_id: str
     token_name: str
@@ -130,15 +131,10 @@ class NftToken:
 
     def to_record(self) -> dict:
         """JSON-lines enrollment record (hex encoded byte fields)."""
-        return {
-            "token_id": self.token_id,
-            "token_name": self.token_name,
-            "device_id": self.device_id.hex(),
-            "public_key": self.public_key.hex(),
-            "owner_id": self.owner_id,
-            "constraints": dict(vars(self.constraints)),
-            "issue_time": self.issue_time,
-        }
+        record = self._asdict()
+        record.update(device_id=self.device_id.hex(), public_key=self.public_key.hex(),
+                      constraints=self.constraints._asdict())
+        return record
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,12 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from math import copysign
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from . import jsonread as jr
 from .clock import SimClock
@@ -70,8 +71,8 @@ OP_SET_FLAG = "set_flag"
 OP_RECORD_EVENT = "record_event"
 
 FLAGS = ("revoked", "delegated", "transferred")
-# Every token starts with no flag set; the constraints type is frozen, so
-# tokens share one instance.
+# Every token starts with no flag set; the constraints are a read-only
+# tuple record, so tokens share one instance.
 _NO_FLAGS = TokenConstraints()
 # Each op's payload keys: the keys it must carry and the keys it may carry
 # besides; any other key is refused. set_flag's sim_time must be an integer,
@@ -93,6 +94,11 @@ _SUBJECT_KEYS = {"delegated": "delegate_id", "transferred": "new_owner"}
 BLOCK_INTERVAL_MS = 500
 
 _SEQUENCES = (list, tuple)
+# Types of the JSON values that hold no dict; the key walk skips them.
+_LEAVES = frozenset({str, int, float, bool, type(None)})
+# Builds a tuple record from a tuple of its fields in one C call, without
+# the Python frame of the record's generated __new__.
+_record = tuple.__new__
 
 
 def _message(payload) -> bytes:
@@ -175,15 +181,15 @@ def _same_items(a, b) -> bool:
 def _has_non_str_key(value) -> bool:
     """Whether a dict anywhere in ``value`` has a key that is not a ``str``.
     JSON writes such a key as a string, so a saved chain would read back a
-    different payload."""
-    t = type(value)
-    if t is dict:
+    different payload. Walked by ``isinstance``, as the encoder walks: it
+    writes a subclass of dict, list or tuple as its base."""
+    if isinstance(value, dict):
         for k, v in value.items():
-            if type(k) is not str or _has_non_str_key(v):
+            if type(k) is not str or (type(v) not in _LEAVES and _has_non_str_key(v)):
                 return True
-    elif t in _SEQUENCES:
+    elif isinstance(value, _SEQUENCES):
         for v in value:
-            if _has_non_str_key(v):
+            if type(v) not in _LEAVES and _has_non_str_key(v):
                 return True
     return False
 
@@ -192,42 +198,42 @@ def _has_non_str_key(value) -> bool:
 # Transactions and blocks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Transaction:
-    """A signed contract call. The signed ``message`` and the ``tx_id`` are
-    derived from the stored fields: the same payload and signature give the
-    same ``tx_id`` whatever ``signer`` and ``sim_time_submitted`` say. The
-    ``payload`` is always the decoding of ``message``, so it shares no
-    object with a dict a caller built or may still edit."""
+class Transaction(namedtuple("Transaction", ("payload", "signer", "signature",
+                                             "sim_time_submitted", "message", "tx_id"))):
+    """A signed contract call, built from its four stored fields. The signed
+    ``message`` and the ``tx_id`` are derived from them: the same payload
+    and signature give the same ``tx_id`` whatever ``signer`` and
+    ``sim_time_submitted`` say. The ``payload`` is always the decoding of
+    ``message``, so it shares no object with a dict a caller built or may
+    still edit. Equality covers all six fields."""
 
-    payload: dict
-    signer: str
-    signature: bytes
-    sim_time_submitted: int
-    message: bytes = field(init=False, compare=False, repr=False)
-    tx_id: str = field(init=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        message = _message(self.payload)
-        object.__setattr__(self, "payload", json.loads(message))
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "tx_id", hashlib.sha256(message + self.signature).hexdigest())
+    def __new__(cls, payload, signer: str, signature: bytes, sim_time_submitted: int):
+        message = _message(payload)
+        return cls._sealed(json.loads(message), message, signer, signature, sim_time_submitted)
 
     @classmethod
     def _sealed(cls, payload, message: bytes, signer: str, signature: bytes,
                 sim_time_submitted: int) -> "Transaction":
         """The tx whose ``message`` is taken as given and whose ``payload`` is
         its decoding; neither is encoded again."""
-        tx = object.__new__(cls)
-        # The fields in the order __init__ sets them, so every tx's instance
-        # dict shares one key table.
-        object.__setattr__(tx, "payload", payload)
-        object.__setattr__(tx, "signer", signer)
-        object.__setattr__(tx, "signature", signature)
-        object.__setattr__(tx, "sim_time_submitted", sim_time_submitted)
-        object.__setattr__(tx, "message", message)
-        object.__setattr__(tx, "tx_id", hashlib.sha256(message + signature).hexdigest())
-        return tx
+        return _record(cls, (payload, signer, signature, sim_time_submitted, message,
+                             hashlib.sha256(message + signature).hexdigest()))
+
+    def _replace(self, /, **changes) -> "Transaction":
+        """This tx with ``changes`` to its stored fields: a new payload is
+        encoded again, and ``tx_id`` follows the message and signature."""
+        payload, signer, signature, submitted = map(changes.pop, self._fields[:4], self)
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        if payload is self.payload:
+            return self._sealed(payload, self.message, signer, signature, submitted)
+        return Transaction(payload, signer, signature, submitted)
+
+    def __reduce__(self):
+        # Copied and unpickled with its message as it is, not encoded again.
+        return self._sealed, (self.payload, self.message, *self[1:4])
 
 
 # The chain file: one record per block, this header followed by the
@@ -243,8 +249,7 @@ _RECORD = struct.Struct("<32sqq64sHI")
 _scan = make_scanner(json.JSONDecoder())
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One committed tx: ``tx_list`` is the one-tuple ``(tx,)``."""
 
     height: int
@@ -283,15 +288,10 @@ def _token_from_create(payload: dict) -> tuple:
     or a token id that is not the hash of its device, key and owner."""
     # Typed fields keep token equality exact (see __eq__), and the state
     # holds the integers that were signed.
-    token = NftToken(
-        token_id=jr.of(str, payload["token_id"]),
-        token_name=jr.of(str, payload["token_name"]),
-        device_id=jr.hexbytes(payload["device_id"]),
-        public_key=jr.hexbytes(payload["public_key"]),
-        owner_id=jr.of(str, payload["owner_id"]),
-        constraints=_NO_FLAGS,
-        issue_time=jr.of(int, payload["issue_time"]),
-    )
+    token = _record(NftToken, (
+        jr.of(str, payload["token_id"]), jr.of(str, payload["token_name"]),
+        jr.hexbytes(payload["device_id"]), jr.hexbytes(payload["public_key"]),
+        jr.of(str, payload["owner_id"]), _NO_FLAGS, jr.of(int, payload["issue_time"])))
     if token.token_id != compute_token_id(token.device_id, token.public_key, token.owner_id):
         raise ValueError("create_nft token_id is not derived from device_id, public_key "
                          "and owner_id")
@@ -410,13 +410,12 @@ class RegistryState:
             # Revocation is final: a revoked token takes no further flag change.
             if token.constraints.revoked:
                 raise ValidationError(f"token {token_id[:12]} is revoked")
-            changes = {"constraints": replace(token.constraints,
-                                              **{flag: value})}
+            changes = {"constraints": token.constraints._replace(**{flag: value})}
             if subject and flag == "delegated":
                 self.delegates[token_id] = subject
             elif subject:
                 changes["owner_id"] = subject
-            self.tokens[token_id] = replace(token, **changes)
+            self.tokens[token_id] = token._replace(**changes)
         else:
             self.event_log.append(event)
         self.signatures.add(tx.signature)
@@ -514,13 +513,7 @@ class LedgerSim:
         now = self.clock.advance(BLOCK_INTERVAL_MS)
         prev = self.chain[-1].block_hash if self.chain else GENESIS_PREV_HASH
         height = len(self.chain)
-        block = Block(
-            height=height,
-            prev_hash=prev,
-            tx_list=(tx,),
-            block_hash=compute_block_hash(height, prev, tx, now),
-            sim_time_committed=now,
-        )
+        block = Block(height, prev, (tx,), compute_block_hash(height, prev, tx, now), now)
         self._committed[tx.tx_id] = block
         self.chain.append(block)
         return block
@@ -701,15 +694,7 @@ def read_chain(path) -> list[Block]:
             tx = Transaction._sealed(payload, message, data[at + size:start].decode("utf-8"),
                                      signature, submitted)
             block_hash = raw.hex()
-            # Built as Transaction._sealed builds a tx, without the dataclass
-            # __init__: the fields in the order it sets them.
-            block = object.__new__(Block)
-            object.__setattr__(block, "height", height)
-            object.__setattr__(block, "prev_hash", prev)
-            object.__setattr__(block, "tx_list", (tx,))
-            object.__setattr__(block, "block_hash", block_hash)
-            object.__setattr__(block, "sim_time_committed", committed)
-            blocks.append(block)
+            blocks.append(_record(Block, (height, prev, (tx,), block_hash, committed)))
             prev, height, at = block_hash, height + 1, stop
     except StopIteration as exc:
         raise IntegrityViolationError(

@@ -314,7 +314,10 @@ def test_verify_ledger_and_tamper_detection_agree(anchor, ledger, enrolled, case
 
 def test_token_state_cannot_change_off_chain(ledger, enrolled):
     _, _, token_id = enrolled
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         ledger.state.tokens[token_id].constraints.revoked = True
+    # Not even by the setter a frozen dataclass would let through.
+    with pytest.raises(AttributeError):
+        object.__setattr__(ledger.state.tokens[token_id].constraints, "revoked", True)
     assert not ledger.query(token_id).constraints.revoked
     assert ledger.replay() == ledger.state

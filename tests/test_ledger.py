@@ -1,4 +1,5 @@
-import dataclasses
+import collections
+import copy
 import functools
 import hashlib
 import io
@@ -6,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import struct
 import tempfile
 
@@ -61,7 +63,12 @@ def flag_tx(ledger, token_id, flag, key, value=True, **extra):
 
 def retimed(tx, now):
     """``tx`` re-submitted with its unsigned sim_time_submitted moved to ``now``."""
-    return dataclasses.replace(tx, sim_time_submitted=now)
+    return tx._replace(sim_time_submitted=now)
+
+
+def with_payload(tx, payload):
+    """``tx`` holding another payload, its message and tx_id derived again."""
+    return Transaction(payload, tx.signer, tx.signature, tx.sim_time_submitted)
 
 
 def borrowed(tx, payload, now):
@@ -76,9 +83,9 @@ def anchor_signed(payload, anchor, now):
 
 def rehashed(block, tx):
     """``block`` holding ``tx``, its hash recomputed as an editor could."""
-    return dataclasses.replace(block, tx_list=(tx,),
-                               block_hash=compute_block_hash(block.height, block.prev_hash, tx,
-                                                             block.sim_time_committed))
+    return block._replace(tx_list=(tx,),
+                          block_hash=compute_block_hash(block.height, block.prev_hash, tx,
+                                                        block.sim_time_committed))
 
 
 def multi_tx_hash(height, prev_hash, txs, sim_time_committed):
@@ -192,8 +199,11 @@ class TestSubmit:
         ledger.save_chain(path)
         assert read_chain(path)[-1].tx_list[0].tx_id == tx.tx_id
 
-    @pytest.mark.parametrize("payload", [{2: "a", 10: "b"}, {"x": [{"y": {1: "a"}}]}],
-                             ids=["top-level", "nested"])
+    @pytest.mark.parametrize("payload", [
+        {2: "a", 10: "b"}, {"x": [{"y": {1: "a"}}]}, collections.OrderedDict({1: 2}),
+        type("DictSubclass", (dict,), {})({1: 2}),
+        collections.namedtuple("Pair", "left right")({1: 2}, "b"),
+    ], ids=["top-level", "nested", "OrderedDict", "dict subclass", "namedtuple"])
     def test_non_string_key_rejected(self, ledger, enrolled, payload):
         # JSON writes 2 as "2", so the saved chain would replay another state.
         _, key, _ = enrolled
@@ -554,7 +564,7 @@ class TestMalformedPayload:
         # Re-hashed, so the block hash passes and apply sees the payload.
         block = ledger.chain[0]
         (tx,) = block.tx_list
-        ledger.chain[0] = rehashed(block, dataclasses.replace(tx, payload=edit(dict(tx.payload))))
+        ledger.chain[0] = rehashed(block, with_payload(tx, edit(dict(tx.payload))))
         with pytest.raises(IntegrityViolationError):
             ledger.replay()
 
@@ -587,7 +597,7 @@ class TestMalformedPayload:
         for payload in (dict(tx.payload, device_id="aa", public_key="zz"),
                         {"op": "record_event", "kind": "k", "sim_time": 0}):
             with pytest.raises(IntegrityViolationError):
-                state.apply(dataclasses.replace(tx, payload=payload))
+                state.apply(with_payload(tx, payload))
         assert state.canonical() == before
 
 
@@ -629,7 +639,7 @@ class TestReplay:
         ledger.set_flag(token_id, "delegated", owner_key, delegate_id="bob")
         block = ledger.chain[-1]
         (tx,) = block.tx_list
-        edited = dataclasses.replace(tx, payload=dict(tx.payload, flag="frozen"))
+        edited = with_payload(tx, dict(tx.payload, flag="frozen"))
         ledger.chain[-1] = rehashed(block, edited)
         with pytest.raises(IntegrityViolationError):
             ledger.replay()
@@ -745,6 +755,82 @@ class TestBatching:
         assert block.sim_time_committed == clock.now()
 
 
+def committed_records(ledger, key, token_id) -> dict:
+    """One committed record of each kind: a token, its constraints, a tx
+    and the block that holds it."""
+    block = ledger.record_event("wf", "k", {"kw": 1.5}, key)
+    token = ledger.query(token_id)
+    return {"token": token, "constraints": token.constraints, "tx": block.tx_list[0],
+            "block": block}
+
+
+def tx_id_holds(tx) -> bool:
+    return tx.tx_id == hashlib.sha256(tx.message + tx.signature).hexdigest()
+
+
+class TestRecords:
+    """Blocks, transactions, tokens and their constraints are tuple
+    records: read-only, and equal to a copy or plain tuple of their values."""
+
+    @pytest.mark.parametrize("kind", ["token", "constraints", "tx", "block"])
+    @pytest.mark.parametrize("assign", [setattr, object.__setattr__],
+                             ids=["assignment", "object.__setattr__"])
+    def test_committed_record_cannot_change(self, ledger, enrolled, kind, assign):
+        _, key, token_id = enrolled
+        record = committed_records(ledger, key, token_id)[kind]
+        before = tuple(record)
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                assign(record, name, record[-1])
+            assert ledger.replay() == ledger.state
+        with pytest.raises(AttributeError):
+            assign(record, "note", 1)
+        assert tuple(record) == before
+        assert ledger.replay() == ledger.state
+
+    @pytest.mark.parametrize("trip", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy,
+                                      copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_records_survive_round_trips(self, ledger, enrolled, trip):
+        _, key, token_id = enrolled
+        records = committed_records(ledger, key, token_id)
+        for record in records.values():
+            back = trip(record)
+            assert type(back) is type(record) and back == record
+        for kind in ("token", "constraints"):
+            assert hash(trip(records[kind])) == hash(records[kind])
+        # The message is kept as it was stored, not encoded again.
+        tx = Transaction._sealed({"kw": 1}, b'{"kw": 1}', "s", b"\x01" * 64, 0)
+        back = trip(tx)
+        assert back == tx and back.message == b'{"kw": 1}' and tx_id_holds(back)
+
+    def test_tx_id_holds_however_a_tx_is_built_or_replaced(self, tmp_path, ledger, enrolled):
+        _, key, token_id = enrolled
+        built = record_tx(ledger, key)
+        committed = committed_records(ledger, key, token_id)["tx"]
+        ledger.save_chain(tmp_path / "ledger.chain")
+        read = read_chain(tmp_path / "ledger.chain")[-1].tx_list[0]
+        assert read == committed
+        txs = [built, committed, read]
+        for tx in list(txs):
+            txs += [tx._replace(signer="other"), tx._replace(sim_time_submitted=-1),
+                    tx._replace(signature=b"\x07" * 64), tx._replace(payload={"kw": 2}),
+                    copy.copy(tx), copy.deepcopy(tx), pickle.loads(pickle.dumps(tx))]
+        assert all(tx_id_holds(tx) for tx in txs)
+        assert committed._replace(payload={"kw": 2}).message == b'{"kw":2}'
+        with pytest.raises(ValueError, match="unexpected field names"):
+            committed._replace(tx_id="0" * 64)
+
+    def test_record_equals_the_plain_tuple_of_its_values(self, ledger, enrolled):
+        _, key, token_id = enrolled
+        for record in committed_records(ledger, key, token_id).values():
+            assert record == tuple(record) and tuple(record) == record
+        token = ledger.query(token_id)
+        assert hash(token) == hash(tuple(token))
+        # Equality covers a tx's derived message and tx_id.
+        tx = Transaction._sealed({"kw": 1}, b'{"kw": 1}', "s", b"\x01" * 64, 0)
+        assert tx != Transaction({"kw": 1}, "s", b"\x01" * 64, 0)
+
+
 # The chain file's record, written out here so the tests pin the layout: the
 # block hash as 32 raw bytes, the commit and submit sim times as
 # little-endian int64, the 64-byte signature, the signer and payload
@@ -805,35 +891,35 @@ class Oversized(bytes):
 
 
 def with_tx(block, **changes):
-    """``block`` holding its tx with ``changes``; the block keeps its hash."""
-    return dataclasses.replace(block, tx_list=(dataclasses.replace(block.tx_list[0],
-                                                                   **changes),))
+    """``block`` holding its tx with ``changes`` to the tx's stored fields,
+    its message and tx_id derived again; the block keeps its hash."""
+    fields = dict(zip(Transaction._fields[:4], block.tx_list[0]), **changes)
+    return block._replace(tx_list=(Transaction(**fields),))
 
 
 def with_oversized_payload(block):
-    tx = dataclasses.replace(block.tx_list[0])
-    object.__setattr__(tx, "message", Oversized(tx.message))
-    return dataclasses.replace(block, tx_list=(tx,))
+    (tx,) = block.tx_list
+    return block._replace(tx_list=(Transaction._sealed(
+        tx.payload, Oversized(tx.message), tx.signer, tx.signature, tx.sim_time_submitted),))
 
 
 # Blocks that save_chain cannot store exactly, each an edit of a block.
 UNSTORABLE = {
     "signature of 63 bytes": lambda b: with_tx(b, signature=b.tx_list[0].signature[:63]),
     "signature of 65 bytes": lambda b: with_tx(b, signature=b.tx_list[0].signature + b"\0"),
-    "block hash in upper case": lambda b: dataclasses.replace(b, block_hash="AB" * 32),
-    "block hash of 31 bytes": lambda b: dataclasses.replace(b, block_hash="ab" * 31),
-    "block hash not hex": lambda b: dataclasses.replace(b, block_hash="zz" * 32),
-    "block hash with a space": lambda b: dataclasses.replace(b, block_hash="ab " + "ab" * 31),
-    "commit time past int64": lambda b: dataclasses.replace(b, sim_time_committed=2 ** 63),
-    "commit time below int64": lambda b: dataclasses.replace(b,
-                                                             sim_time_committed=-2 ** 63 - 1),
+    "block hash in upper case": lambda b: b._replace(block_hash="AB" * 32),
+    "block hash of 31 bytes": lambda b: b._replace(block_hash="ab" * 31),
+    "block hash not hex": lambda b: b._replace(block_hash="zz" * 32),
+    "block hash with a space": lambda b: b._replace(block_hash="ab " + "ab" * 31),
+    "commit time past int64": lambda b: b._replace(sim_time_committed=2 ** 63),
+    "commit time below int64": lambda b: b._replace(sim_time_committed=-2 ** 63 - 1),
     "submit time past int64": lambda b: with_tx(b, sim_time_submitted=2 ** 63),
     "signer longer than uint16": lambda b: with_tx(b, signer="s" * 2 ** 16),
     "payload longer than uint32": with_oversized_payload,
     "signer not UTF-8": lambda b: with_tx(b, signer="\ud800"),
-    "height off its position": lambda b: dataclasses.replace(b, height=5),
-    "prev_hash off the chain": lambda b: dataclasses.replace(b, prev_hash="cd" * 32),
-    "block of two txs": lambda b: dataclasses.replace(b, tx_list=b.tx_list * 2),
+    "height off its position": lambda b: b._replace(height=5),
+    "prev_hash off the chain": lambda b: b._replace(prev_hash="cd" * 32),
+    "block of two txs": lambda b: b._replace(tx_list=b.tx_list * 2),
 }
 
 
@@ -1072,12 +1158,12 @@ def token_pairs(draw):
     how = draw(st.sampled_from(("independent", "copied", "one field")))
     if how == "independent":
         return a, draw(st.dictionaries(st.sampled_from(("t1", "t2")), TOKENS, max_size=2))
-    b = {tid: dataclasses.replace(tok) for tid, tok in a.items()}
+    b = {tid: tok._replace() for tid, tok in a.items()}
     if how == "one field" and b:
         tid = draw(st.sampled_from(sorted(b)))
         other = draw(TOKENS)
-        name = draw(st.sampled_from([f.name for f in dataclasses.fields(other)]))
-        b[tid] = dataclasses.replace(b[tid], **{name: getattr(other, name)})
+        name = draw(st.sampled_from(other._fields))
+        b[tid] = b[tid]._replace(**{name: getattr(other, name)})
     return a, b
 
 
@@ -1301,6 +1387,7 @@ def test_saved_chain_reads_back_equal(chain):
     data = saved_bytes(chain)
     back = read_back(data)
     assert stored_fields(back) == stored_fields(chain)
+    assert back == chain
     assert hashes_hold(back)
     assert saved_bytes(back) == data
 
