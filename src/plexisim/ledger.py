@@ -9,20 +9,19 @@ followed by the signature, so neither is stored. Endorsement gates
 every transaction on the signature (``identity.verify``, or the anchor key)
 and on the registry contract (``RegistryState.admit``); one logical orderer
 then commits each endorsed transaction alone in its own block, in
-submission order, so a block holds exactly one tx. Committed blocks are
-hash-chained over every stored field (the tx's derived ``tx_id``, signer
-and submit time, and the commit time), and the world state is the same
-contract folded over the chain, so replay reproduces the live state exactly
-and refuses any tx the contract refuses, and any block of other than one tx.
+submission order. A block is its tx, its hash and its commit time: its
+height is its position and its previous hash the hash of the block before
+it, and its hash covers both and every stored field (the tx's derived
+``tx_id``, signer and submit time, and the commit time). The world state is
+the same contract folded over the chain, so replay reproduces the live
+state exactly and refuses any tx the contract refuses.
 A signature commits once: the contract keeps the signatures it has folded
 in and refuses a second tx that carries one, however its payload is spelt.
 Blocks persist as one length-prefixed binary record each: a fixed
 ``_RECORD`` header, then the signer's UTF-8 bytes, then the payload bytes
-exactly as signed. A record stores no height or previous hash: its
-position and the record before it give both. ``read_chain`` takes the
-stored payload bytes as the tx's message, and refuses a record cut short,
-one that runs past the file, and a payload that is not one ASCII JSON value
-spanning its bytes.
+exactly as signed. ``read_chain`` takes the stored payload bytes as the
+tx's message, and refuses a record cut short, one that runs past the file,
+and a payload that is not one ASCII JSON value spanning its bytes.
 """
 
 from __future__ import annotations
@@ -240,28 +239,36 @@ class Transaction(namedtuple("Transaction", ("payload", "signer", "signature",
 # signer's UTF-8 bytes and the payload bytes exactly as signed. The header
 # holds the block hash as 32 raw bytes, the commit and submit sim times as
 # little-endian int64, the 64-byte signature, and the signer and payload
-# lengths. A record's height is its position and its prev_hash the hash of
-# the record before it, so neither is stored; the tx's message is the
-# stored payload bytes and its tx_id is derived again on read.
+# lengths, so a record holds the three fields of a Block. The tx's message
+# is the stored payload bytes and its tx_id is derived again on read.
 _RECORD = struct.Struct("<32sqq64sHI")
 # Reads the one JSON value that starts at an index, in C where available:
 # no backtracking and no whitespace skipped before the value.
 _scan = make_scanner(json.JSONDecoder())
 
 
-class Block(NamedTuple):
-    """One committed tx: ``tx_list`` is the one-tuple ``(tx,)``."""
+def _int64(t) -> bool:
+    """Whether a record's int64 sim time field holds ``t`` exactly."""
+    return type(t) is int and -2 ** 63 <= t < 2 ** 63
 
-    height: int
-    prev_hash: str
-    tx_list: tuple
+
+class Block(NamedTuple):
+    """One committed tx, its hash and its commit time. Its height and previous
+    hash are its position and the hash before it, which its hash covers."""
+
+    tx: Transaction
     block_hash: str
     sim_time_committed: int
 
     @property
     def latency_ms(self) -> int:
         """Simulated ms from the tx's submission to the block's commit."""
-        return self.sim_time_committed - self.tx_list[0].sim_time_submitted
+        return self.sim_time_committed - self.tx.sim_time_submitted
+
+    @property
+    def tx_list(self) -> tuple:
+        """``(tx,)``, for its one reader, ``perfbench/workloads.py::ledger_counts``."""
+        return (self.tx,)
 
 
 def compute_block_hash(height: int, prev_hash: str, tx: Transaction,
@@ -500,7 +507,12 @@ class LedgerSim:
 
     def submit(self, tx: Transaction) -> Block:
         """Endorse ``tx`` (signature, then ``RegistryState.admit``), commit it
-        alone in the next block and return that block."""
+        alone in the next block and return that block. A tx whose submit or
+        commit time a chain record cannot hold as an int64 is refused first."""
+        committed = self.clock.now() + BLOCK_INTERVAL_MS
+        if not (_int64(tx.sim_time_submitted) and _int64(committed)):
+            raise ValidationError(f"tx {tx.tx_id[:12]} submitted at {tx.sim_time_submitted!r} "
+                                  f"and committing at {committed}: not both int64")
         if tx.signer == ANCHOR_TOKEN_ID:
             signed = signature_valid(self.anchor_pk, tx.message, tx.signature)
         else:
@@ -512,8 +524,7 @@ class LedgerSim:
         self.state.admit(tx)
         now = self.clock.advance(BLOCK_INTERVAL_MS)
         prev = self.chain[-1].block_hash if self.chain else GENESIS_PREV_HASH
-        height = len(self.chain)
-        block = Block(height, prev, (tx,), compute_block_hash(height, prev, tx, now), now)
+        block = Block(tx, compute_block_hash(len(self.chain), prev, tx, now), now)
         self._committed[tx.tx_id] = block
         self.chain.append(block)
         return block
@@ -606,63 +617,51 @@ class LedgerSim:
         (the signed ``message``, so its keys appear sorted). Every record is
         packed before the file is opened, so a block the format cannot hold
         exactly raises ``ValidationError`` and creates or changes no file: a
-        height or prev_hash other than its position and the hash before it
-        give, a block hash that is not 64 lower-case hex digits, a signature
-        of other than 64 bytes, a signer that is not UTF-8, a sim time
-        outside int64, or a signer or payload longer than its length field."""
+        block hash that is not 64 lower-case hex digits, a signature of
+        other than 64 bytes, a signer that is not UTF-8, a sim time outside
+        int64, or a signer or payload longer than its length field."""
         parts = []
-        pack, prev = _RECORD.pack, GENESIS_PREV_HASH
+        pack = _RECORD.pack
         try:
-            for height, block in enumerate(self.chain):
-                (tx,) = block.tx_list
-                block_hash = block.block_hash
+            for height, (tx, block_hash, committed) in enumerate(self.chain):
                 raw = bytes.fromhex(block_hash)
                 if len(raw) != 32 or raw.hex() != block_hash:
                     raise ValueError(f"block hash {block_hash!r} is not 64 lower-case hex digits")
-                if block.height != height or block.prev_hash != prev:
-                    raise ValueError("height or prev_hash is not the one its position gives")
                 if len(tx.signature) != 64:
                     raise ValueError(f"signature of {len(tx.signature)} bytes, not 64")
                 signer, message = tx.signer.encode("utf-8"), tx.message
                 # struct refuses an int out of its field's range.
-                parts += (pack(raw, block.sim_time_committed, tx.sim_time_submitted,
-                               tx.signature, len(signer), len(message)), signer, message)
-                prev = block_hash
+                parts += (pack(raw, committed, tx.sim_time_submitted, tx.signature,
+                               len(signer), len(message)), signer, message)
         except (TypeError, ValueError, struct.error) as exc:
             raise ValidationError(f"block {height} cannot be saved: {exc}") from exc
         with open(path, "wb") as fh:
             fh.write(b"".join(parts))
 
     def load_chain(self, path) -> None:
-        """Replace the chain with the file's; a file that fails to read or
-        replay leaves the ledger as it was."""
+        """Replace the chain with the file's and move the clock on to its head
+        block's commit time, never back; a file that fails to read or replay
+        leaves the ledger and the clock as they were."""
         chain = read_chain(path)
         state = replay_chain(chain)
+        if chain:
+            self.clock.advance_to(max(self.clock.now(), chain[-1].sim_time_committed))
         self.chain, self.state = chain, state
-        self._committed = {block.tx_list[0].tx_id: block for block in chain}
+        self._committed = {block.tx.tx_id: block for block in chain}
 
 
 def replay_chain(chain: Iterable[Block]) -> RegistryState:
-    """Verify hash links and fold the chain into a fresh state through the
-    contract, which also refuses a signature seen twice. A block that does
-    not hold exactly one tx is refused."""
+    """Fold the chain into a fresh state through the contract, which also
+    refuses a signature seen twice. Before each block's tx is applied, its
+    hash is checked over its position, the hash before it, its tx and its
+    commit time."""
     state = RegistryState()
     prev = GENESIS_PREV_HASH
-    for i, block in enumerate(chain):
-        if block.height != i:
-            raise IntegrityViolationError(f"block height gap at {i}")
-        if block.prev_hash != prev:
-            raise IntegrityViolationError(f"broken hash link at height {i}")
-        if len(block.tx_list) != 1:
-            raise IntegrityViolationError(
-                f"block at height {i} holds {len(block.tx_list)} txs, not one")
-        (tx,) = block.tx_list
-        expected = compute_block_hash(block.height, block.prev_hash, tx,
-                                      block.sim_time_committed)
-        if block.block_hash != expected:
-            raise IntegrityViolationError(f"block hash mismatch at height {i}")
+    for height, (tx, block_hash, committed) in enumerate(chain):
+        if block_hash != compute_block_hash(height, prev, tx, committed):
+            raise IntegrityViolationError(f"block hash mismatch at height {height}")
         state.apply(tx)
-        prev = block.block_hash
+        prev = block_hash
     return state
 
 
@@ -677,7 +676,7 @@ def read_chain(path) -> list[Block]:
         data = fh.read()
     blocks: list[Block] = []
     unpack, size, end = _RECORD.unpack_from, _RECORD.size, len(data)
-    prev, height, at = GENESIS_PREV_HASH, 0, 0
+    at = 0
     try:
         while at < end:
             if end - at < size:
@@ -693,15 +692,14 @@ def read_chain(path) -> list[Block]:
                 raise ValueError(f"payload holds more than one JSON value (byte {i})")
             tx = Transaction._sealed(payload, message, data[at + size:start].decode("utf-8"),
                                      signature, submitted)
-            block_hash = raw.hex()
-            blocks.append(_record(Block, (height, prev, (tx,), block_hash, committed)))
-            prev, height, at = block_hash, height + 1, stop
+            blocks.append(_record(Block, (tx, raw.hex(), committed)))
+            at = stop
     except StopIteration as exc:
         raise IntegrityViolationError(
-            f"{path}: malformed chain record {height} at byte {at}: payload holds no JSON "
+            f"{path}: malformed chain record {len(blocks)} at byte {at}: payload holds no JSON "
             f"value at its byte {exc.value}") from None
     # A payload nested past the recursion limit stops the scanner.
     except (ValueError, RecursionError) as exc:
         raise IntegrityViolationError(
-            f"{path}: malformed chain record {height} at byte {at}: {exc}") from exc
+            f"{path}: malformed chain record {len(blocks)} at byte {at}: {exc}") from exc
     return blocks

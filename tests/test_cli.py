@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -42,6 +43,17 @@ class TestEnroll:
         assert code == 1
         captured = capsys.readouterr()
         assert "duplicate" in captured.err
+
+    def test_rerun_on_a_registry_commits_after_its_head(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["enroll", "--n", 3, "--seed", 1, "--out", out]) == 0
+        assert run(["enroll", "--n", 3, "--seed", 5, "--out", out,
+                    "--registry", out / "ledger.chain"]) == 0
+        committed = [block.sim_time_committed for block in read_chain(out / "ledger.chain")]
+        assert len(committed) == 6 and committed == sorted(set(committed))
+        issued = [json.loads(line)["issue_time"]
+                  for line in (out / "enrollments.jsonl").read_text().splitlines()]
+        assert min(issued) >= committed[2]
 
     def test_record_schema(self, tmp_path):
         out = tmp_path / "o"
@@ -394,6 +406,12 @@ def _scenario_quantity_nan(tmp_path):
 
 def _scenario_window_start_infinite(tmp_path):
     return _scenario_with(tmp_path, lambda s: s["requests"][0]["window"].update(start=math.inf))
+
+
+def _scenario_window_past_int64(tmp_path):
+    # The settlement event would commit at a sim time no chain record holds.
+    return _scenario_with(tmp_path, lambda s: s["requests"][0].update(
+        window={"start": 10_000_000_000_000, "duration": 1}))
 
 
 def _scenario_bid_for_unknown_request(tmp_path):
@@ -763,6 +781,7 @@ def _out_is_a_file(tmp_path):
     _scenario_bid_for_unknown_request, _scenario_window_start_fractional,
     _scenario_window_duration_fractional, _scenario_window_start_bool,
     _scenario_controllable_string, _scenario_capacity_string, _scenario_quantity_bool,
+    _scenario_window_past_int64,
     _topology_node_without_id, _attack_config_without_dataset, _attack_dataset_null,
     _attack_dataset_list, _attack_dataset_missing, _attack_dataset_non_finite,
     _credential_model_not_an_object, _credential_model_field_not_a_number,
@@ -835,6 +854,22 @@ def test_each_module_imports_alone(module):
     proc = subprocess.run([sys.executable, "-c", f"import plexisim.{module}"],
                           env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _bound_names(node) -> list:
+    """The names an import binds, but ``from __future__`` features."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_uses_every_name_it_imports(module):
+    tree = ast.parse((SRC / "plexisim" / f"{module}.py").read_text(encoding="utf-8"))
+    imported = {name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in _bound_names(node)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, f"imported but unused: {sorted(imported - used)}"
 
 
 def test_readme_library_sketch_runs_as_written():

@@ -81,20 +81,12 @@ def anchor_signed(payload, anchor, now):
                  now)
 
 
-def rehashed(block, tx):
-    """``block`` holding ``tx``, its hash recomputed as an editor could."""
-    return block._replace(tx_list=(tx,),
-                          block_hash=compute_block_hash(block.height, block.prev_hash, tx,
-                                                        block.sim_time_committed))
-
-
-def multi_tx_hash(height, prev_hash, txs, sim_time_committed):
-    """The block hash of any number of txs, their ``tx_id|signer|submit``
-    parts joined by commas: what an editor could compute for a block of
-    other than one tx."""
-    body = f"{height}|{prev_hash}|{sim_time_committed}|" + ",".join(
-        f"{tx.tx_id}|{json.dumps(tx.signer)}|{tx.sim_time_submitted}" for tx in txs)
-    return hashlib.sha256(body.encode("ascii")).hexdigest()
+def rehashed(chain, at, tx):
+    """Block ``at`` of ``chain`` holding ``tx``, its hash recomputed as an
+    editor could."""
+    prev = chain[at - 1].block_hash if at else GENESIS_PREV_HASH
+    committed = chain[at].sim_time_committed
+    return Block(tx, compute_block_hash(at, prev, tx, committed), committed)
 
 
 def create_tx(ledger, anchor, device, owner):
@@ -123,7 +115,7 @@ class TestSubmit:
         _, key, _ = enrolled
         tx = record_tx(ledger, key)
         block = ledger.submit(tx)
-        assert block is ledger.chain[-1] and block.tx_list == (tx,)
+        assert block is ledger.chain[-1] and block.tx == tx
         assert block.latency_ms >= 0
         assert block.sim_time_committed >= tx.sim_time_submitted
 
@@ -197,7 +189,7 @@ class TestSubmit:
         ledger.submit(tx)
         path = tmp_path / "ledger.chain"
         ledger.save_chain(path)
-        assert read_chain(path)[-1].tx_list[0].tx_id == tx.tx_id
+        assert read_chain(path)[-1].tx.tx_id == tx.tx_id
 
     @pytest.mark.parametrize("payload", [
         {2: "a", 10: "b"}, {"x": [{"y": {1: "a"}}]}, collections.OrderedDict({1: 2}),
@@ -213,6 +205,25 @@ class TestSubmit:
         assert (ledger.height, ledger.clock.now()) == (height, now)
         assert ledger.state.event_log == []
 
+    @pytest.mark.parametrize("clock_at, submitted", [
+        (2 ** 63 - BLOCK_INTERVAL_MS, None), (0, 2 ** 63), (0, -2 ** 63 - 1), (0, 1.0),
+    ], ids=["commit time past int64", "submit time past int64", "submit time below int64",
+            "submit time a float"])
+    def test_sim_time_a_record_cannot_hold_refused(self, ledger, enrolled, clock_at, submitted):
+        # Refused at submit, before the contract or the clock, rather than
+        # committed and then refused by save_chain.
+        _, key, _ = enrolled
+        ledger.clock.advance_to(max(ledger.clock.now(), clock_at))
+        tx = record_tx(ledger, key)
+        if submitted is not None:
+            tx = retimed(tx, submitted)
+        height, now, before = ledger.height, ledger.clock.now(), ledger.state.canonical()
+        with pytest.raises(ValidationError, match="int64"):
+            ledger.submit(tx)
+        assert (ledger.height, ledger.clock.now()) == (height, now)
+        assert ledger.state.canonical() == before
+        ledger.save_chain(os.devnull)
+
     def test_caller_edit_after_commit_changes_nothing(self, tmp_path, ledger, enrolled):
         _, key, _ = enrolled
         p = {"kw": 5}
@@ -220,7 +231,7 @@ class TestSubmit:
         p["kw"] = 500
         assert ledger.state.event_log[-1]["payload"] == {"kw": 5}
         assert block is ledger.chain[-1]
-        assert block.tx_list[0].payload["payload"] == {"kw": 5}
+        assert block.tx.payload["payload"] == {"kw": 5}
         path = tmp_path / "ledger.chain"
         ledger.save_chain(path)
         assert replay_chain(read_chain(path)) == ledger.state
@@ -280,7 +291,7 @@ class TestSubmit:
         # The builders and the contract's key table name the same keys.
         _, key, token_id = enrolled
         call(ledger, anchor, key, token_id)
-        payload = ledger.chain[-1].tx_list[0].payload
+        payload = ledger.chain[-1].tx.payload
         assert payload["op"] == op
         assert payload.keys() == _CONTRACT_KEYS[op][0] | set(passed)
 
@@ -318,8 +329,7 @@ class TestSubmit:
         with pytest.raises(RejectedTransactionError):
             ledger.submit(bad)
         assert ledger.height == height_before
-        for block in ledger.chain:
-            assert bad.tx_id not in [t.tx_id for t in block.tx_list]
+        assert bad.tx_id not in [block.tx.tx_id for block in ledger.chain]
 
 
 class TestCreateNft:
@@ -356,7 +366,7 @@ class TestCreateNft:
         device = identity.make_device("d", seed=4)
         _, token_id = identity.enroll(device, "alice", anchor, ledger)
         token = ledger.query(token_id)
-        block = ledger.receipt_for(ledger.chain[-1].tx_list[0].tx_id)
+        block = ledger.receipt_for(ledger.chain[-1].tx.tx_id)
         assert block is ledger.chain[-1]
         assert 0 <= token.issue_time <= block.sim_time_committed
 
@@ -562,9 +572,8 @@ class TestMalformedPayload:
     @pytest.mark.parametrize("edit", MALFORMED_CREATES.values(), ids=MALFORMED_CREATES.keys())
     def test_replay_rejects_malformed_create(self, anchor, ledger, enrolled, edit):
         # Re-hashed, so the block hash passes and apply sees the payload.
-        block = ledger.chain[0]
-        (tx,) = block.tx_list
-        ledger.chain[0] = rehashed(block, with_payload(tx, edit(dict(tx.payload))))
+        tx = ledger.chain[0].tx
+        ledger.chain[0] = rehashed(ledger.chain, 0, with_payload(tx, edit(dict(tx.payload))))
         with pytest.raises(IntegrityViolationError):
             ledger.replay()
 
@@ -592,7 +601,7 @@ class TestMalformedPayload:
 
     def test_failed_apply_leaves_state_unchanged(self, ledger, enrolled):
         state = ledger.replay()
-        (tx,) = ledger.chain[0].tx_list
+        tx = ledger.chain[0].tx
         before = state.canonical()
         for payload in (dict(tx.payload, device_id="aa", public_key="zz"),
                         {"op": "record_event", "kind": "k", "sim_time": 0}):
@@ -619,11 +628,8 @@ class TestReplay:
         ledger.submit(record_tx(ledger, key))
         block = ledger.chain[-1]
         tampered = Block(
-            height=block.height,
-            prev_hash=block.prev_hash,
-            tx_list=(borrowed(block.tx_list[0], {"op": "record_event", "workflow_id": "wf",
-                                                 "kind": "evil", "payload": {}, "sim_time": 0},
-                              0),),
+            tx=borrowed(block.tx, {"op": "record_event", "workflow_id": "wf", "kind": "evil",
+                                   "payload": {}, "sim_time": 0}, 0),
             block_hash=block.block_hash,
             sim_time_committed=block.sim_time_committed,
         )
@@ -637,10 +643,10 @@ class TestReplay:
             identity.make_device("alice-ctl", seed=13), "alice", anchor, ledger
         )
         ledger.set_flag(token_id, "delegated", owner_key, delegate_id="bob")
-        block = ledger.chain[-1]
-        (tx,) = block.tx_list
+        at = len(ledger.chain) - 1
+        tx = ledger.chain[at].tx
         edited = with_payload(tx, dict(tx.payload, flag="frozen"))
-        ledger.chain[-1] = rehashed(block, edited)
+        ledger.chain[at] = rehashed(ledger.chain, at, edited)
         with pytest.raises(IntegrityViolationError):
             ledger.replay()
 
@@ -662,10 +668,8 @@ class TestReplay:
         last = ledger.chain[-1]
         height = len(ledger.chain)
         ledger.chain.append(Block(
-            height=height,
-            prev_hash=last.block_hash,
-            tx_list=last.tx_list,
-            block_hash=compute_block_hash(height, last.block_hash, last.tx_list[0],
+            tx=last.tx,
+            block_hash=compute_block_hash(height, last.block_hash, last.tx,
                                           last.sim_time_committed),
             sim_time_committed=last.sim_time_committed,
         ))
@@ -680,9 +684,7 @@ class TestReplay:
         height = len(ledger.chain)
         copy = retimed(tx, ledger.clock.now())
         ledger.chain.append(Block(
-            height=height,
-            prev_hash=last.block_hash,
-            tx_list=(copy,),
+            tx=copy,
             block_hash=compute_block_hash(height, last.block_hash, copy,
                                           last.sim_time_committed),
             sim_time_committed=last.sim_time_committed,
@@ -690,31 +692,15 @@ class TestReplay:
         with pytest.raises(IntegrityViolationError, match="twice"):
             ledger.replay()
 
-    @pytest.mark.parametrize("count", [0, 2])
-    def test_block_of_other_than_one_tx_refused(self, ledger, enrolled, count):
-        # Hashed over its txs as an editor could, each tx one the contract
-        # would admit: only the block's shape is wrong.
-        _, key, _ = enrolled
-        txs = tuple(record_tx(ledger, key, tag=f"b{i}") for i in range(count))
-        last = ledger.chain[-1]
-        height, committed = len(ledger.chain), last.sim_time_committed
-        ledger.chain.append(Block(height, last.block_hash, txs,
-                                  multi_tx_hash(height, last.block_hash, txs, committed),
-                                  committed))
-        with pytest.raises(IntegrityViolationError, match=f"holds {count} txs, not one"):
-            ledger.replay()
-
     def test_empty_chain_empty_state(self):
         assert replay_chain([]) == RegistryState()
 
     def test_chain_links(self, ledger, enrolled):
+        # Each block hash covers its position and the hash before it.
         _, key, _ = enrolled
         for i in range(3):
             ledger.submit(record_tx(ledger, key, tag=f"t{i}"))
-        assert ledger.chain[0].prev_hash == GENESIS_PREV_HASH
-        for prev, cur in zip(ledger.chain, ledger.chain[1:]):
-            assert cur.prev_hash == prev.block_hash
-            assert cur.height == prev.height + 1
+        assert hashes_hold(ledger.chain)
 
     def test_block_hash_of_a_one_tx_block_is_pinned(self):
         """The hashed body is ``height|prev_hash|sim_time_committed|tx_id|
@@ -733,9 +719,8 @@ class TestReplay:
         for i in range(4):
             ledger.submit(record_tx(ledger, key, tag=f"u{i}"))
         for block in ledger.chain:
-            for tx in block.tx_list:
-                assert tx.tx_id not in seen
-                seen.add(tx.tx_id)
+            assert block.tx.tx_id not in seen
+            seen.add(block.tx.tx_id)
 
 
 class TestBatching:
@@ -749,8 +734,8 @@ class TestBatching:
         tx = record_tx(ledger, key, tag="solo")
         block = ledger.submit(tx)
         assert block is ledger.chain[-1]
-        assert ledger.height == start_height + 1 == block.height + 1
-        assert block.tx_list == (tx,)
+        assert ledger.height == start_height + 1
+        assert block.tx == tx
         assert block.latency_ms == BLOCK_INTERVAL_MS
         assert block.sim_time_committed == clock.now()
 
@@ -760,7 +745,7 @@ def committed_records(ledger, key, token_id) -> dict:
     and the block that holds it."""
     block = ledger.record_event("wf", "k", {"kw": 1.5}, key)
     token = ledger.query(token_id)
-    return {"token": token, "constraints": token.constraints, "tx": block.tx_list[0],
+    return {"token": token, "constraints": token.constraints, "tx": block.tx,
             "block": block}
 
 
@@ -808,7 +793,7 @@ class TestRecords:
         built = record_tx(ledger, key)
         committed = committed_records(ledger, key, token_id)["tx"]
         ledger.save_chain(tmp_path / "ledger.chain")
-        read = read_chain(tmp_path / "ledger.chain")[-1].tx_list[0]
+        read = read_chain(tmp_path / "ledger.chain")[-1].tx
         assert read == committed
         txs = [built, committed, read]
         for tx in list(txs):
@@ -893,20 +878,20 @@ class Oversized(bytes):
 def with_tx(block, **changes):
     """``block`` holding its tx with ``changes`` to the tx's stored fields,
     its message and tx_id derived again; the block keeps its hash."""
-    fields = dict(zip(Transaction._fields[:4], block.tx_list[0]), **changes)
-    return block._replace(tx_list=(Transaction(**fields),))
+    fields = dict(zip(Transaction._fields[:4], block.tx), **changes)
+    return block._replace(tx=Transaction(**fields))
 
 
 def with_oversized_payload(block):
-    (tx,) = block.tx_list
-    return block._replace(tx_list=(Transaction._sealed(
-        tx.payload, Oversized(tx.message), tx.signer, tx.signature, tx.sim_time_submitted),))
+    tx = block.tx
+    return block._replace(tx=Transaction._sealed(
+        tx.payload, Oversized(tx.message), tx.signer, tx.signature, tx.sim_time_submitted))
 
 
 # Blocks that save_chain cannot store exactly, each an edit of a block.
 UNSTORABLE = {
-    "signature of 63 bytes": lambda b: with_tx(b, signature=b.tx_list[0].signature[:63]),
-    "signature of 65 bytes": lambda b: with_tx(b, signature=b.tx_list[0].signature + b"\0"),
+    "signature of 63 bytes": lambda b: with_tx(b, signature=b.tx.signature[:63]),
+    "signature of 65 bytes": lambda b: with_tx(b, signature=b.tx.signature + b"\0"),
     "block hash in upper case": lambda b: b._replace(block_hash="AB" * 32),
     "block hash of 31 bytes": lambda b: b._replace(block_hash="ab" * 31),
     "block hash not hex": lambda b: b._replace(block_hash="zz" * 32),
@@ -917,9 +902,6 @@ UNSTORABLE = {
     "signer longer than uint16": lambda b: with_tx(b, signer="s" * 2 ** 16),
     "payload longer than uint32": with_oversized_payload,
     "signer not UTF-8": lambda b: with_tx(b, signer="\ud800"),
-    "height off its position": lambda b: b._replace(height=5),
-    "prev_hash off the chain": lambda b: b._replace(prev_hash="cd" * 32),
-    "block of two txs": lambda b: b._replace(tx_list=b.tx_list * 2),
 }
 
 
@@ -943,12 +925,12 @@ class TestPersistence:
         assert len(records) == len(ledger.chain) == 2
         assert HEADER_SIZE == 118
         for rec, block in zip(records, ledger.chain):
-            (tx,) = block.tx_list
+            tx = block.tx
             assert rec == {"block_hash": bytes.fromhex(block.block_hash),
                            "committed": block.sim_time_committed,
                            "submitted": tx.sim_time_submitted, "signature": tx.signature,
                            "signer": tx.signer.encode(), "payload": tx.message}
-        payload = ledger.chain[-1].tx_list[0].payload
+        payload = ledger.chain[-1].tx.payload
         assert records[-1]["payload"] == canonical_json(payload).encode()
         assert joined(records) == (tmp_path / "ledger.chain").read_bytes()
 
@@ -983,8 +965,8 @@ class TestPersistence:
         # The earlier format: one JSON line per block.
         path = tmp_path / "ledger.chain"
         block = ledger.chain[0]
-        (tx,) = block.tx_list
-        line = {"height": 0, "prev_hash": block.prev_hash, "block_hash": block.block_hash,
+        tx = block.tx
+        line = {"height": 0, "prev_hash": GENESIS_PREV_HASH, "block_hash": block.block_hash,
                 "sim_time_committed": block.sim_time_committed,
                 "txs": [{"payload": tx.payload, "signer": tx.signer,
                          "signature": tx.signature.hex(),
@@ -1002,9 +984,8 @@ class TestPersistence:
         reloaded = LedgerSim(clock, anchor_pk=identity.anchor_public_key(anchor))
         reloaded.load_chain(path)
         restored = reloaded.receipt_for(tx.tx_id)
-        assert restored == live
-        assert ((restored.height, restored.sim_time_committed, restored.latency_ms)
-                == (live.height, live.sim_time_committed, BLOCK_INTERVAL_MS))
+        assert restored == live and restored is reloaded.chain[-1]
+        assert restored.latency_ms == BLOCK_INTERVAL_MS
 
     @pytest.mark.parametrize("payload", [
         lambda payload: b"",
@@ -1032,6 +1013,37 @@ class TestPersistence:
             ledger.load_chain(path)
         assert (ledger.height, ledger.state.canonical()) == (height, before)
         assert ledger.replay() == ledger.state
+
+    def test_load_chain_moves_the_clock_to_the_head(self, tmp_path, anchor, ledger, enrolled):
+        # A block appended after a load commits later than the loaded head.
+        _, key, _ = enrolled
+        ledger.submit(record_tx(ledger, key))
+        path = tmp_path / "ledger.chain"
+        ledger.save_chain(path)
+        head = ledger.chain[-1].sim_time_committed
+        reloaded = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(anchor))
+        reloaded.load_chain(path)
+        assert reloaded.clock.now() == head
+        block = reloaded.submit(record_tx(reloaded, key, tag="after"))
+        assert block.sim_time_committed > head
+        assert replay_chain(reloaded.chain) == reloaded.state
+
+    def test_load_chain_never_moves_the_clock_back(self, tmp_path, anchor, ledger, enrolled):
+        path = tmp_path / "ledger.chain"
+        ledger.save_chain(path)
+        later = SimClock(ledger.clock.now() + 7 * BLOCK_INTERVAL_MS)
+        start = later.now()
+        LedgerSim(later, anchor_pk=identity.anchor_public_key(anchor)).load_chain(path)
+        assert later.now() == start
+
+    def test_refused_load_chain_leaves_the_clock(self, tmp_path, anchor, ledger, enrolled):
+        path = tmp_path / "ledger.chain"
+        ledger.save_chain(path)
+        path.write_bytes(path.read_bytes() * 2)
+        fresh = SimClock()
+        with pytest.raises(IntegrityViolationError):
+            LedgerSim(fresh, anchor_pk=identity.anchor_public_key(anchor)).load_chain(path)
+        assert fresh.now() == 0
 
     def test_length_past_the_file_is_refused(self, tmp_path, ledger, enrolled):
         path = tmp_path / "ledger.chain"
@@ -1239,7 +1251,7 @@ def test_replay_of_saved_chain_equals_live_state(devices, ops):
     keys = [identity.enroll(identity.make_device(f"ctl-{i}", seed=100 + i), OWNERS[i % 2],
                             ANCHOR, ledger)[0]
             for i in range(devices)]
-    sent = [tx for block in ledger.chain for tx in block.tx_list]
+    sent = [block.tx for block in ledger.chain]
     for op, *args in ops:
         if op == "advance":
             ledger.clock.advance(args[0])
@@ -1253,7 +1265,6 @@ def test_replay_of_saved_chain_equals_live_state(devices, ops):
         sent.append(tx)
         if key is not None:
             keys.append(key)
-    assert all(len(block.tx_list) == 1 for block in ledger.chain)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ledger.chain")
         ledger.save_chain(path)
@@ -1286,8 +1297,7 @@ def chains(draw):
                          draw(SIGNER_TEXT), draw(st.binary(min_size=64, max_size=64)),
                          draw(INT64))
         committed = draw(INT64)
-        chain.append(Block(height, prev, (tx,), compute_block_hash(height, prev, tx, committed),
-                           committed))
+        chain.append(Block(tx, compute_block_hash(height, prev, tx, committed), committed))
         prev = chain[-1].block_hash
     return chain
 
@@ -1313,10 +1323,9 @@ def read_back(data: bytes) -> list:
 def stored_fields(chain) -> list:
     """Every stored field of ``chain``, each payload as its signed message,
     and each derived ``tx_id``."""
-    return [(block.height, block.prev_hash, block.block_hash, block.sim_time_committed,
-             [(tx.message, tx.signer, tx.signature, tx.sim_time_submitted, tx.tx_id)
-              for tx in block.tx_list])
-            for block in chain]
+    return [(block_hash, committed,
+             (tx.message, tx.signer, tx.signature, tx.sim_time_submitted, tx.tx_id))
+            for tx, block_hash, committed in chain]
 
 
 def reference_read(data: bytes) -> list:
@@ -1324,7 +1333,7 @@ def reference_read(data: bytes) -> list:
     record read from an ``io.BytesIO``, its header by ``struct.unpack`` and
     its payload by ``json.loads``. Returns the stored fields of each block
     as ``stored_fields`` gives them, or raises ``ValueError``."""
-    blocks, prev, fh = [], GENESIS_PREV_HASH, io.BytesIO(data)
+    blocks, fh = [], io.BytesIO(data)
     while header := fh.read(HEADER_SIZE):
         if len(header) < HEADER_SIZE:
             raise ValueError("header cut short")
@@ -1338,10 +1347,9 @@ def reference_read(data: bytes) -> list:
         if text.strip(" \t\n\r") != text:
             raise ValueError("whitespace around the payload")
         json.loads(text)
-        blocks.append((len(blocks), prev, block_hash.hex(), committed,
-                       [(message, signer.decode("utf-8"), signature, submitted,
-                         hashlib.sha256(message + signature).hexdigest())]))
-        prev = block_hash.hex()
+        blocks.append((block_hash.hex(), committed,
+                       (message, signer.decode("utf-8"), signature, submitted,
+                        hashlib.sha256(message + signature).hexdigest())))
     return blocks
 
 
@@ -1363,14 +1371,13 @@ def reference_outcome(data: bytes):
 
 
 def hashes_hold(chain) -> bool:
-    """Whether ``replay_chain``'s checks before the contract pass: heights,
-    hash links and block hashes."""
+    """Whether ``replay_chain``'s check before the contract passes: each
+    block hash over its position and the hash before it."""
     prev = GENESIS_PREV_HASH
-    for height, block in enumerate(chain):
-        if (block.height, block.prev_hash) != (height, prev) or block.block_hash != (
-                compute_block_hash(height, prev, block.tx_list[0], block.sim_time_committed)):
+    for height, (tx, block_hash, committed) in enumerate(chain):
+        if block_hash != compute_block_hash(height, prev, tx, committed):
             return False
-        prev = block.block_hash
+        prev = block_hash
     return True
 
 
@@ -1403,10 +1410,10 @@ def test_read_chain_agrees_with_the_reference_reader(chain):
 @given(chain=chains())
 def test_saved_record_is_the_header_signer_and_sorted_payload(chain):
     expected = b"".join(
-        record_bytes(bytes.fromhex(block.block_hash), block.sim_time_committed,
-                     tx.sim_time_submitted, tx.signature, tx.signer.encode("utf-8"),
+        record_bytes(bytes.fromhex(block_hash), committed, tx.sim_time_submitted, tx.signature,
+                     tx.signer.encode("utf-8"),
                      json.dumps(tx.payload, sort_keys=True, separators=(",", ":")).encode())
-        for block in chain for tx in block.tx_list)
+        for tx, block_hash, committed in chain)
     assert saved_bytes(chain) == expected
 
 
@@ -1535,15 +1542,10 @@ def respelt(record: dict, how: str) -> dict:
 
 
 def relinked(chain) -> list:
-    """``chain`` with every hash link and block hash recomputed, as an
-    editor could."""
-    out, prev = [], GENESIS_PREV_HASH
-    for block in chain:
-        out.append(Block(block.height, prev, block.tx_list,
-                         compute_block_hash(block.height, prev, block.tx_list[0],
-                                            block.sim_time_committed),
-                         block.sim_time_committed))
-        prev = out[-1].block_hash
+    """``chain`` with every block hash recomputed, as an editor could."""
+    out = list(chain)
+    for at, block in enumerate(out):
+        out[at] = rehashed(out, at, block.tx)
     return out
 
 
@@ -1554,8 +1556,8 @@ def test_respelt_copy_of_a_committed_tx_is_refused(data, how):
     way has another tx_id, but its signature appears twice."""
     records = live_chain_records()
     at = data.draw(st.integers(0, len(records) - 1))
-    copy = read_back(joined([respelt(records[at], how)]))[0].tx_list[0]
-    assert copy.tx_id != live_chain()[at].tx_list[0].tx_id
+    copy = read_back(joined([respelt(records[at], how)]))[0].tx
+    assert copy.tx_id != live_chain()[at].tx.tx_id
     with pytest.raises(IntegrityViolationError, match="appears twice"):
         replay_chain(appended(read_back(joined(records)), copy))
 
@@ -1574,8 +1576,8 @@ def test_tx_respelt_in_a_loaded_chain_cannot_be_submitted_again(data, how):
         with open(path, "wb") as fh:
             fh.write(saved_bytes(relinked(read_back(joined(records)))))
         ledger.load_chain(path)
-    original = live_chain()[at].tx_list[0]
-    assert ledger.chain[at].tx_list[0].tx_id != original.tx_id
+    original = live_chain()[at].tx
+    assert ledger.chain[at].tx.tx_id != original.tx_id
     with pytest.raises(DuplicateTransactionError):
         ledger.submit(original)
 
@@ -1595,6 +1597,34 @@ def test_a_space_outside_the_payload_is_refused(data):
                                    if not any(start < i < end for start, end in payloads)]))
     with pytest.raises(IntegrityViolationError):
         replay_chain(read_back(saved[:i] + b" " + saved[i:]))
+
+
+def reordered(items, data):
+    """``items`` with two of them swapped or one moved, and the first index
+    that then holds another item."""
+    i, j = data.draw(st.lists(st.integers(0, len(items) - 1), min_size=2, max_size=2,
+                              unique=True))
+    out = list(items)
+    if data.draw(st.booleans()):
+        out[i], out[j] = out[j], out[i]
+    else:
+        out.insert(j, out.pop(i))
+    return out, min(i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), saved=st.booleans())
+def test_replay_refuses_a_reordered_chain(data, saved):
+    """Two blocks of a committed chain swapped, or one moved, in memory or
+    as records of its saved file: only the block hash binds a block to its
+    position, and replay names the first height whose block changed."""
+    if saved:
+        records, first = reordered(live_chain_records(), data)
+        chain = read_back(joined(records))
+    else:
+        chain, first = reordered(live_chain(), data)
+    with pytest.raises(IntegrityViolationError, match=f"block hash mismatch at height {first}$"):
+        replay_chain(chain)
 
 
 DROP = object()
@@ -1638,7 +1668,7 @@ def appended(chain, tx):
     """``chain`` with one more block holding ``tx``, hashed as an editor could."""
     prev = chain[-1].block_hash if chain else GENESIS_PREV_HASH
     height = len(chain)
-    return [*chain, Block(height, prev, (tx,), compute_block_hash(height, prev, tx, 0), 0)]
+    return [*chain, Block(tx, compute_block_hash(height, prev, tx, 0), 0)]
 
 
 # Calls the contract refuses whoever signs them.
@@ -1688,7 +1718,7 @@ def signed_call(ledger, keys, op, args):
     if op in ("create", "malformed create", "event", "flag"):
         return contract_tx(ledger, keys, [], op, args)
     if op == "repeat":
-        sent = [tx for block in ledger.chain for tx in block.tx_list]
+        sent = [block.tx for block in ledger.chain]
         tx = sent[args[0] % len(sent)]
         return (retimed(tx, ledger.clock.now()) if args[1] else tx), None
     key = keys[args[0] % len(keys)]
