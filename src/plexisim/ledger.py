@@ -14,7 +14,8 @@ height is its position and its previous hash the hash of the block before
 it, and its hash covers both and every stored field (the tx's derived
 ``tx_id``, signer and submit time, and the commit time). The world state is
 the same contract folded over the chain, so replay reproduces the live
-state exactly and refuses any tx the contract refuses.
+state exactly and refuses any tx the contract refuses, and any block whose
+commit time falls below the one before it.
 A signature commits once: the contract keeps the signatures it has folded
 in and refuses a second tx that carries one, however its payload is spelt.
 Blocks persist as one length-prefixed binary record each: a fixed
@@ -33,7 +34,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
-from math import copysign
+from math import copysign, inf
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Union
 
 from . import jsonread as jr
@@ -87,6 +89,11 @@ _CONTRACT_KEYS = {
 # The one optional key each flag reads, only when set true; a set_flag
 # carrying a key it does not read is refused.
 _SUBJECT_KEYS = {"delegated": "delegate_id", "transferred": "new_owner"}
+# The fields admit reads of a create_nft (the token's, then its challenge
+# index) and of a record_event, each op's in one C call.
+_CREATE_FIELDS = itemgetter("token_id", "token_name", "device_id", "public_key", "owner_id",
+                            "issue_time", "challenge_index")
+_EVENT_FIELDS = itemgetter("workflow_id", "kind", "payload", "sim_time")
 
 # A block commits BLOCK_INTERVAL_MS after its transaction is submitted;
 # simnet imports the interval as its batching deadline.
@@ -286,27 +293,15 @@ def compute_block_hash(height: int, prev_hash: str, tx: Transaction,
 # World state
 # ---------------------------------------------------------------------------
 
-def _token_from_create(payload: dict) -> tuple:
-    """The token and challenge index a create_nft payload mints, its keys
-    already checked. A malformed field raises ``TypeError`` or
-    ``ValueError``: a hex field that is not lower-case hex (so one device has
-    one device-index key), a non-string id or name, an issue time or
-    challenge index that is not a JSON integer, a negative challenge index,
-    or a token id that is not the hash of its device, key and owner."""
-    # Typed fields keep token equality exact (see __eq__), and the state
-    # holds the integers that were signed.
-    token = _record(NftToken, (
-        jr.of(str, payload["token_id"]), jr.of(str, payload["token_name"]),
-        jr.hexbytes(payload["device_id"]), jr.hexbytes(payload["public_key"]),
-        jr.of(str, payload["owner_id"]), _NO_FLAGS, jr.of(int, payload["issue_time"])))
-    if token.token_id != compute_token_id(token.device_id, token.public_key, token.owner_id):
-        raise ValueError("create_nft token_id is not derived from device_id, public_key "
-                         "and owner_id")
-    # Live verification derives the device's challenge from this index.
-    challenge_index = jr.of(int, payload["challenge_index"])
-    if challenge_index < 0:
-        raise ValueError("create_nft challenge_index must not be negative")
-    return token, challenge_index
+def _token_fields(payload: dict) -> tuple:
+    """The six token fields of a create_nft payload, each checked by
+    ``jsonread`` in field order, so the first malformed one raises: an id or
+    name that is not a string, a hex field that is not lower-case hex (so
+    one device has one device-index key), or an issue time that is not a
+    JSON integer. ``admit`` calls it only when its own type test fails."""
+    return (jr.of(str, payload["token_id"]), jr.of(str, payload["token_name"]),
+            jr.hexbytes(payload["device_id"]), jr.hexbytes(payload["public_key"]),
+            jr.of(str, payload["owner_id"]), jr.of(int, payload["issue_time"]))
 
 
 @dataclass
@@ -334,7 +329,7 @@ class RegistryState:
         """Check ``tx`` against the registry contract, then fold it in.
 
         This is the contract's one rule set: ``LedgerSim.submit`` endorses
-        with it and ``apply`` replays with it. A refused tx raises
+        with it and ``replay_chain`` replays with it. A refused tx raises
         ``DuplicateTransactionError``, ``ValidationError``,
         ``AuthorizationError`` or ``EnrollmentRejected`` before any field of
         the state changes. A signature commits once, checked first. A signer
@@ -364,14 +359,47 @@ class RegistryState:
             signer = self.tokens.get(tx.signer)
             if signer is None or signer.constraints.revoked:
                 raise AuthorizationError(f"signer {tx.signer!r} is not a live token")
-        # Every field is read with its type before any rule runs.
+        # Every field is read with its type before any rule runs. Each group
+        # of fields takes one chained type test; only when it fails do the
+        # jsonread checks run, in field order, so the first bad field names
+        # the error.
+        payload = tx.payload
         try:
-            op = jr.of(dict, tx.payload).get("op")
-            if type(op) is not str or op not in _CONTRACT_KEYS:
+            if type(payload) is not dict:
+                jr.of(dict, payload)
+            op = payload.get("op")
+            keys = _CONTRACT_KEYS.get(op) if type(op) is str else None
+            if keys is None:
                 raise ValueError(f"unknown contract op {op!r}")
-            payload = jr.obj(tx.payload, *_CONTRACT_KEYS[op])
+            if payload.keys() != keys[0]:
+                jr.obj(payload, *keys)
             if op == OP_CREATE_NFT:
-                token, challenge_index = _token_from_create(payload)
+                token_id, name, device_hex, key_hex, owner_id, issue_time, challenge_index = (
+                    _CREATE_FIELDS(payload))
+                # fromhex also reads upper case and spaces; the .hex() compare
+                # keeps one spelling, so one device has one device-index key.
+                try:
+                    device_id, public_key = bytes.fromhex(device_hex), bytes.fromhex(key_hex)
+                except (TypeError, ValueError):
+                    device_id = None
+                if not (type(token_id) is type(name) is type(device_hex) is type(key_hex)
+                        is type(owner_id) is str and type(issue_time) is int
+                        and device_id is not None and device_id.hex() == device_hex
+                        and public_key.hex() == key_hex):
+                    token_id, name, device_id, public_key, owner_id, issue_time = (
+                        _token_fields(payload))
+                # Typed fields keep token equality exact (see __eq__), and the
+                # state holds the integers that were signed.
+                token = _record(NftToken, (token_id, name, device_id, public_key, owner_id,
+                                           _NO_FLAGS, issue_time))
+                if token_id != compute_token_id(device_id, public_key, owner_id):
+                    raise ValueError("create_nft token_id is not derived from device_id, "
+                                     "public_key and owner_id")
+                # Live verification derives the device's challenge from this index.
+                if type(challenge_index) is not int:
+                    jr.of(int, challenge_index)
+                if challenge_index < 0:
+                    raise ValueError("create_nft challenge_index must not be negative")
             elif op == OP_SET_FLAG:
                 flag, token_id = payload["flag"], jr.of(str, payload["token_id"])
                 if flag not in FLAGS:
@@ -386,17 +414,17 @@ class RegistryState:
                 if subject == "":
                     raise ValueError(f"{read} is empty")
             else:
-                event = {"workflow_id": jr.of(str, payload["workflow_id"]),
-                         "kind": jr.of(str, payload["kind"]),
-                         "payload": payload["payload"],
-                         "sim_time": jr.of(int, payload["sim_time"])}
+                workflow_id, kind, body, sim_time = _EVENT_FIELDS(payload)
+                if not (type(workflow_id) is type(kind) is str and type(sim_time) is int):
+                    jr.of(str, workflow_id), jr.of(str, kind), jr.of(int, sim_time)
+                event = {"workflow_id": workflow_id, "kind": kind, "payload": body,
+                         "sim_time": sim_time}
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed payload of tx {tx.tx_id[:12]}: {exc}") from exc
         if op == OP_CREATE_NFT:
             # Only the anchor mints: a device key would pick its own token's key.
             if tx.signer != ANCHOR_TOKEN_ID:
                 raise AuthorizationError("create_nft must be signed by the anchor")
-            device_hex = payload["device_id"]
             if device_hex in self.device_index:
                 raise EnrollmentRejected("device id already bound to a live token")
             self.tokens[token.token_id] = token
@@ -426,18 +454,6 @@ class RegistryState:
         else:
             self.event_log.append(event)
         self.signatures.add(tx.signature)
-
-    def apply(self, tx: Transaction) -> None:
-        """Replay one committed tx through ``admit``; a tx the contract
-        refuses raises ``IntegrityViolationError`` before any field of the
-        state changes."""
-        try:
-            self.admit(tx)
-        except (DuplicateTransactionError, ValidationError, AuthorizationError,
-                EnrollmentRejected) as exc:
-            raise IntegrityViolationError(
-                f"tx {tx.tx_id[:12]} in chain breaks the contract: {exc}"
-            ) from exc
 
     def canonical(self) -> str:
         return canonical_json(
@@ -652,16 +668,27 @@ class LedgerSim:
 
 def replay_chain(chain: Iterable[Block]) -> RegistryState:
     """Fold the chain into a fresh state through the contract, which also
-    refuses a signature seen twice. Before each block's tx is applied, its
+    refuses a signature seen twice. Before each block's tx is admitted, its
     hash is checked over its position, the hash before it, its tx and its
-    commit time."""
+    commit time, and its commit time must not fall below the one before it.
+    A tx the contract refuses raises ``IntegrityViolationError``."""
     state = RegistryState()
-    prev = GENESIS_PREV_HASH
-    for height, (tx, block_hash, committed) in enumerate(chain):
-        if block_hash != compute_block_hash(height, prev, tx, committed):
-            raise IntegrityViolationError(f"block hash mismatch at height {height}")
-        state.apply(tx)
-        prev = block_hash
+    admit = state.admit
+    prev, before = GENESIS_PREV_HASH, -inf
+    try:
+        for height, (tx, block_hash, committed) in enumerate(chain):
+            if block_hash != compute_block_hash(height, prev, tx, committed):
+                raise IntegrityViolationError(f"block hash mismatch at height {height}")
+            # Equal times stay allowed; submit times are not checked, since
+            # submit takes any int64.
+            if committed < before:
+                raise IntegrityViolationError(f"commit time falls at height {height}")
+            admit(tx)
+            prev, before = block_hash, committed
+    except (DuplicateTransactionError, ValidationError, AuthorizationError,
+            EnrollmentRejected) as exc:
+        raise IntegrityViolationError(
+            f"tx {tx.tx_id[:12]} in chain breaks the contract: {exc}") from exc
     return state
 
 
@@ -676,6 +703,7 @@ def read_chain(path) -> list[Block]:
         data = fh.read()
     blocks: list[Block] = []
     unpack, size, end = _RECORD.unpack_from, _RECORD.size, len(data)
+    scan, sealed, append = _scan, Transaction._sealed, blocks.append
     at = 0
     try:
         while at < end:
@@ -687,12 +715,12 @@ def read_chain(path) -> list[Block]:
             if stop > end:
                 raise ValueError(f"record of {stop - at} bytes runs {stop - end} past the file")
             message = data[start:stop]
-            payload, i = _scan(message.decode("ascii"), 0)
+            payload, i = scan(message.decode("ascii"), 0)
             if i != n_payload:
                 raise ValueError(f"payload holds more than one JSON value (byte {i})")
-            tx = Transaction._sealed(payload, message, data[at + size:start].decode("utf-8"),
-                                     signature, submitted)
-            blocks.append(_record(Block, (tx, raw.hex(), committed)))
+            tx = sealed(payload, message, data[at + size:start].decode("utf-8"), signature,
+                        submitted)
+            append(_record(Block, (tx, raw.hex(), committed)))
             at = stop
     except StopIteration as exc:
         raise IntegrityViolationError(

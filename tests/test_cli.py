@@ -746,6 +746,20 @@ def _registry_with_an_empty_block(tmp_path):
     return _registry_with_edited_data(tmp_path, appended)
 
 
+def _registry_commit_time_falling(tmp_path):
+    # The last block re-timed to commit with the first and re-hashed, as an
+    # editor could, so only the fall of its commit time is wrong.
+    def retimed(data):
+        *records, last = split_records(data)
+        t = records[0]["committed"]
+        tx_id = hashlib.sha256(last["payload"] + last["signature"]).hexdigest()
+        body = (f'{len(records)}|{records[-1]["block_hash"].hex()}|{t}|{tx_id}|'
+                f'{json.dumps(last["signer"].decode())}|{last["submitted"]}')
+        block_hash = hashlib.sha256(body.encode("ascii")).digest()
+        return joined([*records, dict(last, block_hash=block_hash, committed=t)])
+    return _registry_with_edited_data(tmp_path, retimed)
+
+
 def _registry_in_missing_directory(tmp_path):
     return ["enroll", "--n", 1, "--out", tmp_path / "o", "--registry",
             tmp_path / "missing" / "dir" / "x"]
@@ -774,7 +788,7 @@ def _out_is_a_file(tmp_path):
     _truncated_registry, _registry_payload_not_an_object, _registry_payload_without_device_id,
     _registry_device_id_not_hex, _registry_submit_time_infinite, _registry_owner_id_edited,
     _registry_in_old_format, _registry_commit_time_string, _registry_commit_time_missing,
-    _registry_submit_time_edited, _registry_with_an_empty_block,
+    _registry_submit_time_edited, _registry_with_an_empty_block, _registry_commit_time_falling,
     _scenario_without_bids, _scenario_not_json, _scenario_issuer_not_string,
     _scenario_owner_not_string, _scenario_bid_id_not_string, _scenario_capacity_nan,
     _scenario_price_nan, _scenario_quantity_nan, _scenario_window_start_infinite,

@@ -1,6 +1,7 @@
 import collections
 import copy
 import functools
+import gc
 import hashlib
 import io
 import itertools
@@ -8,7 +9,9 @@ import json
 import math
 import os
 import pickle
+import re
 import struct
+import sys
 import tempfile
 
 import pytest
@@ -318,7 +321,7 @@ class TestSubmit:
         with pytest.raises(ValidationError):
             ledger.submit(tx)
         assert (ledger.height, ledger.state.canonical()) == (height, before)
-        with pytest.raises(IntegrityViolationError):
+        with pytest.raises(IntegrityViolationError, match="breaks the contract"):
             replay_chain(appended(ledger.chain, tx))
 
     def test_bad_envelope_never_commits(self, ledger, enrolled):
@@ -455,7 +458,7 @@ class TestSetFlag:
             ledger.set_flag(token_id, "delegated", owner_key, value="false")
         assert ledger.height == height and ledger.query(token_id) == token
         tx = flag_tx(ledger, token_id, "delegated", owner_key, value="false")
-        with pytest.raises(IntegrityViolationError):
+        with pytest.raises(IntegrityViolationError, match="breaks the contract"):
             replay_chain(appended(ledger.chain, tx))
 
     def test_unknown_token_rejected(self, anchor, ledger, enrolled):
@@ -476,44 +479,136 @@ class TestSetFlag:
             ledger.set_flag(token_id, "frozen", alice_key)
 
 
+# Each malformed create_nft edit, and the refusal it gets: the first bad
+# field in field order names it (``token_id``, ``token_name``, ``device_id``,
+# ``public_key``, ``owner_id``, ``issue_time``, then the token id's
+# derivation, then ``challenge_index``). ``{field!r}`` stands for the edited
+# payload's value.
+NOT_HEX = "non-hexadecimal number found in fromhex() arg at position 0"
+NOT_DERIVED = "create_nft token_id is not derived from device_id, public_key and owner_id"
 MALFORMED_CREATES = {
-    "not an object": lambda p: 5,
-    "no device_id": lambda p: {k: v for k, v in p.items() if k != "device_id"},
-    "device_id not hex": lambda p: dict(p, device_id="zz"),
-    "public_key not hex": lambda p: dict(p, public_key="zz"),
-    "public_key null": lambda p: dict(p, public_key=None),
-    "owner_id not str": lambda p: dict(p, owner_id=5),
-    "token_name not str": lambda p: dict(p, token_name=["d"]),
-    "issue_time inf": lambda p: dict(p, issue_time=math.inf),
-    "challenge_index not int": lambda p: dict(p, challenge_index="one"),
+    "not an object": (lambda p: 5, "expected a JSON object, got 5"),
+    "no device_id": (lambda p: {k: v for k, v in p.items() if k != "device_id"},
+                     "missing key(s) ['device_id']"),
+    "device_id not hex": (lambda p: dict(p, device_id="zz"), NOT_HEX),
+    "public_key not hex": (lambda p: dict(p, public_key="zz"), NOT_HEX),
+    "public_key null": (lambda p: dict(p, public_key=None), "expected a JSON string, got None"),
+    "owner_id not str": (lambda p: dict(p, owner_id=5), "expected a JSON string, got 5"),
+    "token_name not str": (lambda p: dict(p, token_name=["d"]),
+                           "expected a JSON string, got ['d']"),
+    "issue_time inf": (lambda p: dict(p, issue_time=math.inf), "expected a JSON integer, got inf"),
+    "challenge_index not int": (lambda p: dict(p, challenge_index="one"),
+                                "expected a JSON integer, got 'one'"),
     # int() would take each of these, so the state would disagree with the
     # signed payload.
-    "issue_time fractional": lambda p: dict(p, issue_time=5.7),
-    "issue_time bool": lambda p: dict(p, issue_time=True),
-    "issue_time string": lambda p: dict(p, issue_time="12"),
-    "challenge_index string": lambda p: dict(p, challenge_index="3"),
-    "challenge_index fractional": lambda p: dict(p, challenge_index=2.9),
+    "issue_time fractional": (lambda p: dict(p, issue_time=5.7),
+                              "expected a JSON integer, got 5.7"),
+    "issue_time bool": (lambda p: dict(p, issue_time=True), "expected a JSON integer, got True"),
+    "issue_time whole float": (lambda p: dict(p, issue_time=1.0),
+                               "expected a JSON integer, got 1.0"),
+    "issue_time string": (lambda p: dict(p, issue_time="12"), "expected a JSON integer, got '12'"),
+    "challenge_index string": (lambda p: dict(p, challenge_index="3"),
+                               "expected a JSON integer, got '3'"),
+    "challenge_index fractional": (lambda p: dict(p, challenge_index=2.9),
+                                   "expected a JSON integer, got 2.9"),
+    "challenge_index bool": (lambda p: dict(p, challenge_index=True),
+                             "expected a JSON integer, got True"),
+    "challenge_index whole float": (lambda p: dict(p, challenge_index=1.0),
+                                    "expected a JSON integer, got 1.0"),
     # Live verification could derive no challenge from it.
-    "challenge_index negative": lambda p: dict(p, challenge_index=-1),
-    "device_id upper case": lambda p: dict(p, device_id=p["device_id"].upper()),
-    "public_key upper case": lambda p: dict(p, public_key=p["public_key"].upper()),
-    "device_id with spaces": lambda p: dict(p, device_id=p["device_id"][:2] + " "
-                                            + p["device_id"][2:]),
-    "token_id not derived": lambda p: dict(p, token_id="f" * 64),
-    "unknown key": lambda p: dict(p, note="x"),
-    "no challenge_index, unknown key": lambda p: {
+    "challenge_index negative": (lambda p: dict(p, challenge_index=-1),
+                                 "create_nft challenge_index must not be negative"),
+    "device_id upper case": (lambda p: dict(p, device_id=p["device_id"].upper()),
+                             "{device_id!r} is not lower-case hex"),
+    "public_key upper case": (lambda p: dict(p, public_key=p["public_key"].upper()),
+                              "{public_key!r} is not lower-case hex"),
+    "device_id with spaces": (lambda p: dict(p, device_id=p["device_id"][:2] + " "
+                                             + p["device_id"][2:]),
+                              "{device_id!r} is not lower-case hex"),
+    "public_key with spaces": (lambda p: dict(p, public_key=" ".join(
+        p["public_key"][i:i + 2] for i in range(0, len(p["public_key"]), 2))),
+                               "{public_key!r} is not lower-case hex"),
+    "token_id not derived": (lambda p: dict(p, token_id="f" * 64), NOT_DERIVED),
+    "unknown key": (lambda p: dict(p, note="x"), "unknown key(s) ['note']"),
+    "no challenge_index, unknown key": (lambda p: {
         **{k: v for k, v in p.items() if k != "challenge_index"}, "challenge": 0},
+        "missing key(s) ['challenge_index']"),
+    # Two bad fields: the first in field order names the refusal.
+    "device_id upper case, public_key not hex": (
+        lambda p: dict(p, device_id=p["device_id"].upper(), public_key="zz"),
+        "{device_id!r} is not lower-case hex"),
+    "issue_time bool, owner_id not str": (lambda p: dict(p, issue_time=True, owner_id=5),
+                                          "expected a JSON string, got 5"),
+    "public_key upper case, token_name not str": (
+        lambda p: dict(p, public_key=p["public_key"].upper(), token_name=["d"]),
+        "expected a JSON string, got ['d']"),
+    "challenge_index whole float, token_id not derived": (
+        lambda p: dict(p, challenge_index=1.0, token_id="f" * 64), NOT_DERIVED),
+    "challenge_index bool, issue_time whole float": (
+        lambda p: dict(p, challenge_index=True, issue_time=1.0),
+        "expected a JSON integer, got 1.0"),
 }
 
 
+class Str(str):
+    """A ``str`` subclass, which JSON decoding never yields."""
+
+
+# Fields only an in-memory tx can hold, since its payload is otherwise the
+# decoding of its message: the contract refuses them as not strings.
+HELD_CREATES = {
+    f"{name} a str subclass": (lambda p, name=name: dict(p, **{name: Str(p[name])}),
+                               f"expected a JSON string, got {{{name}!r}}")
+    for name in ("token_id", "token_name", "device_id", "public_key", "owner_id")
+}
+MALFORMED_EVENTS = {
+    "no kind": (lambda p: {k: v for k, v in p.items() if k != "kind"},
+                "missing key(s) ['kind']"),
+    "workflow_id not str": (lambda p: dict(p, workflow_id=["x"]),
+                            "expected a JSON string, got ['x']"),
+    "kind not str": (lambda p: dict(p, kind=5), "expected a JSON string, got 5"),
+    "sim_time string": (lambda p: dict(p, sim_time="later"),
+                        "expected a JSON integer, got 'later'"),
+    "sim_time bool": (lambda p: dict(p, sim_time=True), "expected a JSON integer, got True"),
+    "sim_time whole float": (lambda p: dict(p, sim_time=1.0), "expected a JSON integer, got 1.0"),
+    "kind bool, sim_time whole float": (lambda p: dict(p, kind=True, sim_time=1.0),
+                                        "expected a JSON string, got True"),
+    "sim_time bool, workflow_id not str": (lambda p: dict(p, sim_time=True, workflow_id=5),
+                                           "expected a JSON string, got 5"),
+}
+HELD_EVENTS = {
+    f"{name} a str subclass": (lambda p, name=name: dict(p, **{name: Str(p[name])}),
+                               f"expected a JSON string, got {{{name}!r}}")
+    for name in ("workflow_id", "kind")
+}
+
+
+def held(tx, payload, signature=None):
+    """``tx`` holding ``payload`` as given rather than decoded from its
+    message, and ``signature`` if one is given."""
+    return Transaction._sealed(payload, canonical_json(payload).encode(), tx.signer,
+                               tx.signature if signature is None else signature,
+                               tx.sim_time_submitted)
+
+
+def refusal(message, payload) -> str:
+    """A pattern for the contract's whole refusal ``message``, its
+    ``{field!r}`` parts filled in from ``payload``."""
+    if type(payload) is dict:
+        message = message.format_map(payload)
+    return f"malformed payload of tx [0-9a-f]{{12}}: {re.escape(message)}$"
+
+
 class TestMalformedPayload:
-    @pytest.mark.parametrize("edit", MALFORMED_CREATES.values(), ids=MALFORMED_CREATES.keys())
-    def test_malformed_create_rejected_at_ingest(self, anchor, ledger, enrolled, edit):
-        # Rejected at endorsement, before the clock moves or apply runs.
+    @pytest.mark.parametrize("edit, message", MALFORMED_CREATES.values(),
+                             ids=MALFORMED_CREATES.keys())
+    def test_malformed_create_rejected_at_ingest(self, anchor, ledger, enrolled, edit, message):
+        # Rejected at endorsement, before the clock moves or the contract runs.
         create, _ = create_tx(ledger, anchor, identity.make_device("d", seed=19), "alice")
         height, now, before = ledger.height, ledger.clock.now(), ledger.state.canonical()
-        with pytest.raises(ValidationError):
-            ledger.submit(anchor_signed(edit(dict(create.payload)), anchor, now))
+        payload = edit(dict(create.payload))
+        with pytest.raises(ValidationError, match=refusal(message, payload)):
+            ledger.submit(anchor_signed(payload, anchor, now))
         assert (ledger.height, ledger.clock.now()) == (height, now)
         assert ledger.state.canonical() == before
 
@@ -557,7 +652,7 @@ class TestMalformedPayload:
         with pytest.raises(ValidationError, match="unknown key"):
             ledger.submit(tx)
         assert (ledger.height, ledger.state.canonical()) == (height, before)
-        with pytest.raises(IntegrityViolationError):
+        with pytest.raises(IntegrityViolationError, match="breaks the contract"):
             replay_chain(appended(ledger.chain, tx))
 
     def test_endorsement_rejects_event_without_fields(self, ledger, enrolled):
@@ -569,13 +664,19 @@ class TestMalformedPayload:
             ledger.submit(as_tx(payload, env, now))
         assert ledger.state.event_log == []
 
-    @pytest.mark.parametrize("edit", MALFORMED_CREATES.values(), ids=MALFORMED_CREATES.keys())
-    def test_replay_rejects_malformed_create(self, anchor, ledger, enrolled, edit):
-        # Re-hashed, so the block hash passes and apply sees the payload.
-        tx = ledger.chain[0].tx
-        ledger.chain[0] = rehashed(ledger.chain, 0, with_payload(tx, edit(dict(tx.payload))))
-        with pytest.raises(IntegrityViolationError):
-            ledger.replay()
+    @pytest.mark.parametrize("edit, message", [*MALFORMED_CREATES.values(),
+                                               *HELD_CREATES.values()],
+                             ids=[*MALFORMED_CREATES, *HELD_CREATES])
+    def test_replay_rejects_malformed_create(self, anchor, ledger, enrolled, edit, message):
+        assert_replay_refuses(ledger, 0, edit, message)
+
+    @pytest.mark.parametrize("edit, message", [*MALFORMED_EVENTS.values(),
+                                               *HELD_EVENTS.values()],
+                             ids=[*MALFORMED_EVENTS, *HELD_EVENTS])
+    def test_replay_rejects_malformed_event(self, ledger, enrolled, edit, message):
+        _, key, _ = enrolled
+        ledger.submit(record_tx(ledger, key))
+        assert_replay_refuses(ledger, ledger.height - 1, edit, message)
 
     @pytest.mark.parametrize("bad", [{1: "a", "b": 2}, b"x", object()],
                              ids=["mixed int and str keys", "bytes", "object"])
@@ -602,12 +703,35 @@ class TestMalformedPayload:
     def test_failed_apply_leaves_state_unchanged(self, ledger, enrolled):
         state = ledger.replay()
         tx = ledger.chain[0].tx
-        before = state.canonical()
-        for payload in (dict(tx.payload, device_id="aa", public_key="zz"),
-                        {"op": "record_event", "kind": "k", "sim_time": 0}):
-            with pytest.raises(IntegrityViolationError):
-                state.apply(with_payload(tx, payload))
-        assert state.canonical() == before
+        before, signatures = state.canonical(), set(state.signatures)
+        # Signed anew, but for the first case, so the contract reaches its
+        # other rules; admit does not check signatures.
+        fresh = b"\x01" * 64
+        for payload, signature, error in (
+                (tx.payload, tx.signature, DuplicateTransactionError),
+                (dict(tx.payload, device_id="aa", public_key="zz"), fresh, ValidationError),
+                ({"op": "record_event", "kind": "k", "sim_time": 0}, fresh, ValidationError),
+                (tx.payload, fresh, EnrollmentRejected)):
+            with pytest.raises(error):
+                state.admit(held(tx, payload, signature))
+        assert (state.canonical(), state.signatures) == (before, signatures)
+
+
+def assert_replay_refuses(ledger, at, edit, message):
+    """Block ``at`` holding ``edit`` of its tx's payload, re-hashed, makes
+    replay refuse it with ``message``; admitted to the live state under a
+    fresh signature, it is refused alike and changes nothing."""
+    tx = ledger.chain[at].tx
+    payload = edit(dict(tx.payload))
+    ledger.chain[at] = rehashed(ledger.chain, at, held(tx, payload))
+    with pytest.raises(IntegrityViolationError, match=f"breaks the contract: "
+                       f"{refusal(message, payload)}"):
+        ledger.replay()
+    state = ledger.state
+    before, signatures = state.canonical(), set(state.signatures)
+    with pytest.raises(ValidationError, match=refusal(message, payload)):
+        state.admit(held(tx, payload, b"\x01" * 64))
+    assert (state.canonical(), state.signatures) == (before, signatures)
 
 
 class TestReplay:
@@ -659,7 +783,7 @@ class TestReplay:
         tx = record_tx(ledger, key)
         with pytest.raises(RejectedTransactionError):
             ledger.submit(tx)
-        with pytest.raises(IntegrityViolationError):
+        with pytest.raises(IntegrityViolationError, match="breaks the contract"):
             replay_chain(appended(ledger.chain, tx))
 
     def test_rehashed_copy_of_a_committed_block_rejected(self, ledger, enrolled):
@@ -701,6 +825,26 @@ class TestReplay:
         for i in range(3):
             ledger.submit(record_tx(ledger, key, tag=f"t{i}"))
         assert hashes_hold(ledger.chain)
+
+    def retimed_chain(self, ledger, key, step):
+        """Three events committed, then block 2 re-timed to ``step`` ms after
+        block 1's commit time and the chain re-hashed from there, as an
+        editor could."""
+        for i in range(3):
+            ledger.submit(record_tx(ledger, key, tag=f"t{i}"))
+        chain = list(ledger.chain)
+        chain[2] = chain[2]._replace(sim_time_committed=chain[1].sim_time_committed + step)
+        return relinked(chain)
+
+    def test_falling_commit_time_refused(self, ledger, enrolled):
+        _, key, _ = enrolled
+        chain = self.retimed_chain(ledger, key, -1)
+        with pytest.raises(IntegrityViolationError, match="^commit time falls at height 2$"):
+            replay_chain(chain)
+
+    def test_equal_commit_times_replay(self, ledger, enrolled):
+        _, key, _ = enrolled
+        assert replay_chain(self.retimed_chain(ledger, key, 0)) == ledger.state
 
     def test_block_hash_of_a_one_tx_block_is_pinned(self):
         """The hashed body is ``height|prev_hash|sim_time_committed|tx_id|
@@ -1222,7 +1366,7 @@ def contract_tx(ledger, keys, sent, op, args):
     if op == "malformed create":
         tx, _ = create_tx(ledger, ANCHOR, identity.make_device(f"dev-{args[0]}", seed=args[0]),
                           "alice")
-        return anchor_signed(MALFORMED_CREATES[args[1]](dict(tx.payload)), ANCHOR,
+        return anchor_signed(MALFORMED_CREATES[args[1]][0](dict(tx.payload)), ANCHOR,
                              ledger.clock.now()), None
     if op == "retime":
         return retimed(sent[args[0] % len(sent)], ledger.clock.now()), None
@@ -1665,10 +1809,12 @@ def test_any_single_field_edit_of_a_saved_chain_is_refused(data):
 
 
 def appended(chain, tx):
-    """``chain`` with one more block holding ``tx``, hashed as an editor could."""
-    prev = chain[-1].block_hash if chain else GENESIS_PREV_HASH
-    height = len(chain)
-    return [*chain, Block(tx, compute_block_hash(height, prev, tx, 0), 0)]
+    """``chain`` with one more block holding ``tx``, committed
+    ``BLOCK_INTERVAL_MS`` after the head and hashed as an editor could."""
+    prev, head = (chain[-1].block_hash, chain[-1].sim_time_committed) if chain else (
+        GENESIS_PREV_HASH, 0)
+    committed = head + BLOCK_INTERVAL_MS
+    return [*chain, Block(tx, compute_block_hash(len(chain), prev, tx, committed), committed)]
 
 
 # Calls the contract refuses whoever signs them.
@@ -1793,10 +1939,53 @@ def test_replay_refuses_exactly_what_submit_refuses(devices, ops):
             ledger.submit(tx)
         except SimError as exc:
             assert isinstance(exc, RejectedTransactionError) == revoked
-            with pytest.raises(IntegrityViolationError):
+            with pytest.raises(IntegrityViolationError, match="breaks the contract"):
                 replay_chain(appended(ledger.chain, tx))
             continue
         assert op not in REFUSED_OPS
         if key is not None:
             keys.append(key)
         assert replay_chain(ledger.chain) == ledger.state
+
+
+def frames(fn, arg) -> int:
+    """The Python frames ``fn(arg)`` enters, counted as ``sys.setprofile``
+    "call" events, with the collector off so that no finalizer adds one."""
+    count = 0
+
+    def profile(frame, event, _):
+        nonlocal count
+        count += event == "call"
+
+    previous = sys.getprofile()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(arg)
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    return count
+
+
+@pytest.mark.parametrize("op, replay_frames", [("create_nft", 3), ("record_event", 2)])
+def test_python_frames_per_block(tmp_path, op, replay_frames):
+    """``read_chain`` enters at most one Python frame per block, and
+    ``replay_chain`` at most three per create_nft block and two per
+    record_event block (its hash, the contract and, for a create, the token
+    id), counted over the last four of nine blocks. A change that adds a
+    call per block fails here without any timing."""
+    ledger = LedgerSim(SimClock(), anchor_pk=identity.anchor_public_key(ANCHOR))
+    key, _ = identity.enroll(identity.make_device("ctl", seed=1), "alice", ANCHOR, ledger)
+    for i in range(8):
+        if op == "create_nft":
+            ledger.create_nft(bytes([i]) * 16, OWNERS[i % 2], bytes([i]) * 32, ANCHOR)
+        else:
+            ledger.record_event("wf", "k", {"i": i}, key)
+    whole, head = tmp_path / "whole", tmp_path / "head"
+    ledger.save_chain(whole)
+    head.write_bytes(joined(split_records(whole.read_bytes())[:5]))
+    chain = ledger.chain
+    assert len(chain) == 9
+    assert (frames(replay_chain, chain) - frames(replay_chain, chain[:5])) / 4 <= replay_frames
+    assert (frames(read_chain, whole) - frames(read_chain, head)) / 4 <= 1
