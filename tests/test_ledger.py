@@ -544,6 +544,10 @@ MALFORMED_CREATES = {
         "expected a JSON string, got ['d']"),
     "challenge_index whole float, token_id not derived": (
         lambda p: dict(p, challenge_index=1.0, token_id="f" * 64), NOT_DERIVED),
+    "token_name not str, token_id not str": (lambda p: dict(p, token_name=["d"], token_id=5),
+                                             "expected a JSON string, got 5"),
+    "owner_id not str, device_id not hex": (lambda p: dict(p, owner_id=5, device_id="zz"),
+                                            NOT_HEX),
     "challenge_index bool, issue_time whole float": (
         lambda p: dict(p, challenge_index=True, issue_time=1.0),
         "expected a JSON integer, got 1.0"),
